@@ -108,7 +108,12 @@ def cmd_poly(args):
         gb = groebner_basis(ideal, order=args.order)
         return 0, {"basis": [str(g) for g in gb]}, [str(g) for g in gb]
     if args.action == "elim":
-        out = eliminate(ideal, args.drop)
+        drop = args.drop or list(ideal.ring.vars[:1])
+        unknown = [v for v in drop if v not in ideal.ring.vars]
+        if unknown:
+            raise InstanceFileError(
+                f"--drop names unknown variables: {', '.join(unknown)}")
+        out = eliminate(ideal, drop)
         return 0, {"generators": [str(g) for g in out.gens]}, \
             [str(g) for g in out.gens]
     if args.action == "dim":
@@ -460,7 +465,8 @@ def build_parser():
     p.add_argument("action", choices=["gb", "elim", "dim", "member"])
     p.add_argument("file")
     p.add_argument("--order", default="grevlex")
-    p.add_argument("--drop", type=int, default=1)
+    p.add_argument("--drop", nargs="+", metavar="VAR", default=[],
+                   help="variables to eliminate (default: the first)")
     p.add_argument("--poly", default="0")
     p.set_defaults(handler=cmd_poly)
 

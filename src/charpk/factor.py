@@ -21,7 +21,7 @@ import itertools
 import random
 from functools import lru_cache
 
-from .errors import CharpkError, UnsupportedInstance
+from .errors import CharpkError, FieldError, UnsupportedInstance
 from .fields import FieldDescriptor, FieldScalar, iter_gf_elements, pth_root
 from .polys import MultiPoly, PolyRing, order_key
 
@@ -421,26 +421,36 @@ def extend_gf(K: FieldDescriptor, s: int):
     """GF(p^(k s)) together with an embedding of GF(p^k)."""
     if K.kind != "gf":
         raise UnsupportedInstance("extend_gf needs a finite field")
-    p, k = K.p, K.k
-    L = FieldDescriptor("gf", p, k * s)
-    if k == 1:
-        def embed(x):
-            return L.from_int(x.rep[0])
-        return L, embed
-    # root of the defining polynomial of K inside L
-    mod_coeffs = [L.from_int(c) for c in K.modulus]
-    roots = uni_roots(mod_coeffs, L)
+    L = FieldDescriptor("gf", K.p, K.k * s)
+    return L, gf_embedding(K, L)
+
+
+@lru_cache(maxsize=None)
+def _modulus_root(K: FieldDescriptor, L: FieldDescriptor):
+    """The least root in L, by coefficient tuple, of K's defining
+    polynomial."""
+    roots = uni_roots([L.from_int(c) for c in K.modulus], L)
     if not roots:
-        raise CharpkError("no root of the defining polynomial in the extension")
-    beta = min((r for r, _ in roots),
-               key=lambda r: r.rep)
+        raise FieldError(f"{K.spec} does not embed into {L.spec}")
+    return min((r for r, _ in roots), key=lambda r: r.rep).rep
+
+
+def gf_embedding(K: FieldDescriptor, L: FieldDescriptor):
+    """The embedding of GF(p^k) = K into L that sends K's generator to the
+    least root in L of K's own defining polynomial (on F_p, the identity);
+    raises FieldError when K is not a subfield of L."""
+    if K.kind != "gf" or L.kind != "gf" or K.p != L.p or L.k % K.k:
+        raise FieldError(f"{K.spec} is not a subfield of {L.spec}")
+    if K.k == 1:
+        return lambda x: L.from_int(x.code)
+    beta = FieldScalar(L, _modulus_root(K, L))
 
     def embed(x):
         acc = L.zero()
         for c in reversed(x.rep):
             acc = acc * beta + L.from_int(c)
         return acc
-    return L, embed
+    return embed
 
 
 def _inverse_embed_table(K, L, embed):

@@ -4,12 +4,18 @@ structure maps: Frobenius, p-th roots, lambda0 and p-component decomposition.
 Scalars are canonically normalized so that equality of representations is
 equality of values:
 
-* GF(p^k): coefficient vector of length k over the polynomial basis of a
-  stored irreducible defining polynomial;
+* GF(p^k): one int code, the coefficient vector over the polynomial basis
+  of a stored irreducible defining polynomial read as a base-p counter
+  (code = sum rep[i] p^i);
 * F_p(t..): reduced fraction with monic denominator (leading coefficient 1
   under the internal term order).
 
-The m = 0 rational-function field degenerates to the prime field.
+GF(p^k) arithmetic runs on the codes: residues mod p for k = 1, log/antilog
+and Zech tables for p^k <= GF_TABLE_CAP (Lidl-Niederreiter, Finite Fields,
+ch. 2 and 9), and the polynomial basis above the cap.
+
+The m = 0 rational-function field degenerates to the prime field.  sympy,
+which carries F_p(t..), is imported when the first such field is built.
 """
 
 from __future__ import annotations
@@ -17,10 +23,15 @@ from __future__ import annotations
 import itertools
 from functools import lru_cache
 
-from sympy.polys.domains import FF
-from sympy.polys.fields import field as _frac_field
-
 from .errors import FieldError
+
+# Largest GF(p^k) order whose arithmetic runs on log/antilog and Zech
+# tables; larger fields multiply in the polynomial basis.  The tables are
+# built on a field's first arithmetic and hold O(q) ints: under this cap
+# the largest take about 6 MB and 0.35 s to build (GF(3^10)), while
+# polynomial-basis products in such fields cost tens of microseconds
+# against under one for a table lookup.
+GF_TABLE_CAP = 2 ** 16
 
 
 def _is_prime(n: int) -> bool:
@@ -42,6 +53,23 @@ def _trim(f):
     while f and f[-1] == 0:
         f.pop()
     return f
+
+
+def _code_to_vec(c, p, k):
+    """The k base-p digits of c, lowest first: a GF(p^k) code's
+    coefficient vector (`_vec_to_code` is the inverse)."""
+    out = []
+    for _ in range(k):
+        c, d = divmod(c, p)
+        out.append(d)
+    return out
+
+
+def _vec_to_code(vec, p):
+    c = 0
+    for d in reversed(vec):
+        c = c * p + d
+    return c
 
 
 def _poly_mul_p(f, g, p):
@@ -133,15 +161,272 @@ def _default_modulus(p: int, k: int):
     if k == 1:
         return (0, 1)
     for n in range(p ** k):
-        coeffs = []
-        m = n
-        for _ in range(k):
-            coeffs.append(m % p)
-            m //= p
-        f = coeffs + [1]
+        f = _code_to_vec(n, p, k) + [1]
         if _is_irreducible_p(f, p):
             return tuple(f)
     raise FieldError(f"no irreducible polynomial of degree {k} over F_{p}")
+
+
+# ---------------------------------------------------------------------------
+# GF(p^k) kernels: arithmetic on int codes
+# ---------------------------------------------------------------------------
+
+class _PrimeKernel:
+    """GF(p): the code is the residue."""
+
+    __slots__ = ("p",)
+
+    def __init__(self, p):
+        self.p = p
+
+    def add(self, a, b):
+        return (a + b) % self.p
+
+    def sub(self, a, b):
+        return (a - b) % self.p
+
+    def neg(self, a):
+        return -a % self.p
+
+    def mul(self, a, b):
+        return a * b % self.p
+
+    def inv(self, a):
+        return pow(a, self.p - 2, self.p)
+
+    def pow(self, a, e):
+        return pow(a, e, self.p)
+
+
+class _TableKernel:
+    """GF(p^k), odd p, q <= GF_TABLE_CAP, over a primitive element alpha.
+
+    exp[i] is the code of alpha^i for 0 <= i < 2n (n = q - 1; doubled so a
+    sum of two logs needs no reduction), log[c] the discrete log of the
+    nonzero code c, and zech[i] = log(1 + alpha^i), or -1 where
+    1 + alpha^i = 0.  Sums take one Zech lookup: alpha^i + alpha^j =
+    alpha^(i + zech[j - i]), a negative j - i wrapping through Python's
+    negative indexing of the length-n Zech table.
+    """
+
+    __slots__ = ("n", "exp", "log", "zech")
+
+    def __init__(self, p, k, modulus):
+        self.n = n = p ** k - 1
+        self.exp, self.log = _log_tables(p, k, modulus)
+        exp, log = self.exp, self.log
+        zech = [-1] * n
+        for i in range(n):
+            c = exp[i]
+            # 1 + alpha^i: add one to the constant digit of the code
+            c = c + 1 if c % p != p - 1 else c + 1 - p
+            if c:
+                zech[i] = log[c]
+        self.zech = zech
+
+    def add(self, a, b):
+        if not a:
+            return b
+        if not b:
+            return a
+        la = self.log[a]
+        z = self.zech[self.log[b] - la]
+        return self.exp[la + z] if z >= 0 else 0
+
+    def neg(self, a):
+        # -1 = alpha^(n/2)
+        return self.exp[self.log[a] + self.n // 2] if a else 0
+
+    def sub(self, a, b):
+        return self.add(a, self.neg(b))
+
+    def mul(self, a, b):
+        if not a or not b:
+            return 0
+        return self.exp[self.log[a] + self.log[b]]
+
+    def inv(self, a):
+        return self.exp[self.n - self.log[a]]
+
+    def pow(self, a, e):
+        if not a:
+            return 0 if e else 1
+        return self.exp[self.log[a] * e % self.n]
+
+
+class _BinaryTableKernel(_TableKernel):
+    """GF(2^k), q <= GF_TABLE_CAP: sums are XOR, so no Zech table."""
+
+    __slots__ = ()
+
+    def __init__(self, p, k, modulus):
+        self.n = 2 ** k - 1
+        self.exp, self.log = _log_tables(p, k, modulus)
+        self.zech = None
+
+    def add(self, a, b):
+        return a ^ b
+
+    sub = add
+
+    def neg(self, a):
+        return a
+
+
+class _PolyKernel:
+    """GF(p^k) above GF_TABLE_CAP: codes are decoded to coefficient
+    vectors and multiplied in the polynomial basis."""
+
+    __slots__ = ("p", "k", "modulus")
+
+    def __init__(self, p, k, modulus):
+        self.p, self.k, self.modulus = p, k, list(modulus)
+
+    def _vec(self, c):
+        return _code_to_vec(c, self.p, self.k)
+
+    def _code(self, vec):
+        return _vec_to_code(vec, self.p)
+
+    def add(self, a, b):
+        p = self.p
+        if p == 2:
+            return a ^ b
+        return self._code([(x + y) % p
+                           for x, y in zip(self._vec(a), self._vec(b))])
+
+    def neg(self, a):
+        p = self.p
+        return self._code([-x % p for x in self._vec(a)])
+
+    def sub(self, a, b):
+        return self.add(a, self.neg(b))
+
+    def mul(self, a, b):
+        p = self.p
+        prod = _poly_mul_p(self._vec(a), self._vec(b), p)
+        return self._code(_poly_divmod_p(prod, self.modulus, p)[1])
+
+    def inv(self, a):
+        p = self.p
+        # extended Euclid in F_p[x]
+        r0, r1 = self.modulus, _trim(self._vec(a))
+        s0, s1 = [], [1]
+        while r1:
+            q, r = _poly_divmod_p(r0, r1, p)
+            r0, r1 = r1, r
+            s0, s1 = s1, _trim([(x - y) % p for x, y in itertools.zip_longest(
+                s0, _poly_mul_p(q, s1, p), fillvalue=0)])
+        inv_lc = pow(r0[-1], p - 2, p)
+        s0 = [(c * inv_lc) % p for c in s0]
+        return self._code(_poly_divmod_p(s0, self.modulus, p)[1])
+
+    def pow(self, a, e):
+        result = 1
+        while e:
+            if e & 1:
+                result = self.mul(result, a)
+            a = self.mul(a, a)
+            e >>= 1
+        return result
+
+
+def _prime_factors(n):
+    out, d = [], 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    if n > 1:
+        out.append(n)
+    return out
+
+
+def _log_tables(p, k, modulus):
+    """(exp, log) over the primitive element alpha of lowest code >= p.
+
+    Low codes are low-degree polynomials, so the walk alpha^i ->
+    alpha^(i+1) costs one multiplication of packed ints and deg alpha
+    reduction steps, plus the O(k) digit read-out for odd p."""
+    q = p ** k
+    n = q - 1
+    mod = list(modulus)
+    cofactors = [n // r for r in _prime_factors(n)]
+    for code in range(p, q):
+        alpha = _trim(_code_to_vec(code, p, k))
+        if all(_poly_powmod_p(alpha, e, mod, p) != [1] for e in cofactors):
+            break
+    exp = [0] * (2 * n)
+    log = [0] * q
+    d = len(alpha) - 1
+    if p == 2:
+        # bit j of the code is the coefficient of x^j; products are
+        # carry-less
+        shifts = [s for s, a in enumerate(alpha) if a]
+        m = _vec_to_code(mod, 2)
+        v = 1
+        for i in range(n):
+            exp[i] = exp[i + n] = v
+            log[v] = i
+            w = 0
+            for s in shifts:
+                w ^= v << s
+            for top in range(k + d - 1, k - 1, -1):
+                if w >> top & 1:
+                    w ^= m << (top - k)
+            v = w
+        return exp, log
+    # digit j sits in bits [b j, b (j + 1)) of a packed int, wide enough
+    # for the sums of one product and its reduction without carries
+    b = ((2 * k + 1) * (p - 1) ** 2).bit_length()
+    slot = (1 << b) - 1
+    packed_alpha = sum(a << (b * s) for s, a in enumerate(alpha))
+    negmod = sum(-c % p << (b * j) for j, c in enumerate(mod[:k]))
+    low = (1 << (b * k)) - 1
+    v, c = 1, 1
+    for i in range(n):
+        exp[i] = exp[i + n] = c
+        log[c] = i
+        w = v * packed_alpha
+        for top in range(k + d - 1, k - 1, -1):
+            lead = (w >> (b * top) & slot) % p
+            if lead:
+                w += lead * negmod << (b * (top - k))
+        w &= low
+        v = c = 0
+        for j in range(b * (k - 1), -1, -b):
+            digit = (w >> j & slot) % p
+            c = c * p + digit
+            v = v << b | digit
+    return exp, log
+
+
+# unbounded: a process meets few distinct fields, and evicting a table
+# would only mean building it again
+@lru_cache(maxsize=None)
+def _build_kernel(p, k, modulus):
+    if k == 1:
+        return _PrimeKernel(p)
+    if p ** k > GF_TABLE_CAP:
+        return _PolyKernel(p, k, modulus)
+    return (_BinaryTableKernel if p == 2 else _TableKernel)(p, k, modulus)
+
+
+class _LazyKernel:
+    """A GF descriptor's kernel until its first arithmetic, which builds
+    (or fetches) the real one and installs it on the descriptor."""
+
+    __slots__ = ("field",)
+
+    def __init__(self, field):
+        self.field = field
+
+    def __getattr__(self, name):
+        f = self.field
+        f._kernel = _build_kernel(f.p, f.k, f.modulus)
+        return getattr(f._kernel, name)
 
 
 # ---------------------------------------------------------------------------
@@ -156,7 +441,7 @@ class FieldDescriptor:
     """
 
     __slots__ = ("kind", "p", "k", "modulus", "gen_name", "tvars",
-                 "_frac", "_ring", "_spec")
+                 "_frac", "_ring", "_spec", "_kernel")
 
     def __init__(self, kind, p, k=1, modulus=None, gen_name="g", tvars=()):
         if not _is_prime(p):
@@ -179,7 +464,10 @@ class FieldDescriptor:
             self.tvars = ()
             self._frac = None
             self._ring = None
+            self._kernel = _LazyKernel(self)
         elif kind == "ratfunc":
+            from sympy.polys.domains import FF
+            from sympy.polys.fields import field as frac_field
             tvars = tuple(tvars)
             if len(set(tvars)) != len(tvars):
                 raise FieldError("duplicate transcendental names")
@@ -187,9 +475,10 @@ class FieldDescriptor:
             self.modulus = None
             self.gen_name = None
             self.tvars = tvars
-            frac = _frac_field(list(tvars), FF(p))[0]
+            frac = frac_field(list(tvars), FF(p))[0]
             self._frac = frac
             self._ring = frac.to_ring()
+            self._kernel = None
         else:
             raise FieldError(f"unknown field kind {kind!r}")
         self._spec = self._make_spec()
@@ -233,27 +522,21 @@ class FieldDescriptor:
     # -- element construction ---------------------------------------------
 
     def zero(self):
-        return self.from_int(0)
+        return _gf(self, 0) if self.kind == "gf" else self.from_int(0)
 
     def one(self):
-        return self.from_int(1)
+        return _gf(self, 1) if self.kind == "gf" else self.from_int(1)
 
     def from_int(self, n: int) -> "FieldScalar":
         if self.kind == "gf":
-            vec = [0] * self.k
-            vec[0] = n % self.p
-            return FieldScalar(self, tuple(vec))
+            return _gf(self, n % self.p)
         return FieldScalar(self, self._frac(n % self.p))
 
     def generator(self) -> "FieldScalar":
         """The polynomial-basis generator of GF(p^k)."""
         if self.kind != "gf":
             raise FieldError("generator() is for GF(p^k) fields")
-        if self.k == 1:
-            return self.one()
-        vec = [0] * self.k
-        vec[1] = 1
-        return FieldScalar(self, tuple(vec))
+        return _gf(self, self.p if self.k > 1 else 1)
 
     def gens(self):
         """The transcendental generators of F_p(t..) as scalars."""
@@ -292,18 +575,35 @@ def _gf_poly_str(coeffs, name):
 # ---------------------------------------------------------------------------
 
 class FieldScalar:
-    """An element of a FieldDescriptor, canonically normalized."""
+    """An element of a FieldDescriptor, canonically normalized.
 
-    __slots__ = ("field", "rep")
+    A GF(p^k) scalar holds its int `code`; an F_p(t..) scalar holds its
+    reduced fraction and has code None.  `FieldScalar(field, rep)` takes a
+    coefficient vector or a fraction, as `rep` returns it."""
+
+    __slots__ = ("field", "code", "_rep")
 
     def __init__(self, field: FieldDescriptor, rep):
         self.field = field
         if field.kind == "gf":
-            self.rep = tuple(c % field.p for c in rep)
-            if len(self.rep) != field.k:
+            rep = tuple(c % field.p for c in rep)
+            if len(rep) != field.k:
                 raise FieldError("coefficient vector length mismatch")
+            self.code = _vec_to_code(rep, field.p)
+            self._rep = rep
         else:
-            self.rep = _normalize_frac(rep, field)
+            self.code = None
+            self._rep = _normalize_frac(rep, field)
+
+    @property
+    def rep(self):
+        """GF(p^k): the coefficient tuple over the polynomial basis, lowest
+        degree first; F_p(t..): the reduced sympy fraction."""
+        rep = self._rep
+        if rep is None:
+            f = self.field
+            rep = self._rep = tuple(_code_to_vec(self.code, f.p, f.k))
+        return rep
 
     # -- helpers -----------------------------------------------------------
 
@@ -312,78 +612,70 @@ class FieldScalar:
             if isinstance(other, int):
                 return self.field.from_int(other)
             return NotImplemented
-        if other.field != self.field:
+        if other.field is not self.field and other.field != self.field:
             raise FieldError("mixed-field arithmetic")
         return other
 
     def is_zero(self):
-        if self.field.kind == "gf":
-            return all(c == 0 for c in self.rep)
-        return not self.rep.numer
+        if self.code is not None:
+            return self.code == 0
+        return not self._rep.numer
 
     def is_one(self):
+        if self.code is not None:
+            return self.code == 1
         return self == self.field.one()
 
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other):
-        other = self._check(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if self.field.kind == "gf":
-            return FieldScalar(self.field,
-                               tuple(a + b for a, b in zip(self.rep, other.rep)))
-        return FieldScalar(self.field, self.rep + other.rep)
+        f = self.field
+        if other.__class__ is not FieldScalar or other.field is not f:
+            other = self._check(other)
+            if other is NotImplemented:
+                return NotImplemented
+        if self.code is None:
+            return FieldScalar(f, self._rep + other._rep)
+        return _gf(f, f._kernel.add(self.code, other.code))
 
     __radd__ = __add__
 
     def __neg__(self):
-        if self.field.kind == "gf":
-            return FieldScalar(self.field, tuple(-a for a in self.rep))
-        return FieldScalar(self.field, -self.rep)
+        if self.code is None:
+            return FieldScalar(self.field, -self._rep)
+        return _gf(self.field, self.field._kernel.neg(self.code))
 
     def __sub__(self, other):
-        other = self._check(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
+        f = self.field
+        if other.__class__ is not FieldScalar or other.field is not f:
+            other = self._check(other)
+            if other is NotImplemented:
+                return NotImplemented
+        if self.code is None:
+            return self + (-other)
+        return _gf(f, f._kernel.sub(self.code, other.code))
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        other = self._check(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if self.field.kind == "gf":
-            prod = _poly_mul_p(list(self.rep), list(other.rep), self.field.p)
-            rem = _poly_divmod_p(prod, list(self.field.modulus), self.field.p)[1]
-            rem += [0] * (self.field.k - len(rem))
-            return FieldScalar(self.field, tuple(rem))
-        return FieldScalar(self.field, self.rep * other.rep)
+        f = self.field
+        if other.__class__ is not FieldScalar or other.field is not f:
+            other = self._check(other)
+            if other is NotImplemented:
+                return NotImplemented
+        if self.code is None:
+            return FieldScalar(f, self._rep * other._rep)
+        return _gf(f, f._kernel.mul(self.code, other.code))
 
     __rmul__ = __mul__
 
     def inverse(self):
         if self.is_zero():
             raise ZeroDivisionError("field scalar inverse of zero")
-        if self.field.kind == "gf":
-            p, mod = self.field.p, list(self.field.modulus)
-            # extended Euclid in F_p[x]
-            r0, r1 = mod, _trim(list(self.rep))
-            s0, s1 = [], [1]
-            while r1:
-                q, r = _poly_divmod_p(r0, r1, p)
-                r0, r1 = r1, r
-                s0, s1 = s1, _trim([(a - b) % p for a, b in
-                                    itertools.zip_longest(s0, _poly_mul_p(q, s1, p),
-                                                          fillvalue=0)])
-            inv_lc = pow(r0[-1], p - 2, p)
-            s0 = [(c * inv_lc) % p for c in s0]
-            s0 = _poly_divmod_p(s0, mod, p)[1]
-            s0 += [0] * (self.field.k - len(s0))
-            return FieldScalar(self.field, tuple(s0[:self.field.k]))
-        return FieldScalar(self.field, self.rep ** -1)
+        if self.code is None:
+            return FieldScalar(self.field, self._rep ** -1)
+        return _gf(self.field, self.field._kernel.inv(self.code))
 
     def __truediv__(self, other):
         other = self._check(other)
@@ -397,6 +689,8 @@ class FieldScalar:
     def __pow__(self, n: int):
         if n < 0:
             return self.inverse() ** (-n)
+        if self.code is not None:
+            return _gf(self.field, self.field._kernel.pow(self.code, n))
         result = self.field.one()
         base = self
         while n:
@@ -413,28 +707,44 @@ class FieldScalar:
             other = self.field.from_int(other)
         if not isinstance(other, FieldScalar):
             return NotImplemented
-        return self.field == other.field and self.rep == other.rep
+        if other.field is not self.field and other.field != self.field:
+            return False
+        if self.code is not None:
+            return self.code == other.code
+        return self._rep == other._rep
 
     def __hash__(self):
-        if self.field.kind == "gf":
-            return hash((self.field, self.rep))
-        return hash((self.field, self.rep.numer, self.rep.denom))
+        if self.code is not None:
+            return hash(self.code)
+        return hash((self.field, self._rep.numer, self._rep.denom))
 
     def __repr__(self):
         return f"<{self} in {self.field.spec}>"
 
     def __str__(self):
-        if self.field.kind == "gf":
+        if self.code is not None:
             return _gf_poly_str(self.rep, self.field.gen_name)
-        num = _ratpoly_str(self.rep.numer, self.field)
-        if self.rep.denom == self.field._ring.one:
+        num = _ratpoly_str(self._rep.numer, self.field)
+        if self._rep.denom == self.field._ring.one:
             return num
-        den = _ratpoly_str(self.rep.denom, self.field)
+        den = _ratpoly_str(self._rep.denom, self.field)
         if "+" in num or "-" in num[1:]:
             num = f"({num})"
         if "+" in den or "-" in den[1:] or "*" in den or "^" in den:
             den = f"({den})"
         return f"{num}/{den}"
+
+
+_new_scalar = object.__new__
+
+
+def _gf(field, code):
+    """The GF scalar with the given code (no validation)."""
+    x = _new_scalar(FieldScalar)
+    x.field = field
+    x.code = code
+    x._rep = None
+    return x
 
 
 def _normalize_frac(fr, field):
@@ -489,7 +799,7 @@ def make_field(spec: str) -> FieldDescriptor:
         parts = _split_top(inner, ",")
         if len(parts) not in (2, 3):
             raise FieldError(f"bad field spec {spec!r}")
-        p, k = int(parts[0]), int(parts[1])
+        p, k = _spec_int(parts[0], spec), _spec_int(parts[1], spec)
         if len(parts) == 2:
             return FieldDescriptor("gf", p, k)
         gen_name, coeffs = _parse_gf_modulus(parts[2], p)
@@ -499,13 +809,21 @@ def make_field(spec: str) -> FieldDescriptor:
         if ";" not in inner:
             raise FieldError(f"bad field spec {spec!r} (missing ';')")
         head, tail = inner.split(";", 1)
-        p = int(head.strip())
+        p = _spec_int(head, spec)
         names = tuple(n.strip() for n in tail.split(",") if n.strip())
         if not names:
             # F_p with an empty transcendence basis is the prime field
             return FieldDescriptor("gf", p, 1)
         return FieldDescriptor("ratfunc", p, tvars=names)
     raise FieldError(f"unrecognized field spec {spec!r}")
+
+
+def _spec_int(text, spec):
+    try:
+        return int(text)
+    except ValueError:
+        raise FieldError(f"bad field spec {spec!r}: {text.strip()!r} "
+                         "is not an integer") from None
 
 
 def _split_top(text, sep):
@@ -796,14 +1114,8 @@ def scalar_height(x: FieldScalar) -> int:
 
 def iter_gf_elements(field: FieldDescriptor):
     """All elements of GF(p^k) in base-p counter order (constants first)."""
-    p, k = field.p, field.k
-    for n in range(p ** k):
-        vec = []
-        m = n
-        for _ in range(k):
-            vec.append(m % p)
-            m //= p
-        yield FieldScalar(field, tuple(vec))
+    for n in range(field.p ** field.k):
+        yield _gf(field, n)
 
 
 def _iter_polys(field, deg, monic=False, allow_zero=False):
@@ -843,7 +1155,6 @@ def _iter_polys(field, deg, monic=False, allow_zero=False):
 def iter_ratfunc_elements(field: FieldDescriptor, bound: int):
     """All of F_p(t..) with height <= bound, in a deterministic order:
     by height, then denominator (monic, by degree), then numerator."""
-    from sympy.polys.rings import PolyElement  # noqa: F401  (doc only)
     p = field.p
     if not field.tvars:
         yield from iter_gf_elements(FieldDescriptor("gf", p, 1))

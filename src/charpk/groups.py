@@ -197,20 +197,7 @@ class FieldAction:
 def subfield_descriptor(L: FieldDescriptor, d: int):
     """GF(p^d) with its canonical embedding into L."""
     K = FieldDescriptor("gf", L.p, d)
-    if d == 1:
-        return K, (lambda x: L.from_int(x.rep[0]))
-    mod_coeffs = [L.from_int(c) for c in K.modulus]
-    roots = factor.uni_roots(mod_coeffs, L)
-    if not roots:
-        raise FieldError("no embedding: modulus has no root")
-    beta = min((r for r, _ in roots), key=lambda r: r.rep)
-
-    def embed(x):
-        acc = L.zero()
-        for c in reversed(x.rep):
-            acc = acc * beta + L.from_int(c)
-        return acc
-    return K, embed
+    return K, factor.gf_embedding(K, L)
 
 
 def galois_group(L: FieldDescriptor, F: FieldDescriptor):
@@ -219,7 +206,7 @@ def galois_group(L: FieldDescriptor, F: FieldDescriptor):
     its minimal polynomial over F."""
     if L.kind != "gf" or F.kind != "gf" or L.p != F.p or L.k % F.k != 0:
         raise UnsupportedInstance("galois_group needs finite fields F <= L")
-    K, embed = subfield_descriptor(L, F.k)
+    embed = factor.gf_embedding(F, L)
     # minimal polynomial of the generator over the copy of F: for finite
     # fields the automorphisms are exactly the powers of Frobenius^[F:F_p]
     autos = [identity_automorphism(L)]
@@ -473,7 +460,4 @@ def _theta_coeffs(theta, F):
 
 
 def _embed_into(c: FieldScalar, F: FieldDescriptor, K: FieldDescriptor):
-    if F.k == 1:
-        return K.from_int(c.rep[0])
-    _, embed = subfield_descriptor(K, F.k)
-    return embed(c)
+    return factor.gf_embedding(F, K)(c)

@@ -589,31 +589,13 @@ def _project_gf(x, K, L):
     # embed K into L via Frobenius-fixed identification: the copy of K is
     # generated by an element with K's minimal polynomial; use linear algebra
     # over F_p directly on the canonical generator images
-    emb = _gf_embedding(K, L)
+    emb = factor.gf_embedding(K, L)
     for i in range(K.k):
         cols.append(list(emb(gen ** i).rep))
     sol = factor._solve_mod_p(cols, list(x.rep), K.p)
     if sol is None:
         raise CharpkError("element not in the subfield copy")
     return FieldScalar(K, tuple(sol))
-
-
-def _gf_embedding(K, L):
-    """An embedding K -> L (the canonical one from a root of K's modulus)."""
-    if K.k == 1:
-        return lambda x: L.from_int(x.rep[0])
-    mod_coeffs = [L.from_int(c) for c in K.modulus]
-    roots = factor.uni_roots(mod_coeffs, L)
-    if not roots:
-        raise FieldError("no embedding: modulus has no root")
-    beta = min((r for r, _ in roots), key=lambda r: r.rep)
-
-    def embed(x):
-        acc = L.zero()
-        for c in reversed(x.rep):
-            acc = acc * beta + L.from_int(c)
-        return acc
-    return embed
 
 
 def _locus_function_field(elems, K, variables):

@@ -2,8 +2,9 @@
 
 Nothing here calls the code paths under test: membership uses its own
 normal-form reduction over a lex basis, absolute-component counts come
-from rational-point counting over controlled extensions, and point
-scans are plain nested loops.
+from rational-point counting over controlled extensions, point scans
+are plain nested loops, and GF(p^k) arithmetic is polynomial-basis
+arithmetic on coefficient tuples.
 """
 
 from __future__ import annotations
@@ -241,3 +242,83 @@ def leibniz_holds(d_map, pairs) -> bool:
         if d_map(r * s) != d_map(r) * s + r * d_map(s):
             return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# GF(p^k) in the polynomial basis, on coefficient tuples (lowest degree
+# first) modulo a monic defining polynomial
+# ---------------------------------------------------------------------------
+
+def gf_add(a, b, p):
+    return tuple((x + y) % p for x, y in zip(a, b))
+
+
+def gf_neg(a, p):
+    return tuple(-x % p for x in a)
+
+
+def _reduce(prod, modulus, p):
+    """prod mod the monic modulus, as a length-k tuple."""
+    k = len(modulus) - 1
+    prod = list(prod) + [0] * max(0, k - len(prod))
+    for top in range(len(prod) - 1, k - 1, -1):
+        lead = prod[top] % p
+        for j in range(k + 1):
+            prod[top - k + j] = (prod[top - k + j] - lead * modulus[j]) % p
+    return tuple(c % p for c in prod[:k])
+
+
+def gf_mul(a, b, modulus, p):
+    """Schoolbook convolution, then reduction by the modulus."""
+    prod = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            prod[i + j] += x * y
+    return _reduce(prod, modulus, p)
+
+
+def gf_pow(a, e, modulus, p):
+    out = _reduce([1], modulus, p)
+    for _ in range(e):
+        out = gf_mul(out, a, modulus, p)
+    return out
+
+
+def _strip(f):
+    f = list(f)
+    while f and f[-1] == 0:
+        f.pop()
+    return f
+
+
+def _pdivmod(f, g, p):
+    f, g = _strip(f), _strip(g)
+    inv = pow(g[-1], p - 2, p)
+    q = [0] * max(len(f) - len(g) + 1, 1)
+    while len(f) >= len(g):
+        c = f[-1] * inv % p
+        shift = len(f) - len(g)
+        q[shift] = c
+        for i, y in enumerate(g):
+            f[shift + i] = (f[shift + i] - c * y) % p
+        f = _strip(f)
+    return q, f
+
+
+def gf_inverse(a, modulus, p):
+    """Extended Euclid in F_p[x]: s a + t modulus = 1."""
+    r0, r1 = _strip(modulus), _strip(a)
+    s0, s1 = [0], [1]
+    while r1:
+        q, r = _pdivmod(r0, r1, p)
+        qs = [0] * (len(q) + len(s1) - 1)
+        for i, x in enumerate(q):
+            for j, y in enumerate(s1):
+                qs[i + j] += x * y
+        width = max(len(s0), len(qs))
+        s0, s1 = s1, [((s0[i] if i < len(s0) else 0)
+                       - (qs[i] if i < len(qs) else 0)) % p
+                      for i in range(width)]
+        r0, r1 = r1, r
+    inv = pow(r0[-1], p - 2, p)
+    return _reduce([c * inv for c in s0], modulus, p)

@@ -1,9 +1,13 @@
 """Instance files and the command-line surface."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import charpk
 from charpk.cli import main
 from charpk.errors import InstanceFileError
 from charpk.instancefile import InstanceFile
@@ -114,6 +118,11 @@ ideal { vars: [x, y, z]; over: "GF(7,1)"; gens: ["x - y^2", "z - y^3"] }
     capsys.readouterr()
     assert main(["poly", "gb", path, "--order", "lex"]) == 0
     assert capsys.readouterr().out.strip()
+    assert main(["poly", "elim", path, "--drop", "y", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["generators"] == \
+        ["x^3 + 6*z^2"]
+    assert main(["poly", "elim", path, "--drop", "1"]) == 2
+    assert "unknown variables: 1" in capsys.readouterr().err
 
 
 def test_cli_field_and_errors(tmp_path, capsys):
@@ -121,6 +130,8 @@ def test_cli_field_and_errors(tmp_path, capsys):
     capsys.readouterr()
     assert main(["field", "GF(3)"]) == 2  # malformed spec
     capsys.readouterr()
+    assert main(["field", "GF(x,2)"]) == 2
+    assert "not an integer" in capsys.readouterr().err
     assert main(["axiom", "validate-dpac", str(tmp_path / "nope.inst")]) == 2
     capsys.readouterr()
 
@@ -195,3 +206,24 @@ function { num: "x" }
 """)
     assert main(["variety", "ppower", lin]) == 0  # no p-th root
     capsys.readouterr()
+
+
+def test_gf_only_cli_jobs_do_not_import_sympy(tmp_path):
+    path = _write(tmp_path, "cubic.inst", """
+variety { vars: [x, y]; over: "GF(11,1)"; gens: ["y^2 - x^3 - 3*x - 5"] }
+""")
+    script = f"""
+import sys
+import charpk.cli
+assert 'sympy' not in sys.modules, 'import'
+assert charpk.cli.main(['variety', 'points', {path!r}, '--json']) == 0
+assert charpk.cli.main(['field', 'GF(2,4)']) == 0
+assert 'sympy' not in sys.modules, 'GF job'
+charpk.cli.main(['field', 'Fp(3;t)'])
+assert 'sympy' in sys.modules, 'F_p(t) job'
+"""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(charpk.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

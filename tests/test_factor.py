@@ -4,10 +4,10 @@ import random
 
 import pytest
 
-from charpk.errors import UnsupportedInstance
-from charpk.factor import (extend_gf, factor_poly, mp_gcd, project_to_subfield,
-                           u_deg, u_from_mp, u_mul, uni_factor,
-                           uni_is_irreducible, uni_roots)
+from charpk.errors import FieldError, UnsupportedInstance
+from charpk.factor import (extend_gf, factor_poly, gf_embedding, mp_gcd,
+                           project_to_subfield, u_deg, u_from_mp, u_mul,
+                           uni_factor, uni_is_irreducible, uni_roots)
 from charpk.fields import iter_gf_elements, make_field
 from charpk.polys import PolyRing
 
@@ -135,3 +135,29 @@ def test_extend_gf_embedding_is_homomorphism():
     # projection inverts the embedding on the image
     for a in els:
         assert project_to_subfield(embed(a), K, L, embed) == a
+
+
+@pytest.mark.parametrize("sub, big", [("GF(3,2,a^2+a+2)", "GF(3,4)"),
+                                      ("GF(2,3,b^3+b^2+1)", "GF(2,6)"),
+                                      ("GF(2,2)", "GF(2,4)"),
+                                      ("GF(5,1)", "GF(5,2)")])
+def test_gf_embedding_respects_the_subfield_modulus(sub, big):
+    K, L = make_field(sub), make_field(big)
+    embed = gf_embedding(K, L)
+    els = list(iter_gf_elements(K))
+    images = [embed(a) for a in els]
+    assert len(set(images)) == len(els)
+    for a, ea in zip(els, images):
+        for b, eb in zip(els, images):
+            assert embed(a + b) == ea + eb
+            assert embed(a * b) == ea * eb
+    gamma = embed(K.generator())
+    assert K.k == 1 or sum((c * gamma ** i for i, c in enumerate(K.modulus)),
+               L.zero()).is_zero()
+
+
+def test_gf_embedding_rejects_non_subfields():
+    with pytest.raises(FieldError):
+        gf_embedding(make_field("GF(2,2)"), make_field("GF(2,3)"))
+    with pytest.raises(FieldError):
+        gf_embedding(make_field("GF(3,1)"), make_field("GF(2,2)"))

@@ -4,10 +4,12 @@ import random
 
 import pytest
 
+from charpk import fields
 from charpk.errors import FieldError
-from charpk.fields import (frobenius, is_pth_power, iter_elements,
-                           iter_gf_elements, lambda0, make_field,
-                           p_components, pth_root)
+from charpk.fields import (FieldScalar, frobenius, is_pth_power,
+                           iter_elements, iter_gf_elements, lambda0,
+                           make_field, p_components, pth_root)
+from oracles import gf_add, gf_inverse, gf_mul, gf_neg, gf_pow
 
 
 def test_spec_strings():
@@ -20,7 +22,8 @@ def test_spec_strings():
 
 
 def test_bad_specs_rejected():
-    for bad in ["GF(3)", "GF(4,1)", "Fp(3)", "Q", "GF(2,0)"]:
+    for bad in ["GF(3)", "GF(4,1)", "Fp(3)", "Q", "GF(2,0)", "GF(x,2)",
+                "GF(2,k)", "Fp(x;t)"]:
         with pytest.raises(FieldError):
             make_field(bad)
 
@@ -113,3 +116,81 @@ def test_scalar_parsing_round_trip():
     for text in ["0", "1", "g", "g^2+g+1"]:
         x = L.parse(text)
         assert L.parse(str(x)) == x
+
+
+# every field of order <= 64, plus custom defining polynomials
+SMALL_GF = ["GF(2,1)", "GF(2,2)", "GF(2,3)", "GF(2,4)", "GF(2,5)", "GF(2,6)",
+            "GF(3,1)", "GF(3,2)", "GF(3,3)", "GF(5,1)", "GF(5,2)", "GF(7,1)",
+            "GF(7,2)", "GF(61,1)", "GF(3,2,a^2+a+2)", "GF(2,4,b^4+b^3+1)",
+            "GF(5,2,c^2+c+2)"]
+
+
+def _digits(n, p, k):
+    return tuple(n // p ** i % p for i in range(k))
+
+
+def _check_scalar_ops(K, pairs):
+    """Every kernel operation on the given pairs against the
+    polynomial-basis oracle."""
+    p, mod = K.p, K.modulus
+    for a, b in pairs:
+        ra, rb = a.rep, b.rep
+        assert (a + b).rep == gf_add(ra, rb, p)
+        assert (a - b).rep == gf_add(ra, gf_neg(rb, p), p)
+        assert (-a).rep == gf_neg(ra, p)
+        assert (a * b).rep == gf_mul(ra, rb, mod, p)
+        if not b.is_zero():
+            assert b.inverse().rep == gf_inverse(rb, mod, p)
+            assert (a / b).rep == gf_mul(ra, gf_inverse(rb, mod, p), mod, p)
+        else:
+            with pytest.raises(ZeroDivisionError):
+                b.inverse()
+        e = sum(rb) % 5
+        assert (a ** e).rep == gf_pow(ra, e, mod, p)
+        root = pth_root(a)
+        assert gf_pow(root.rep, p, mod, p) == ra
+        assert FieldScalar(K, ra) == a and FieldScalar(K, ra).code == a.code
+
+
+@pytest.mark.parametrize("spec", SMALL_GF)
+def test_gf_kernel_matches_polynomial_oracle(spec):
+    K = make_field(spec)
+    els = list(iter_gf_elements(K))
+    assert [x.rep for x in els] == [_digits(n, K.p, K.k)
+                                    for n in range(K.size)]
+    _check_scalar_ops(K, [(a, b) for a in els for b in els])
+
+
+@pytest.mark.parametrize("spec", SMALL_GF)
+def test_polynomial_basis_kernel_matches_oracle(spec):
+    """The kernel used above the table cap, exhaustively on small
+    fields."""
+    K = make_field(spec)
+    ops = fields._PolyKernel(K.p, K.k, K.modulus)
+    p, mod, q = K.p, K.modulus, K.size
+    for a in range(q):
+        ra = _digits(a, p, K.k)
+        assert _digits(ops.neg(a), p, K.k) == gf_neg(ra, p)
+        if a:
+            assert _digits(ops.inv(a), p, K.k) == gf_inverse(ra, mod, p)
+        assert _digits(ops.pow(a, 3), p, K.k) == gf_pow(ra, 3, mod, p)
+        for b in range(q):
+            rb = _digits(b, p, K.k)
+            assert _digits(ops.add(a, b), p, K.k) == gf_add(ra, rb, p)
+            assert _digits(ops.sub(a, b), p, K.k) == \
+                gf_add(ra, gf_neg(rb, p), p)
+            assert _digits(ops.mul(a, b), p, K.k) == gf_mul(ra, rb, mod, p)
+
+
+@pytest.mark.parametrize("spec", ["GF(2,17)", "GF(3,11)",
+                                  "GF(3,11,a^11+a^2+2)"])
+def test_gf_kernel_above_table_cap_matches_oracle(spec):
+    K = make_field(spec)
+    assert K.size > fields.GF_TABLE_CAP
+    rng = random.Random(5)
+
+    def rand():
+        return FieldScalar(K, [rng.randrange(K.p) for _ in range(K.k)])
+    pairs = [(rand(), rand()) for _ in range(60)]
+    pairs.append((rand(), K.zero()))
+    _check_scalar_ops(K, pairs)

@@ -4,10 +4,10 @@ import pytest
 
 from charpk.errors import PreconditionError
 from charpk.fields import iter_gf_elements, make_field
-from charpk.groups import (FieldAction, FiniteGroup, alg_strongly_pac_probe,
-                           check_galois_data, code_finite_set,
-                           finite_set_k_irreducible, galois_group,
-                           invariants, is_faithful)
+from charpk.groups import (FieldAction, FiniteGroup, _embed_into,
+                           alg_strongly_pac_probe, check_galois_data,
+                           code_finite_set, finite_set_k_irreducible,
+                           galois_group, invariants, is_faithful)
 from charpk.polys import PolyRing
 
 
@@ -29,6 +29,17 @@ def test_galois_group_automorphisms_fix_base():
     F4, F16 = make_field("GF(2,2)"), make_field("GF(2,4)")
     group, autos, embed = galois_group(F16, F4)
     for x in iter_gf_elements(F4):
+        for s in autos:
+            assert s(embed(x)) == embed(x)
+
+
+def test_galois_embeddings_use_the_subfield_modulus():
+    F, L = make_field("GF(3,2,a^2+a+2)"), make_field("GF(3,4)")
+    a = F.generator()
+    _, autos, embed = galois_group(L, F)
+    for image in (embed(a), _embed_into(a, F, L)):
+        assert (image * image + image + 2).is_zero()
+    for x in iter_gf_elements(F):
         for s in autos:
             assert s(embed(x)) == embed(x)
 
