@@ -1,7 +1,7 @@
 """Command-line front end.
 
 Exit codes: 0 = pass / witness found / true; 1 = fail / invalid /
-exhausted / false; 2 = error / unsupported / undecided.
+exhausted / false; 2 = error / unsupported / resource cap.
 
 Inputs are instance files in the block DSL (see instancefile); every
 subcommand accepts --json for a machine-readable report.
@@ -173,13 +173,13 @@ def cmd_variety(args):
         payload = {"status": v.status, "reason": v.reason}
         if v.value is not None:
             payload["root"] = f"{v.value.num}/{v.value.den}"
-        code = {"absent": 0, "root": 1, "undecided": 2}[v.status]
+        code = {"absent": 0, "root": 1}[v.status]
         return code, payload, [f"{v.status}: {v.reason}"]
     if args.action == "pindep":
         block = inst.require("functions")
         fs = [V.function_field_elem(str(t)) for t in block.require("items")]
-        v = vmod.pindep_function_field(fs, bound=args.bound or 1)
-        code = {"independent": 0, "dependent": 1, "undecided": 2}[v.status]
+        v = vmod.pindep_function_field(fs)
+        code = {"independent": 0, "dependent": 1}[v.status]
         return code, {"status": v.status, "reason": v.reason}, \
             [f"{v.status}: {v.reason}"]
     raise InstanceFileError(f"unknown variety action {args.action}")
@@ -474,7 +474,10 @@ def build_parser():
     p.add_argument("action", choices=["irr", "absirr", "dominant", "points",
                                       "locus", "ppower", "pindep"])
     p.add_argument("file")
-    p.add_argument("--bound", type=int, default=None)
+    p.add_argument("--bound", type=int, default=None,
+                   help="points: coordinate height bound over F_p(t..); "
+                   "ppower: degree bound of the search for the root "
+                   "printed when V has no rational model (default 2)")
     p.set_defaults(handler=cmd_variety)
 
     p = add_parser("diff", help="derivations and prolongations")
@@ -499,7 +502,10 @@ def build_parser():
                                       "pac-open", "scf-reduce", "bop-check",
                                       "validate-gbdcf"])
     p.add_argument("file")
-    p.add_argument("--bound", type=int, default=None)
+    p.add_argument("--bound", type=int, default=None,
+                   help="scf-reduce: number of sample points of the audit "
+                   "(default: no audit); the other actions ignore it and take "
+                   "their search bound from the instance's bound block")
     p.set_defaults(handler=cmd_axiom)
 
     return parser

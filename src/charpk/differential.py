@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from . import linalg
 from .errors import FieldError, PreconditionError, RingError
-from .fields import FieldDescriptor, FieldScalar
+from .fields import FieldDescriptor, FieldScalar, partial
 from .polys import Ideal, MultiPoly, PolyRing
 from .variety import (AffineVariety, FunctionFieldElem, is_irreducible,
                       projection_dominant)
@@ -58,22 +58,11 @@ def _derive_scalar(x: FieldScalar, D: DerivationContext) -> FieldScalar:
         return K.zero()
     if K != D.field:
         raise FieldError("derivation context field mismatch")
-
-    def dpoly(poly):
-        acc = K.zero()
-        for i, name in enumerate(K.tvars):
-            img = D.images.get(name, K.zero())
-            if img.is_zero():
-                continue
-            dp = poly.diff(K._ring.gens[i])
-            acc = acc + K.from_frac(K._frac(dp)) * img
-        return acc
-
-    n = K.from_frac(K._frac(x.rep.numer))
-    d = K.from_frac(K._frac(x.rep.denom))
-    dn = dpoly(x.rep.numer)
-    dd = dpoly(x.rep.denom)
-    return (dn * d - n * dd) / (d * d)
+    acc = K.zero()
+    for name, img in D.images.items():
+        if not img.is_zero():
+            acc = acc + partial(x, name) * img
+    return acc
 
 
 def derive(f, D: DerivationContext, coordinate_images=None):

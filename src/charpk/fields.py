@@ -924,7 +924,10 @@ class _ScalarParser:
                 v = v * self.factor()
             elif ch == "/":
                 self.pos += 1
-                v = v / self.factor()
+                d = self.factor()
+                if d.is_zero():
+                    raise FieldError(f"division by zero in {self.text!r}")
+                v = v / d
             else:
                 return v
 
@@ -1067,6 +1070,18 @@ def p_components(x: FieldScalar) -> dict:
         if not comp.is_zero():
             out[a] = comp
     return out
+
+
+def partial(x: FieldScalar, name: str) -> FieldScalar:
+    """The partial derivative d x / d name for a transcendental of
+    F_p(t..), by the quotient rule; GF(p^k) scalars have derivative 0."""
+    field = x.field
+    if field.kind == "gf":
+        return field.zero()
+    t = field._ring.gens[field.tvars.index(name)]
+    num, den = x.rep.numer, x.rep.denom
+    dnum = num.diff(t) * den - num * den.diff(t)
+    return field.from_frac(field._frac(dnum) / field._frac(den ** 2))
 
 
 def evaluate_scalar(x: FieldScalar, images: dict, target: FieldDescriptor):

@@ -1,5 +1,9 @@
 """p-independence and the multivariable lambda-functions.
 
+p-independence over F_p(t1..tm) is decided exactly by a rank: b_1..b_e
+are p-independent iff their differentials db_i are linearly independent,
+i.e. iff the Jacobian [db_i/dt_j] has rank e.
+
 The p-monomials of a tuple (b_1..b_e) are m_j = b_1^{i_1}...b_e^{i_e} with
 0 <= i_j <= p-1, enumerated lexicographically on the exponent vector, so
 m_1 = 1.  All Case-3 solves reduce, via the p-component decomposition of
@@ -14,13 +18,11 @@ because comp_a is semilinear with respect to p-th powers.
 from __future__ import annotations
 
 import itertools
-import random
 
 from . import linalg
 from .errors import FieldError
-from .fields import (FieldDescriptor, FieldScalar, evaluate_scalar,
-                     p_components, pth_root, FieldDescriptor as _FD)
-from .fields import make_field
+from .fields import (FieldDescriptor, FieldScalar, p_components, partial,
+                     pth_root)
 
 
 def monomial_exponents(p: int, e: int):
@@ -45,8 +47,8 @@ def p_monomials(bs):
 
 
 def _clear_pth(xs):
-    """Multiply each x by den(x)^p: a p-th-power unit, so p-independence and
-    lambda solves transfer; returns (polynomial-valued scalars, denominators)."""
+    """Multiply each x by den(x)^p: a p-th-power unit, so lambda solves
+    transfer; returns (polynomial-valued scalars, denominators)."""
     out, dens = [], []
     for x in xs:
         field = x.field
@@ -70,65 +72,17 @@ def _component_matrix(bs, K):
     return matrix, row_index
 
 
-_CERT_SEED = 0x5EED
-
-
-def _specialize_rank_full(matrix, K, ncols):
-    """Sound certificate of full column rank: specialize the transcendentals
-    at points of a finite extension and compute the rank there.  Rank can
-    only drop under specialization, so full rank at a point is a proof."""
-    rng = random.Random(_CERT_SEED)
-    for ext_deg in (3, 4, 5):
-        target = make_field(f"GF({K.p},{ext_deg})")
-        elements = None
-        for _ in range(4):
-            if elements is None:
-                elements = list(_iter_gf(target))
-            images = {name: rng.choice(elements) for name in K.tvars}
-            spec_rows = []
-            ok = True
-            for row in matrix:
-                out = []
-                for x in row:
-                    v = evaluate_scalar(x, images, target)
-                    if v is None:
-                        ok = False
-                        break
-                    out.append(v)
-                if not ok:
-                    break
-                spec_rows.append(out)
-            if ok and linalg.rank(spec_rows) == ncols:
-                return True
-    return False
-
-
-def _iter_gf(field):
-    from .fields import iter_gf_elements
-    return iter_gf_elements(field)
-
-
 def p_independence_verdict(xs, K: FieldDescriptor):
-    """(bool, reason) for p-independence of xs over K."""
-    xs = list(xs)
-    if not xs:
-        return True, "empty tuple"
-    if K.is_perfect:
-        return False, "perfect field: K^p = K"
-    m = K.imperfection_exponent
-    if len(xs) > m:
-        return False, f"length {len(xs)} exceeds imperfection exponent {m}"
-    if any(x.is_zero() for x in xs):
-        return False, "zero entry"
-    ys, _ = _clear_pth(xs)
-    matrix, _ = _component_matrix(ys, K)
-    ncols = K.p ** len(xs)
-    if _specialize_rank_full(matrix, K, ncols):
-        return True, "full rank certified by specialization"
-    r = linalg.rank(matrix)
-    if r == ncols:
-        return True, "full rank by exact elimination"
-    return False, f"rank {r} < {ncols}"
+    """(bool, reason) for p-independence of xs over K = F_p(t1..tm).
+
+    xs is p-independent iff dx_1..dx_e are linearly independent in
+    Omega_{K/F_p}, the K-space on dt_1..dt_m (Matsumura, Commutative Ring
+    Theory, Thm 26.5), i.e. iff the Jacobian [dx_i/dt_j] has rank e.  A
+    perfect K (m = 0), a zero entry and a tuple longer than m all show up
+    as a rank below e."""
+    jacobian = [[partial(x, t) for t in K.tvars] for x in xs]
+    r = linalg.rank(jacobian)
+    return r == len(jacobian), f"Jacobian rank {r} of {len(jacobian)}"
 
 
 def is_p_independent(xs, K: FieldDescriptor) -> bool:
@@ -161,12 +115,10 @@ def lambda_solve(e: int, bs, c: FieldScalar):
     """All p^e lambda values at once, or None in Cases 1-2."""
     K = c.field
     bs = list(bs)
-    if K.is_perfect:
-        if bs:
-            return None  # Case 1: any nonempty tuple is p-dependent
-        return [pth_root(c)]
     if not is_p_independent(bs, K):
         return None  # Case 1
+    if K.is_perfect:
+        return [pth_root(c)]  # only the empty tuple is p-independent
     # Case 2 versus Case 3: since bs is p-independent, the span of its
     # p-monomials over K^p is the field K^p(bs), so c extends bs to a
     # p-independent tuple exactly when the defining linear system below

@@ -69,30 +69,3 @@ def solve(matrix, rhs):
         sol[c] = rows[r][ncols]
     return sol
 
-
-def nullspace(matrix, ncols=None, zero=None, one=None):
-    """Basis of the right nullspace of A."""
-    if not matrix:
-        return []
-    ncols = ncols if ncols is not None else len(matrix[0])
-    rows = [list(r) for r in matrix]
-    pivots = _echelon(rows, ncols)
-    pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
-    for row in matrix:
-        for x in row:
-            zero = x - x
-            if not x.is_zero():
-                one = x / x
-        if one is not None:
-            break
-    if one is None:
-        raise ValueError("nullspace of a zero matrix needs explicit units")
-    basis = []
-    for f in free:
-        vec = [zero] * ncols
-        vec[f] = one
-        for r, c in enumerate(pivots):
-            vec[c] = zero - rows[r][f]
-        basis.append(vec)
-    return basis

@@ -101,6 +101,8 @@ class PolyRing:
         return tuple(self.var(v) for v in self.vars)
 
     def parse(self, text: str):
+        if not isinstance(text, str):
+            raise RingError(f"a polynomial must be given as text, not {text!r}")
         return _PolyParser(text, self).parse()
 
 
@@ -389,6 +391,8 @@ class _PolyParser:
             elif ch == "/":
                 self.pos += 1
                 d = self.factor()
+                if d.is_zero():
+                    raise RingError(f"division by zero in {self.text!r}")
                 if not d.is_constant():
                     raise RingError("division only by base-field constants")
                 v = v.scale(d.constant_value().inverse())

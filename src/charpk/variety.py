@@ -6,7 +6,8 @@ for an explicit instance class (hypersurfaces in at most two essential
 variables, zero-dimensional triangular systems, graph presentations,
 loci), enumerates rational points, tests dominance of rational maps by
 elimination, and carries the characteristic-p structure of function
-fields: p-th-power tests and p-independence with tri-state verdicts.
+fields: p-th-power tests and p-independence, decided exactly by the rank
+of differentials (on the rational model when V has one).
 """
 
 from __future__ import annotations
@@ -16,9 +17,9 @@ import itertools
 from . import factor, lambdafn, linalg
 from .errors import (CharpkError, FieldError, PreconditionError, RingError,
                      UnsupportedInstance)
-from .fields import (FieldDescriptor, FieldScalar, is_pth_power,
-                     iter_elements, iter_gf_elements, make_field,
-                     p_components, pth_root)
+from .fields import (FieldDescriptor, FieldScalar, iter_elements,
+                     iter_gf_elements, make_field, p_components, partial,
+                     pth_root)
 from .polys import Ideal, MultiPoly, PolyRing, normal_form
 
 
@@ -887,24 +888,54 @@ def enumerate_points(V: AffineVariety, bound=None):
 # ---------------------------------------------------------------------------
 
 class PStructureVerdict:
-    """Tri-state outcome with certificate data."""
+    """Outcome of a p-th-power or p-independence test in K(V): `reason`
+    names the exact procedure that decided it; a "root" carries a verified
+    p-th root in `value` when one was found."""
 
-    __slots__ = ("status", "value", "witness", "reason")
+    __slots__ = ("status", "value", "reason")
 
-    def __init__(self, status, value=None, witness=None, reason=""):
+    def __init__(self, status, value=None, reason=""):
         self.status = status
         self.value = value
-        self.witness = witness
         self.reason = reason
 
     def __repr__(self):
         return f"<{self.status}: {self.reason}>"
 
 
-def ppower_test(f: FunctionFieldElem, bound: int = 2,
-                point_bound: int = 2) -> PStructureVerdict:
-    """Is f a p-th power in K(V)?  status in {"root", "absent",
-    "undecided"}; a "root" result carries g with g^p = f, re-verified."""
+def _differential_ranks(V: AffineVariety, fs):
+    """(rank of the dg, rank of the dg and the df) in Omega_{K(V)/F_p}.
+
+    Omega_{K(V)/F_p} is spanned over K(V) by dt_1..dt_m (the
+    transcendentals of K) and dx_1..dx_n, subject to dg = 0 for each
+    presented generator g of I(V); this presentation assumes the ideal is
+    prime, as every FunctionFieldElem operation does."""
+    K = V.field
+
+    def d(poly):
+        return ([poly.map_coeffs(lambda c, t=t: partial(c, t))
+                 for t in K.tvars] + [poly.partial(v) for v in V.vars])
+
+    relations = [d(g) for g in V.ideal.gens]
+    for f in fs:
+        # den^2 df: scaling a row keeps the rank
+        relations.append([f.den * a - f.num * b
+                          for a, b in zip(d(f.num), d(f.den))])
+    one = V.ring.one()
+    rows = [[FunctionFieldElem(V, e, one) for e in row] for row in relations]
+    ngens = len(V.ideal.gens)
+    return linalg.rank(rows[:ngens]), linalg.rank(rows)
+
+
+def ppower_test(f: FunctionFieldElem, bound: int = 2) -> PStructureVerdict:
+    """Is f a p-th power in K(V)?  status "root" or "absent", exactly.
+
+    With a rational model K(V) = F_p(..) the root is extracted there.
+    Otherwise f is a p-th power iff df = 0 in Omega_{K(V)/F_p} (Matsumura,
+    Commutative Ring Theory, Thm 26.5), read off as a rank that df does
+    not raise; the presented ideal of V is assumed prime.  A "root" then
+    carries g with g^p = f, re-verified, when the ansatz of degree
+    <= bound finds one, and value None otherwise."""
     V = f.variety
     model = function_field_model(V)
     if model is not None:
@@ -917,40 +948,20 @@ def ppower_test(f: FunctionFieldElem, bound: int = 2,
         g = model.to_function(r)
         _verify_root(f, g)
         return PStructureVerdict("root", value=g, reason="exact root")
+    r0, r1 = _differential_ranks(V, [f])
+    reason = f"exact: differential rank {r1} with df, {r0} without"
+    if r1 > r0:
+        return PStructureVerdict("absent", reason=reason)
     g = _ppower_ansatz(f, bound)
     if g is not None:
         _verify_root(f, g)
-        return PStructureVerdict("root", value=g,
-                                 reason=f"root found at degree bound {bound}")
-    w = _ppower_witness(f, point_bound)
-    if w is not None:
-        return PStructureVerdict(
-            "absent", witness=w,
-            reason="evaluation witness: value is not a p-th power in K")
-    return PStructureVerdict("undecided",
-                             reason=f"undecided at degree bound {bound}")
+    return PStructureVerdict("root", value=g, reason=reason)
 
 
 def _verify_root(f, g):
     p = f.variety.field.p
     if not (g ** p - f).is_zero():
         raise CharpkError("p-th root verification failed")
-
-
-def _ppower_witness(f, point_bound):
-    V = f.variety
-    K = V.field
-    count = 0
-    for point in enumerate_points(V, bound=point_bound):
-        val = f.evaluate(point)
-        if val is None:
-            continue
-        if not is_pth_power(val):
-            return point
-        count += 1
-        if count > 500:
-            break
-    return None
 
 
 def _monomials_to_degree(ring, names, bound):
@@ -967,17 +978,11 @@ def _monomials_to_degree(ring, names, bound):
     return out
 
 
-def _semilinear_solve(cols, rhs, K, homogeneous=False):
+def _semilinear_solve(cols, rhs, K):
     """Solve sum_j c_j^p cols[j] = rhs for c_j in K, where cols/rhs are
     K-vectors; exact via p-components (imperfect K) or direct substitution
-    (perfect K).  Returns a solution list or (for homogeneous) a basis."""
+    (perfect K).  Returns a solution list or None."""
     if K.is_perfect:
-        if homogeneous:
-            basis = linalg.nullspace([list(r) for r in
-                                      _transpose(cols)],
-                                     ncols=len(cols), zero=K.zero(),
-                                     one=K.one())
-            return [[pth_root(v) for v in vec] for vec in basis]
         sol = linalg.solve([list(r) for r in _transpose(cols)], rhs)
         if sol is None:
             return None
@@ -990,17 +995,13 @@ def _semilinear_solve(cols, rhs, K, homogeneous=False):
     comp_cols = []
     for col in cols:
         comp_cols.append([p_components(x) for x in col])
-    comp_rhs = [p_components(x) for x in rhs] if rhs is not None else None
+    comp_rhs = [p_components(x) for x in rhs]
     nrows = len(cols[0]) if cols else 0
     for i in range(nrows):
         for a in row_index:
             matrix.append([comp_cols[j][i].get(a, K.zero())
                            for j in range(ncols)])
-            if comp_rhs is not None:
-                vec.append(comp_rhs[i].get(a, K.zero()))
-    if homogeneous:
-        return linalg.nullspace(matrix, ncols=ncols, zero=K.zero(),
-                                one=K.one())
+            vec.append(comp_rhs[i].get(a, K.zero()))
     return linalg.solve(matrix, vec)
 
 
@@ -1047,101 +1048,26 @@ def _ppower_ansatz(f, bound):
     return FunctionFieldElem(V, h, f.den)
 
 
-def pindep_function_field(fs, bound: int = 1,
-                          point_bound: int = 2) -> PStructureVerdict:
-    """p-independence of fs in K(V): status in {"independent",
-    "dependent", "undecided"}."""
+def pindep_function_field(fs) -> PStructureVerdict:
+    """p-independence of fs in K(V): status "independent" or "dependent",
+    exactly.  With a rational model K(V) = F_p(..) this is the Jacobian
+    rank of lambdafn.p_independence_verdict there; otherwise fs is
+    p-independent iff df_1..df_s are linearly independent in
+    Omega_{K(V)/F_p}, i.e. iff they raise the rank of the dg by s.  The
+    presented ideal of V is assumed prime."""
     fs = list(fs)
     if not fs:
         return PStructureVerdict("independent", reason="empty tuple")
     V = fs[0].variety
     if any(f.variety is not V for f in fs):
         raise RingError("functions on different varieties")
-    K = V.field
     model = function_field_model(V)
     if model is not None:
         xs = [model.embed(f) for f in fs]
-        if any(x.is_zero() for x in xs):
-            return PStructureVerdict("dependent", reason="zero entry")
         ok, why = lambdafn.p_independence_verdict(xs, model.big)
-        return PStructureVerdict("independent" if ok else "dependent",
-                                 reason="exact: " + why)
-    rel = _pdep_ansatz(fs, bound)
-    if rel is not None:
-        return PStructureVerdict("dependent", value=rel,
-                                 reason=f"relation at degree bound {bound}")
-    w = _pindep_point_witness(fs, point_bound)
-    if w is not None:
-        return PStructureVerdict(
-            "independent", witness=w,
-            reason="specialization witness: values p-independent in K")
-    return PStructureVerdict("undecided",
-                             reason=f"undecided at degree bound {bound}")
-
-
-def _pdep_ansatz(fs, bound):
-    """Nontrivial polynomial coefficients c_J with
-    sum_J c_J^p m_J(fs) = 0 in K(V), cleared of denominators."""
-    V = fs[0].variety
-    K = V.field
-    p = K.p
-    ring = V.ring
-    gb = list(V.ideal.groebner())
-    dens = [f.den for f in fs]
-    # scale the relation by the p-th power (prod_i d_i^(p-1))^p so every
-    # p-monomial m_J becomes the polynomial prod_i n_i^(J_i) d_i^(p(p-1)-J_i)
-    exps = lambdafn.monomial_exponents(p, len(fs))
-    cleared = []
-    for J in exps:
-        m = ring.one()
-        for f, d, j in zip(fs, dens, J):
-            m = m * f.num ** j * d ** (p * (p - 1) - j)
-        cleared.append(m)
-    monos = _monomials_to_degree(ring, V.vars, bound)
-    standard = []
-    cols = []
-    tags = []
-    for Ji, MJ in enumerate(cleared):
-        for e in monos:
-            cm = MultiPoly(ring, {e: K.one()}) ** p * MJ
-            cols.append(_nf_coeff_vector(cm, gb, standard, ring))
-            tags.append((Ji, e))
-    cols_full = [[col.get(e, K.zero()) for e in standard] for col in cols]
-    basis = _semilinear_solve(cols_full, None, K, homogeneous=True)
-    for vec in basis:
-        coeffs = {}
-        for (Ji, e), v in zip(tags, vec):
-            if not v.is_zero():
-                coeffs.setdefault(Ji, {})[e] = v
-        polys = {Ji: MultiPoly(ring, t) for Ji, t in coeffs.items()}
-        nontrivial = any(not (normal_form(cp, gb) if gb else cp).is_zero()
-                         for cp in polys.values())
-        if not nontrivial:
-            continue
-        # verify the relation exactly
-        acc = ring.zero()
-        for Ji, cp in polys.items():
-            acc = acc + cp ** K.p * cleared[Ji]
-        if (normal_form(acc, gb) if gb else acc).is_zero():
-            return polys
-    return None
-
-
-def _pindep_point_witness(fs, point_bound):
-    V = fs[0].variety
-    K = V.field
-    if K.is_perfect:
-        return None
-    if len(fs) > K.imperfection_exponent:
-        return None
-    count = 0
-    for point in enumerate_points(V, bound=point_bound):
-        vals = [f.evaluate(point) for f in fs]
-        if any(v is None for v in vals):
-            continue
-        if lambdafn.is_p_independent(vals, K):
-            return point
-        count += 1
-        if count > 200:
-            break
-    return None
+    else:
+        r0, r1 = _differential_ranks(V, fs)
+        ok = r1 - r0 == len(fs)
+        why = f"differential rank {r1} with the df, {r0} without"
+    return PStructureVerdict("independent" if ok else "dependent",
+                             reason="exact: " + why)

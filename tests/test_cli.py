@@ -33,6 +33,11 @@ variety W { vars: [x, u]; over: "Fp(2;t)"; gens: ["u*u - x"] }
 derivation { over: "Fp(2;t)"; images: {t: "1"} }
 """
 
+# V(x^2*y + z^2) does not peel to an affine space: no rational model
+NO_MODEL = """
+variety { vars: [x, y, z]; over: "Fp(2;t)"; gens: ["x^2*y + z^2"] }
+"""
+
 CIRCLE7 = """
 variety { vars: [x, y]; over: "Fp(7;)"; gens: ["x^2+y^2-1"] }
 avoid { items: ["y"] }
@@ -134,6 +139,18 @@ def test_cli_field_and_errors(tmp_path, capsys):
     assert "not an integer" in capsys.readouterr().err
     assert main(["axiom", "validate-dpac", str(tmp_path / "nope.inst")]) == 2
     capsys.readouterr()
+    for gens in ['["x - 1/0"]', "[3]"]:
+        path = _write(tmp_path, "gens.inst", f"""
+variety {{ vars: [x]; over: "GF(5,1)"; gens: {gens} }}
+""")
+        assert main(["variety", "points", path]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+    path = _write(tmp_path, "image.inst", """
+variety V { vars: [x]; over: "Fp(3;t)"; gens: ["x^2 - t"] }
+derivation { over: "Fp(3;t)"; images: {t: "1/0"} }
+""")
+    assert main(["diff", "prolong", path]) == 2
+    assert "division by zero" in capsys.readouterr().err
 
 
 def test_cli_action_probe_and_galois(tmp_path, capsys):
@@ -206,6 +223,21 @@ function { num: "x" }
 """)
     assert main(["variety", "ppower", lin]) == 0  # no p-th root
     capsys.readouterr()
+    nomodel = _write(tmp_path, "nomodel.inst", NO_MODEL + """
+function { num: "y" }
+""")
+    assert main(["variety", "ppower", nomodel, "--json"]) == 1  # y = (z/x)^2
+    assert json.loads(capsys.readouterr().out)["status"] == "root"
+
+
+def test_cli_pindep_without_rational_model(tmp_path, capsys):
+    for items, status, code in [('["x", "z", "t"]', "independent", 0),
+                                ('["x", "y"]', "dependent", 1)]:
+        path = _write(tmp_path, "pindep.inst", NO_MODEL + f"""
+functions {{ items: {items} }}
+""")
+        assert main(["variety", "pindep", path]) == code
+        assert capsys.readouterr().out.startswith(f"{status}: exact: ")
 
 
 def test_gf_only_cli_jobs_do_not_import_sympy(tmp_path):

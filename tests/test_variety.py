@@ -139,6 +139,34 @@ def test_pindep_exact_on_function_field_of_line():
     assert pindep_function_field([sq]).status == "dependent"
 
 
+def test_ppower_without_rational_model():
+    # V(x^2*y + z^2) does not peel; y = (z/x)^2 in K(V) although y is no
+    # square modulo the ideal, so no polynomial root needs to exist
+    V = _curve("Fp(2;t)", "x^2*y + z^2", ("x", "y", "z"))
+    v = ppower_test(V.function_field_elem("y"))
+    assert v.status == "root"
+    assert v.value is None or v.value ** 2 == V.function_field_elem("y")
+    # over F_3(t), dg = dt + x^3 dy leaves dy outside the span of dg
+    W = _curve("Fp(3;t)", "x^3*y + z^3 + t", ("x", "y", "z"))
+    assert ppower_test(W.function_field_elem("y")).status == "absent"
+    # -z^3 = x^3*y + t on W: a root the degree ansatz finds
+    f = W.function_field_elem("x^3*y + t")
+    v = ppower_test(f)
+    assert v.status == "root" and v.value ** 3 == f
+
+
+def test_pindep_without_rational_model():
+    V = _curve("Fp(2;t)", "x^2*y + z^2", ("x", "y", "z"))
+
+    def verdict(items):
+        return pindep_function_field(
+            [V.function_field_elem(f) for f in items]).status
+
+    assert verdict(["x", "z", "t"]) == "independent"
+    assert verdict(["x", "y"]) == "dependent"
+    assert verdict(["y"]) == "dependent"
+
+
 def test_function_field_elem_arithmetic_and_evaluation():
     K = make_field("GF(5,1)")
     V = AffineVariety(K, ("x", "y"), ["x^2 + y^2 - 1"])
