@@ -32,7 +32,7 @@ from .errors import (CharpkError, PreconditionError, ResourceExhausted,
 from .fields import FieldDescriptor, is_pth_power, iter_gf_elements
 from .formula import (eval_formula, parse as parse_formula,
                       unravel_lambda_terms)
-from .groups import FieldAction, invariants, is_faithful
+from .groups import invariants, is_faithful
 from .polys import MultiPoly
 from .variety import (AffineVariety, enumerate_points,
                       is_absolutely_irreducible, is_dominant, is_irreducible,
@@ -544,9 +544,9 @@ def validate_gbdcf_instance(inst: GBdcfInstance, search=True) -> CheckReport:
     if not search:
         return CheckReport(bullets, "valid-instance")
 
-    # witness search over V(K^G); `invariants` re-derives the subfield
-    invariants(inst.action)
-    fixed = set(_invariant_elements(inst.action))
+    # witness search over V(K^G)
+    KG, embed = invariants(inst.action)
+    fixed = {embed(x) for x in iter_gf_elements(KG)}
     for point in enumerate_points(inst.V):
         if not all(c in fixed for c in point):
             continue
@@ -556,8 +556,3 @@ def validate_gbdcf_instance(inst: GBdcfInstance, search=True) -> CheckReport:
                                bound=inst.bound)
     return CheckReport(bullets, "exhausted", bound=inst.bound)
 
-
-def _invariant_elements(act: FieldAction):
-    for x in iter_gf_elements(act.field):
-        if all(s(x) == x for s in act.sigmas):
-            yield x

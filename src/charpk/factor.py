@@ -21,8 +21,10 @@ import itertools
 import random
 from functools import lru_cache
 
+from . import linalg
 from .errors import CharpkError, FieldError, UnsupportedInstance
-from .fields import FieldDescriptor, FieldScalar, iter_gf_elements, pth_root
+from .fields import (FieldDescriptor, FieldScalar, _gf, iter_gf_elements,
+                     pth_root)
 from .polys import MultiPoly, PolyRing, order_key
 
 # ---------------------------------------------------------------------------
@@ -263,9 +265,8 @@ def _equal_degree_split(g, d, field):
     q = p ** k
     seed = hash((p, k, d, tuple(_coeff_sort_key(g)))) & 0xFFFFFFFF
     rng = random.Random(seed)
-    elements = list(iter_gf_elements(field))
     while True:
-        r = u_trim([rng.choice(elements) for _ in range(u_deg(g))])
+        r = u_trim([_gf(field, rng.randrange(q)) for _ in range(u_deg(g))])
         if u_deg(r) < 1:
             continue
         if p == 2:
@@ -453,61 +454,17 @@ def gf_embedding(K: FieldDescriptor, L: FieldDescriptor):
     return embed
 
 
-def _inverse_embed_table(K, L, embed):
-    """F_p-linear solve data to pull Frobenius-fixed elements of L back to K."""
-    p = K.p
-    cols = []
-    basis = []
-    x = K.one()
-    gen = K.generator()
-    for i in range(K.k):
-        b = gen ** i
-        basis.append(b)
-        cols.append(list(embed(b).rep))
-    return basis, cols
-
-
-def _solve_mod_p(cols, target, p):
-    """Solve sum_i a_i cols[i] = target over F_p; returns list a or None."""
-    nrows = len(cols[0])
-    ncols = len(cols)
-    rows = [[cols[j][i] % p for j in range(ncols)] + [target[i] % p]
-            for i in range(nrows)]
-    piv = []
-    r = 0
-    for c in range(ncols):
-        sel = None
-        for i in range(r, nrows):
-            if rows[i][c] % p:
-                sel = i
-                break
-        if sel is None:
-            continue
-        rows[r], rows[sel] = rows[sel], rows[r]
-        inv = pow(rows[r][c], p - 2, p)
-        rows[r] = [(v * inv) % p for v in rows[r]]
-        for i in range(nrows):
-            if i != r and rows[i][c] % p:
-                f = rows[i][c]
-                rows[i] = [(a - f * b) % p for a, b in zip(rows[i], rows[r])]
-        piv.append(c)
-        r += 1
-    for i in range(r, nrows):
-        if rows[i][ncols] % p:
-            return None
-    sol = [0] * ncols
-    for i, c in enumerate(piv):
-        sol[c] = rows[i][ncols]
-    return sol
-
-
 def project_to_subfield(x: FieldScalar, K: FieldDescriptor, L, embed):
-    """Pull x in L back to K when x is in the image of the embedding."""
-    _, cols = _inverse_embed_table(K, L, embed)
-    sol = _solve_mod_p(cols, list(x.rep), K.p)
+    """Pull x in L back to K when x is in the image of the embedding, else
+    None: an F_p-linear solve on the images of K's power basis."""
+    Fp = FieldDescriptor("gf", K.p, 1)
+    gen = K.generator()
+    cols = [embed(gen ** i).rep for i in range(K.k)]
+    matrix = [[Fp.from_int(col[r]) for col in cols] for r in range(L.k)]
+    sol = linalg.solve(matrix, [Fp.from_int(c) for c in x.rep])
     if sol is None:
         return None
-    return FieldScalar(K, tuple(sol))
+    return FieldScalar(K, tuple(c.code for c in sol))
 
 
 # ---------------------------------------------------------------------------

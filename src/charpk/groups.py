@@ -11,9 +11,11 @@ probe over a family of zero-dimensional defining polynomials.
 
 from __future__ import annotations
 
+from math import gcd
+
 from .errors import (CharpkError, FieldError, PreconditionError,
                      UnsupportedInstance)
-from .fields import FieldDescriptor, FieldScalar, iter_gf_elements
+from .fields import FieldDescriptor, FieldScalar
 from . import factor
 
 
@@ -173,8 +175,12 @@ class FieldAction:
             if text == "frobenius":
                 sigma = frobenius_automorphism(field)
             elif text.startswith("frobenius^"):
-                sigma = frobenius_automorphism(field,
-                                               int(text.split("^")[1]))
+                try:
+                    power = int(text[len("frobenius^"):])
+                except ValueError as exc:
+                    raise FieldError(
+                        f"bad Frobenius power in {text!r}") from exc
+                sigma = frobenius_automorphism(field, power)
             else:
                 sigma = _Automorphism(field, field.parse(text))
         elif isinstance(generator_image, _Automorphism):
@@ -228,25 +234,19 @@ def galois_group(L: FieldDescriptor, F: FieldDescriptor):
 
 
 def invariants(act: FieldAction):
-    """(descriptor of K^G, embedding into K): the simultaneous fixed
-    subfield, by F_p-linear algebra on the generator powers."""
+    """(descriptor of K^G, embedding into K) for the field K acted on.
+    Every automorphism of GF(p^k) is a Frobenius power x -> x^(p^j), and
+    the fixed field of the powers j_g is GF(p^d), d = gcd(k, j_g over all
+    g) (Lidl-Niederreiter, Finite Fields, ch. 2)."""
     L = act.field
-    p = L.p
-    fixed = []
-    for x in iter_gf_elements(L):
-        if all(s(x) == x for s in act.sigmas):
-            fixed.append(x)
-    d = 0
-    count = len(fixed)
-    while p ** d < count:
-        d += 1
-    if p ** d != count:
-        raise CharpkError("fixed set is not a subfield")
+    frobs = [frobenius_automorphism(L, j) for j in range(L.k)]
+    d = L.k
+    for s in act.sigmas:
+        d = gcd(d, frobs.index(s))
     K, embed = subfield_descriptor(L, d)
-    fixed_set = {x for x in fixed}
-    for i in range(K.k):
-        if embed(K.generator() ** i) not in fixed_set:
-            raise CharpkError("computed subfield is not fixed")
+    gamma = embed(K.generator())
+    if any(s(gamma) != gamma for s in act.sigmas):
+        raise CharpkError("computed subfield is not fixed")
     return K, embed
 
 

@@ -503,100 +503,20 @@ def _locus_gf(elems, K, variables, L):
 
 
 def _minpoly_over_subfield(L, K):
-    """Monic minimal polynomial over K of the generator of L; K embeds by
-    c -> c(gamma^(kL/kK))-free direct check: subfield elements are exactly
-    the Frobenius^k-fixed ones, located by linear algebra over F_p."""
-    p = L.p
-    gamma = L.generator()
-    # K inside L: fixed field of x -> x^(p^kK); find an F_p-basis
-    fixed = [x for x in _subfield_elements(L, K)]
-    # K-span over F_p: vectors kappa * gamma^j
-    powers = [L.one()]
-    for _ in range(L.k):
-        powers.append(powers[-1] * gamma)
-    kbasis = _fp_basis(fixed, p, L.k)
-    for d in range(1, L.k + 1):
-        cols = []
-        tags = []
-        for j in range(d):
-            for kb in kbasis:
-                cols.append(list((kb * powers[j]).rep))
-                tags.append((j, kb))
-        sol = factor._solve_mod_p(cols, list(powers[d].rep), p)
-        if sol is None:
-            continue
-        coeffs = [K.zero()] * (d + 1)
-        for s, (j, kb) in zip(sol, tags):
-            if s:
-                kk = _project_gf(kb, K, L)
-                coeffs[j] = coeffs[j] + K.from_int(s) * kk
-        coeffs = [-c for c in coeffs[:d]] + [K.one()]
-        return coeffs
-    raise CharpkError("minimal polynomial search failed")
-
-
-def _subfield_elements(L, K):
-    """Elements of the copy of K inside L (Frobenius^kK-fixed)."""
+    """Monic minimal polynomial over K of the generator gamma of L: the
+    product of (x - gamma^(q^j)) for j < [L:K], q = |K|, with each
+    coefficient pulled back through `factor.gf_embedding`."""
     q = K.p ** K.k
-    out = []
-    for x in iter_gf_elements(L):
-        if x ** q == x:
-            out.append(x)
-    return out
-
-
-def _fp_basis(elements, p, dim):
-    basis = []
-    rows = []
-    for x in elements:
-        cand = rows + [list(x.rep)]
-        m = [[v % p for v in row] for row in cand]
-        if _fp_rank(m, p) == len(cand):
-            rows.append(list(x.rep))
-            basis.append(x)
-        if len(basis) == dim:
-            break
-    return basis
-
-
-def _fp_rank(rows, p):
-    rows = [list(r) for r in rows]
-    rank = 0
-    ncols = len(rows[0]) if rows else 0
-    for c in range(ncols):
-        piv = None
-        for i in range(rank, len(rows)):
-            if rows[i][c] % p:
-                piv = i
-                break
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = pow(rows[rank][c], p - 2, p)
-        rows[rank] = [(v * inv) % p for v in rows[rank]]
-        for i in range(len(rows)):
-            if i != rank and rows[i][c] % p:
-                f = rows[i][c]
-                rows[i] = [(a - f * b) % p for a, b in zip(rows[i],
-                                                          rows[rank])]
-        rank += 1
-    return rank
-
-
-def _project_gf(x, K, L):
-    """x in L known to lie in the copy of K: coordinates over K's basis."""
-    cols = []
-    gen = K.generator()
-    # embed K into L via Frobenius-fixed identification: the copy of K is
-    # generated by an element with K's minimal polynomial; use linear algebra
-    # over F_p directly on the canonical generator images
-    emb = factor.gf_embedding(K, L)
-    for i in range(K.k):
-        cols.append(list(emb(gen ** i).rep))
-    sol = factor._solve_mod_p(cols, list(x.rep), K.p)
-    if sol is None:
-        raise CharpkError("element not in the subfield copy")
-    return FieldScalar(K, tuple(sol))
+    root = L.generator()
+    prod = [L.one()]
+    for _ in range(L.k // K.k):
+        prod = factor.u_mul(prod, [-root, L.one()])
+        root = root ** q
+    embed = factor.gf_embedding(K, L)
+    coeffs = [factor.project_to_subfield(c, K, L, embed) for c in prod]
+    if any(c is None for c in coeffs):
+        raise CharpkError("minimal polynomial not defined over the subfield")
+    return coeffs
 
 
 def _locus_function_field(elems, K, variables):

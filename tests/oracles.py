@@ -3,8 +3,8 @@
 Nothing here calls the code paths under test: membership uses its own
 normal-form reduction over a lex basis, absolute-component counts come
 from rational-point counting over controlled extensions, point scans
-are plain nested loops, and GF(p^k) arithmetic is polynomial-basis
-arithmetic on coefficient tuples.
+and fixed sets are plain loops, and GF(p^k) arithmetic is
+polynomial-basis arithmetic on coefficient tuples.
 """
 
 from __future__ import annotations
@@ -33,6 +33,17 @@ def naive_point_scan(gens, field, nvars):
 def _eval_poly(g: MultiPoly, point):
     values = dict(zip(g.ring.vars, point))
     return g.evaluate(values, lift=lambda c: c)
+
+
+# ---------------------------------------------------------------------------
+# fixed sets of automorphism groups
+# ---------------------------------------------------------------------------
+
+def fixed_set(act):
+    """The elements of the acted-on finite field that every sigma_g fixes,
+    by a scan of the whole field."""
+    return {x for x in iter_gf_elements(act.field)
+            if all(s(x) == x for s in act.sigmas)}
 
 
 # ---------------------------------------------------------------------------

@@ -151,6 +151,12 @@ derivation { over: "Fp(3;t)"; images: {t: "1/0"} }
 """)
     assert main(["diff", "prolong", path]) == 2
     assert "division by zero" in capsys.readouterr().err
+    for image in ("frobenius^x", "frobenius^"):
+        path = _write(tmp_path, "action.inst", f"""
+action {{ group: cyclic(2); field: "GF(2,4)"; generator_image: "{image}" }}
+""")
+        assert main(["action", "invariants", path]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_cli_action_probe_and_galois(tmp_path, capsys):
@@ -165,6 +171,22 @@ galois { field: "GF(2,4)"; subfield: "GF(2,1)" }
 """)
     assert main(["action", "galois", gal, "--json"]) == 0
     assert json.loads(capsys.readouterr().out)["order"] == 4
+
+
+def test_cli_locus_and_invariants_over_finite_fields(tmp_path, capsys):
+    path = _write(tmp_path, "locus.inst", """
+locus { in: "GF(2,4)"; base: "GF(2,2)"; elements: ["g", "g^2+1"] }
+""")
+    assert main(["variety", "locus", path, "--json"]) == 0
+    assert capsys.readouterr().out.strip() == (
+        '{"generators":["x1 + x2 + (g+1)","x2^2 + x2 + (g+1)"],'
+        '"vars":["x1","x2"]}')
+    path = _write(tmp_path, "action.inst", """
+action { group: cyclic(3); field: "GF(2,6)"; generator_image: "frobenius^2" }
+""")
+    assert main(["action", "invariants", path, "--json"]) == 0
+    assert capsys.readouterr().out.strip() == (
+        '{"invariants":"FieldDescriptor(GF(2,2,g^2+g+1))"}')
 
 
 def test_cli_formula_correct(tmp_path, capsys):

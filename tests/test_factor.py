@@ -135,6 +135,7 @@ def test_extend_gf_embedding_is_homomorphism():
     # projection inverts the embedding on the image
     for a in els:
         assert project_to_subfield(embed(a), K, L, embed) == a
+    assert project_to_subfield(L.generator(), K, L, embed) is None
 
 
 @pytest.mark.parametrize("sub, big", [("GF(3,2,a^2+a+2)", "GF(3,4)"),

@@ -2,13 +2,15 @@
 
 import pytest
 
-from charpk.errors import PreconditionError
+from charpk.errors import CharpkError, PreconditionError
 from charpk.fields import iter_gf_elements, make_field
 from charpk.groups import (FieldAction, FiniteGroup, _embed_into,
                            alg_strongly_pac_probe, check_galois_data,
                            code_finite_set, finite_set_k_irreducible,
                            galois_group, invariants, is_faithful)
 from charpk.polys import PolyRing
+
+from oracles import fixed_set
 
 
 def test_galois_group_orders():
@@ -52,6 +54,29 @@ def test_invariants_of_frobenius_action():
     for x in iter_gf_elements(K):
         for s in act.sigmas:
             assert s(embed(x)) == embed(x)
+
+
+def _frobenius_power_actions():
+    """(spec, n, j) for every Z/n -> frobenius^j action that builds on the
+    listed fields, n up to the degree (every order divides it)."""
+    cases = []
+    for spec in ("GF(5,1)", "GF(2,4)", "GF(2,6)", "GF(3,4)"):
+        L = make_field(spec)
+        for n in range(1, L.k + 1):
+            for j in range(L.k):
+                try:
+                    FieldAction.cyclic_action(n, L, f"frobenius^{j}")
+                except CharpkError:
+                    continue
+                cases.append((spec, n, j))
+    return cases
+
+
+@pytest.mark.parametrize("spec, n, j", _frobenius_power_actions())
+def test_invariants_match_the_fixed_set_scan(spec, n, j):
+    act = FieldAction.cyclic_action(n, make_field(spec), f"frobenius^{j}")
+    K, embed = invariants(act)
+    assert {embed(x) for x in iter_gf_elements(K)} == fixed_set(act)
 
 
 def test_faithfulness():

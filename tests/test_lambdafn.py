@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from functools import lru_cache
 
 from hypothesis import given, settings, strategies as st
 
@@ -11,8 +12,13 @@ from charpk.lambdafn import (is_p_independent, lambda_multi, lambda_solve,
                              p_monomials)
 
 
+@lru_cache(maxsize=None)
+def _elements_up_to(K, bound):
+    return tuple(iter_elements(K, bound))
+
+
 def _random_elements(K, rng, n, bound=1):
-    pool = [x for x in iter_elements(K, bound)]
+    pool = _elements_up_to(K, bound)
     return [rng.choice(pool) for _ in range(n)]
 
 

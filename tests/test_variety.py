@@ -3,7 +3,9 @@
 import pytest
 
 from charpk.errors import PreconditionError
+from charpk.factor import gf_embedding
 from charpk.fields import make_field
+from charpk.polys import MultiPoly, PolyRing
 from charpk.variety import (AffineVariety, RationalMapData, enumerate_points,
                             is_absolutely_irreducible, is_dominant,
                             is_irreducible, locus, pindep_function_field,
@@ -115,6 +117,27 @@ def test_locus_construction():
     x, y = V.ring.var("x"), V.ring.var("y")
     assert V.ideal.contains(y - x * x)
     assert not V.is_empty()
+
+
+@pytest.mark.parametrize("big, sub, elems", [
+    ("GF(2,4)", "GF(2,2)", ["g", "g^2+1"]),
+    ("GF(2,4)", "GF(2,1)", ["g^3", "g+1"]),
+    ("GF(3,4)", "GF(3,2,a^2+a+2)", ["g", "g^2"]),
+])
+def test_locus_over_finite_subfield_is_the_frobenius_orbit(big, sub, elems):
+    L, K = make_field(big), make_field(sub)
+    point = tuple(L.parse(e) for e in elems)
+    V = locus(point, K)
+    embed = gf_embedding(K, L)
+    ring = PolyRing(L, V.vars)
+    gens = [MultiPoly(ring, {e: embed(c) for e, c in g.terms.items()})
+            for g in V.ideal.gens]
+    q = K.p ** K.k
+    orbit = set()
+    while point not in orbit:
+        orbit.add(point)
+        point = tuple(x ** q for x in point)
+    assert set(naive_point_scan(gens, L, len(point))) == orbit
 
 
 def test_ppower_exact_on_function_field_of_line():
