@@ -27,13 +27,11 @@ import json
 from . import lambdafn
 from .differential import (DerivationContext, derivation_extends, derive,
                            kerprol_check)
-from .errors import (CharpkError, PreconditionError, ResourceExhausted,
-                     UnsupportedInstance)
+from .errors import CharpkError, PreconditionError, UnsupportedInstance
 from .fields import FieldDescriptor, is_pth_power, iter_gf_elements
 from .formula import (eval_formula, parse as parse_formula,
                       unravel_lambda_terms)
 from .groups import invariants, is_faithful
-from .polys import MultiPoly
 from .variety import (AffineVariety, enumerate_points,
                       is_absolutely_irreducible, is_dominant, is_irreducible,
                       ppower_test, projection_map, _radical_contains)

@@ -1,7 +1,9 @@
 """Command-line front end.
 
 Exit codes: 0 = pass / witness found / true; 1 = fail / invalid /
-exhausted / false; 2 = error / unsupported / resource cap.
+exhausted / false; 2 = error / unsupported / resource cap, and any
+internal error (one `internal error: <type>: <message>` line on stderr,
+no traceback).
 
 Inputs are instance files in the block DSL (see instancefile); every
 subcommand accepts --json for a machine-readable report.
@@ -23,8 +25,8 @@ from .errors import (CharpkError, InstanceFileError, ResourceExhausted,
 from .fields import make_field
 from .instancefile import (InstanceFile, build_action, build_derivation,
                            build_field, build_variety)
-from .polys import (Ideal, PolyRing, eliminate, groebner_basis,
-                    ideal_dimension, ideal_member)
+from .polys import (PolyRing, eliminate, groebner_basis, ideal_dimension,
+                    ideal_member)
 
 
 def _load(path) -> InstanceFile:
@@ -93,7 +95,7 @@ def cmd_field(args):
         info["degree"] = K.k
         info["order"] = K.p ** K.k
         lines = [f"finite field of order {K.p}^{K.k} = {K.p ** K.k}",
-                 f"canonical form: {K}"]
+                 f"canonical form: {K.spec}"]
     else:
         info["transcendentals"] = list(K.tvars)
         lines = [f"rational function field over F_{K.p} in "
@@ -251,7 +253,7 @@ def cmd_action(args):
     act = build_action(inst.require("action"))
     if args.action == "invariants":
         sub, _ = groups.invariants(act)
-        return 0, {"invariants": str(sub)}, [f"invariant field: {sub}"]
+        return 0, {"invariants": sub.spec}, [f"invariant field: {sub.spec}"]
     if args.action == "faithful":
         ok = groups.is_faithful(act)
         return (0 if ok else 1), {"faithful": ok}, [f"faithful: {ok}"]
@@ -524,6 +526,9 @@ def main(argv=None) -> int:
         return 2
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except Exception as exc:  # a fault of charpk: exit 2, no traceback
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
     _emit(args, payload, lines)
     return code

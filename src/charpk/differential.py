@@ -14,10 +14,9 @@ from __future__ import annotations
 
 from . import linalg
 from .errors import FieldError, PreconditionError, RingError
-from .fields import FieldDescriptor, FieldScalar, partial
+from .fields import FieldDescriptor, FieldScalar, evaluate_scalar, partial
 from .polys import Ideal, MultiPoly, PolyRing
-from .variety import (AffineVariety, FunctionFieldElem, is_irreducible,
-                      projection_dominant)
+from .variety import AffineVariety, is_irreducible, projection_dominant
 
 
 class DerivationContext:
@@ -180,21 +179,10 @@ def scalar_hom(c: FieldScalar, images, L: FieldDescriptor) -> FieldScalar:
         if K.k != 1:
             raise FieldError("only prime-field constants embed canonically")
         return L.from_int(c.rep[0])
-
-    def ev(poly):
-        acc = L.zero()
-        for mono, coef in poly.terms():
-            term = L.from_int(int(coef) % K.p)
-            for name, d in zip(K.tvars, mono):
-                if d:
-                    term = term * images[name] ** d
-            acc = acc + term
-        return acc
-
-    den = ev(c.rep.denom)
-    if den.is_zero():
+    value = evaluate_scalar(c, images, L)
+    if value is None:
         raise FieldError("homomorphism undefined: denominator vanishes")
-    return ev(c.rep.numer) / den
+    return value
 
 
 def _field_lift(K: FieldDescriptor, L: FieldDescriptor):

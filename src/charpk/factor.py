@@ -11,6 +11,13 @@
 * univariate over F_p(t): clear denominators and reduce to the bivariate
   case (Gauss lemma).
 
+Everything runs on raw coefficients, the values the field's kernel
+computes on (see `polys.MultiPoly`): univariate polynomials are the dense
+lists of `fields.u_*`, multivariate ones `MultiPoly` terms.  The public
+univariate functions (`uni_factor`, `uni_roots`, `uni_is_irreducible`)
+take and return FieldScalar lists.  Factor lists are sorted by the
+coefficient tuples `FieldScalar.rep`, not by codes.
+
 Everything self-checks: the product of the returned factors is compared
 with the input.
 """
@@ -23,283 +30,195 @@ from functools import lru_cache
 
 from . import linalg
 from .errors import CharpkError, FieldError, UnsupportedInstance
-from .fields import (FieldDescriptor, FieldScalar, _gf, iter_gf_elements,
-                     pth_root)
-from .polys import MultiPoly, PolyRing, order_key
+from .fields import (FieldDescriptor, FieldScalar, _code_to_vec,
+                     _prime_factors, _scalar, u_add, u_deg, u_deriv,
+                     u_divmod, u_gcd, u_monic, u_mul, u_powmod, u_scale,
+                     u_sub, u_trim)
+from .polys import (MultiPoly, PolyRing, _add_terms, _mp, _mul_terms,
+                    _reduce)
 
 # ---------------------------------------------------------------------------
-# dense univariate arithmetic over any FieldDescriptor (lists, ascending)
+# dense univariate helpers on raw lists
 # ---------------------------------------------------------------------------
 
-def u_trim(f):
-    while f and f[-1].is_zero():
-        f.pop()
-    return f
 
-
-def u_deg(f):
-    return len(f) - 1
-
-
-def u_is_zero(f):
-    return not f
-
-
-def u_add(f, g):
-    n = max(len(f), len(g))
-    out = []
-    for i in range(n):
-        a = f[i] if i < len(f) else None
-        b = g[i] if i < len(g) else None
-        if a is None:
-            out.append(b)
-        elif b is None:
-            out.append(a)
-        else:
-            out.append(a + b)
-    return u_trim(out)
-
-
-def u_neg(f):
-    return [-c for c in f]
-
-
-def u_sub(f, g):
-    return u_add(f, u_neg(g))
-
-
-def u_scale(f, c):
-    if c.is_zero():
-        return []
-    return u_trim([a * c for a in f])
-
-
-def u_mul(f, g):
-    if not f or not g:
-        return []
-    field = f[0].field
-    out = [field.zero() for _ in range(len(f) + len(g) - 1)]
-    for i, a in enumerate(f):
-        if a.is_zero():
-            continue
-        for j, b in enumerate(g):
-            out[i + j] = out[i + j] + a * b
-    return u_trim(out)
-
-
-def u_divmod(f, g):
-    if u_is_zero(g):
-        raise ZeroDivisionError("univariate division by zero")
-    f = list(f)
-    dg = u_deg(g)
-    inv = g[-1].inverse()
-    field = g[-1].field
-    q = [field.zero() for _ in range(max(len(f) - dg, 0))]
-    while not u_is_zero(f) and u_deg(f) >= dg:
-        c = f[-1] * inv
-        shift = u_deg(f) - dg
-        q[shift] = c
-        for i, b in enumerate(g):
-            f[shift + i] = f[shift + i] - c * b
-        u_trim(f)
-    return u_trim(q), f
-
-
-def u_exact_div(f, g):
-    q, r = u_divmod(f, g)
-    if not u_is_zero(r):
+def u_exact_div(f, g, K):
+    q, r = u_divmod(f, g, K)
+    if r:
         raise CharpkError("inexact univariate division")
     return q
 
 
-def u_monic(f):
-    if u_is_zero(f):
-        return f
-    return u_scale(f, f[-1].inverse())
-
-
-def u_gcd(f, g):
-    f, g = list(f), list(g)
-    while not u_is_zero(g):
-        f, g = g, u_divmod(f, g)[1]
-    return u_monic(f)
-
-
-def u_deriv(f):
-    if len(f) <= 1:
-        return []
-    field = f[0].field
-    return u_trim([f[i] * field.from_int(i) for i in range(1, len(f))])
-
-
-def u_powmod(f, n, mod):
-    field = mod[-1].field
-    result = [field.one()]
-    base = u_divmod(list(f), mod)[1]
-    while n:
-        if n & 1:
-            result = u_divmod(u_mul(result, base), mod)[1]
-        base = u_divmod(u_mul(base, base), mod)[1]
-        n >>= 1
-    return result
-
-
-def u_eval(f, x):
-    acc = x.field.zero()
-    for c in reversed(f):
-        acc = acc * x + c
-    return acc
-
-
 def u_from_mp(f: MultiPoly, var: str):
-    """Coefficient list of a MultiPoly using only `var`."""
+    """Raw coefficient list of a MultiPoly using only `var`."""
     i = f.ring._var_index[var]
-    d = f.degree_in(var)
-    field = f.ring.field
-    out = [field.zero() for _ in range(d + 1)]
+    out = [f.ring.field.kernel.zero] * (f.degree_in(var) + 1)
     for e, c in f.terms.items():
         if any(x and j != i for j, x in enumerate(e)):
             raise CharpkError("polynomial is not univariate in " + var)
-        out[e[i]] = out[e[i]] + c
+        out[e[i]] = c
     return u_trim(out)
 
 
 def u_to_mp(coeffs, ring: PolyRing, var: str):
     i = ring._var_index[var]
-    terms = {}
-    for d, c in enumerate(coeffs):
-        if not c.is_zero():
-            e = [0] * ring.nvars
-            e[i] = d
-            terms[tuple(e)] = c
-    return MultiPoly(ring, terms)
+    zero = (0,) * ring.nvars
+    return _mp(ring, {zero[:i] + (d,) + zero[i + 1:]: c
+                      for d, c in enumerate(coeffs) if c})
+
+
+def _coeffs_key(g, field):
+    """Sort key of a raw coefficient list: the `rep` tuples for GF(p^k)
+    (code order differs: a code's highest digit is its most significant),
+    the printed forms for F_p(t..)."""
+    if field.kind == "gf":
+        return tuple(tuple(_code_to_vec(c, field.p, field.k)) for c in g)
+    return tuple(str(_scalar(field, c)) for c in g)
+
+
+def _raw(f):
+    return [c.value for c in f]
+
+
+def _scalars(f, field):
+    return [_scalar(field, c) for c in f]
 
 
 # ---------------------------------------------------------------------------
 # univariate factorization over GF(p^k)
 # ---------------------------------------------------------------------------
 
-def _coeff_pth_root_list(f):
-    return [pth_root(c) for c in f]
-
-
 def uni_factor(f, field: FieldDescriptor):
-    """Complete factorization over GF(p^k): (unit, [(monic irreducible
-    coefficient list, multiplicity)]), deterministic."""
+    """Complete factorization over GF(p^k) of a FieldScalar list: (unit,
+    [(monic irreducible coefficient list, multiplicity)]), deterministic."""
+    unit, facs = _uni_factor(_raw(f), field)
+    return (_scalar(field, unit),
+            [(_scalars(g, field), m) for g, m in facs])
+
+
+def _uni_factor(f, field):
+    """uni_factor on a raw list."""
     if field.kind != "gf":
         raise UnsupportedInstance("uni_factor needs a finite base field")
+    K = field.kernel
     f = u_trim(list(f))
-    if u_is_zero(f):
+    if not f:
         raise CharpkError("factorization of zero")
     unit = f[-1]
-    f = u_monic(f)
+    f = u_monic(f, K)
     factors = _uni_factor_monic(f, field)
     # self-check
-    prod = [field.one()]
+    prod = [K.one]
     for g, m in factors:
         for _ in range(m):
-            prod = u_mul(prod, g)
-    if u_scale(prod, unit) != u_scale(f, unit):
+            prod = u_mul(prod, g, K)
+    if prod != f:
         raise CharpkError("univariate factorization self-check failed")
     return unit, factors
 
 
-def _merge(fac_lists):
+def _merge(fac_lists, field):
     out = {}
     for facs in fac_lists:
         for g, m in facs:
             key = tuple(g)
             out[key] = out.get(key, 0) + m
     return sorted(([list(k), m] for k, m in out.items()),
-                  key=lambda gm: (len(gm[0]), _coeff_sort_key(gm[0])))
-
-
-def _coeff_sort_key(g):
-    out = []
-    for c in g:
-        out.append(c.rep if c.field.kind == "gf" else str(c))
-    return tuple(out)
+                  key=lambda gm: (len(gm[0]), _coeffs_key(gm[0], field)))
 
 
 def _uni_factor_monic(f, field):
     if u_deg(f) <= 0:
         return []
-    p = field.p
-    fp = u_deriv(f)
-    if u_is_zero(fp):
-        g = _coeff_pth_root_list(f[::p])
-        inner = _uni_factor_monic(u_trim(g), field)
-        return _merge([[(h, m * p) for h, m in inner]])
-    g = u_gcd(f, fp)
+    p, K = field.p, field.kernel
+    fp = u_deriv(f, K)
+    if not fp:
+        # f(x) = g(x^p) = (g^(1/p))(x)^p: take p-th roots of the
+        # coefficients (Frobenius has order k, its inverse is power k-1)
+        e = p ** (field.k - 1)
+        g = [K.pow(c, e) for c in f[::p]]
+        inner = _uni_factor_monic(g, field)
+        return _merge([[(h, m * p) for h, m in inner]], field)
+    g = u_gcd(f, fp, K)
     if u_deg(g) > 0:
         return _merge([_uni_factor_monic(g, field),
-                       _uni_factor_monic(u_exact_div(f, g), field)])
-    return _merge([[(h, 1) for h in _uni_factor_squarefree(f, field)]])
+                       _uni_factor_monic(u_exact_div(f, g, K), field)],
+                      field)
+    return _merge([[(h, 1) for h in _uni_factor_squarefree(f, field)]],
+                  field)
 
 
 def _uni_factor_squarefree(f, field):
     """Distinct-degree then equal-degree splitting of a squarefree monic f."""
+    K = field.kernel
     q = field.p ** field.k
     out = []
-    h = [field.zero(), field.one()]  # x
-    x = list(h)
+    x = [K.zero, K.one]
+    h = x
     d = 0
     while u_deg(f) > 0:
         d += 1
         if 2 * d > u_deg(f):
             out.append(f)
             break
-        h = u_powmod(h, q, f)
-        g = u_gcd(u_sub(h, x), f)
+        h = u_powmod(h, q, f, K)
+        g = u_gcd(u_sub(h, x, K), f, K)
         if u_deg(g) > 0:
             out.extend(_equal_degree_split(g, d, field))
-            f = u_exact_div(f, g)
-            h = u_divmod(h, f)[1]
+            f = u_exact_div(f, g, K)
+            h = u_divmod(h, f, K)[1]
     return out
 
 
 def _equal_degree_split(g, d, field):
+    K = field.kernel
     if u_deg(g) == d:
-        return [u_monic(g)]
+        return [u_monic(g, K)]
     p, k = field.p, field.k
     q = p ** k
-    seed = hash((p, k, d, tuple(_coeff_sort_key(g)))) & 0xFFFFFFFF
+    seed = hash((p, k, d, _coeffs_key(g, field))) & 0xFFFFFFFF
     rng = random.Random(seed)
     while True:
-        r = u_trim([_gf(field, rng.randrange(q)) for _ in range(u_deg(g))])
+        r = u_trim([rng.randrange(q) for _ in range(u_deg(g))])
         if u_deg(r) < 1:
             continue
         if p == 2:
             s = []
-            t = u_divmod(list(r), g)[1]
+            t = u_divmod(r, g, K)[1]
             for _ in range(k * d):
-                s = u_add(s, t)
-                t = u_divmod(u_mul(t, t), g)[1]
-            h = u_gcd(s, g)
+                s = u_add(s, t, K)
+                t = u_divmod(u_mul(t, t, K), g, K)[1]
+            h = u_gcd(s, g, K)
         else:
-            s = u_powmod(r, (q ** d - 1) // 2, g)
-            h = u_gcd(u_sub(s, [field.one()]), g)
+            s = u_powmod(r, (q ** d - 1) // 2, g, K)
+            h = u_gcd(u_sub(s, [K.one], K), g, K)
         if 0 < u_deg(h) < u_deg(g):
             return (_equal_degree_split(h, d, field)
-                    + _equal_degree_split(u_exact_div(g, h), d, field))
+                    + _equal_degree_split(u_exact_div(g, h, K), d, field))
+
+
+def vanishing_poly(roots, field):
+    """prod (T - r) over the FieldScalars `roots`: its coefficients,
+    lowest degree first, as FieldScalars."""
+    K = field.kernel
+    f = [K.one]
+    for r in roots:
+        f = u_mul(f, [K.neg(r.value), K.one], K)
+    return _scalars(f, field)
 
 
 def uni_roots(f, field):
     """Roots in the coefficient field, with multiplicity."""
-    _, facs = uni_factor(f, field)
-    out = []
-    for g, m in facs:
-        if u_deg(g) == 1:
-            out.append((-g[0], m))
-    return out
+    _, facs = _uni_factor(_raw(f), field)
+    neg = field.kernel.neg
+    return [(_scalar(field, neg(g[0])), m) for g, m in facs if len(g) == 2]
 
 
 def uni_is_irreducible(f, field):
-    if field.kind == "gf":
-        _, facs = uni_factor(f, field)
-        return len(facs) == 1 and facs[0][1] == 1 and u_deg(facs[0][0]) == u_deg(f)
-    # rational function field with one transcendental: Gauss lemma route
-    facs = ratfunc_uni_factor(f, field)
+    """Over GF(p^k), or over F_p(t) by Gauss's lemma."""
+    f = _raw(f)
+    facs = (_uni_factor(f, field)[1] if field.kind == "gf"
+            else _ratfunc_factor(f, field))
     return len(facs) == 1 and facs[0][1] == 1
 
 
@@ -309,33 +228,9 @@ def uni_is_irreducible(f, field):
 
 def mp_divmod_single(f: MultiPoly, g: MultiPoly, order="grevlex"):
     """Division of f by a single nonzero g: f = q g + r."""
-    key = order_key(order)
-    ring = f.ring
-    ge, gc = g.leading(order)
     quotient = {}
-    remainder = {}
-    work = dict(f.terms)
-    while work:
-        e = max(work, key=key)
-        c = work.pop(e)
-        if c.is_zero():
-            continue
-        if all(x >= y for x, y in zip(e, ge)):
-            shift = tuple(x - y for x, y in zip(e, ge))
-            factor = c / gc
-            quotient[shift] = quotient.get(shift, ring.field.zero()) + factor
-            for te, tc in g.terms.items():
-                ne = tuple(a + b for a, b in zip(te, shift))
-                if ne == e:
-                    continue
-                cur = work.get(ne, ring.field.zero()) - factor * tc
-                if cur.is_zero():
-                    work.pop(ne, None)
-                else:
-                    work[ne] = cur
-        else:
-            remainder[e] = c
-    return MultiPoly(ring, quotient), MultiPoly(ring, remainder)
+    remainder = _reduce(f, [g], order, quotient)
+    return _mp(f.ring, quotient), _mp(f.ring, remainder)
 
 
 def mp_exact_div(f: MultiPoly, g: MultiPoly):
@@ -345,23 +240,9 @@ def mp_exact_div(f: MultiPoly, g: MultiPoly):
     return q
 
 
-def _uni_coeffs_in(f: MultiPoly, var: str):
-    """dict degree-in-var -> MultiPoly coefficient (var stripped out)."""
-    i = f.ring._var_index[var]
-    out = {}
-    for e, c in f.terms.items():
-        d = e[i]
-        ne = list(e)
-        ne[i] = 0
-        key = tuple(ne)
-        cur = out.setdefault(d, {})
-        cur[key] = cur.get(key, f.ring.field.zero()) + c
-    return {d: MultiPoly(f.ring, t) for d, t in out.items()}
-
-
 def _content(f: MultiPoly, var: str):
     """gcd of the coefficients of f viewed as univariate in var."""
-    coeffs = list(_uni_coeffs_in(f, var).values())
+    coeffs = list(f.coeffs_in(var).values())
     g = coeffs[0]
     for c in coeffs[1:]:
         g = mp_gcd(g, c)
@@ -371,17 +252,35 @@ def _content(f: MultiPoly, var: str):
 
 
 def _prem(f: MultiPoly, g: MultiPoly, var: str):
-    """Pseudo-remainder of f by g with respect to var."""
+    """Pseudo-remainder of f by g with respect to var, on the coefficients
+    of f and g in var: r <- lc(g) r - lc(r) var^(deg r - deg g) g."""
     ring = f.ring
-    dg = g.degree_in(var)
-    lcg = _uni_coeffs_in(g, var)[dg]
-    r = f
-    v = ring.var(var)
-    while not r.is_zero() and r.degree_in(var) >= dg:
-        dr = r.degree_in(var)
-        lcr = _uni_coeffs_in(r, var)[dr]
-        r = lcg * r - lcr * v ** (dr - dg) * g
-    return r
+    K = ring.field.kernel
+    gc = g.coeffs_in(var)
+    dg = max(gc)
+    lcg = gc[dg].terms
+    r = {d: c.terms for d, c in f.coeffs_in(var).items()}
+    neg_g = {d: {e: K.neg(c) for e, c in t.terms.items()}
+             for d, t in gc.items() if d < dg}
+    while r and max(r) >= dg:
+        dr = max(r)
+        lcr = r.pop(dr)
+        out = {d: _mul_terms(lcg, t, K) for d, t in r.items()}
+        for d, t in neg_g.items():
+            prod = _mul_terms(lcr, t, K)
+            d += dr - dg
+            s = _add_terms(out[d], prod, K.add) if d in out else prod
+            if s:
+                out[d] = s
+            else:
+                out.pop(d, None)
+        r = {d: t for d, t in out.items() if t}
+    i = ring._var_index[var]
+    terms = {}
+    for d, t in r.items():
+        for e, c in t.items():
+            terms[e[:i] + (d,) + e[i + 1:]] = c
+    return _mp(ring, terms)
 
 
 def mp_gcd(f: MultiPoly, g: MultiPoly) -> MultiPoly:
@@ -443,7 +342,7 @@ def gf_embedding(K: FieldDescriptor, L: FieldDescriptor):
     if K.kind != "gf" or L.kind != "gf" or K.p != L.p or L.k % K.k:
         raise FieldError(f"{K.spec} is not a subfield of {L.spec}")
     if K.k == 1:
-        return lambda x: L.from_int(x.code)
+        return lambda x: L.from_int(x.value)
     beta = FieldScalar(L, _modulus_root(K, L))
 
     def embed(x):
@@ -464,7 +363,19 @@ def project_to_subfield(x: FieldScalar, K: FieldDescriptor, L, embed):
     sol = linalg.solve(matrix, [Fp.from_int(c) for c in x.rep])
     if sol is None:
         return None
-    return FieldScalar(K, tuple(c.code for c in sol))
+    return FieldScalar(K, tuple(c.value for c in sol))
+
+
+def _map_raw(F: MultiPoly, ring: PolyRing, fn):
+    """F moved to `ring` (same variables) by a map of raw coefficients
+    that sends nonzero values to nonzero values."""
+    return _mp(ring, {e: fn(c) for e, c in F.terms.items()})
+
+
+def _embed_raw(F: MultiPoly, L, embed):
+    K = F.ring.field
+    return _map_raw(F, PolyRing(L, F.ring.vars),
+                    lambda c: embed(_scalar(K, c)).value)
 
 
 # ---------------------------------------------------------------------------
@@ -487,29 +398,20 @@ def factor_poly(F: MultiPoly):
                 "for one transcendental and one polynomial variable")
         if not used:
             return F.constant_value(), []
-        facs = ratfunc_uni_factor(u_from_mp(F, used[0]), field)
-        result = [(u_to_mp(coeffs, F.ring, used[0]), m) for coeffs, m in facs]
-        prod = F.ring.one()
-        for g, m in result:
-            prod = prod * g ** m
-        lead_f = _any_coeff(F)
-        lead_p = _any_coeff(prod)
-        unit = lead_f / lead_p
-        return unit, result
+        facs = _ratfunc_factor(u_from_mp(F, used[0]), field)
+        # the factors are monic, so the unit is F's leading coefficient
+        return F.leading()[1], [(u_to_mp(coeffs, F.ring, used[0]), m)
+                                for coeffs, m in facs]
     if len(used) == 0:
         return F.constant_value(), []
     if len(used) == 1:
-        unit, facs = uni_factor(u_from_mp(F, used[0]), field)
-        return unit, [(u_to_mp(g, F.ring, used[0]), m) for g, m in facs]
+        unit, facs = _uni_factor(u_from_mp(F, used[0]), field)
+        return (_scalar(field, unit),
+                [(u_to_mp(g, F.ring, used[0]), m) for g, m in facs])
     if len(used) == 2:
-        return _factor_bivariate(F, used[0], used[1])
+        return _normalize_factor_list(F, _fb(F, used[0], used[1]))
     raise UnsupportedInstance(
         "factorization with three or more variables is not supported")
-
-
-def _any_coeff(F):
-    e = max(F.terms, key=order_key("grevlex"))
-    return F.terms[e]
 
 
 def _normalize_factor_list(F, facs):
@@ -524,32 +426,20 @@ def _normalize_factor_list(F, facs):
     prod = ring.one()
     for g, m in out:
         prod = prod * g ** m
-    unit = _any_coeff(F) / _any_coeff(prod)
-    if not (prod.scale(unit) - F).is_zero():
+    unit = F.leading()[1] / prod.leading()[1]
+    if prod.scale(unit) != F:
         raise CharpkError("bivariate factorization self-check failed")
     return unit, out
 
 
-def _factor_bivariate(F, xv, yv):
-    field = F.ring.field
-    facs = _fb(F, xv, yv)
-    return _normalize_factor_list(F, facs)
-
-
 def _merge_mp(fac_lists):
-    out = []
-    seen = {}
+    out = {}
     for facs in fac_lists:
         for g, m in facs:
             g = g.monic("grevlex")
-            key = (frozenset((e, str(c)) for e, c in g.terms.items()))
-            if key in seen:
-                idx = seen[key]
-                out[idx] = (out[idx][0], out[idx][1] + m)
-            else:
-                seen[key] = len(out)
-                out.append((g, m))
-    return out
+            key = frozenset(g.terms.items())
+            out[key] = (g, out[key][1] + m) if key in out else (g, m)
+    return list(out.values())
 
 
 def _fb(F, xv, yv):
@@ -558,13 +448,10 @@ def _fb(F, xv, yv):
     field = ring.field
     if F.is_constant():
         return []
-    if F.degree_in(yv) == 0:
-        unit, facs = uni_factor(u_from_mp(F, xv), field)
-        return [(g_mp, m) for g, m in facs
-                for g_mp in [u_to_mp(g, ring, xv)]]
-    if F.degree_in(xv) == 0:
-        unit, facs = uni_factor(u_from_mp(F, yv), field)
-        return [(u_to_mp(g, ring, yv), m) for g, m in facs]
+    for u, v in ((xv, yv), (yv, xv)):
+        if F.degree_in(v) == 0:
+            facs = _uni_factor(u_from_mp(F, u), field)[1]
+            return [(u_to_mp(g, ring, u), m) for g, m in facs]
     # content with respect to yv lives in K[xv]
     cont = _content(F, yv)
     if not cont.is_constant():
@@ -574,9 +461,10 @@ def _fb(F, xv, yv):
     if Fx.is_zero() and Fy.is_zero():
         # every exponent divisible by p; perfect coefficients descend
         p = field.p
-        terms = {tuple(e // p for e in ex): pth_root(c)
-                 for ex, c in F.terms.items()}
-        G = MultiPoly(ring, terms)
+        root = p ** (field.k - 1)
+        pw = field.kernel.pow
+        G = _mp(ring, {tuple(e // p for e in ex): pw(c, root)
+                       for ex, c in F.terms.items()})
         return [(g, m * p) for g, m in _fb(G, xv, yv)]
     sep = yv if not Fy.is_zero() else xv
     Fs = Fy if not Fy.is_zero() else Fx
@@ -594,9 +482,9 @@ def _factor_sqfree(F, xv, yv):
     """Irreducible factors (mult 1) of a squarefree primitive bivariate
     polynomial, separable in yv."""
     ring = F.ring
-    field = ring.field
+    K = ring.field.kernel
     dy = F.degree_in(yv)
-    coeffs = _uni_coeffs_in(F, yv)
+    coeffs = F.coeffs_in(yv)
     lc = coeffs[dy]
     if not lc.is_constant():
         # G(x,y) = lc^(dy-1) F(x, y/lc) is monic in y, primitive and
@@ -614,36 +502,58 @@ def _factor_sqfree(F, xv, yv):
             c = _content(Hs, yv)
             out.append(mp_exact_div(Hs, c))
         return out
-    F = F.scale(lc.constant_value().inverse())
+    F = F._scale(K.inv(lc.terms[(0,) * ring.nvars]))
     # find a specialization x0 with F(x0, y) squarefree of degree dy
     x0 = _good_specialization(F, xv, yv, dy)
     if x0 is None:
         return _factor_by_ascent(F, xv, yv)
-    x = ring.var(xv)
-    Fs = F.substitute({xv: x + ring.from_scalar(x0)})
-    facs = _hensel_factor(Fs, xv, yv)
-    return [G.substitute({xv: x - ring.from_scalar(x0)}) for G in facs]
+    facs = _hensel_factor(_shift(F, xv, x0), xv, yv)
+    return [_shift(G, xv, K.neg(x0)) for G in facs]
+
+
+def _shift(F, var, c):
+    """F with var -> var + c (raw c): a Taylor shift, by Horner's rule, of
+    each coefficient of F in the other variables."""
+    ring = F.ring
+    K = ring.field.kernel
+    i = ring._var_index[var]
+    lines = {}
+    for e, a in F.terms.items():
+        line = lines.setdefault(e[:i] + (0,) + e[i + 1:], {})
+        line[e[i]] = a
+    lin = [c, K.one]
+    terms = {}
+    for rest, line in lines.items():
+        acc = []
+        for d in range(max(line), -1, -1):
+            acc = u_mul(acc, lin, K)
+            if d in line:
+                acc = u_add(acc, [line[d]], K)
+        for d, a in enumerate(acc):
+            if a:
+                terms[rest[:i] + (d,) + rest[i + 1:]] = a
+    return _mp(ring, terms)
 
 
 def _good_specialization(F, xv, yv, dy):
     field = F.ring.field
-    for x0 in iter_gf_elements(field):
+    K = field.kernel
+    for x0 in range(field.p ** field.k):
         f0 = _specialize_x(F, xv, yv, x0)
         if u_deg(f0) != dy:
             continue
-        if u_deg(u_gcd(f0, u_deriv(f0))) == 0:
+        if u_deg(u_gcd(f0, u_deriv(f0, K), K)) == 0:
             return x0
     return None
 
 
 def _specialize_x(F, xv, yv, x0):
-    field = F.ring.field
-    d = F.degree_in(yv)
-    out = [field.zero() for _ in range(d + 1)]
-    ix = F.ring._var_index[xv]
-    iy = F.ring._var_index[yv]
+    K = F.ring.field.kernel
+    add, mul, pw = K.add, K.mul, K.pow
+    out = [K.zero] * (F.degree_in(yv) + 1)
+    ix, iy = F.ring._var_index[xv], F.ring._var_index[yv]
     for e, c in F.terms.items():
-        out[e[iy]] = out[e[iy]] + c * x0 ** e[ix]
+        out[e[iy]] = add(out[e[iy]], mul(c, pw(x0, e[ix])))
     return u_trim(out)
 
 
@@ -657,180 +567,163 @@ def _factor_by_ascent(F, xv, yv):
     while q ** r < need:
         r += 1
     L, embed = extend_gf(field, r)
-    ringL = PolyRing(L, F.ring.vars)
-    FL = MultiPoly(ringL, {e: embed(c) for e, c in F.terms.items()})
-    facsL = _factor_sqfree(FL, xv, yv)
-    facsL = [g.monic("grevlex") for g in facsL]
+    FL = _embed_raw(F, L, embed)
+    ringL = FL.ring
+    facsL = [g.monic("grevlex") for g in _factor_sqfree(FL, xv, yv)]
+    pw = L.kernel.pow
 
     def frob(G):
-        return MultiPoly(ringL, {e: c ** q for e, c in G.terms.items()})
+        return _map_raw(G, ringL, lambda c: pw(c, q)).monic("grevlex")
 
     remaining = list(facsL)
     out = []
     while remaining:
         g = remaining.pop(0)
         orbit = [g]
-        h = frob(g).monic("grevlex")
+        h = frob(g)
         while h != g:
-            for i, other in enumerate(remaining):
-                if other == h:
-                    remaining.pop(i)
-                    break
-            else:
+            if h not in remaining:
                 raise CharpkError("Frobenius orbit escaped the factor list")
+            remaining.remove(h)
             orbit.append(h)
-            h = frob(h).monic("grevlex")
+            h = frob(h)
         prod = ringL.one()
         for G in orbit:
             prod = prod * G
         down = {}
         for e, c in prod.terms.items():
-            pc = project_to_subfield(c, field, L, embed)
+            pc = project_to_subfield(_scalar(L, c), field, L, embed)
             if pc is None:
                 raise CharpkError("orbit product not defined over the base")
-            down[e] = pc
-        out.append(MultiPoly(F.ring, down))
+            down[e] = pc.value
+        out.append(_mp(F.ring, down))
     return out
 
 
 # -- Hensel lifting ---------------------------------------------------------
 
-def _bezout_uni(g, h):
+def _bezout_uni(g, h, K):
     """s, t with s g + t h = 1 for coprime univariate g, h."""
-    field = g[-1].field
     r0, r1 = list(g), list(h)
-    s0, s1 = [field.one()], []
-    t0, t1 = [], [field.one()]
-    while not u_is_zero(r1):
-        q, r = u_divmod(r0, r1)
+    s0, s1 = [K.one], []
+    t0, t1 = [], [K.one]
+    while r1:
+        q, r = u_divmod(r0, r1, K)
         r0, r1 = r1, r
-        s0, s1 = s1, u_sub(s0, u_mul(q, s1))
-        t0, t1 = t1, u_sub(t0, u_mul(q, t1))
-    inv = r0[-1].inverse()
-    return u_scale(s0, inv), u_scale(t0, inv)
+        s0, s1 = s1, u_sub(s0, u_mul(q, s1, K), K)
+        t0, t1 = t1, u_sub(t0, u_mul(q, t1, K), K)
+    inv = K.inv(r0[-1])
+    return u_scale(s0, inv, K), u_scale(t0, inv, K)
 
 
 def _hensel_factor(F, xv, yv):
     """F monic in yv, F(0, y) squarefree of full degree: lift its
     factorization and recombine."""
-    ring = F.ring
-    field = ring.field
-    dy = F.degree_in(yv)
-    dx = F.degree_in(xv)
-    N = dx + 1
-    f0 = _specialize_x(F, xv, yv, field.zero())
-    unit, facs0 = uni_factor(f0, field)
-    parts = [g for g, m in facs0]
+    field = F.ring.field
+    N = F.degree_in(xv) + 1
+    f0 = _specialize_x(F, xv, yv, field.kernel.zero)
+    parts = [g for g, m in _uni_factor(f0, field)[1]]
     if len(parts) == 1:
         return [F]
     # bivariate as x-power -> y-coefficient-list
     fb = _b_from_mp(F, xv, yv, N)
-    lifted = _hensel_multi(fb, parts, N, field)
+    lifted = _hensel_multi(fb, parts, N, field.kernel)
     return _recombine(F, lifted, N, xv, yv)
 
 
 def _b_from_mp(F, xv, yv, N):
-    field = F.ring.field
-    ix = F.ring._var_index[xv]
-    iy = F.ring._var_index[yv]
-    dy = F.degree_in(yv)
-    out = [[field.zero() for _ in range(dy + 1)] for _ in range(N)]
+    K = F.ring.field.kernel
+    ix, iy = F.ring._var_index[xv], F.ring._var_index[yv]
+    out = [[K.zero] * (F.degree_in(yv) + 1) for _ in range(N)]
     for e, c in F.terms.items():
         if e[ix] < N:
-            out[e[ix]][e[iy]] = out[e[ix]][e[iy]] + c
+            out[e[ix]][e[iy]] = c
     return [u_trim(row) for row in out]
 
 
 def _b_to_mp(fb, ring, xv, yv):
-    ix = ring._var_index[xv]
-    iy = ring._var_index[yv]
+    ix, iy = ring._var_index[xv], ring._var_index[yv]
     terms = {}
     for i, row in enumerate(fb):
         for j, c in enumerate(row):
-            if not c.is_zero():
+            if c:
                 e = [0] * ring.nvars
-                e[ix] = i
-                e[iy] = j
+                e[ix], e[iy] = i, j
                 terms[tuple(e)] = c
-    return MultiPoly(ring, terms)
+    return _mp(ring, terms)
 
 
-def _b_coeff_of_product(g, h, k):
+def _b_coeff_of_product(g, h, k, K):
     """y-polynomial coefficient of x^k in g*h (lists of y-polys)."""
     acc = []
     for i in range(k + 1):
         if i < len(g) and (k - i) < len(h):
-            acc = u_add(acc, u_mul(g[i], h[k - i]))
+            acc = u_add(acc, u_mul(g[i], h[k - i], K), K)
     return acc
 
 
-def _hensel_pair(fb, g0, h0, N, field):
-    s, t = _bezout_uni(g0, h0)
+def _hensel_pair(fb, g0, h0, N, K):
+    s, t = _bezout_uni(g0, h0, K)
     g = [list(g0)]
     h = [list(h0)]
     for k in range(1, N):
-        e = u_sub(fb[k] if k < len(fb) else [], _b_coeff_of_product(g, h, k))
-        if u_is_zero(e):
+        e = u_sub(fb[k] if k < len(fb) else [],
+                  _b_coeff_of_product(g, h, k, K), K)
+        if not e:
             g.append([])
             h.append([])
             continue
-        dg = u_divmod(u_mul(t, e), g0)[1]
-        dh = u_exact_div(u_sub(e, u_mul(h0, dg)), g0)
+        dg = u_divmod(u_mul(t, e, K), g0, K)[1]
+        dh = u_exact_div(u_sub(e, u_mul(h0, dg, K), K), g0, K)
         g.append(dg)
         h.append(dh)
     return g, h
 
 
-def _hensel_multi(fb, parts, N, field):
+def _hensel_multi(fb, parts, N, K):
     if len(parts) == 1:
         return [fb]
     g0 = parts[0]
-    h0 = [field.one()]
+    h0 = [K.one]
     for q in parts[1:]:
-        h0 = u_mul(h0, q)
-    g, h = _hensel_pair(fb, g0, h0, N, field)
-    return [g] + _hensel_multi(h, parts[1:], N, field)
+        h0 = u_mul(h0, q, K)
+    g, h = _hensel_pair(fb, g0, h0, N, K)
+    return [g] + _hensel_multi(h, parts[1:], N, K)
 
 
 def _recombine(F, lifted, N, xv, yv):
-    ring = F.ring
+    K = F.ring.field.kernel
     remaining = list(range(len(lifted)))
     out = []
     target = F
-    while remaining:
-        if len(remaining) == 1:
-            out.append(target)
-            break
-        found = False
-        for size in range(1, len(remaining) + 1):
-            if found:
+    while len(remaining) > 1:
+        for subset in itertools.chain.from_iterable(
+                itertools.combinations(remaining, size)
+                for size in range(1, len(remaining) + 1)):
+            cand_b = lifted[subset[0]]
+            for i in subset[1:]:
+                cand_b = _b_mul_trunc(cand_b, lifted[i], N, K)
+            cand = _b_to_mp(cand_b, F.ring, xv, yv)
+            q, r = mp_divmod_single(target, cand)
+            if r.is_zero():
+                out.append(cand)
+                target = q
+                remaining = [i for i in remaining if i not in subset]
                 break
-            for subset in itertools.combinations(remaining, size):
-                cand_b = lifted[subset[0]]
-                for i in subset[1:]:
-                    cand_b = _b_mul_trunc(cand_b, lifted[i], N)
-                cand = _b_to_mp(cand_b, ring, xv, yv)
-                q, r = mp_divmod_single(target, cand)
-                if r.is_zero():
-                    out.append(cand)
-                    target = q
-                    remaining = [i for i in remaining if i not in subset]
-                    found = True
-                    break
-        if not found:
+        else:
             raise CharpkError("Hensel recombination failed")
-    return out
+    return out + [target] if remaining else out
 
 
-def _b_mul_trunc(a, b, N):
+def _b_mul_trunc(a, b, N, K):
     out = [[] for _ in range(N)]
     for i, ra in enumerate(a):
-        if i >= N or u_is_zero(ra):
+        if i >= N or not ra:
             continue
         for j, rb in enumerate(b):
-            if i + j >= N or u_is_zero(rb):
+            if i + j >= N or not rb:
                 continue
-            out[i + j] = u_add(out[i + j], u_mul(ra, rb))
+            out[i + j] = u_add(out[i + j], u_mul(ra, rb, K), K)
     return out
 
 
@@ -838,50 +731,46 @@ def _b_mul_trunc(a, b, N):
 # univariate over F_p(t) via Gauss's lemma
 # ---------------------------------------------------------------------------
 
-def ratfunc_uni_factor(coeffs, field):
-    """Factor a univariate polynomial over F_p(t): [(monic coefficient
-    list, multiplicity)]."""
+def _ratfunc_factor(coeffs, field):
+    """Factor a univariate polynomial over F_p(t), given as a raw list:
+    [(monic raw coefficient list, multiplicity)]."""
     if field.kind != "ratfunc" or field.imperfection_exponent != 1:
         raise UnsupportedInstance("need F_p(t) with one transcendental")
+    K = field.kernel
     coeffs = u_trim(list(coeffs))
-    if u_is_zero(coeffs):
+    if not coeffs:
         raise CharpkError("factorization of zero")
     tname = field.tvars[0]
     p = field.p
-    prime = FieldDescriptor("gf", p, 1)
-    ring2 = PolyRing(prime, (tname, "_X"))
+    ring2 = PolyRing(FieldDescriptor("gf", p, 1), (tname, "_X"))
     # clear denominators
     den = field._ring.one
     for c in coeffs:
-        den = den * c.rep.denom
-    den_s = field.from_frac(field._frac(den))
-    cleared = [c * den_s for c in coeffs]
+        den = den * c.denom
+    den = field._frac(den)
     terms = {}
-    for d, c in enumerate(cleared):
-        num = c.rep.numer
-        for (et,), cc in num.terms():
-            terms[(et, d)] = prime.from_int(int(cc) % p)
-    F2 = MultiPoly(ring2, terms)
-    unit, facs = factor_poly(F2)
+    for d, c in enumerate(coeffs):
+        for (et,), cc in K.mul(c, den).numer.terms():
+            if int(cc) % p:
+                terms[(et, d)] = int(cc) % p
+    _, facs = factor_poly(_mp(ring2, terms))
+    t = field._frac.gens[0]
     out = []
     for g, m in facs:
         if g.degree_in("_X") == 0:
             continue  # content in F_p[t]: a unit of F_p(t)[x]
         # back to F_p(t)[x]
-        dx = g.degree_in("_X")
-        lifted = [field.zero() for _ in range(dx + 1)]
+        lifted = [K.zero] * (g.degree_in("_X") + 1)
         for (et, d), c in g.terms.items():
-            tpow = field.gen(tname) ** et if et else field.one()
-            lifted[d] = lifted[d] + field.from_int(c.rep[0]) * tpow
-        out.append((u_monic(lifted), m))
-    out.sort(key=lambda gm: (len(gm[0]), _coeff_sort_key(gm[0])))
+            lifted[d] = K.add(lifted[d], K.mul(K.from_int(c), K.pow(t, et)))
+        out.append((u_monic(lifted, K), m))
+    out.sort(key=lambda gm: (len(gm[0]), _coeffs_key(gm[0], field)))
     # self-check
-    prod = [field.one()]
+    prod = [K.one]
     for g, m in out:
         for _ in range(m):
-            prod = u_mul(prod, g)
-    lead = coeffs[-1]
-    if u_scale(prod, lead) != coeffs:
+            prod = u_mul(prod, g, K)
+    if u_scale(prod, coeffs[-1], K) != coeffs:
         raise CharpkError("rational-function factorization self-check failed")
     return out
 
@@ -890,15 +779,18 @@ def ratfunc_uni_factor(coeffs, field):
 # absolute irreducibility of polynomials
 # ---------------------------------------------------------------------------
 
-def distinct_factors(F: MultiPoly):
-    unit, facs = factor_poly(F)
-    return [g for g, _ in facs]
-
-
 def is_absolutely_irreducible_poly(F: MultiPoly) -> bool:
-    """Absolute irreducibility over GF(p^k) by re-factoring over GF(p^{k s})
-    for s up to the total degree; the field of definition of any conjugate
-    absolute factor has degree at most deg F."""
+    """Absolute irreducibility over K = GF(q) by factoring over GF(q^s)
+    for the primes s dividing d = deg G, G the one distinct K-irreducible
+    factor of F.
+
+    G is squarefree over the algebraic closure (K is perfect), and its
+    absolute components are the r Frobenius conjugates of one of them, of
+    degree d / r each, so r divides d.  Over GF(q^s) the conjugates group
+    into gcd(r, s) orbits of the q^s-Frobenius, so G has gcd(r, s) distinct
+    factors there, each of multiplicity 1.  Thus G is absolutely
+    irreducible (r = 1) iff it stays irreducible over GF(q^s) for every
+    prime s | d: when r > 1, a prime s | r divides d and splits G."""
     field = F.ring.field
     if field.kind != "gf":
         raise UnsupportedInstance(
@@ -908,19 +800,14 @@ def is_absolutely_irreducible_poly(F: MultiPoly) -> bool:
         return False
     if len(used) == 1:
         # an irreducible univariate of degree >= 2 splits over its root field
-        _, facs = uni_factor(u_from_mp(F, used[0]), field)
+        _, facs = _uni_factor(u_from_mp(F, used[0]), field)
         return len(facs) == 1 and u_deg(facs[0][0]) == 1
-    facs = distinct_factors(F)
+    facs = factor_poly(F)[1]
     if len(facs) > 1:
         return False
-    G = facs[0]
-    d = G.total_degree()
-    for s in range(2, d + 1):
+    G = facs[0][0]
+    for s in _prime_factors(G.total_degree()):
         L, embed = extend_gf(field, s)
-        ringL = PolyRing(L, G.ring.vars)
-        GL = MultiPoly(ringL, {e: embed(c) for e, c in G.terms.items()})
-        if len(distinct_factors(GL)) > 1:
-            return False
-        if any(m > 1 for _, m in factor_poly(GL)[1]):
+        if len(factor_poly(_embed_raw(G, L, embed))[1]) > 1:
             return False
     return True

@@ -14,6 +14,11 @@ GF(p^k) arithmetic runs on the codes: residues mod p for k = 1, log/antilog
 and Zech tables for p^k <= GF_TABLE_CAP (Lidl-Niederreiter, Finite Fields,
 ch. 2 and 9), and the polynomial basis above the cap.
 
+Each descriptor's kernel (`FieldDescriptor.kernel`) computes on raw values
+(the code, or the reduced fraction); a FieldScalar is the field plus its
+raw value.  The dense univariate routines `u_*` work on lists of raw
+values with the kernel as their last argument.
+
 The m = 0 rational-function field degenerates to the prime field.  sympy,
 which carries F_p(t..), is imported when the first such field is built.
 """
@@ -46,13 +51,120 @@ def _is_prime(n: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# dense univariate arithmetic over F_p (int lists, ascending coefficients)
+# dense univariate arithmetic on raw kernel values (lists, lowest degree
+# first, no trailing zeros); K is the coefficient field's kernel
 # ---------------------------------------------------------------------------
 
-def _trim(f):
-    while f and f[-1] == 0:
+def u_trim(f):
+    while f and not f[-1]:
         f.pop()
     return f
+
+
+def u_deg(f):
+    return len(f) - 1
+
+
+def u_add(f, g, K):
+    if len(f) < len(g):
+        f, g = g, f
+    add = K.add
+    out = list(f)
+    for i, b in enumerate(g):
+        out[i] = add(out[i], b)
+    return u_trim(out)
+
+
+def u_neg(f, K):
+    neg = K.neg
+    return [neg(c) for c in f]
+
+
+def u_sub(f, g, K):
+    return u_add(f, u_neg(g, K), K)
+
+
+def u_scale(f, c, K):
+    if not c:
+        return []
+    mul = K.mul
+    return [mul(a, c) for a in f]
+
+
+def u_mul(f, g, K):
+    if not f or not g:
+        return []
+    if K.__class__ is _PrimeKernel and len(f) + len(g) > 16:
+        return _kronecker_mul(f, g, K.p)
+    add, mul = K.add, K.mul
+    out = [K.zero] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        if a:
+            for j, b in enumerate(g):
+                if b:
+                    out[i + j] = add(out[i + j], mul(a, b))
+    return u_trim(out)
+
+
+def _kronecker_mul(f, g, p):
+    """Product over F_p by one int multiplication: both factors evaluated
+    at 2^bits, with bits wide enough for every coefficient sum."""
+    bits = ((p - 1) * (p - 1) * min(len(f), len(g))).bit_length() + 1
+    fi = sum(a << (bits * i) for i, a in enumerate(f))
+    gi = sum(b << (bits * i) for i, b in enumerate(g))
+    prod = fi * gi
+    mask = (1 << bits) - 1
+    out = []
+    for _ in range(len(f) + len(g) - 1):
+        out.append((prod & mask) % p)
+        prod >>= bits
+    return u_trim(out)
+
+
+def u_divmod(f, g, K):
+    if not g:
+        raise ZeroDivisionError("univariate division by zero")
+    f = list(f)
+    dg = len(g) - 1
+    inv = K.inv(g[-1])
+    mul, sub = K.mul, K.sub
+    q = [K.zero] * max(len(f) - dg, 0)
+    while len(f) > dg:
+        c = mul(f.pop(), inv)
+        shift = len(f) - dg
+        q[shift] = c
+        for i in range(dg):
+            if g[i]:
+                f[shift + i] = sub(f[shift + i], mul(c, g[i]))
+        u_trim(f)
+    return q, f
+
+
+def u_monic(f, K):
+    return u_scale(f, K.inv(f[-1]), K) if f else f
+
+
+def u_gcd(f, g, K):
+    while g:
+        f, g = g, u_divmod(f, g, K)[1]
+    return u_monic(f, K)
+
+
+def u_deriv(f, K):
+    mul, from_int = K.mul, K.from_int
+    return u_trim([mul(f[i], from_int(i)) for i in range(1, len(f))])
+
+
+def u_powmod(f, n, mod, K):
+    result = [K.one]
+    base = u_divmod(f, mod, K)[1]
+    while n:
+        if n & 1:
+            result = u_divmod(u_mul(result, base, K), mod, K)[1]
+        n >>= 1
+        if n:
+            base = u_divmod(u_mul(base, base, K), mod, K)[1]
+    return result
 
 
 def _code_to_vec(c, p, k):
@@ -72,66 +184,6 @@ def _vec_to_code(vec, p):
     return c
 
 
-def _poly_mul_p(f, g, p):
-    if not f or not g:
-        return []
-    if len(f) + len(g) > 16:
-        # Kronecker packing: evaluate both at 2^bits and use int multiplication
-        bound = (p - 1) * (p - 1) * min(len(f), len(g))
-        bits = bound.bit_length() + 1
-        fi = sum(a << (bits * i) for i, a in enumerate(f))
-        gi = sum(b << (bits * i) for i, b in enumerate(g))
-        prod = fi * gi
-        mask = (1 << bits) - 1
-        out = []
-        for _ in range(len(f) + len(g) - 1):
-            out.append((prod & mask) % p)
-            prod >>= bits
-        return _trim(out)
-    out = [0] * (len(f) + len(g) - 1)
-    for i, a in enumerate(f):
-        if a:
-            for j, b in enumerate(g):
-                out[i + j] = (out[i + j] + a * b) % p
-    return _trim(out)
-
-
-def _poly_divmod_p(f, g, p):
-    f = list(f)
-    dg = len(g) - 1
-    inv_lc = pow(g[-1], p - 2, p)
-    q = [0] * max(len(f) - dg, 0)
-    while len(f) - 1 >= dg and f:
-        c = (f[-1] * inv_lc) % p
-        shift = len(f) - 1 - dg
-        q[shift] = c
-        for i, b in enumerate(g):
-            f[shift + i] = (f[shift + i] - c * b) % p
-        _trim(f)
-    return q, f
-
-
-def _poly_gcd_p(f, g, p):
-    f, g = list(f), list(g)
-    while g:
-        f, g = g, _poly_divmod_p(f, g, p)[1]
-    if f:
-        inv = pow(f[-1], p - 2, p)
-        f = [(c * inv) % p for c in f]
-    return f
-
-
-def _poly_powmod_p(f, n, mod, p):
-    result = [1]
-    base = _poly_divmod_p(list(f), mod, p)[1]
-    while n:
-        if n & 1:
-            result = _poly_divmod_p(_poly_mul_p(result, base, p), mod, p)[1]
-        base = _poly_divmod_p(_poly_mul_p(base, base, p), mod, p)[1]
-        n >>= 1
-    return result
-
-
 def _is_irreducible_p(f, p):
     """Irreducibility of a monic univariate polynomial over F_p."""
     k = len(f) - 1
@@ -139,19 +191,15 @@ def _is_irreducible_p(f, p):
         return False
     if k == 1:
         return True
+    K = _PrimeKernel(p)
     x = [0, 1]
     # x^(p^k) = x mod f, and gcd(x^(p^(k/r)) - x, f) = 1 for prime r | k
-    xq = _poly_powmod_p(x, p ** k, f, p)
-    if _trim([(a - b) % p for a, b in itertools.zip_longest(xq, x, fillvalue=0)]):
+    if u_sub(u_powmod(x, p ** k, f, K), x, K):
         return False
-    for r in range(2, k + 1):
-        if k % r == 0 and _is_prime(r):
-            xe = _poly_powmod_p(x, p ** (k // r), f, p)
-            diff = _trim([(a - b) % p
-                          for a, b in itertools.zip_longest(xe, x, fillvalue=0)])
-            g = _poly_gcd_p(list(f), diff, p)
-            if len(g) - 1 > 0:
-                return False
+    for r in _prime_factors(k):
+        diff = u_sub(u_powmod(x, p ** (k // r), f, K), x, K)
+        if len(u_gcd(f, diff, K)) > 1:
+            return False
     return True
 
 
@@ -168,16 +216,23 @@ def _default_modulus(p: int, k: int):
 
 
 # ---------------------------------------------------------------------------
-# GF(p^k) kernels: arithmetic on int codes
+# kernels: arithmetic on raw values (int codes for GF(p^k))
+#
+# Every kernel has add, sub, neg, mul, inv, pow and from_int on raw values
+# and the raw `zero` and `one`; a raw value is zero iff it is falsy.
 # ---------------------------------------------------------------------------
 
 class _PrimeKernel:
     """GF(p): the code is the residue."""
 
     __slots__ = ("p",)
+    zero, one = 0, 1
 
     def __init__(self, p):
         self.p = p
+
+    def from_int(self, n):
+        return n % self.p
 
     def add(self, a, b):
         return (a + b) % self.p
@@ -198,7 +253,7 @@ class _PrimeKernel:
         return pow(a, e, self.p)
 
 
-class _TableKernel:
+class _TableKernel(_PrimeKernel):
     """GF(p^k), odd p, q <= GF_TABLE_CAP, over a primitive element alpha.
 
     exp[i] is the code of alpha^i for 0 <= i < 2n (n = q - 1; doubled so a
@@ -206,12 +261,14 @@ class _TableKernel:
     nonzero code c, and zech[i] = log(1 + alpha^i), or -1 where
     1 + alpha^i = 0.  Sums take one Zech lookup: alpha^i + alpha^j =
     alpha^(i + zech[j - i]), a negative j - i wrapping through Python's
-    negative indexing of the length-n Zech table.
+    negative indexing of the length-n Zech table.  Integers are residues
+    mod p, the codes below p.
     """
 
     __slots__ = ("n", "exp", "log", "zech")
 
     def __init__(self, p, k, modulus):
+        self.p = p
         self.n = n = p ** k - 1
         self.exp, self.log = _log_tables(p, k, modulus)
         exp, log = self.exp, self.log
@@ -260,6 +317,7 @@ class _BinaryTableKernel(_TableKernel):
     __slots__ = ()
 
     def __init__(self, p, k, modulus):
+        self.p = 2
         self.n = 2 ** k - 1
         self.exp, self.log = _log_tables(p, k, modulus)
         self.zech = None
@@ -273,53 +331,45 @@ class _BinaryTableKernel(_TableKernel):
         return a
 
 
-class _PolyKernel:
+class _PolyKernel(_PrimeKernel):
     """GF(p^k) above GF_TABLE_CAP: codes are decoded to coefficient
     vectors and multiplied in the polynomial basis."""
 
-    __slots__ = ("p", "k", "modulus")
+    __slots__ = ("k", "modulus", "fp")
 
     def __init__(self, p, k, modulus):
         self.p, self.k, self.modulus = p, k, list(modulus)
+        self.fp = _PrimeKernel(p)
 
     def _vec(self, c):
-        return _code_to_vec(c, self.p, self.k)
-
-    def _code(self, vec):
-        return _vec_to_code(vec, self.p)
+        return u_trim(_code_to_vec(c, self.p, self.k))
 
     def add(self, a, b):
-        p = self.p
-        if p == 2:
+        if self.p == 2:
             return a ^ b
-        return self._code([(x + y) % p
-                           for x, y in zip(self._vec(a), self._vec(b))])
+        return _vec_to_code(u_add(self._vec(a), self._vec(b), self.fp), self.p)
 
     def neg(self, a):
-        p = self.p
-        return self._code([-x % p for x in self._vec(a)])
+        return _vec_to_code(u_neg(self._vec(a), self.fp), self.p)
 
     def sub(self, a, b):
         return self.add(a, self.neg(b))
 
     def mul(self, a, b):
-        p = self.p
-        prod = _poly_mul_p(self._vec(a), self._vec(b), p)
-        return self._code(_poly_divmod_p(prod, self.modulus, p)[1])
+        fp = self.fp
+        prod = u_mul(self._vec(a), self._vec(b), fp)
+        return _vec_to_code(u_divmod(prod, self.modulus, fp)[1], self.p)
 
     def inv(self, a):
-        p = self.p
         # extended Euclid in F_p[x]
-        r0, r1 = self.modulus, _trim(self._vec(a))
+        fp = self.fp
+        r0, r1 = self.modulus, self._vec(a)
         s0, s1 = [], [1]
         while r1:
-            q, r = _poly_divmod_p(r0, r1, p)
+            q, r = u_divmod(r0, r1, fp)
             r0, r1 = r1, r
-            s0, s1 = s1, _trim([(x - y) % p for x, y in itertools.zip_longest(
-                s0, _poly_mul_p(q, s1, p), fillvalue=0)])
-        inv_lc = pow(r0[-1], p - 2, p)
-        s0 = [(c * inv_lc) % p for c in s0]
-        return self._code(_poly_divmod_p(s0, self.modulus, p)[1])
+            s0, s1 = s1, u_sub(s0, u_mul(q, s1, fp), fp)
+        return _vec_to_code(u_scale(s0, fp.inv(r0[-1]), fp), self.p)
 
     def pow(self, a, e):
         result = 1
@@ -354,9 +404,10 @@ def _log_tables(p, k, modulus):
     n = q - 1
     mod = list(modulus)
     cofactors = [n // r for r in _prime_factors(n)]
+    fp = _PrimeKernel(p)
     for code in range(p, q):
-        alpha = _trim(_code_to_vec(code, p, k))
-        if all(_poly_powmod_p(alpha, e, mod, p) != [1] for e in cofactors):
+        alpha = u_trim(_code_to_vec(code, p, k))
+        if all(u_powmod(alpha, e, mod, fp) != [1] for e in cofactors):
             break
     exp = [0] * (2 * n)
     log = [0] * q
@@ -419,14 +470,57 @@ class _LazyKernel:
     (or fetches) the real one and installs it on the descriptor."""
 
     __slots__ = ("field",)
+    zero, one = 0, 1
 
     def __init__(self, field):
         self.field = field
 
     def __getattr__(self, name):
-        f = self.field
-        f._kernel = _build_kernel(f.p, f.k, f.modulus)
-        return getattr(f._kernel, name)
+        return getattr(self.field.kernel, name)
+
+
+class _RatFuncKernel:
+    """F_p(t..): raw values are sympy fractions in normal form, reduced
+    with a monic denominator (leading coefficient 1 under sympy's term
+    order), so equal values are equal fractions."""
+
+    __slots__ = ("p", "frac", "zero", "one")
+
+    def __init__(self, p, frac):
+        self.p, self.frac = p, frac
+        self.zero, self.one = frac.zero, frac.one
+
+    def norm(self, fr):
+        frac = self.frac
+        if not isinstance(fr, type(frac.one)):
+            fr = frac(fr)
+        den = fr.denom
+        lc = den.LC
+        if lc != frac.domain.one:
+            inv = lc ** -1
+            fr = frac.raw_new(fr.numer.mul_ground(inv), den.mul_ground(inv))
+        return fr
+
+    def from_int(self, n):
+        return self.frac(n % self.p)
+
+    def add(self, a, b):
+        return self.norm(a + b)
+
+    def sub(self, a, b):
+        return self.norm(a - b)
+
+    def neg(self, a):
+        return -a
+
+    def mul(self, a, b):
+        return self.norm(a * b)
+
+    def inv(self, a):
+        return self.norm(a ** -1)
+
+    def pow(self, a, e):
+        return a ** e
 
 
 # ---------------------------------------------------------------------------
@@ -478,7 +572,7 @@ class FieldDescriptor:
             frac = frac_field(list(tvars), FF(p))[0]
             self._frac = frac
             self._ring = frac.to_ring()
-            self._kernel = None
+            self._kernel = _RatFuncKernel(p, frac)
         else:
             raise FieldError(f"unknown field kind {kind!r}")
         self._spec = self._make_spec()
@@ -504,6 +598,14 @@ class FieldDescriptor:
         return self._spec
 
     @property
+    def kernel(self):
+        """The arithmetic on raw values (built on first use for GF)."""
+        kern = self._kernel
+        if kern.__class__ is _LazyKernel:
+            kern = self._kernel = _build_kernel(self.p, self.k, self.modulus)
+        return kern
+
+    @property
     def size(self):
         """Number of elements; None for infinite fields."""
         if self.kind == "gf":
@@ -522,28 +624,27 @@ class FieldDescriptor:
     # -- element construction ---------------------------------------------
 
     def zero(self):
-        return _gf(self, 0) if self.kind == "gf" else self.from_int(0)
+        return _scalar(self, self._kernel.zero)
 
     def one(self):
-        return _gf(self, 1) if self.kind == "gf" else self.from_int(1)
+        return _scalar(self, self._kernel.one)
 
     def from_int(self, n: int) -> "FieldScalar":
         if self.kind == "gf":
-            return _gf(self, n % self.p)
-        return FieldScalar(self, self._frac(n % self.p))
+            return _scalar(self, n % self.p)
+        return _scalar(self, self._kernel.from_int(n))
 
     def generator(self) -> "FieldScalar":
         """The polynomial-basis generator of GF(p^k)."""
         if self.kind != "gf":
             raise FieldError("generator() is for GF(p^k) fields")
-        return _gf(self, self.p if self.k > 1 else 1)
+        return _scalar(self, self.p if self.k > 1 else 1)
 
     def gens(self):
         """The transcendental generators of F_p(t..) as scalars."""
         if self.kind != "ratfunc":
             raise FieldError("gens() is for rational-function fields")
-        return tuple(FieldScalar(self, self._frac(g))
-                     for g in self._frac.gens)
+        return tuple(_scalar(self, self._frac(g)) for g in self._frac.gens)
 
     def gen(self, name: str) -> "FieldScalar":
         return self.gens()[self.tvars.index(name)]
@@ -553,7 +654,7 @@ class FieldDescriptor:
         return FieldScalar(self, fr)
 
     def parse(self, text: str) -> "FieldScalar":
-        return _parse_scalar(text, self)
+        return parse_scalar(text, self)
 
 
 def _gf_poly_str(coeffs, name):
@@ -575,13 +676,12 @@ def _gf_poly_str(coeffs, name):
 # ---------------------------------------------------------------------------
 
 class FieldScalar:
-    """An element of a FieldDescriptor, canonically normalized.
+    """An element of a FieldDescriptor: the field and its raw `value`, on
+    which the field's kernel computes (an int code for GF(p^k), a reduced
+    fraction for F_p(t..)).  `FieldScalar(field, rep)` takes a coefficient
+    vector or a fraction, as `rep` returns it."""
 
-    A GF(p^k) scalar holds its int `code`; an F_p(t..) scalar holds its
-    reduced fraction and has code None.  `FieldScalar(field, rep)` takes a
-    coefficient vector or a fraction, as `rep` returns it."""
-
-    __slots__ = ("field", "code", "_rep")
+    __slots__ = ("field", "value", "_rep")
 
     def __init__(self, field: FieldDescriptor, rep):
         self.field = field
@@ -589,20 +689,27 @@ class FieldScalar:
             rep = tuple(c % field.p for c in rep)
             if len(rep) != field.k:
                 raise FieldError("coefficient vector length mismatch")
-            self.code = _vec_to_code(rep, field.p)
+            self.value = _vec_to_code(rep, field.p)
             self._rep = rep
         else:
-            self.code = None
-            self._rep = _normalize_frac(rep, field)
+            self.value = field._kernel.norm(rep)
+            self._rep = None
+
+    @property
+    def code(self):
+        """The int code of a GF(p^k) scalar."""
+        return self.value
 
     @property
     def rep(self):
         """GF(p^k): the coefficient tuple over the polynomial basis, lowest
         degree first; F_p(t..): the reduced sympy fraction."""
+        f = self.field
+        if f.kind != "gf":
+            return self.value
         rep = self._rep
         if rep is None:
-            f = self.field
-            rep = self._rep = tuple(_code_to_vec(self.code, f.p, f.k))
+            rep = self._rep = tuple(_code_to_vec(self.value, f.p, f.k))
         return rep
 
     # -- helpers -----------------------------------------------------------
@@ -617,14 +724,10 @@ class FieldScalar:
         return other
 
     def is_zero(self):
-        if self.code is not None:
-            return self.code == 0
-        return not self._rep.numer
+        return not self.value
 
     def is_one(self):
-        if self.code is not None:
-            return self.code == 1
-        return self == self.field.one()
+        return self.value == self.field._kernel.one
 
     # -- arithmetic --------------------------------------------------------
 
@@ -634,16 +737,13 @@ class FieldScalar:
             other = self._check(other)
             if other is NotImplemented:
                 return NotImplemented
-        if self.code is None:
-            return FieldScalar(f, self._rep + other._rep)
-        return _gf(f, f._kernel.add(self.code, other.code))
+        return _scalar(f, f._kernel.add(self.value, other.value))
 
     __radd__ = __add__
 
     def __neg__(self):
-        if self.code is None:
-            return FieldScalar(self.field, -self._rep)
-        return _gf(self.field, self.field._kernel.neg(self.code))
+        f = self.field
+        return _scalar(f, f._kernel.neg(self.value))
 
     def __sub__(self, other):
         f = self.field
@@ -651,9 +751,7 @@ class FieldScalar:
             other = self._check(other)
             if other is NotImplemented:
                 return NotImplemented
-        if self.code is None:
-            return self + (-other)
-        return _gf(f, f._kernel.sub(self.code, other.code))
+        return _scalar(f, f._kernel.sub(self.value, other.value))
 
     def __rsub__(self, other):
         return (-self) + other
@@ -664,18 +762,15 @@ class FieldScalar:
             other = self._check(other)
             if other is NotImplemented:
                 return NotImplemented
-        if self.code is None:
-            return FieldScalar(f, self._rep * other._rep)
-        return _gf(f, f._kernel.mul(self.code, other.code))
+        return _scalar(f, f._kernel.mul(self.value, other.value))
 
     __rmul__ = __mul__
 
     def inverse(self):
-        if self.is_zero():
+        if not self.value:
             raise ZeroDivisionError("field scalar inverse of zero")
-        if self.code is None:
-            return FieldScalar(self.field, self._rep ** -1)
-        return _gf(self.field, self.field._kernel.inv(self.code))
+        f = self.field
+        return _scalar(f, f._kernel.inv(self.value))
 
     def __truediv__(self, other):
         other = self._check(other)
@@ -689,16 +784,8 @@ class FieldScalar:
     def __pow__(self, n: int):
         if n < 0:
             return self.inverse() ** (-n)
-        if self.code is not None:
-            return _gf(self.field, self.field._kernel.pow(self.code, n))
-        result = self.field.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        f = self.field
+        return _scalar(f, f._kernel.pow(self.value, n))
 
     # -- identity ----------------------------------------------------------
 
@@ -709,25 +796,23 @@ class FieldScalar:
             return NotImplemented
         if other.field is not self.field and other.field != self.field:
             return False
-        if self.code is not None:
-            return self.code == other.code
-        return self._rep == other._rep
+        return self.value == other.value
 
     def __hash__(self):
-        if self.code is not None:
-            return hash(self.code)
-        return hash((self.field, self._rep.numer, self._rep.denom))
+        if self.field.kind == "gf":
+            return hash(self.value)
+        return hash((self.field, self.value.numer, self.value.denom))
 
     def __repr__(self):
         return f"<{self} in {self.field.spec}>"
 
     def __str__(self):
-        if self.code is not None:
+        if self.field.kind == "gf":
             return _gf_poly_str(self.rep, self.field.gen_name)
-        num = _ratpoly_str(self._rep.numer, self.field)
-        if self._rep.denom == self.field._ring.one:
+        num = _ratpoly_str(self.value.numer, self.field)
+        if self.value.denom == self.field._ring.one:
             return num
-        den = _ratpoly_str(self._rep.denom, self.field)
+        den = _ratpoly_str(self.value.denom, self.field)
         if "+" in num or "-" in num[1:]:
             num = f"({num})"
         if "+" in den or "-" in den[1:] or "*" in den or "^" in den:
@@ -738,30 +823,13 @@ class FieldScalar:
 _new_scalar = object.__new__
 
 
-def _gf(field, code):
-    """The GF scalar with the given code (no validation)."""
+def _scalar(field, value):
+    """The scalar with the given raw value (no validation)."""
     x = _new_scalar(FieldScalar)
     x.field = field
-    x.code = code
+    x.value = value
     x._rep = None
     return x
-
-
-def _normalize_frac(fr, field):
-    """Monic-denominator normal form of a sympy FracElement."""
-    frac = field._frac
-    if not isinstance(fr, type(frac.one)):
-        fr = frac(fr)
-    den = fr.denom
-    lc = den.LC
-    if lc != field._frac.domain.one:
-        inv = lc ** -1
-        fr = frac.raw_new(fr.numer.mul_ground(inv), den.mul_ground(inv))
-    return fr
-
-
-def _coeff_int(c, p):
-    return int(c) % p
 
 
 def _ratpoly_str(poly, field):
@@ -771,7 +839,7 @@ def _ratpoly_str(poly, field):
         return "0"
     parts = []
     for exps, c in terms:
-        ci = _coeff_int(c, p)
+        ci = int(c) % p
         factors = []
         for name, e in zip(field.tvars, exps):
             if e == 1:
@@ -878,20 +946,24 @@ def _parse_gf_modulus(text, p):
     return name, vec
 
 
-class _ScalarParser:
-    """Recursive-descent parser for scalar literals: ints, generators,
-    + - * / ^ and parentheses."""
+class _Parser:
+    """Recursive descent over + - * / ^, parentheses, integer literals and
+    names.  Subclasses build the values: `number`, `symbol`, `divide` and
+    `exponent`; `what` and `error` name the input in error messages."""
 
-    def __init__(self, text, field):
+    what, error = "scalar literal", FieldError
+    chained_powers = False
+
+    def __init__(self, text, target):
         self.text = text
         self.pos = 0
-        self.field = field
+        self.target = target
 
     def parse(self):
         v = self.expr()
         self.skip()
         if self.pos != len(self.text):
-            raise FieldError(f"trailing input in scalar literal {self.text!r}")
+            raise self.error(f"trailing input in {self.what} {self.text!r}")
         return v
 
     def skip(self):
@@ -926,21 +998,21 @@ class _ScalarParser:
                 self.pos += 1
                 d = self.factor()
                 if d.is_zero():
-                    raise FieldError(f"division by zero in {self.text!r}")
-                v = v / d
+                    raise self.error(f"division by zero in {self.text!r}")
+                v = self.divide(v, d)
             else:
                 return v
 
     def factor(self):
-        ch = self.peek()
-        if ch == "-":
+        if self.peek() == "-":
             self.pos += 1
             return -self.factor()
         v = self.atom()
-        if self.peek() == "^":
+        while self.peek() == "^":
             self.pos += 1
-            e = self.integer()
-            v = v ** e
+            v = v ** self.exponent()
+            if not self.chained_powers:
+                break
         return v
 
     def atom(self):
@@ -949,49 +1021,56 @@ class _ScalarParser:
             self.pos += 1
             v = self.expr()
             if self.peek() != ")":
-                raise FieldError(f"unbalanced parentheses in {self.text!r}")
+                raise self.error(f"unbalanced parentheses in {self.text!r}")
             self.pos += 1
             return v
         if ch.isdigit():
-            return self.field.from_int(self.integer())
+            return self.number(self.integer())
         if ch.isalpha() or ch == "_":
-            name = self.name()
-            if self.field.kind == "gf":
-                if name != self.field.gen_name:
-                    raise FieldError(f"unknown generator {name!r}")
-                return self.field.generator()
-            if name not in self.field.tvars:
-                raise FieldError(f"unknown transcendental {name!r}")
-            return self.field.gen(name)
-        raise FieldError(f"unexpected character {ch!r} in scalar literal")
+            start = self.pos
+            while (self.pos < len(self.text)
+                   and (self.text[self.pos].isalnum()
+                        or self.text[self.pos] == "_")):
+                self.pos += 1
+            return self.symbol(self.text[start:self.pos])
+        raise self.error(f"unexpected character {ch!r} in {self.what}")
 
-    def integer(self):
+    def integer(self, signed=False, message="expected integer"):
         self.skip()
         start = self.pos
-        neg = False
-        if self.pos < len(self.text) and self.text[self.pos] == "-":
-            neg = True
+        if signed and self.text.startswith("-", self.pos):
             self.pos += 1
+        digits = self.pos
         while self.pos < len(self.text) and self.text[self.pos].isdigit():
             self.pos += 1
-        if self.pos == start + (1 if neg else 0):
-            raise FieldError("expected integer")
+        if self.pos == digits:
+            raise self.error(message)
         return int(self.text[start:self.pos])
 
-    def name(self):
-        start = self.pos
-        while (self.pos < len(self.text)
-               and (self.text[self.pos].isalnum() or self.text[self.pos] == "_")):
-            self.pos += 1
-        return self.text[start:self.pos]
+    # -- scalar literals over the field `target` -----------------------------
 
+    def number(self, n):
+        return self.target.from_int(n)
 
-def _parse_scalar(text, field):
-    return _ScalarParser(text, field).parse()
+    def symbol(self, name):
+        field = self.target
+        if field.kind == "gf":
+            if name != field.gen_name:
+                raise FieldError(f"unknown generator {name!r}")
+            return field.generator()
+        if name not in field.tvars:
+            raise FieldError(f"unknown transcendental {name!r}")
+        return field.gen(name)
+
+    def divide(self, v, d):
+        return v / d
+
+    def exponent(self):
+        return self.integer(signed=True)
 
 
 def parse_scalar(text: str, field: FieldDescriptor) -> FieldScalar:
-    return _parse_scalar(text, field)
+    return _Parser(text, field).parse()
 
 
 # ---------------------------------------------------------------------------
@@ -1100,7 +1179,7 @@ def evaluate_scalar(x: FieldScalar, images: dict, target: FieldDescriptor):
     def ev(poly):
         acc = target.zero()
         for exps, c in poly.terms():
-            term = target.from_int(_coeff_int(c, field.p))
+            term = target.from_int(int(c) % field.p)
             for val, e in zip(point, exps):
                 if e:
                     term = term * val ** e
@@ -1130,7 +1209,7 @@ def scalar_height(x: FieldScalar) -> int:
 def iter_gf_elements(field: FieldDescriptor):
     """All elements of GF(p^k) in base-p counter order (constants first)."""
     for n in range(field.p ** field.k):
-        yield _gf(field, n)
+        yield _scalar(field, n)
 
 
 def _iter_polys(field, deg, monic=False, allow_zero=False):

@@ -15,7 +15,7 @@ from math import gcd
 
 from .errors import (CharpkError, FieldError, PreconditionError,
                      UnsupportedInstance)
-from .fields import FieldDescriptor, FieldScalar
+from .fields import FieldDescriptor, FieldScalar, _scalar, u_deriv, u_gcd
 from . import factor
 
 
@@ -286,13 +286,10 @@ def check_galois_data(act: FieldAction) -> GaloisDataReport:
     alg = True
     gamma = L.generator()
     orbit = sorted({s(gamma).rep for s in act.sigmas})
-    coeffs = [L.one()]
-    for rep in orbit:
-        root = FieldScalar(L, rep)
-        coeffs = factor.u_mul(coeffs, [-root, L.one()])
+    coeffs = factor.vanishing_poly([FieldScalar(L, rep) for rep in orbit], L)
     fixed_ok = all(all(s(c) == c for s in act.sigmas) for c in coeffs)
-    sqfree = factor.u_deg(factor.u_gcd(coeffs,
-                                       factor.u_deriv(coeffs))) == 0
+    raw, K = [c.value for c in coeffs], L.kernel
+    sqfree = len(u_gcd(raw, u_deriv(raw, K), K)) == 1
     alg = fixed_ok and sqfree
     # (2) normality: each sigma_g restricts to the identity on the fixed
     # field and permutes L (so sigma(L) = L over the invariants)
@@ -361,9 +358,7 @@ def code_finite_set(S) -> FiniteSetCode:
             raise FieldError("set elements in different fields")
         if x not in seen:
             seen.append(x)
-    poly = [field.one()]
-    for x in sorted(seen, key=_scalar_key):
-        poly = factor.u_mul(poly, [-x, field.one()])
+    poly = factor.vanishing_poly(sorted(seen, key=_scalar_key), field)
     return FiniteSetCode(field, poly[:-1])
 
 
@@ -428,13 +423,13 @@ def alg_strongly_pac_probe(F: FieldDescriptor, K: FieldDescriptor,
     entries = []
     for theta in thetas:
         coeffs = _theta_coeffs(theta, F)
-        if factor.u_deg(coeffs) < 1:
+        if len(coeffs) < 2:
             raise PreconditionError("theta must be nonconstant")
         # orbit structure over K: degrees of the distinct irreducible
         # factors over K
         coeffs_K = [_embed_into(c, F, K) for c in coeffs]
         _, facs_K = factor.uni_factor(coeffs_K, K)
-        orbit_sizes = sorted(factor.u_deg(g) for g, _ in facs_K)
+        orbit_sizes = sorted(len(g) - 1 for g, _ in facs_K)
         k_irreducible = len(orbit_sizes) == 1
         roots_F = [r for r, _ in factor.uni_roots(coeffs, F)]
         entry = {
@@ -450,13 +445,16 @@ def alg_strongly_pac_probe(F: FieldDescriptor, K: FieldDescriptor,
 
 def _theta_coeffs(theta, F):
     if isinstance(theta, (list, tuple)):
-        return factor.u_trim([c if isinstance(c, FieldScalar)
-                              else F.from_int(c) for c in theta])
+        coeffs = [c if isinstance(c, FieldScalar) else F.from_int(c)
+                  for c in theta]
+        while coeffs and coeffs[-1].is_zero():
+            coeffs.pop()
+        return coeffs
     # MultiPoly in one variable
     used = sorted(theta.variables_used())
     if len(used) != 1:
         raise UnsupportedInstance("theta must be univariate")
-    return factor.u_from_mp(theta, used[0])
+    return [_scalar(F, c) for c in factor.u_from_mp(theta, used[0])]
 
 
 def _embed_into(c: FieldScalar, F: FieldDescriptor, K: FieldDescriptor):

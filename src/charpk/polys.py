@@ -2,6 +2,12 @@
 bases (Buchberger with the product/chain criteria), elimination and
 dimension.
 
+`MultiPoly.terms` holds raw coefficients, the values of the field's
+kernel (int codes for GF(p^k), reduced fractions for F_p(t..)), and the
+arithmetic calls the kernel on them; FieldScalars are built only at the
+boundary (the constructor, `items`, `coeff`, `leading`,
+`constant_value`, printing).
+
 Default order is graded reverse lexicographic; elimination uses block
 orders.  Bases are reduced, monic and deterministically sorted, so identical
 inputs give identical bases.  Hard caps on basis size and degree raise
@@ -11,9 +17,11 @@ ResourceExhausted rather than returning a wrong answer.
 from __future__ import annotations
 
 import itertools
+from operator import add as _eadd, neg as _neg
 
 from .errors import RingError, ResourceExhausted
-from .fields import FieldDescriptor, FieldScalar, parse_scalar
+from .fields import (FieldDescriptor, FieldScalar, _Parser, _scalar,
+                     parse_scalar)
 
 MAX_BASIS = 400
 MAX_DEGREE = 120
@@ -23,23 +31,15 @@ MAX_DEGREE = 120
 # monomial orders (key functions: larger key = larger monomial)
 # ---------------------------------------------------------------------------
 
-def _key_lex(exps):
-    return tuple(exps)
-
-
-def _key_grlex(exps):
-    return (sum(exps), tuple(exps))
-
-
 def _key_grevlex(exps):
-    return (sum(exps), tuple(-e for e in reversed(exps)))
+    return (sum(exps), tuple(map(_neg, reversed(exps))))
 
 
 def order_key(order):
     if order == "lex":
-        return _key_lex
+        return tuple
     if order == "grlex":
-        return _key_grlex
+        return lambda exps: (sum(exps), tuple(exps))
     if order == "grevlex":
         return _key_grevlex
     if isinstance(order, tuple) and order[0] == "elim":
@@ -79,15 +79,21 @@ class PolyRing:
         return len(self.vars)
 
     def zero(self):
-        return MultiPoly(self, {})
+        return _mp(self, {})
 
     def one(self):
-        return self.from_scalar(self.field.one())
+        return _mp(self, {(0,) * self.nvars: self.field._kernel.one})
+
+    def _own(self, field):
+        """Raw values of `field` are read as this ring's: refuse others."""
+        if field is not self.field and field != self.field:
+            raise RingError(f"coefficients outside {self.field.spec}")
 
     def from_scalar(self, c: FieldScalar):
+        self._own(c.field)
         if c.is_zero():
             return self.zero()
-        return MultiPoly(self, {(0,) * self.nvars: c})
+        return _mp(self, {(0,) * self.nvars: c.value})
 
     def from_int(self, n: int):
         return self.from_scalar(self.field.from_int(n))
@@ -95,7 +101,7 @@ class PolyRing:
     def var(self, name: str):
         e = [0] * self.nvars
         e[self._var_index[name]] = 1
-        return MultiPoly(self, {tuple(e): self.field.one()})
+        return _mp(self, {tuple(e): self.field._kernel.one})
 
     def gens(self):
         return tuple(self.var(v) for v in self.vars)
@@ -107,15 +113,26 @@ class PolyRing:
 
 
 class MultiPoly:
-    """Sparse polynomial: map exponent tuple -> nonzero FieldScalar."""
+    """Sparse polynomial: `terms` maps exponent tuples to nonzero raw
+    coefficients, the values the field's kernel computes on (int codes for
+    GF(p^k), reduced fractions for F_p(t..)).  Scalars appear only at the
+    boundary: the constructor takes {exponents: FieldScalar}, and `items`,
+    `coeff`, `leading` and `constant_value` return FieldScalars."""
 
     __slots__ = ("ring", "terms")
 
     def __init__(self, ring: PolyRing, terms: dict):
+        for c in terms.values():
+            ring._own(c.field)
         self.ring = ring
-        self.terms = {e: c for e, c in terms.items() if not c.is_zero()}
+        self.terms = {e: c.value for e, c in terms.items() if c.value}
 
     # -- basics ------------------------------------------------------------
+
+    def items(self):
+        """(exponents, FieldScalar) for every term."""
+        field = self.ring.field
+        return [(e, _scalar(field, c)) for e, c in self.terms.items()]
 
     def is_zero(self):
         return not self.terms
@@ -124,8 +141,7 @@ class MultiPoly:
         return all(sum(e) == 0 for e in self.terms)
 
     def constant_value(self):
-        z = (0,) * self.ring.nvars
-        return self.terms.get(z, self.ring.field.zero())
+        return self.coeff((0,) * self.ring.nvars)
 
     def total_degree(self):
         return max((sum(e) for e in self.terms), default=0)
@@ -142,8 +158,17 @@ class MultiPoly:
                     used.add(v)
         return used
 
+    def coeffs_in(self, name: str):
+        """{d: coefficient of name^d}, each a MultiPoly without name."""
+        i = self.ring._var_index[name]
+        out = {}
+        for e, c in self.terms.items():
+            out.setdefault(e[i], {})[e[:i] + (0,) + e[i + 1:]] = c
+        return {d: _mp(self.ring, t) for d, t in out.items()}
+
     def coeff(self, exps):
-        return self.terms.get(tuple(exps), self.ring.field.zero())
+        field = self.ring.field
+        return _scalar(field, self.terms.get(tuple(exps), field._kernel.zero))
 
     def __eq__(self, other):
         if not isinstance(other, MultiPoly):
@@ -151,9 +176,7 @@ class MultiPoly:
         return self.ring == other.ring and self.terms == other.terms
 
     def __hash__(self):
-        return hash((self.ring, frozenset(
-            (e, c.rep if c.field.kind == "gf" else (c.rep.numer, c.rep.denom))
-            for e, c in self.terms.items())))
+        return hash((self.ring, frozenset(self.terms.items())))
 
     # -- arithmetic --------------------------------------------------------
 
@@ -172,16 +195,14 @@ class MultiPoly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        terms = dict(self.terms)
-        zero = self.ring.field.zero()
-        for e, c in other.terms.items():
-            terms[e] = terms.get(e, zero) + c
-        return MultiPoly(self.ring, terms)
+        return _mp(self.ring, _add_terms(self.terms, other.terms,
+                                         self.ring.field.kernel.add))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return MultiPoly(self.ring, {e: -c for e, c in self.terms.items()})
+        neg = self.ring.field.kernel.neg
+        return _mp(self.ring, {e: neg(c) for e, c in self.terms.items()})
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -196,13 +217,8 @@ class MultiPoly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        terms = {}
-        zero = self.ring.field.zero()
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                terms[e] = terms.get(e, zero) + c1 * c2
-        return MultiPoly(self.ring, terms)
+        return _mp(self.ring, _mul_terms(self.terms, other.terms,
+                                         self.ring.field.kernel))
 
     __rmul__ = __mul__
 
@@ -214,78 +230,112 @@ class MultiPoly:
         while n:
             if n & 1:
                 result = result * base
-            base = base * base
             n >>= 1
+            if n:
+                base = base * base
         return result
 
     def scale(self, c: FieldScalar):
-        return MultiPoly(self.ring, {e: c * v for e, v in self.terms.items()})
+        return self._scale(c.value)
+
+    def _scale(self, c):
+        """Multiply by the raw scalar c."""
+        if not c:
+            return self.ring.zero()
+        mul = self.ring.field.kernel.mul
+        return _mp(self.ring, {e: mul(c, v) for e, v in self.terms.items()})
 
     # -- structure ---------------------------------------------------------
 
+    def _lead(self, order="grevlex"):
+        """(exponents, raw coefficient) of the leading term."""
+        if not self.terms:
+            raise RingError("leading term of zero")
+        e = max(self.terms, key=order_key(order))
+        return e, self.terms[e]
+
     def leading(self, order="grevlex"):
         """(exponents, coefficient) of the leading term."""
-        if self.is_zero():
-            raise RingError("leading term of zero")
-        key = order_key(order)
-        e = max(self.terms, key=key)
-        return e, self.terms[e]
+        e, c = self._lead(order)
+        return e, _scalar(self.ring.field, c)
 
     def monic(self, order="grevlex"):
         if self.is_zero():
             return self
-        _, lc = self.leading(order)
-        return self.scale(lc.inverse())
+        return self._scale(self.ring.field.kernel.inv(self._lead(order)[1]))
 
     def partial(self, name: str):
         """Formal partial derivative with respect to a ring variable."""
         i = self.ring._var_index[name]
+        K = self.ring.field.kernel
         terms = {}
         for e, c in self.terms.items():
-            if e[i]:
-                ne = list(e)
-                ne[i] -= 1
-                coef = c * self.ring.field.from_int(e[i])
-                if not coef.is_zero():
-                    terms[tuple(ne)] = terms.get(tuple(ne),
-                                                 self.ring.field.zero()) + coef
-        return MultiPoly(self.ring, terms)
+            d = e[i]
+            coef = K.mul(c, K.from_int(d)) if d else None
+            if coef:
+                # distinct exponents stay distinct after the shift
+                terms[e[:i] + (d - 1,) + e[i + 1:]] = coef
+        return _mp(self.ring, terms)
 
     def map_coeffs(self, fn):
         """Apply fn to every coefficient (e.g. a derivation on K)."""
-        return MultiPoly(self.ring, {e: fn(c) for e, c in self.terms.items()})
+        return MultiPoly(self.ring, {e: fn(c) for e, c in self.items()})
 
     def evaluate(self, values, lift=None):
         """Evaluate at values: dict var-name -> element of a target algebra
         supporting + and * with lifted coefficients.  lift embeds K into the
-        target (identity by default)."""
-        lift = lift or (lambda c: c)
+        target; without it the values are scalars of K, or elements of an
+        algebra that takes K's scalars as they are."""
+        field = self.ring.field
         vals = [values[v] for v in self.ring.vars]
+        if lift is None and all(x.__class__ is FieldScalar and x.field == field
+                                for x in vals):
+            K = field.kernel
+            add, mul, pw = K.add, K.mul, K.pow
+            raw = [x.value for x in vals]
+            acc = K.zero
+            for e, c in self.terms.items():
+                for x, d in zip(raw, e):
+                    if d:
+                        c = mul(c, pw(x, d))
+                acc = add(acc, c)
+            return _scalar(field, acc)
+        lift = lift or (lambda c: c)
         acc = None
-        for e, c in self.terms.items():
+        for e, c in self.items():
             term = lift(c)
             for val, d in zip(vals, e):
                 if d:
                     term = term * _gen_pow(val, d)
             acc = term if acc is None else acc + term
         if acc is None:
-            acc = lift(self.ring.field.zero())
+            acc = lift(field.zero())
         return acc
 
     def substitute(self, mapping):
         """Substitute polynomials for variables (missing vars map to
         themselves); mapping: var name -> MultiPoly of the target ring."""
-        target = None
-        for v in mapping.values():
-            target = v.ring
-            break
-        target = target or self.ring
-        full = {v: mapping.get(v, target.var(v)) for v in self.ring.vars}
-        return self.evaluate(full, lift=target.from_scalar)
+        target = next(iter(mapping.values())).ring if mapping else self.ring
+        target._own(self.ring.field)
+        images = [mapping.get(v) or target.var(v) for v in self.ring.vars]
+        powers = [[target.one(), g] for g in images]
+        K = target.field.kernel
+        acc = {}
+        for e, c in self.terms.items():
+            term = {(0,) * target.nvars: c}
+            for pw, d in zip(powers, e):
+                if d:
+                    while len(pw) <= d:
+                        pw.append(pw[-1] * pw[1])
+                    term = _mul_terms(term, pw[d].terms, K)
+            acc = _add_terms(acc, term, K.add)
+        return _mp(target, acc)
 
     def rename(self, target: PolyRing, var_map=None):
         """Move to another ring by variable name (var_map renames first)."""
         var_map = var_map or {}
+        target._own(self.ring.field)
+        add = target.field.kernel.add
         terms = {}
         for e, c in self.terms.items():
             ne = [0] * target.nvars
@@ -296,8 +346,8 @@ class MultiPoly:
                         raise RingError(f"variable {name} not in target ring")
                     ne[target._var_index[name]] += d
             key = tuple(ne)
-            terms[key] = terms.get(key, target.field.zero()) + c
-        return MultiPoly(target, terms)
+            terms[key] = add(terms[key], c) if key in terms else c
+        return _mp(target, {e: c for e, c in terms.items() if c})
 
     # -- printing ----------------------------------------------------------
 
@@ -305,8 +355,9 @@ class MultiPoly:
         if self.is_zero():
             return "0"
         parts = []
+        field = self.ring.field
         for e in sorted(self.terms, key=_key_grevlex, reverse=True):
-            c = self.terms[e]
+            c = _scalar(field, self.terms[e])
             factors = []
             for v, d in zip(self.ring.vars, e):
                 if d == 1:
@@ -341,105 +392,76 @@ def _gen_pow(val, n):
     return result
 
 
+_new_poly = object.__new__
+
+
+def _mp(ring, terms):
+    """The polynomial with the given raw terms, trusted to hold no zero
+    coefficient (no filtering)."""
+    f = _new_poly(MultiPoly)
+    f.ring = ring
+    f.terms = terms
+    return f
+
+
+def _add_terms(a, b, add):
+    """Sum of two raw term dicts."""
+    if len(a) < len(b):
+        a, b = b, a
+    out = dict(a)
+    for e, c in b.items():
+        old = out.get(e)
+        if old is None:
+            out[e] = c
+        else:
+            c = add(old, c)
+            if c:
+                out[e] = c
+            else:
+                del out[e]
+    return out
+
+
+def _mul_terms(a, b, K):
+    """Product of two raw term dicts."""
+    add, mul = K.add, K.mul
+    out = {}
+    get = out.get
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple(map(_eadd, e1, e2))
+            old = get(e)
+            c = mul(c1, c2)
+            out[e] = c if old is None else add(old, c)
+    return {e: c for e, c in out.items() if c}
+
+
 # ---------------------------------------------------------------------------
 # parser for the polynomial DSL
 # ---------------------------------------------------------------------------
 
-class _PolyParser:
+class _PolyParser(_Parser):
     """`3*x^2*y + t*x - 1` with ring variables and base-field literals."""
 
-    def __init__(self, text, ring):
-        self.text = text
-        self.pos = 0
-        self.ring = ring
+    what, error = "polynomial", RingError
+    chained_powers = True
 
-    def parse(self):
-        v = self.expr()
-        self.skip()
-        if self.pos != len(self.text):
-            raise RingError(f"trailing input in polynomial {self.text!r}")
-        return v
+    def number(self, n):
+        return self.target.from_int(n)
 
-    def skip(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
+    def symbol(self, name):
+        ring = self.target
+        if name in ring._var_index:
+            return ring.var(name)
+        return ring.from_scalar(parse_scalar(name, ring.field))
 
-    def peek(self):
-        self.skip()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
+    def divide(self, v, d):
+        if not d.is_constant():
+            raise RingError("division only by base-field constants")
+        return v.scale(d.constant_value().inverse())
 
-    def expr(self):
-        v = self.term()
-        while True:
-            ch = self.peek()
-            if ch == "+":
-                self.pos += 1
-                v = v + self.term()
-            elif ch == "-":
-                self.pos += 1
-                v = v - self.term()
-            else:
-                return v
-
-    def term(self):
-        v = self.factor()
-        while True:
-            ch = self.peek()
-            if ch == "*":
-                self.pos += 1
-                v = v * self.factor()
-            elif ch == "/":
-                self.pos += 1
-                d = self.factor()
-                if d.is_zero():
-                    raise RingError(f"division by zero in {self.text!r}")
-                if not d.is_constant():
-                    raise RingError("division only by base-field constants")
-                v = v.scale(d.constant_value().inverse())
-            else:
-                return v
-
-    def factor(self):
-        if self.peek() == "-":
-            self.pos += 1
-            return -self.factor()
-        v = self.atom()
-        while self.peek() == "^":
-            self.pos += 1
-            self.skip()
-            start = self.pos
-            while self.pos < len(self.text) and self.text[self.pos].isdigit():
-                self.pos += 1
-            if self.pos == start:
-                raise RingError("expected integer exponent")
-            v = v ** int(self.text[start:self.pos])
-        return v
-
-    def atom(self):
-        ch = self.peek()
-        if ch == "(":
-            self.pos += 1
-            v = self.expr()
-            if self.peek() != ")":
-                raise RingError(f"unbalanced parentheses in {self.text!r}")
-            self.pos += 1
-            return v
-        if ch.isdigit():
-            start = self.pos
-            while self.pos < len(self.text) and self.text[self.pos].isdigit():
-                self.pos += 1
-            return self.ring.from_int(int(self.text[start:self.pos]))
-        if ch.isalpha() or ch == "_":
-            start = self.pos
-            while (self.pos < len(self.text)
-                   and (self.text[self.pos].isalnum()
-                        or self.text[self.pos] == "_")):
-                self.pos += 1
-            name = self.text[start:self.pos]
-            if name in self.ring._var_index:
-                return self.ring.var(name)
-            return self.ring.from_scalar(parse_scalar(name, self.ring.field))
-        raise RingError(f"unexpected character {ch!r} in polynomial")
+    def exponent(self):
+        return self.integer(message="expected integer exponent")
 
 
 # ---------------------------------------------------------------------------
@@ -462,77 +484,85 @@ def normal_form(f: MultiPoly, basis, order="grevlex"):
     """Full reduction of f modulo a list of nonzero polynomials."""
     if not basis:
         return f
+    return _mp(f.ring, _reduce(f, basis, order))
+
+
+def _reduce(f, basis, order, quotient=None):
+    """Raw remainder of f by the nonzero polynomials in basis: the largest
+    term left is divided by the first leading term that divides it, or
+    else moved to the remainder.  For basis [g], the quotient's terms go
+    into the dict `quotient` when one is given."""
     key = order_key(order)
-    lead = [(g.leading(order), g) for g in basis]
-    ring = f.ring
+    K = f.ring.field.kernel
+    mul, sub, neg = K.mul, K.sub, K.neg
+    divisors = []
+    for g in basis:
+        le, lc = g._lead(order)
+        divisors.append((le, K.inv(lc),
+                         [(ge, gc) for ge, gc in g.terms.items() if ge != le]))
     remainder = {}
     work = dict(f.terms)
     while work:
         e = max(work, key=key)
         c = work.pop(e)
-        if c.is_zero():
-            continue
-        hit = None
-        for (le, lc), g in lead:
+        for le, ilc, tail in divisors:
             if _divides(le, e):
-                hit = (le, lc, g)
                 break
-        if hit is None:
-            remainder[e] = remainder.get(e, ring.field.zero()) + c
+        else:
+            # later terms are smaller, so e never comes back
+            remainder[e] = c
             continue
-        le, lc, g = hit
-        factor = c / lc
+        factor = mul(c, ilc)
         shift = _exp_sub(e, le)
-        for ge, gc in g.terms.items():
-            ne = tuple(a + b for a, b in zip(ge, shift))
-            if ne == e:
-                continue
-            cur = work.get(ne, ring.field.zero()) - factor * gc
-            if cur.is_zero():
-                work.pop(ne, None)
-            else:
+        if quotient is not None:
+            quotient[shift] = factor
+        for ge, gc in tail:
+            ne = tuple(map(_eadd, ge, shift))
+            cur = work.get(ne)
+            cur = neg(mul(factor, gc)) if cur is None \
+                else sub(cur, mul(factor, gc))
+            if cur:
                 work[ne] = cur
-    return MultiPoly(ring, remainder)
+            else:
+                work.pop(ne, None)
+    return remainder
 
 
 def _s_poly(f, g, order):
-    (fe, fc) = f.leading(order)
-    (ge, gc) = g.leading(order)
+    K = f.ring.field.kernel
+    (fe, fc), (ge, gc) = f._lead(order), g._lead(order)
     lcm = _exp_lcm(fe, ge)
-    mf = MultiPoly(f.ring, {_exp_sub(lcm, fe): fc.inverse()})
-    mg = MultiPoly(g.ring, {_exp_sub(lcm, ge): gc.inverse()})
-    return mf * f - mg * g
+    mf = {_exp_sub(lcm, fe): K.inv(fc)}
+    mg = {_exp_sub(lcm, ge): K.neg(K.inv(gc))}
+    return _mp(f.ring, _add_terms(_mul_terms(mf, f.terms, K),
+                                  _mul_terms(mg, g.terms, K), K.add))
 
 
 def buchberger(gens, order="grevlex",
                max_basis=MAX_BASIS, max_degree=MAX_DEGREE):
     """Reduced Groebner basis of the given generators."""
-    basis = [g for g in gens if not g.is_zero()]
+    basis = [g.monic(order) for g in gens if not g.is_zero()]
     if not basis:
         return []
-    ring = basis[0].ring
     key = order_key(order)
-    basis = [g.monic(order) for g in basis]
+    leads = [g._lead(order)[0] for g in basis]
     pairs = {(i, j) for i in range(len(basis)) for j in range(i)}
 
-    def lcm_of(i, j):
-        return _exp_lcm(basis[i].leading(order)[0], basis[j].leading(order)[0])
-
     while pairs:
-        i, j = min(pairs, key=lambda ij: (key(lcm_of(*ij)), ij))
+        i, j = min(pairs, key=lambda ij: (key(_exp_lcm(leads[ij[0]],
+                                                       leads[ij[1]])), ij))
         pairs.discard((i, j))
-        le_i = basis[i].leading(order)[0]
-        le_j = basis[j].leading(order)[0]
+        le_i, le_j = leads[i], leads[j]
         lcm = _exp_lcm(le_i, le_j)
         # product criterion
-        if lcm == tuple(a + b for a, b in zip(le_i, le_j)):
+        if lcm == tuple(map(_eadd, le_i, le_j)):
             continue
         # chain criterion
         skip = False
         for k in range(len(basis)):
             if k in (i, j):
                 continue
-            if (_divides(basis[k].leading(order)[0], lcm)
+            if (_divides(leads[k], lcm)
                     and (max(i, k), min(i, k)) not in pairs
                     and (max(j, k), min(j, k)) not in pairs):
                 skip = True
@@ -547,6 +577,7 @@ def buchberger(gens, order="grevlex",
                 f"degree cap {max_degree} exceeded during Buchberger")
         s = s.monic(order)
         basis.append(s)
+        leads.append(s._lead(order)[0])
         if len(basis) > max_basis:
             raise ResourceExhausted(
                 f"basis size cap {max_basis} exceeded during Buchberger")

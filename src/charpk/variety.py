@@ -72,7 +72,7 @@ class AffineVariety:
 
     def contains_point(self, point) -> bool:
         values = dict(zip(self.vars, point))
-        return all(g.evaluate(values, lift=lambda c: c).is_zero()
+        return all(g.evaluate(values).is_zero()
                    for g in self.ideal.gens)
 
     def function_field_elem(self, num, den=None) -> "FunctionFieldElem":
@@ -117,25 +117,10 @@ def peel_graph(V: AffineVariety) -> PeeledPresentation:
             for v in list(free):
                 if g.degree_in(v) != 1:
                     continue
-                iv = ring._var_index[v]
-                a_terms = {}
-                b_terms = {}
-                for e, c in g.terms.items():
-                    if e[iv] == 1:
-                        ne = list(e)
-                        ne[iv] = 0
-                        a_terms[tuple(ne)] = c
-                    elif e[iv] == 0:
-                        b_terms[e] = c
-                    else:
-                        a_terms = None
-                        break
-                if a_terms is None:
-                    continue
-                A = MultiPoly(ring, a_terms)
+                parts = g.coeffs_in(v)
+                A, B = parts[1], parts.get(0, ring.zero())
                 if not A.is_constant():
                     continue
-                B = MultiPoly(ring, b_terms)
                 expr = B.scale(-A.constant_value().inverse())
                 free.remove(v)
                 rep = {v: expr}
@@ -181,7 +166,7 @@ class FunctionFieldModel:
         f = f.substitute(self.peel.subst) if self.peel.subst else f
         big = self.big
         acc = big.zero()
-        for e, c in f.terms.items():
+        for e, c in f.items():
             term = self.embed_scalar(c)
             for v, d in zip(f.ring.vars, e):
                 if d:
@@ -371,10 +356,10 @@ class FunctionFieldElem:
     def evaluate(self, point):
         """Value at a point of V(K), or None if the denominator vanishes."""
         values = dict(zip(self.variety.vars, point))
-        d = self.den.evaluate(values, lift=lambda c: c)
+        d = self.den.evaluate(values)
         if d.is_zero():
             return None
-        n = self.num.evaluate(values, lift=lambda c: c)
+        n = self.num.evaluate(values)
         return n / d
 
 
@@ -507,11 +492,9 @@ def _minpoly_over_subfield(L, K):
     product of (x - gamma^(q^j)) for j < [L:K], q = |K|, with each
     coefficient pulled back through `factor.gf_embedding`."""
     q = K.p ** K.k
-    root = L.generator()
-    prod = [L.one()]
-    for _ in range(L.k // K.k):
-        prod = factor.u_mul(prod, [-root, L.one()])
-        root = root ** q
+    gamma = L.generator()
+    prod = factor.vanishing_poly([gamma ** (q ** j)
+                                  for j in range(L.k // K.k)], L)
     embed = factor.gf_embedding(K, L)
     coeffs = [factor.project_to_subfield(c, K, L, embed) for c in prod]
     if any(c is None for c in coeffs):
@@ -551,17 +534,8 @@ def _linear_in_var_primitive(f: MultiPoly):
     for v in sorted(f.variables_used()):
         if f.degree_in(v) != 1:
             continue
-        iv = f.ring._var_index[v]
-        a_terms, b_terms = {}, {}
-        for e, c in f.terms.items():
-            if e[iv] == 1:
-                ne = list(e)
-                ne[iv] = 0
-                a_terms[tuple(ne)] = c
-            else:
-                b_terms[e] = c
-        A = MultiPoly(f.ring, a_terms)
-        B = MultiPoly(f.ring, b_terms)
+        parts = f.coeffs_in(v)
+        A, B = parts[1], parts.get(0, f.ring.zero())
         if A.is_constant():
             return True
         try:
@@ -590,7 +564,7 @@ def _single_geometric_root(h: MultiPoly, var: str) -> bool:
     if all(e[iv] % p == 0 for e in h.terms):
         g = MultiPoly(h.ring, {tuple(x // p if i == iv else x
                                      for i, x in enumerate(e)): c
-                               for e, c in h.terms.items()})
+                               for e, c in h.items()})
         return _single_geometric_root(g, var)
     return False
 
@@ -671,22 +645,8 @@ def _rational_graph_reduction(V: AffineVariety, gens):
             others = [h for j, h in enumerate(gens) if j != gi]
             if any(h.degree_in(v) for h in others):
                 continue
-            iv = ring._var_index[v]
-            a_terms, b_terms = {}, {}
-            for e, c in g.terms.items():
-                if e[iv] == 1:
-                    ne = list(e)
-                    ne[iv] = 0
-                    a_terms[tuple(ne)] = c
-                elif e[iv] == 0:
-                    b_terms[e] = c
-                else:
-                    a_terms = None
-                    break
-            if a_terms is None:
-                continue
-            A = MultiPoly(ring, a_terms)
-            B = MultiPoly(ring, b_terms)
+            parts = g.coeffs_in(v)
+            A, B = parts[1], parts.get(0, ring.zero())
             if not Ideal(ring, others + [A, B]).is_trivial():
                 continue
             new_vars = tuple(w for w in V.vars if w != v)
@@ -932,7 +892,7 @@ def _transpose(cols):
 def _nf_coeff_vector(poly, gb, standard, ring):
     r = normal_form(poly, gb) if gb else poly
     vec = {}
-    for e, c in r.terms.items():
+    for e, c in r.items():
         vec[e] = c
     for e in vec:
         if e not in standard:

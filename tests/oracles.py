@@ -3,8 +3,9 @@
 Nothing here calls the code paths under test: membership uses its own
 normal-form reduction over a lex basis, absolute-component counts come
 from rational-point counting over controlled extensions, point scans
-and fixed sets are plain loops, and GF(p^k) arithmetic is
-polynomial-basis arithmetic on coefficient tuples.
+and fixed sets are plain loops, polynomial arithmetic is on dicts of
+FieldScalars (`d_*`), and GF(p^k) arithmetic is polynomial-basis
+arithmetic on coefficient tuples.
 """
 
 from __future__ import annotations
@@ -58,6 +59,126 @@ def lex_member(f: MultiPoly, gens) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# polynomials as {exponent tuple: nonzero FieldScalar}, on FieldScalar
+# operations only: the differential oracle for polys.MultiPoly and the
+# dense univariate routines, which compute on raw kernel values
+# ---------------------------------------------------------------------------
+
+def d_add(a, b):
+    out = dict(a)
+    for e, c in b.items():
+        s = out[e] + c if e in out else c
+        if s.is_zero():
+            out.pop(e, None)
+        else:
+            out[e] = s
+    return out
+
+
+def d_neg(a):
+    return {e: -c for e, c in a.items()}
+
+
+def d_sub(a, b):
+    return d_add(a, d_neg(b))
+
+
+def d_mul(a, b):
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            out[e] = out[e] + c1 * c2 if e in out else c1 * c2
+    return {e: c for e, c in out.items() if not c.is_zero()}
+
+
+def d_one(field, nvars):
+    return {(0,) * nvars: field.one()}
+
+
+def d_pow(a, n, field, nvars):
+    out = d_one(field, nvars)
+    for _ in range(n):
+        out = d_mul(out, a)
+    return out
+
+
+def d_partial(a, i, field):
+    out = {}
+    for e, c in a.items():
+        c = c * field.from_int(e[i])
+        if e[i] and not c.is_zero():
+            out[e[:i] + (e[i] - 1,) + e[i + 1:]] = c
+    return out
+
+
+def d_divmod(f, g, key):
+    """f = q g + r, dividing by the leading term of g under the monomial
+    order `key` while one divides the leading term of the rest."""
+    lead = max(g, key=key)
+    q, r, work = {}, {}, dict(f)
+    while work:
+        e = max(work, key=key)
+        if all(x >= y for x, y in zip(e, lead)):
+            shift = tuple(x - y for x, y in zip(e, lead))
+            c = work[e] / g[lead]
+            q[shift] = c
+            # work -= c * x^shift * g, term by term
+            for ge, gc in g.items():
+                ne = tuple(x + y for x, y in zip(ge, shift))
+                v = work[ne] - c * gc if ne in work else -(c * gc)
+                if v.is_zero():
+                    work.pop(ne, None)
+                else:
+                    work[ne] = v
+        else:
+            r[e] = work.pop(e)
+    return q, r
+
+
+def d_substitute(f, images, field, nvars):
+    """images[i] replaces variable i, by full expansion of every term."""
+    powers = [[d_one(field, nvars)] for _ in images]
+    out = {}
+    for e, c in f.items():
+        term = {(0,) * nvars: c}
+        for img, pw, d in zip(images, powers, e):
+            while len(pw) <= d:
+                pw.append(d_mul(pw[-1], img))
+            term = d_mul(term, pw[d])
+        out = d_add(out, term)
+    return out
+
+
+def _deg1(e):
+    return e
+
+
+def d_gcd1(f, g):
+    """Monic gcd of univariate dicts (exponents (d,)) by Euclid."""
+    while g:
+        f, g = g, d_divmod(f, g, _deg1)[1]
+    if not f:
+        return f
+    lc = f[max(f)]
+    return {e: c / lc for e, c in f.items()}
+
+
+def d_powmod1(f, n, mod, field):
+    out, base = d_one(field, 1), d_divmod(f, mod, _deg1)[1]
+    while n:
+        if n & 1:
+            out = d_divmod(d_mul(out, base), mod, _deg1)[1]
+        base = d_divmod(d_mul(base, base), mod, _deg1)[1]
+        n >>= 1
+    return out
+
+
+def _total_degree(f):
+    return max((sum(e) for e in f), default=0)
+
+
+# ---------------------------------------------------------------------------
 # absolute-component counting for plane curves of degree <= 4
 # ---------------------------------------------------------------------------
 
@@ -67,10 +188,12 @@ def point_count_extension(f: MultiPoly, K: FieldDescriptor, m: int) -> int:
     specialized univariate by a gcd with y^Q - y."""
     L, embed = factor.extend_gf(K, m)
     Q = L.p ** L.k
-    xv, yv = f.ring.vars
+    terms = [(e, embed(c)) for e, c in f.items()]
     count = 0
     for a in iter_gf_elements(L):
-        uni = _specialize(f, xv, yv, a, embed, L)
+        uni = {}
+        for (dx, dy), c in terms:
+            uni = d_add(uni, {(dy,): c * a ** dx})
         if not uni:
             count += Q  # the whole vertical line lies on the curve
             continue
@@ -78,25 +201,12 @@ def point_count_extension(f: MultiPoly, K: FieldDescriptor, m: int) -> int:
     return count
 
 
-def _specialize(f, xv, yv, a, embed, L):
-    """Coefficient list in y of f(a, y) over L (ascending)."""
-    degy = f.degree_in(yv)
-    coeffs = [L.zero() for _ in range(degy + 1)]
-    for mono, c in f.terms.items():
-        dx = mono[f.ring.vars.index(xv)]
-        dy = mono[f.ring.vars.index(yv)]
-        coeffs[dy] = coeffs[dy] + embed(c) * a ** dx
-    return factor.u_trim(coeffs)
-
-
-def _root_count(coeffs, L, Q):
-    """Distinct roots in L of a univariate with coefficients in L."""
-    if factor.u_deg(coeffs) == 0:
+def _root_count(f, L, Q):
+    """Distinct roots in L of a univariate dict over L."""
+    if max(f)[0] == 0:
         return 0
-    x = [L.zero(), L.one()]
-    xq = factor.u_powmod(x, Q, coeffs)
-    g = factor.u_gcd(factor.u_sub(xq, x), coeffs)
-    return factor.u_deg(g)
+    x = {(1,): L.one()}
+    return max(d_gcd1(d_sub(d_powmod1(x, Q, f, L), x), f))[0]
 
 
 def weil_verdict(f: MultiPoly, K: FieldDescriptor):
@@ -141,106 +251,62 @@ def weil_verdict(f: MultiPoly, K: FieldDescriptor):
 
 
 def linear_absolute_factor(f: MultiPoly, K: FieldDescriptor, s: int) -> bool:
-    """Exhaustive search for a linear factor of f over GF(q^s):
-    substitutes y = a x + b and x = c.  Complete for detecting linear
-    components."""
+    """Exhaustive search for a linear factor of f in K[x, y] over
+    GF(q^s): substitutes y = a x + b and x = c.  Complete for detecting
+    linear components."""
     L, embed = factor.extend_gf(K, s)
-    xv, yv = f.ring.vars
-    big = PolyRing(L, (xv, yv))
-    F = f.map_coeffs(embed).rename(big)
-    x = big.var(xv)
+    F = {e: embed(c) for e, c in f.items()}
     elems = list(iter_gf_elements(L))
+    x = {(1, 0): L.one()}
     for a in elems:
         for b in elems:
-            sub = F.substitute({yv: big.from_scalar(a) * x
-                                + big.from_scalar(b)})
-            if sub.is_zero():
+            line = d_add({(1, 0): a}, {(0, 0): b})
+            if not d_substitute(F, [x, line], L, 2):
                 return True
     for c in elems:
-        if F.substitute({xv: big.from_scalar(c)}).is_zero():
+        if not d_substitute(F, [{(0, 0): c}, {(0, 1): L.one()}], L, 2):
             return True
     return False
 
 
+def _line_dicts(K):
+    """y - (a x + b) and x - c for all a, b, c in K."""
+    elems = list(iter_gf_elements(K))
+    one = K.one()
+    lines = [d_add({(0, 1): one}, d_neg(d_add({(1, 0): a}, {(0, 0): b})))
+             for a in elems for b in elems]
+    lines += [d_add({(1, 0): one}, {(0, 0): -c}) for c in elems]
+    return lines
+
+
 def count_k_linear_factors(f: MultiPoly, K: FieldDescriptor):
     """Split off all linear factors a x + b y + c over K by exhaustive
-    substitution; returns (number removed with multiplicity, cofactor)."""
-    xv, yv = f.ring.vars
-    ring = f.ring
-    x, y = ring.var(xv), ring.var(yv)
-    elems = list(iter_gf_elements(K))
+    trial division; returns (number removed with multiplicity, cofactor)."""
+    work = dict(f.items())
     removed = 0
-    work = f
     changed = True
-    while changed and work.total_degree() > 0:
+    while changed and _total_degree(work) > 0:
         changed = False
-        candidates = [y - (ring.from_scalar(a) * x + ring.from_scalar(b))
-                      for a in elems for b in elems]
-        candidates += [x - ring.from_scalar(c) for c in elems]
-        for lin in candidates:
-            q, r = _divide_once(work, lin)
-            if q is not None and r:
+        for lin in _line_dicts(K):
+            q, r = d_divmod(work, lin, _lex)
+            if not r:
                 work = q
                 removed += 1
                 changed = True
                 break
-    return removed, work
+    return removed, MultiPoly(f.ring, work)
+
+
+def _lex(e):
+    return e
 
 
 def _divide_once(f, lin):
     """(f / lin, True) when lin divides f exactly, else (None, False)."""
-    var = None
-    for v in f.ring.vars:
-        if lin.degree_in(v) == 1:
-            var = v
-            break
-    if var is None:
+    q, r = d_divmod(dict(f.items()), dict(lin.items()), _lex)
+    if r:
         return None, False
-    q, r = _poly_divmod(f, lin, var)
-    if r.is_zero():
-        return q, True
-    return None, False
-
-
-def _poly_divmod(f, g, var):
-    ring = f.ring
-    q = ring.from_scalar(ring.field.zero())
-    r = f
-    dg = g.degree_in(var)
-    lead_g = _lead_coeff(g, var, dg)
-    while not r.is_zero() and r.degree_in(var) >= dg:
-        dr = r.degree_in(var)
-        lead_r = _lead_coeff(r, var, dr)
-        # lead_g is linear-in-var with scalar leading coefficient
-        scale = _scalar_of(lead_g)
-        if scale is None:
-            return ring.from_scalar(ring.field.zero()), f
-        term = lead_r.scale(ring.field.one() / scale) \
-            * ring.var(var) ** (dr - dg)
-        q = q + term
-        r = r - term * g
-        if not r.is_zero() and r.degree_in(var) == dr \
-                and _lead_coeff(r, var, dr) == lead_r:
-            return ring.from_scalar(ring.field.zero()), f
-    return q, r
-
-
-def _lead_coeff(f, var, d):
-    ring = f.ring
-    idx = ring.vars.index(var)
-    terms = {}
-    for mono, c in f.terms.items():
-        if mono[idx] == d:
-            reduced = tuple(m if i != idx else 0
-                            for i, m in enumerate(mono))
-            terms[reduced] = c
-    return MultiPoly(ring, terms)
-
-
-def _scalar_of(f):
-    if f.total_degree() != 0:
-        return None
-    return f.constant_value()
+    return MultiPoly(f.ring, q), True
 
 
 # ---------------------------------------------------------------------------

@@ -100,7 +100,7 @@ def _partial_indep(f, var):
     ring = f.ring
     idx = ring.vars.index(var)
     terms = {}
-    for mono, c in f.terms.items():
+    for mono, c in f.items():
         e = mono[idx]
         if e == 0:
             continue
@@ -230,7 +230,7 @@ def _eisenstein_at_x(f, K):
     idx_x = f.ring.vars.index("x")
     idx_y = f.ring.vars.index(yv)
     const_xmin = None
-    for mono, c in f.terms.items():
+    for mono, c in f.items():
         if mono[idx_y] == d:
             if mono[idx_x] != 0:
                 return False  # leading y-coefficient must be constant

@@ -186,7 +186,24 @@ action { group: cyclic(3); field: "GF(2,6)"; generator_image: "frobenius^2" }
 """)
     assert main(["action", "invariants", path, "--json"]) == 0
     assert capsys.readouterr().out.strip() == (
-        '{"invariants":"FieldDescriptor(GF(2,2,g^2+g+1))"}')
+        '{"invariants":"GF(2,2,g^2+g+1)"}')
+    assert main(["action", "invariants", path]) == 0
+    assert capsys.readouterr().out.strip() == \
+        "invariant field: GF(2,2,g^2+g+1)"
+    assert main(["field", "GF(2,2)"]) == 0
+    assert "canonical form: GF(2,2,g^2+g+1)" in capsys.readouterr().out
+
+
+def test_cli_internal_error_exits_2_without_traceback(monkeypatch, capsys):
+    import charpk.cli as cli
+
+    def broken(args):
+        raise RuntimeError("boom")
+    monkeypatch.setattr(cli, "cmd_field", broken)
+    assert main(["field", "GF(2,1)"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "internal error: RuntimeError: boom\n"
+    assert "Traceback" not in captured.out + captured.err
 
 
 def test_cli_formula_correct(tmp_path, capsys):

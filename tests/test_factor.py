@@ -1,28 +1,33 @@
 """Univariate and bivariate factorization over finite fields."""
 
+import itertools
 import random
 
 import pytest
 
 from charpk.errors import FieldError, UnsupportedInstance
 from charpk.factor import (extend_gf, factor_poly, gf_embedding, mp_gcd,
-                           project_to_subfield, u_deg, u_from_mp, u_mul,
-                           uni_factor, uni_is_irreducible, uni_roots)
+                           project_to_subfield, uni_factor,
+                           uni_is_irreducible, uni_roots)
 from charpk.fields import iter_gf_elements, make_field
 from charpk.polys import PolyRing
+from oracles import d_divmod, d_mul
+
+
+def _udict(coeffs):
+    """A FieldScalar coefficient list as a univariate oracle dict."""
+    return {(d,): c for d, c in enumerate(coeffs) if not c.is_zero()}
 
 
 def _trial_division_irreducible(coeffs, field):
     """Oracle: no monic divisor of degree 1..deg/2, by exhaustive search."""
-    from charpk.factor import u_divmod, u_is_zero, u_monic
-    f = u_monic(list(coeffs))
-    n = u_deg(f)
+    f = _udict(coeffs)
+    n = max(f)[0]
     els = list(iter_gf_elements(field))
-    import itertools
     for d in range(1, n // 2 + 1):
         for tail in itertools.product(els, repeat=d):
-            g = list(tail) + [field.one()]
-            if u_is_zero(u_divmod(f, g)[1]):
+            if not d_divmod(f, _udict(list(tail) + [field.one()]),
+                            lambda e: e)[1]:
                 return False
     return True
 
@@ -40,33 +45,32 @@ def test_uni_factor_reassembles_and_is_irreducible_by_trial_division():
                 f.pop()
                 if len(f) == 1:
                     break
-            if u_deg(f) < 1:
+            if len(f) < 2:
                 continue
             unit, facs = uni_factor(f, K)
-            prod = [unit]
+            prod = {(0,): unit}
             for g, m in facs:
                 for _ in range(m):
-                    prod = u_mul(prod, g)
-            from charpk.factor import u_trim
-            assert prod == u_trim(f)
+                    prod = d_mul(prod, _udict(g))
+            assert prod == _udict(f)
             for g, _ in facs:
                 assert _trial_division_irreducible(g, K)
 
 
 def test_uni_roots_and_irreducibility_examples():
     K = make_field("GF(5,1)")
-    R = PolyRing(K, ("x",))
+
+    def coeffs(*cs):
+        return [K.from_int(c) for c in cs]
     # x^2 - 1 = (x-1)(x+1)
-    f = u_from_mp(R.parse("x^2 - 1"), "x")
-    roots = sorted((str(r), m) for r, m in uni_roots(f, K))
+    roots = sorted((str(r), m) for r, m in uni_roots(coeffs(4, 0, 1), K))
     assert roots == [("1", 1), ("4", 1)]
     # x^2 + 2 has no roots mod 5 and is irreducible
-    g = u_from_mp(R.parse("x^2 + 2"), "x")
+    g = coeffs(2, 0, 1)
     assert uni_is_irreducible(g, K)
     assert uni_roots(g, K) == []
     # inseparable power: x^5 - 1 = (x - 1)^5
-    h = u_from_mp(R.parse("x^5 - 1"), "x")
-    _, facs = uni_factor(h, K)
+    _, facs = uni_factor(coeffs(4, 0, 0, 0, 0, 1), K)
     assert len(facs) == 1 and facs[0][1] == 5
 
 
@@ -162,3 +166,74 @@ def test_gf_embedding_rejects_non_subfields():
         gf_embedding(make_field("GF(2,2)"), make_field("GF(2,3)"))
     with pytest.raises(FieldError):
         gf_embedding(make_field("GF(3,1)"), make_field("GF(2,2)"))
+
+
+# -- the prime-degree cut in absolute irreducibility ------------------------
+
+def _norm_curve(K, r, conjugate_factor):
+    """prod_j sigma^j(C) over the q-Frobenius sigma, j < r, for the curve
+    C = conjugate_factor(L, a) over L = GF(q^r), a the generator of L:
+    by construction a K-polynomial with r conjugate absolute components
+    (when C is absolutely irreducible and not defined over a smaller
+    field), given in K[x, y]."""
+    L, embed = extend_gf(K, r)
+    q = K.p ** K.k
+    a = L.generator()
+    prod = {(0, 0): L.one()}
+    for j in range(r):
+        prod = d_mul(prod, conjugate_factor(L, a ** (q ** j)))
+    R = PolyRing(K, ("x", "y"))
+    terms = {e: project_to_subfield(c, K, L, embed) for e, c in prod.items()}
+    assert None not in terms.values()
+    return R, terms
+
+
+def _line(L, a):
+    """y - a x - (a + 1)."""
+    return {(0, 1): L.one(), (1, 0): -a, (0, 0): -(a + L.one())}
+
+
+@pytest.mark.parametrize("spec, r", [("GF(2,1)", 3), ("GF(2,1)", 4),
+                                     ("GF(3,1)", 4), ("GF(2,2)", 3),
+                                     ("GF(2,1)", 6)])
+def test_norm_of_a_line_is_not_absolutely_irreducible(spec, r):
+    from charpk.factor import is_absolutely_irreducible_poly
+    from charpk.polys import MultiPoly
+    from charpk.variety import (AffineVariety, is_absolutely_irreducible,
+                                is_irreducible)
+    K = make_field(spec)
+    R, terms = _norm_curve(K, r, _line)
+    F = MultiPoly(R, terms)
+    assert F.total_degree() == r
+    assert is_absolutely_irreducible_poly(F) is False
+    V = AffineVariety(K, ("x", "y"), [F])
+    assert is_irreducible(V) is True
+    assert is_absolutely_irreducible(V) is False
+
+
+@pytest.mark.parametrize("spec", ["GF(2,1)", "GF(3,1)", "GF(2,2)"])
+def test_norm_of_a_conic_is_not_absolutely_irreducible(spec):
+    from charpk.factor import is_absolutely_irreducible_poly
+    from charpk.polys import MultiPoly
+    K = make_field(spec)
+    for conic in (lambda L, a: {(1, 1): L.one(), (0, 0): -a},
+                  lambda L, a: {(0, 2): L.one(), (1, 0): -a}):
+        R, terms = _norm_curve(K, 2, conic)
+        F = MultiPoly(R, terms)
+        assert F.total_degree() == 4
+        assert is_absolutely_irreducible_poly(F) is False
+
+
+@pytest.mark.parametrize("spec, text", [
+    ("GF(2,1)", "y^4 + x*y^2 + x*y + x^3 + x"),
+    ("GF(3,1)", "y^4 + x*y + x^2 + x"),
+    ("GF(2,2)", "y^3 + g*x*y + x^2 + x"),
+    ("GF(2,1)", "y^6 + x*y^3 + x^4 + x"),
+    ("GF(5,1)", "y^6 + 2*x*y + x")])
+def test_eisenstein_curves_are_absolutely_irreducible(spec, text):
+    """Monic in y, lower coefficients divisible by x, constant term
+    divisible by x exactly once: irreducible over the algebraic closure
+    of K(x)."""
+    from charpk.factor import is_absolutely_irreducible_poly
+    F = PolyRing(make_field(spec), ("x", "y")).parse(text)
+    assert is_absolutely_irreducible_poly(F) is True

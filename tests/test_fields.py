@@ -85,7 +85,7 @@ def test_p_components_reassemble():
 
 def test_kronecker_multiplication_matches_schoolbook():
     """The packed-integer product agrees with a naive convolution."""
-    from charpk.fields import _poly_mul_p, _trim
+    from charpk.fields import _PrimeKernel, u_mul, u_trim
 
     rng = random.Random(3)
     for p in (2, 3, 5, 7):
@@ -96,7 +96,7 @@ def test_kronecker_multiplication_matches_schoolbook():
             for i, a in enumerate(f):
                 for j, b in enumerate(g):
                     naive[i + j] = (naive[i + j] + a * b) % p
-            assert _poly_mul_p(f, g, p) == _trim(naive)
+            assert u_mul(f, g, _PrimeKernel(p)) == u_trim(naive)
 
 
 def test_iter_elements_deterministic_height_order():

@@ -133,6 +133,17 @@ def test_ring_mismatch_rejected():
         Ideal(R1, [R2.parse("x")])
     with pytest.raises(RingError):
         Ideal(R1, [R1.parse("x")]).contains(R2.parse("x"))
+    # raw coefficients are read in the ring's field, so scalars from
+    # another field are refused at the boundary
+    R3 = _ring("GF(5,2)", ("x", "y"))
+    with pytest.raises(RingError):
+        MultiPoly(R1, {(1, 0): R3.field.generator()})
+    with pytest.raises(RingError):
+        R1.from_scalar(R3.field.generator())
+    with pytest.raises(RingError):
+        R1.parse("x*y").substitute({"x": R3.parse("x + g")})
+    with pytest.raises(RingError):
+        R1.parse("x*y").rename(R3)
 
 
 def test_buchberger_resource_caps():

@@ -130,7 +130,7 @@ def test_locus_over_finite_subfield_is_the_frobenius_orbit(big, sub, elems):
     V = locus(point, K)
     embed = gf_embedding(K, L)
     ring = PolyRing(L, V.vars)
-    gens = [MultiPoly(ring, {e: embed(c) for e, c in g.terms.items()})
+    gens = [MultiPoly(ring, {e: embed(c) for e, c in g.items()})
             for g in V.ideal.gens]
     q = K.p ** K.k
     orbit = set()
