@@ -323,11 +323,8 @@ def _constant_tvars(phi, K):
 
     def walk_term(t):
         if isinstance(t, Const) and t.value.field.kind == "ratfunc":
-            for i, name in enumerate(t.value.field.tvars):
-                num, den = t.value.rep.numer, t.value.rep.denom
-                if any(m[i] for m in num.monoms()) or \
-                        any(m[i] for m in den.monoms()):
-                    used.add(name)
+            for poly in t.value.value:
+                used.update(poly.variables_used())
         for c in _term_children(t):
             walk_term(c)
 

@@ -14,7 +14,8 @@ from __future__ import annotations
 
 from . import linalg
 from .errors import FieldError, PreconditionError, RingError
-from .fields import FieldDescriptor, FieldScalar, evaluate_scalar, partial
+from .fields import (FieldDescriptor, FieldScalar, _scalar, evaluate_scalar,
+                     partial)
 from .polys import Ideal, MultiPoly, PolyRing
 from .variety import AffineVariety, is_irreducible, projection_dominant
 
@@ -193,22 +194,10 @@ def _field_lift(K: FieldDescriptor, L: FieldDescriptor):
     if (K.kind == "ratfunc" and L.kind == "ratfunc"
             and set(K.tvars) <= set(L.tvars) and K.p == L.p):
         def lift(c):
-            num = _lift_poly(c.rep.numer, K, L)
-            den = _lift_poly(c.rep.denom, K, L)
-            return num / den
+            num, den = (f.rename(L._ring) for f in c.value)
+            return _scalar(L, L.kernel.frac(num, den))
         return lift
     raise FieldError(f"no canonical embedding of {K} into {L}")
-
-
-def _lift_poly(poly, K, L):
-    acc = L.zero()
-    for mono, c in poly.terms():
-        term = L.from_int(int(c) % K.p)
-        for name, d in zip(K.tvars, mono):
-            if d:
-                term = term * L.gen(name) ** d
-        acc = acc + term
-    return acc
 
 
 def derivation_extends(V: AffineVariety, W: AffineVariety,

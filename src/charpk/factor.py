@@ -8,8 +8,11 @@
   specialization with subset recombination; when the base field is too
   small to host a good specialization, ascend to GF(p^{k r}), factor
   there and descend by grouping Frobenius orbits of the factors;
-* univariate over F_p(t): clear denominators and reduce to the bivariate
-  case (Gauss lemma).
+* univariate over F_p(t): clear the denominators of the (numer, denom)
+  coefficient pairs and reduce to the bivariate case (Gauss lemma).
+
+The multivariate gcd and exact division (`mp_gcd`, `mp_exact_div`,
+`_content`) live in `polys`, where F_p(t..) arithmetic uses them too.
 
 Everything runs on raw coefficients, the values the field's kernel
 computes on (see `polys.MultiPoly`): univariate polynomials are the dense
@@ -34,8 +37,8 @@ from .fields import (FieldDescriptor, FieldScalar, _code_to_vec,
                      _prime_factors, _scalar, u_add, u_deg, u_deriv,
                      u_divmod, u_gcd, u_monic, u_mul, u_powmod, u_scale,
                      u_sub, u_trim)
-from .polys import (MultiPoly, PolyRing, _add_terms, _mp, _mul_terms,
-                    _reduce)
+from .polys import (MultiPoly, PolyRing, _content, _mp, mp_divmod_single,
+                    mp_exact_div, mp_gcd)
 
 # ---------------------------------------------------------------------------
 # dense univariate helpers on raw lists
@@ -220,96 +223,6 @@ def uni_is_irreducible(f, field):
     facs = (_uni_factor(f, field)[1] if field.kind == "gf"
             else _ratfunc_factor(f, field))
     return len(facs) == 1 and facs[0][1] == 1
-
-
-# ---------------------------------------------------------------------------
-# multivariate gcd (primitive PRS) and exact division
-# ---------------------------------------------------------------------------
-
-def mp_divmod_single(f: MultiPoly, g: MultiPoly, order="grevlex"):
-    """Division of f by a single nonzero g: f = q g + r."""
-    quotient = {}
-    remainder = _reduce(f, [g], order, quotient)
-    return _mp(f.ring, quotient), _mp(f.ring, remainder)
-
-
-def mp_exact_div(f: MultiPoly, g: MultiPoly):
-    q, r = mp_divmod_single(f, g)
-    if not r.is_zero():
-        raise CharpkError("inexact polynomial division")
-    return q
-
-
-def _content(f: MultiPoly, var: str):
-    """gcd of the coefficients of f viewed as univariate in var."""
-    coeffs = list(f.coeffs_in(var).values())
-    g = coeffs[0]
-    for c in coeffs[1:]:
-        g = mp_gcd(g, c)
-        if g.is_constant():
-            break
-    return g.monic("grevlex")
-
-
-def _prem(f: MultiPoly, g: MultiPoly, var: str):
-    """Pseudo-remainder of f by g with respect to var, on the coefficients
-    of f and g in var: r <- lc(g) r - lc(r) var^(deg r - deg g) g."""
-    ring = f.ring
-    K = ring.field.kernel
-    gc = g.coeffs_in(var)
-    dg = max(gc)
-    lcg = gc[dg].terms
-    r = {d: c.terms for d, c in f.coeffs_in(var).items()}
-    neg_g = {d: {e: K.neg(c) for e, c in t.terms.items()}
-             for d, t in gc.items() if d < dg}
-    while r and max(r) >= dg:
-        dr = max(r)
-        lcr = r.pop(dr)
-        out = {d: _mul_terms(lcg, t, K) for d, t in r.items()}
-        for d, t in neg_g.items():
-            prod = _mul_terms(lcr, t, K)
-            d += dr - dg
-            s = _add_terms(out[d], prod, K.add) if d in out else prod
-            if s:
-                out[d] = s
-            else:
-                out.pop(d, None)
-        r = {d: t for d, t in out.items() if t}
-    i = ring._var_index[var]
-    terms = {}
-    for d, t in r.items():
-        for e, c in t.items():
-            terms[e[:i] + (d,) + e[i + 1:]] = c
-    return _mp(ring, terms)
-
-
-def mp_gcd(f: MultiPoly, g: MultiPoly) -> MultiPoly:
-    """gcd over the coefficient field, monic under grevlex."""
-    if f.is_zero():
-        return g.monic("grevlex")
-    if g.is_zero():
-        return f.monic("grevlex")
-    if f.is_constant() or g.is_constant():
-        return f.ring.one()
-    used = sorted(f.variables_used() | g.variables_used())
-    var = used[0]
-    if f.degree_in(var) == 0 or g.degree_in(var) == 0:
-        # var absent from one argument: gcd divides its content
-        if f.degree_in(var) == 0:
-            return mp_gcd(f, _content(g, var))
-        return mp_gcd(_content(f, var), g)
-    cf, cg = _content(f, var), _content(g, var)
-    c = mp_gcd(cf, cg)
-    fp, gp = mp_exact_div(f, cf), mp_exact_div(g, cg)
-    if fp.degree_in(var) < gp.degree_in(var):
-        fp, gp = gp, fp
-    while not gp.is_zero():
-        r = _prem(fp, gp, var)
-        if r.is_zero():
-            fp, gp = gp, r
-        else:
-            fp, gp = gp, mp_exact_div(r, _content(r, var))
-    return (c * mp_exact_div(fp, _content(fp, var))).monic("grevlex")
 
 
 # ---------------------------------------------------------------------------
@@ -741,28 +654,24 @@ def _ratfunc_factor(coeffs, field):
     if not coeffs:
         raise CharpkError("factorization of zero")
     tname = field.tvars[0]
-    p = field.p
-    ring2 = PolyRing(FieldDescriptor("gf", p, 1), (tname, "_X"))
+    ring2 = PolyRing(field._ring.field, (tname, "_X"))
     # clear denominators
-    den = field._ring.one
-    for c in coeffs:
-        den = den * c.denom
-    den = field._frac(den)
+    den = field._ring.one()
+    for _, d in coeffs:
+        den = den * d
     terms = {}
-    for d, c in enumerate(coeffs):
-        for (et,), cc in K.mul(c, den).numer.terms():
-            if int(cc) % p:
-                terms[(et, d)] = int(cc) % p
+    for d, (num, cden) in enumerate(coeffs):
+        for (et,), c in (num * mp_exact_div(den, cden)).terms.items():
+            terms[(et, d)] = c
     _, facs = factor_poly(_mp(ring2, terms))
-    t = field._frac.gens[0]
     out = []
     for g, m in facs:
         if g.degree_in("_X") == 0:
             continue  # content in F_p[t]: a unit of F_p(t)[x]
         # back to F_p(t)[x]
         lifted = [K.zero] * (g.degree_in("_X") + 1)
-        for (et, d), c in g.terms.items():
-            lifted[d] = K.add(lifted[d], K.mul(K.from_int(c), K.pow(t, et)))
+        for d, c in g.coeffs_in("_X").items():
+            lifted[d] = K.frac(c.rename(field._ring), field._ring.one())
         out.append((u_monic(lifted, K), m))
     out.sort(key=lambda gm: (len(gm[0]), _coeffs_key(gm[0], field)))
     # self-check

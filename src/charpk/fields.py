@@ -7,20 +7,23 @@ equality of values:
 * GF(p^k): one int code, the coefficient vector over the polynomial basis
   of a stored irreducible defining polynomial read as a base-p counter
   (code = sum rep[i] p^i);
-* F_p(t..): reduced fraction with monic denominator (leading coefficient 1
-  under the internal term order).
+* F_p(t..): a reduced pair (numer, denom) of `polys.MultiPoly`s over
+  GF(p)[t1..tm], the denominator monic under lex in `tvars` order.
 
 GF(p^k) arithmetic runs on the codes: residues mod p for k = 1, log/antilog
 and Zech tables for p^k <= GF_TABLE_CAP (Lidl-Niederreiter, Finite Fields,
 ch. 2 and 9), and the polynomial basis above the cap.
 
-Each descriptor's kernel (`FieldDescriptor.kernel`) computes on raw values
-(the code, or the reduced fraction); a FieldScalar is the field plus its
-raw value.  The dense univariate routines `u_*` work on lists of raw
-values with the kernel as their last argument.
+F_p(t..) arithmetic is `polys._RatFuncKernel`, which reduces every
+result with the one multivariate gcd, `polys.mp_gcd`; `polys` is imported
+when the first such field is built.
 
-The m = 0 rational-function field degenerates to the prime field.  sympy,
-which carries F_p(t..), is imported when the first such field is built.
+Each descriptor's kernel (`FieldDescriptor.kernel`) computes on raw values
+(the code, or the reduced pair); a FieldScalar is the field plus its raw
+value.  The dense univariate routines `u_*` work on lists of raw values
+with the kernel as their last argument.
+
+The m = 0 rational-function field degenerates to the prime field.
 """
 
 from __future__ import annotations
@@ -479,50 +482,6 @@ class _LazyKernel:
         return getattr(self.field.kernel, name)
 
 
-class _RatFuncKernel:
-    """F_p(t..): raw values are sympy fractions in normal form, reduced
-    with a monic denominator (leading coefficient 1 under sympy's term
-    order), so equal values are equal fractions."""
-
-    __slots__ = ("p", "frac", "zero", "one")
-
-    def __init__(self, p, frac):
-        self.p, self.frac = p, frac
-        self.zero, self.one = frac.zero, frac.one
-
-    def norm(self, fr):
-        frac = self.frac
-        if not isinstance(fr, type(frac.one)):
-            fr = frac(fr)
-        den = fr.denom
-        lc = den.LC
-        if lc != frac.domain.one:
-            inv = lc ** -1
-            fr = frac.raw_new(fr.numer.mul_ground(inv), den.mul_ground(inv))
-        return fr
-
-    def from_int(self, n):
-        return self.frac(n % self.p)
-
-    def add(self, a, b):
-        return self.norm(a + b)
-
-    def sub(self, a, b):
-        return self.norm(a - b)
-
-    def neg(self, a):
-        return -a
-
-    def mul(self, a, b):
-        return self.norm(a * b)
-
-    def inv(self, a):
-        return self.norm(a ** -1)
-
-    def pow(self, a, e):
-        return a ** e
-
-
 # ---------------------------------------------------------------------------
 # descriptors
 # ---------------------------------------------------------------------------
@@ -535,7 +494,7 @@ class FieldDescriptor:
     """
 
     __slots__ = ("kind", "p", "k", "modulus", "gen_name", "tvars",
-                 "_frac", "_ring", "_spec", "_kernel")
+                 "_ring", "_spec", "_kernel")
 
     def __init__(self, kind, p, k=1, modulus=None, gen_name="g", tvars=()):
         if not _is_prime(p):
@@ -556,12 +515,10 @@ class FieldDescriptor:
             self.modulus = modulus
             self.gen_name = gen_name
             self.tvars = ()
-            self._frac = None
             self._ring = None
             self._kernel = _LazyKernel(self)
         elif kind == "ratfunc":
-            from sympy.polys.domains import FF
-            from sympy.polys.fields import field as frac_field
+            from .polys import PolyRing, _RatFuncKernel
             tvars = tuple(tvars)
             if len(set(tvars)) != len(tvars):
                 raise FieldError("duplicate transcendental names")
@@ -569,10 +526,8 @@ class FieldDescriptor:
             self.modulus = None
             self.gen_name = None
             self.tvars = tvars
-            frac = frac_field(list(tvars), FF(p))[0]
-            self._frac = frac
-            self._ring = frac.to_ring()
-            self._kernel = _RatFuncKernel(p, frac)
+            self._ring = PolyRing(FieldDescriptor("gf", p, 1), tvars)
+            self._kernel = _RatFuncKernel(self._ring)
         else:
             raise FieldError(f"unknown field kind {kind!r}")
         self._spec = self._make_spec()
@@ -644,14 +599,12 @@ class FieldDescriptor:
         """The transcendental generators of F_p(t..) as scalars."""
         if self.kind != "ratfunc":
             raise FieldError("gens() is for rational-function fields")
-        return tuple(_scalar(self, self._frac(g)) for g in self._frac.gens)
+        ring = self._ring
+        return tuple(_scalar(self, self._kernel.frac(ring.var(v), ring.one()))
+                     for v in self.tvars)
 
     def gen(self, name: str) -> "FieldScalar":
         return self.gens()[self.tvars.index(name)]
-
-    def from_frac(self, fr) -> "FieldScalar":
-        """Wrap a sympy FracElement, normalizing to monic denominator."""
-        return FieldScalar(self, fr)
 
     def parse(self, text: str) -> "FieldScalar":
         return parse_scalar(text, self)
@@ -678,8 +631,9 @@ def _gf_poly_str(coeffs, name):
 class FieldScalar:
     """An element of a FieldDescriptor: the field and its raw `value`, on
     which the field's kernel computes (an int code for GF(p^k), a reduced
-    fraction for F_p(t..)).  `FieldScalar(field, rep)` takes a coefficient
-    vector or a fraction, as `rep` returns it."""
+    pair (numer, denom) for F_p(t..)).  `FieldScalar(field, rep)` takes a
+    coefficient vector, or any pair of polynomials over GF(p)[t..] with a
+    nonzero denominator, which it reduces."""
 
     __slots__ = ("field", "value", "_rep")
 
@@ -692,7 +646,7 @@ class FieldScalar:
             self.value = _vec_to_code(rep, field.p)
             self._rep = rep
         else:
-            self.value = field._kernel.norm(rep)
+            self.value = field._kernel.frac(*rep)
             self._rep = None
 
     @property
@@ -703,7 +657,8 @@ class FieldScalar:
     @property
     def rep(self):
         """GF(p^k): the coefficient tuple over the polynomial basis, lowest
-        degree first; F_p(t..): the reduced sympy fraction."""
+        degree first; F_p(t..): the reduced pair (numer, denom) of
+        MultiPolys over GF(p)[t..], denom monic under lex."""
         f = self.field
         if f.kind != "gf":
             return self.value
@@ -799,9 +754,7 @@ class FieldScalar:
         return self.value == other.value
 
     def __hash__(self):
-        if self.field.kind == "gf":
-            return hash(self.value)
-        return hash((self.field, self.value.numer, self.value.denom))
+        return hash(self.value)
 
     def __repr__(self):
         return f"<{self} in {self.field.spec}>"
@@ -809,10 +762,11 @@ class FieldScalar:
     def __str__(self):
         if self.field.kind == "gf":
             return _gf_poly_str(self.rep, self.field.gen_name)
-        num = _ratpoly_str(self.value.numer, self.field)
-        if self.value.denom == self.field._ring.one:
+        num, den = self.value
+        num = _ratpoly_str(num, self.field)
+        if den.is_constant():
             return num
-        den = _ratpoly_str(self.value.denom, self.field)
+        den = _ratpoly_str(den, self.field)
         if "+" in num or "-" in num[1:]:
             num = f"({num})"
         if "+" in den or "-" in den[1:] or "*" in den or "^" in den:
@@ -833,13 +787,11 @@ def _scalar(field, value):
 
 
 def _ratpoly_str(poly, field):
-    p = field.p
-    terms = sorted(poly.terms(), reverse=True)
+    terms = sorted(poly.terms.items(), reverse=True)
     if not terms:
         return "0"
     parts = []
-    for exps, c in terms:
-        ci = int(c) % p
+    for exps, ci in terms:
         factors = []
         for name, e in zip(field.tvars, exps):
             if e == 1:
@@ -1095,20 +1047,14 @@ def pth_root(x: FieldScalar):
     if field.kind == "gf":
         # Frobenius has order k; its inverse is the (k-1)-st power.
         return x ** (p ** (field.k - 1)) if field.k > 1 else x
-    if not field.tvars:
-        return x
-    num, den = x.rep.numer, x.rep.denom
-    ring = field._ring
-    out = []
-    for poly in (num, den):
-        terms = []
-        for exps, c in poly.terms():
-            if any(e % p for e in exps):
-                return None
-            terms.append((tuple(e // p for e in exps), c))
-        out.append(ring.from_terms(terms))
-    root = field.from_frac(field._frac(out[0]) / field._frac(out[1]))
-    return root
+    if any(e % p for poly in x.value for exps in poly.terms for e in exps):
+        return None
+    roots = [field._ring.from_raw({tuple(e // p for e in exps): c
+                                   for exps, c in poly.terms.items()})
+             for poly in x.value]
+    # t -> t^p keeps coprimality and the lex-leading term, so the pair
+    # of roots is in normal form
+    return _scalar(field, type(x.value)(roots))
 
 
 def lambda0(x: FieldScalar) -> FieldScalar:
@@ -1132,23 +1078,16 @@ def p_components(x: FieldScalar) -> dict:
     p = field.p
     if field.is_perfect:
         return {(): pth_root(x)}
-    num, den = x.rep.numer, x.rep.denom
-    ring = field._ring
+    num, den = x.value
     # x = num * den^(p-1) / den^p; split the numerator by residues mod p.
-    g = num * den ** (p - 1)
     buckets = {}
-    for exps, c in g.terms():
+    for exps, c in (num * den ** (p - 1)).terms.items():
         a = tuple(e % p for e in exps)
-        q = tuple(e // p for e in exps)
-        buckets.setdefault(a, []).append((q, c))
-    den_frac = field._frac(den)
-    out = {}
-    for a, terms in buckets.items():
-        # prime-field coefficients equal their own p-th roots
-        comp = field.from_frac(field._frac(ring.from_terms(terms)) / den_frac)
-        if not comp.is_zero():
-            out[a] = comp
-    return out
+        buckets.setdefault(a, {})[tuple(e // p for e in exps)] = c
+    # prime-field coefficients equal their own p-th roots
+    kernel, ring = field.kernel, field._ring
+    return {a: _scalar(field, kernel.frac(ring.from_raw(terms), den))
+            for a, terms in buckets.items()}
 
 
 def partial(x: FieldScalar, name: str) -> FieldScalar:
@@ -1157,10 +1096,9 @@ def partial(x: FieldScalar, name: str) -> FieldScalar:
     field = x.field
     if field.kind == "gf":
         return field.zero()
-    t = field._ring.gens[field.tvars.index(name)]
-    num, den = x.rep.numer, x.rep.denom
-    dnum = num.diff(t) * den - num * den.diff(t)
-    return field.from_frac(field._frac(dnum) / field._frac(den ** 2))
+    num, den = x.value
+    dnum = num.partial(name) * den - num * den.partial(name)
+    return _scalar(field, field.kernel.frac(dnum, den * den))
 
 
 def evaluate_scalar(x: FieldScalar, images: dict, target: FieldDescriptor):
@@ -1174,32 +1112,22 @@ def evaluate_scalar(x: FieldScalar, images: dict, target: FieldDescriptor):
         raise FieldError("evaluate_scalar is for rational-function scalars")
     if field.p != target.p:
         raise FieldError("characteristic mismatch in evaluation")
-    point = [images[name] for name in field.tvars]
 
-    def ev(poly):
-        acc = target.zero()
-        for exps, c in poly.terms():
-            term = target.from_int(int(c) % field.p)
-            for val, e in zip(point, exps):
-                if e:
-                    term = term * val ** e
-            acc = acc + term
-        return acc
+    def lift(c):
+        return target.from_int(c.value)
 
-    den = ev(x.rep.denom)
+    num, den = x.value
+    den = den.evaluate(images, lift)
     if den.is_zero():
         return None
-    return ev(x.rep.numer) / den
+    return num.evaluate(images, lift) / den
 
 
 def scalar_height(x: FieldScalar) -> int:
     """max(total degree of numerator, total degree of denominator)."""
     if x.field.kind == "gf":
         return 0
-    num, den = x.rep.numer, x.rep.denom
-    dn = max((sum(e) for e, _ in num.terms()), default=0)
-    dd = max((sum(e) for e, _ in den.terms()), default=0)
-    return max(dn, dd)
+    return max(poly.total_degree() for poly in x.value)
 
 
 # ---------------------------------------------------------------------------
@@ -1212,8 +1140,9 @@ def iter_gf_elements(field: FieldDescriptor):
         yield _scalar(field, n)
 
 
-def _iter_polys(field, deg, monic=False, allow_zero=False):
-    """Ring polynomials of total degree exactly `deg`, deterministic order.
+def _iter_polys(field, deg, monic=False):
+    """Nonzero ring polynomials of total degree exactly `deg`, in a
+    deterministic order (monic: lex-leading coefficient 1).
 
     Coefficient vectors run as little-endian base-p counters over the
     monomial list sorted ascending by (total degree, exponents).
@@ -1224,24 +1153,17 @@ def _iter_polys(field, deg, monic=False, allow_zero=False):
     monos = sorted(
         (e for e in itertools.product(range(deg + 1), repeat=m) if sum(e) <= deg),
         key=lambda e: (sum(e), e))
-    if m == 0:
-        monos = [()] if deg == 0 else []
-    for n in range(p ** len(monos)):
+    for n in range(1, p ** len(monos)):
         coeffs = []
         v = n
         for _ in monos:
             coeffs.append(v % p)
             v //= p
-        if not allow_zero and not any(coeffs):
-            continue
         top = [c for e, c in zip(monos, coeffs) if sum(e) == deg]
         if deg > 0 and not any(top):
             continue
-        if deg == 0 and not any(coeffs) and not allow_zero:
-            continue
-        poly = ring.from_terms(
-            [(e, ring.domain(c)) for e, c in zip(monos, coeffs) if c])
-        if monic and poly.LC != ring.domain.one:
+        poly = ring.from_raw(dict(zip(monos, coeffs)))
+        if monic and poly.terms[max(poly.terms)] != 1:
             continue
         yield poly
 
@@ -1253,9 +1175,7 @@ def iter_ratfunc_elements(field: FieldDescriptor, bound: int):
     if not field.tvars:
         yield from iter_gf_elements(FieldDescriptor("gf", p, 1))
         return
-    ring = field._ring
-    frac = field._frac
-    zero_exp = (0,) * len(field.tvars)
+    ring, frac = field._ring, field.kernel.frac
     for h in range(bound + 1):
         for dd in range(h + 1):
             for den in _iter_polys(field, dd, monic=True):
@@ -1263,17 +1183,15 @@ def iter_ratfunc_elements(field: FieldDescriptor, bound: int):
                     if max(dn, dd) != h:
                         continue
                     if dn == 0:
-                        consts = ([ring.zero] if h == 0 else [])
-                        consts += [ring.from_terms([(zero_exp, ring.domain(c))])
-                                   for c in range(1, p)]
-                        nums = consts
+                        nums = [ring.from_int(c)
+                                for c in range(0 if h == 0 else 1, p)]
                     else:
                         nums = _iter_polys(field, dn)
                     for num in nums:
-                        if num and den != ring.one:
-                            if num.gcd(den) != ring.one:
-                                continue
-                        yield field.from_frac(frac(num) / frac(den))
+                        x = frac(num, den)
+                        # a common factor shows as a smaller denominator
+                        if x[1] == den:
+                            yield _scalar(field, x)
 
 
 def iter_elements(field: FieldDescriptor, bound: int = 0):

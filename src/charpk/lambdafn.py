@@ -21,8 +21,8 @@ import itertools
 
 from . import linalg
 from .errors import FieldError
-from .fields import (FieldDescriptor, FieldScalar, p_components, partial,
-                     pth_root)
+from .fields import (FieldDescriptor, FieldScalar, _scalar, p_components,
+                     partial, pth_root)
 
 
 def monomial_exponents(p: int, e: int):
@@ -52,7 +52,7 @@ def _clear_pth(xs):
     out, dens = [], []
     for x in xs:
         field = x.field
-        den = field.from_frac(field._frac(x.rep.denom))
+        den = _scalar(field, field.kernel.frac(x.value[1], field._ring.one()))
         out.append(x * den ** field.p)
         dens.append(den)
     return out, dens

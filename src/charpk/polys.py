@@ -3,10 +3,14 @@ bases (Buchberger with the product/chain criteria), elimination and
 dimension.
 
 `MultiPoly.terms` holds raw coefficients, the values of the field's
-kernel (int codes for GF(p^k), reduced fractions for F_p(t..)), and the
-arithmetic calls the kernel on them; FieldScalars are built only at the
-boundary (the constructor, `items`, `coeff`, `leading`,
-`constant_value`, printing).
+kernel (int codes for GF(p^k), reduced pairs of polynomials over GF(p)
+for F_p(t..)), and the arithmetic calls the kernel on them; FieldScalars
+are built only at the boundary (the constructor, `items`, `coeff`,
+`leading`, `constant_value`, printing).
+
+F_p(t..) itself runs on this module: its kernel, `_RatFuncKernel`,
+reduces every result with `mp_gcd`, the one multivariate gcd (primitive
+PRS after two content rules), and `mp_exact_div`.
 
 Default order is graded reverse lexicographic; elimination uses block
 orders.  Bases are reduced, monic and deterministically sorted, so identical
@@ -19,7 +23,7 @@ from __future__ import annotations
 import itertools
 from operator import add as _eadd, neg as _neg
 
-from .errors import RingError, ResourceExhausted
+from .errors import CharpkError, RingError, ResourceExhausted
 from .fields import (FieldDescriptor, FieldScalar, _Parser, _scalar,
                      parse_scalar)
 
@@ -106,6 +110,11 @@ class PolyRing:
     def gens(self):
         return tuple(self.var(v) for v in self.vars)
 
+    def from_raw(self, terms):
+        """The polynomial with raw coefficients {exponents: value}, zero
+        values dropped."""
+        return _mp(self, {e: c for e, c in terms.items() if c})
+
     def parse(self, text: str):
         if not isinstance(text, str):
             raise RingError(f"a polynomial must be given as text, not {text!r}")
@@ -115,7 +124,7 @@ class PolyRing:
 class MultiPoly:
     """Sparse polynomial: `terms` maps exponent tuples to nonzero raw
     coefficients, the values the field's kernel computes on (int codes for
-    GF(p^k), reduced fractions for F_p(t..)).  Scalars appear only at the
+    GF(p^k), reduced pairs for F_p(t..)).  Scalars appear only at the
     boundary: the constructor takes {exponents: FieldScalar}, and `items`,
     `coeff`, `leading` and `constant_value` return FieldScalars."""
 
@@ -613,6 +622,217 @@ def _interreduce(basis, order):
             reduced.append(r.monic(order))
     reduced.sort(key=lambda g: key(g.leading(order)[0]))
     return reduced
+
+
+# ---------------------------------------------------------------------------
+# multivariate gcd (primitive PRS) and exact division
+# ---------------------------------------------------------------------------
+
+def mp_divmod_single(f: MultiPoly, g: MultiPoly, order="grevlex"):
+    """Division of f by a single nonzero g: f = q g + r."""
+    quotient = {}
+    remainder = _reduce(f, [g], order, quotient)
+    return _mp(f.ring, quotient), _mp(f.ring, remainder)
+
+
+def mp_exact_div(f: MultiPoly, g: MultiPoly):
+    q, r = mp_divmod_single(f, g)
+    if not r.is_zero():
+        raise CharpkError("inexact polynomial division")
+    return q
+
+
+def _content(f: MultiPoly, var: str, g=None):
+    """gcd of the coefficients of f viewed as univariate in var, and of g
+    when one is given."""
+    coeffs = list(f.coeffs_in(var).values())
+    h = coeffs.pop() if g is None else g
+    for c in coeffs:
+        if h.is_constant():
+            break
+        h = mp_gcd(h, c)
+    return h.monic("grevlex")
+
+
+def _monomial_content(f: MultiPoly):
+    """The exponents of the largest monomial dividing f."""
+    return tuple(map(min, zip(*f.terms)))
+
+
+def _prem(f: MultiPoly, g: MultiPoly, var: str):
+    """Pseudo-remainder of f by g with respect to var, on the coefficients
+    of f and g in var: r <- lc(g) r - lc(r) var^(deg r - deg g) g."""
+    ring = f.ring
+    K = ring.field.kernel
+    gc = g.coeffs_in(var)
+    dg = max(gc)
+    lcg = gc[dg].terms
+    r = {d: c.terms for d, c in f.coeffs_in(var).items()}
+    neg_g = {d: {e: K.neg(c) for e, c in t.terms.items()}
+             for d, t in gc.items() if d < dg}
+    while r and max(r) >= dg:
+        dr = max(r)
+        lcr = r.pop(dr)
+        out = {d: _mul_terms(lcg, t, K) for d, t in r.items()}
+        for d, t in neg_g.items():
+            prod = _mul_terms(lcr, t, K)
+            d += dr - dg
+            s = _add_terms(out[d], prod, K.add) if d in out else prod
+            if s:
+                out[d] = s
+            else:
+                out.pop(d, None)
+        r = {d: t for d, t in out.items() if t}
+    i = ring._var_index[var]
+    terms = {}
+    for d, t in r.items():
+        for e, c in t.items():
+            terms[e[:i] + (d,) + e[i + 1:]] = c
+    return _mp(ring, terms)
+
+
+def mp_gcd(f: MultiPoly, g: MultiPoly) -> MultiPoly:
+    """gcd over the coefficient field, monic under grevlex: the primitive
+    PRS in the first variable both arguments use, after two content rules
+    (Geddes, Czapor and Labahn, Algorithms for Computer Algebra, ch. 7).
+
+    * Monomial content: the gcd is the least-exponent monomial of the two
+      monomial contents times the gcd of what remains once they are
+      divided out.
+    * One-sided variable: for a variable only one argument uses, the gcd
+      is that of the other argument and the coefficients in it.
+
+    Each recursive call then has fewer variables or no monomial content,
+    so the recursion depth is bounded by the number of variables."""
+    if f.is_zero():
+        return g.monic("grevlex")
+    if g.is_zero():
+        return f.monic("grevlex")
+    if f.is_constant() or g.is_constant():
+        return f.ring.one()
+    mf, mg = _monomial_content(f), _monomial_content(g)
+    if any(mf) or any(mg):
+        m = tuple(map(min, mf, mg))
+        h = mp_gcd(_mp(f.ring, {_exp_sub(e, mf): c
+                                for e, c in f.terms.items()}),
+                   _mp(g.ring, {_exp_sub(e, mg): c
+                                for e, c in g.terms.items()}))
+        return _mp(f.ring, {tuple(map(_eadd, e, m)): c
+                            for e, c in h.terms.items()})
+    used_f, used_g = f.variables_used(), g.variables_used()
+    one_sided = sorted(used_f ^ used_g)
+    if one_sided:
+        var = one_sided[0]
+        if var in used_f:
+            return _content(f, var, g)
+        return _content(g, var, f)
+    var = min(used_f)
+    cf, cg = _content(f, var), _content(g, var)
+    c = mp_gcd(cf, cg)
+    fp, gp = mp_exact_div(f, cf), mp_exact_div(g, cg)
+    if fp.degree_in(var) < gp.degree_in(var):
+        fp, gp = gp, fp
+    while not gp.is_zero():
+        r = _prem(fp, gp, var)
+        if r.is_zero():
+            fp, gp = gp, r
+        else:
+            fp, gp = gp, mp_exact_div(r, _content(r, var))
+    return (c * mp_exact_div(fp, _content(fp, var))).monic("grevlex")
+
+
+# ---------------------------------------------------------------------------
+# F_p(t..) on pairs of polynomials over GF(p)
+# ---------------------------------------------------------------------------
+
+class _Frac(tuple):
+    """An F_p(t..) value (numer, denom): MultiPolys over GF(p)[t..] with
+    no common factor, denom monic under lex in `tvars` order, so equal
+    values are equal pairs.  Falsy iff zero."""
+
+    __slots__ = ()
+
+    def __bool__(self):
+        return bool(self[0].terms)
+
+
+class _RatFuncKernel:
+    """F_p(t..): raw values are `_Frac` pairs over `ring` = GF(p)[t..],
+    and every result is reduced through `mp_gcd` and `mp_exact_div`.
+    Sums and products take gcds of the parts that can share a factor
+    only (Henrici; Knuth, TAOCP vol. 2, 4.5.1)."""
+
+    __slots__ = ("p", "ring", "zero", "one")
+
+    def __init__(self, ring: PolyRing):
+        self.p, self.ring = ring.field.p, ring
+        self.zero = _Frac((ring.zero(), ring.one()))
+        self.one = _Frac((ring.one(), ring.one()))
+
+    def frac(self, num: MultiPoly, den: MultiPoly):
+        """num / den in normal form; den is nonzero."""
+        if not num.terms:
+            return self.zero
+        g = mp_gcd(num, den)
+        if not g.is_constant():
+            num, den = mp_exact_div(num, g), mp_exact_div(den, g)
+        return self._monic(num, den)
+
+    def _monic(self, num, den):
+        """num / den for coprime num and den: den made monic under lex."""
+        lc = den.terms[max(den.terms)]
+        if lc != 1:
+            inv = pow(lc, self.p - 2, self.p)
+            num, den = num._scale(inv), den._scale(inv)
+        return _Frac((num, den))
+
+    def from_int(self, n):
+        return self.frac(self.ring.from_int(n), self.ring.one())
+
+    def add(self, a, b):
+        (an, ad), (bn, bd) = a, b
+        if ad == bd:
+            return self.frac(an + bn, ad)
+        g = mp_gcd(ad, bd)
+        if g.is_constant():
+            # coprime denominators leave a reduced sum
+            return self._monic(an * bd + bn * ad, ad * bd)
+        ad1 = mp_exact_div(ad, g)
+        num = an * mp_exact_div(bd, g) + bn * ad1
+        if not num.terms:
+            return self.zero
+        # num is prime to ad / g and bd / g, so only g can share a factor
+        # with the denominator ad bd / g
+        den = ad1 * bd
+        h = mp_gcd(num, g)
+        if not h.is_constant():
+            num, den = mp_exact_div(num, h), mp_exact_div(den, h)
+        return self._monic(num, den)
+
+    def sub(self, a, b):
+        return self.add(a, self.neg(b))
+
+    def neg(self, a):
+        return _Frac((-a[0], a[1]))
+
+    def mul(self, a, b):
+        (an, ad), (bn, bd) = a, b
+        if not an.terms or not bn.terms:
+            return self.zero
+        g = mp_gcd(an, bd)
+        if not g.is_constant():
+            an, bd = mp_exact_div(an, g), mp_exact_div(bd, g)
+        g = mp_gcd(bn, ad)
+        if not g.is_constant():
+            bn, ad = mp_exact_div(bn, g), mp_exact_div(ad, g)
+        return self._monic(an * bn, ad * bd)
+
+    def inv(self, a):
+        return self._monic(a[1], a[0])
+
+    def pow(self, a, e):
+        # a power of a lex-monic denominator is lex-monic
+        return _Frac((a[0] ** e, a[1] ** e))
 
 
 # ---------------------------------------------------------------------------

@@ -17,10 +17,10 @@ import itertools
 from . import factor, lambdafn, linalg
 from .errors import (CharpkError, FieldError, PreconditionError, RingError,
                      UnsupportedInstance)
-from .fields import (FieldDescriptor, FieldScalar, iter_elements,
+from .fields import (FieldDescriptor, FieldScalar, _scalar, iter_elements,
                      iter_gf_elements, make_field, p_components, partial,
                      pth_root)
-from .polys import Ideal, MultiPoly, PolyRing, normal_form
+from .polys import Ideal, MultiPoly, PolyRing, mp_gcd, normal_form
 
 
 class AffineVariety:
@@ -158,9 +158,8 @@ class FunctionFieldModel:
         big = self.big
         if K.kind == "gf":
             return big.from_int(c.rep[0])
-        num = _poly_to_big(c.rep.numer, K.tvars, big)
-        den = _poly_to_big(c.rep.denom, K.tvars, big)
-        return num / den
+        num, den = (f.rename(big._ring) for f in c.value)
+        return _scalar(big, big.kernel.frac(num, den))
 
     def embed_poly(self, f: MultiPoly) -> FieldScalar:
         f = f.substitute(self.peel.subst) if self.peel.subst else f
@@ -182,43 +181,18 @@ class FunctionFieldModel:
         return num / den
 
     def to_function(self, x: FieldScalar) -> "FunctionFieldElem":
-        num = self._split_poly(x.rep.numer)
-        den = self._split_poly(x.rep.denom)
-        return FunctionFieldElem(self.variety, num, den)
-
-    def _split_poly(self, poly):
-        """big-field polynomial -> MultiPoly over V's ring: transcendentals
-        of K go into the coefficients, free coordinates into exponents."""
+        """The big-field scalar x on V: transcendentals of K go into the
+        coefficients, free coordinates into exponents."""
         K = self.variety.field
         ring = self.variety.ring
-        names = self.big.tvars
-        terms = {}
-        for mono, c in poly.terms():
-            coeff = K.from_int(int(c) % K.p)
-            exps = [0] * ring.nvars
-            for name, d in zip(names, mono):
-                if not d:
-                    continue
-                if name in self.tvars:
-                    coeff = coeff * K.gen(name) ** d
-                else:
-                    exps[ring._var_index[name]] = d
-            key = tuple(exps)
-            terms[key] = terms.get(key, K.zero()) + coeff
-        return MultiPoly(ring, {e: c for e, c in terms.items()
-                                if not c.is_zero()})
+        values = {name: (ring.from_scalar(K.gen(name)) if name in self.tvars
+                         else ring.var(name))
+                  for name in self.big.tvars}
 
-
-def _poly_to_big(poly, tnames, big):
-    acc = big.zero()
-    p = big.p
-    for mono, c in poly.terms():
-        term = big.from_int(int(c) % p)
-        for name, d in zip(tnames, mono):
-            if d:
-                term = term * big.gen(name) ** d
-        acc = acc + term
-    return acc
+        def lift(c):
+            return ring.from_int(c.value)
+        num, den = (f.evaluate(values, lift) for f in x.value)
+        return FunctionFieldElem(self.variety, num, den)
 
 
 def function_field_model(V: AffineVariety):
@@ -441,28 +415,19 @@ def _locus_ratfunc(elems, K, variables, L):
     aux = tuple(f"{t}_aux" for t in L.tvars)
     inv = "inv_aux"
     work = PolyRing(K, aux + variables + (inv,))
+    values = {t: work.var(a) for t, a in zip(L.tvars, aux)}
+
+    def lift(c):
+        return work.from_int(c.value)
     gens = []
     dens = work.one()
     for v, a in zip(variables, elems):
-        num = _fp_poly_to_ring(a.rep.numer, L, work, aux)
-        den = _fp_poly_to_ring(a.rep.denom, L, work, aux)
+        num, den = (f.evaluate(values, lift) for f in a.value)
         gens.append(work.var(v) * den - num)
         dens = dens * den
     gens.append(work.var(inv) * dens - work.one())
     ideal = Ideal(work, gens).eliminate(aux + (inv,))
     return AffineVariety(K, variables, ideal, known_irreducible=True)
-
-
-def _fp_poly_to_ring(poly, L, ring, aux_names):
-    terms = {}
-    p = L.p
-    for mono, c in poly.terms():
-        exps = [0] * ring.nvars
-        for name, d in zip(aux_names, mono):
-            exps[ring._var_index[name]] = d
-        terms[tuple(exps)] = ring.field.from_int(int(c) % p)
-    return MultiPoly(ring, {e: c for e, c in terms.items()
-                            if not c.is_zero()})
 
 
 def _locus_gf(elems, K, variables, L):
@@ -538,11 +503,7 @@ def _linear_in_var_primitive(f: MultiPoly):
         A, B = parts[1], parts.get(0, f.ring.zero())
         if A.is_constant():
             return True
-        try:
-            g = factor.mp_gcd(A, B)
-        except (CharpkError, RecursionError):
-            continue
-        if g.is_constant():
+        if mp_gcd(A, B).is_constant():
             return True
     return False
 

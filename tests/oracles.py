@@ -4,13 +4,15 @@ Nothing here calls the code paths under test: membership uses its own
 normal-form reduction over a lex basis, absolute-component counts come
 from rational-point counting over controlled extensions, point scans
 and fixed sets are plain loops, polynomial arithmetic is on dicts of
-FieldScalars (`d_*`), and GF(p^k) arithmetic is polynomial-basis
-arithmetic on coefficient tuples.
+FieldScalars (`d_*`), GF(p^k) arithmetic is polynomial-basis
+arithmetic on coefficient tuples, and F_p(t..) arithmetic and gcds over
+GF(p) are sympy's (a test-only dependency).
 """
 
 from __future__ import annotations
 
 import itertools
+import re
 
 from charpk import factor
 from charpk.fields import FieldDescriptor, iter_gf_elements
@@ -162,6 +164,19 @@ def d_gcd1(f, g):
         return f
     lc = f[max(f)]
     return {e: c / lc for e, c in f.items()}
+
+
+def gfp_gcd(f, g, p, key):
+    """gcd over GF(p) of two nonzero dicts {exponents: residue} by sympy,
+    made monic under the order `key`."""
+    from sympy import GF
+    from sympy.polys.rings import ring
+    nvars = len(next(iter(f)))
+    R = ring(",".join(f"x{i}" for i in range(nvars)), GF(p))[0]
+    h = R.from_dict(f).gcd(R.from_dict(g))
+    terms = {e: int(c) % p for e, c in h.terms()}
+    inv = pow(terms[max(terms, key=key)], p - 2, p)
+    return {e: c * inv % p for e, c in terms.items()}
 
 
 def d_powmod1(f, n, mod, field):
@@ -399,3 +414,108 @@ def gf_inverse(a, modulus, p):
         r0, r1 = r1, r
     inv = pow(r0[-1], p - 2, p)
     return _reduce([c * inv for c in s0], modulus, p)
+
+
+# ---------------------------------------------------------------------------
+# F_p(t1..tm) through sympy's fraction fields (sympy is a test-only
+# dependency; the library carries F_p(t..) on its own polynomials)
+# ---------------------------------------------------------------------------
+
+class RatFuncOracle:
+    """F_p(t1..tm) as a sympy fraction field over GF(p).  Values enter as
+    library literals (`parse`) and leave in the library's printed form
+    (`text`): terms in descending lex order, coefficients in [0, p), the
+    denominator made monic under lex."""
+
+    def __init__(self, p, tvars):
+        import sympy
+        from sympy.polys.fields import field
+        self.p, self.tvars = p, tuple(tvars)
+        self.field, *self.gens = field(",".join(tvars), sympy.GF(p))
+
+    def parse(self, text):
+        """A library literal, evaluated in the fraction field: integer
+        literals other than exponents become field constants."""
+        code = re.sub(r"(?<!\*\*)\b(\d+)\b", r"_F(\1)",
+                      text.replace("^", "**"))
+        names = dict(zip(self.tvars, self.gens), _F=self.field)
+        return self.field(eval(code, {"__builtins__": {}}, names))
+
+    def normal(self, x):
+        """(numer, denom) with denom monic under lex."""
+        num, den = x.numer, x.denom
+        lc = den.LC
+        return num.quo_ground(lc), den.quo_ground(lc)
+
+    def _poly_text(self, poly):
+        parts = []
+        for exps, c in sorted(poly.terms(), reverse=True):
+            c = int(c) % self.p
+            names = [n if e == 1 else f"{n}^{e}"
+                     for n, e in zip(self.tvars, exps) if e]
+            if not names:
+                parts.append(str(c))
+            else:
+                parts.append(("" if c == 1 else f"{c}*") + "*".join(names))
+        return "+".join(parts) or "0"
+
+    def text(self, x):
+        num, den = self.normal(x)
+        ntext = self._poly_text(num)
+        if den == den.ring.one:
+            return ntext
+        dtext = self._poly_text(den)
+        if "+" in ntext:
+            ntext = f"({ntext})"
+        if "+" in dtext or "*" in dtext or "^" in dtext:
+            dtext = f"({dtext})"
+        return f"{ntext}/{dtext}"
+
+    def pth_root(self, x):
+        """The p-th root when every exponent is divisible by p, else None."""
+        p = self.p
+        parts = []
+        for poly in self.normal(x):
+            if any(e % p for exps in poly.monoms() for e in exps):
+                return None
+            parts.append(poly.ring.from_dict(
+                {tuple(e // p for e in exps): c
+                 for exps, c in poly.terms()}))
+        return self.field(parts[0]) / self.field(parts[1])
+
+    def p_components(self, x):
+        """{a: c_a} with x = sum_a c_a^p t^a, 0 <= a_i < p, c_a nonzero:
+        x = num den^(p-1) / den^p, its numerator split by exponent
+        residues mod p."""
+        p = self.p
+        num, den = self.normal(x)
+        buckets = {}
+        for exps, c in (num * den ** (p - 1)).terms():
+            key = tuple(e % p for e in exps)
+            buckets.setdefault(key, {})[tuple(e // p for e in exps)] = c
+        return {a: self.field(num.ring.from_dict(terms)) / self.field(den)
+                for a, terms in buckets.items()}
+
+    def partial(self, x, name):
+        return x.diff(self.gens[self.tvars.index(name)])
+
+    def evaluate(self, x, point):
+        """x at the point (ints mod p), or None where the denominator
+        vanishes."""
+        def ev(poly):
+            acc = 0
+            for exps, c in poly.terms():
+                term = int(c)
+                for a, e in zip(point, exps):
+                    term *= a ** e
+                acc += term
+            return acc % self.p
+        num, den = self.normal(x)
+        d = ev(den)
+        if not d:
+            return None
+        return ev(num) * pow(d, self.p - 2, self.p) % self.p
+
+    def height(self, x):
+        return max(max((sum(e) for e in poly.monoms()), default=0)
+                   for poly in self.normal(x))

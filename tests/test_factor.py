@@ -127,6 +127,20 @@ def test_mp_gcd_of_constructed_common_factor():
     assert h.monic("grevlex") == d.monic("grevlex")
 
 
+def test_mp_gcd_content_rules():
+    R = PolyRing(make_field("GF(5,1)"), ("x", "y", "z"))
+    P = R.parse
+    # monomial contents x^2 y and x y^3 leave x y
+    assert mp_gcd(P("x^2*y*(x + z)"), P("x*y^3*(x + z)*(z + 1)")) == \
+        P("x*y*(x + z)")
+    # x only in the first argument: its content in x, (y + 1)(y + 3),
+    # shares only y + 1 with the second
+    assert mp_gcd(P("(y + 1)*(y + 3)*(x + 1)"), P("(y + 1)*(y + 2)")) == \
+        P("y + 1")
+    assert mp_gcd(P("(y + 1)*(y + 2)"), P("(y + 1)*(y + 3)*(x*z + 1)")) == \
+        P("y + 1")
+
+
 def test_extend_gf_embedding_is_homomorphism():
     K = make_field("GF(2,2)")
     L, embed = extend_gf(K, 3)

@@ -3,13 +3,16 @@
 import random
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from charpk import fields
 from charpk.errors import FieldError
-from charpk.fields import (FieldScalar, frobenius, is_pth_power,
-                           iter_elements, iter_gf_elements, lambda0,
-                           make_field, p_components, pth_root)
-from oracles import gf_add, gf_inverse, gf_mul, gf_neg, gf_pow
+from charpk.fields import (FieldScalar, evaluate_scalar, frobenius,
+                           is_pth_power, iter_elements, iter_gf_elements,
+                           iter_ratfunc_elements, lambda0, make_field,
+                           p_components, partial, pth_root, scalar_height)
+from oracles import (RatFuncOracle, gf_add, gf_inverse, gf_mul, gf_neg,
+                     gf_pow)
 
 
 def test_spec_strings():
@@ -48,6 +51,9 @@ def test_ratfunc_arithmetic_and_normalization():
     x = (t * t + t) / (t + K.one())
     assert x == t  # cancellation to canonical form
     assert str((K.one() / t) + (K.one() / t)) == "0"
+    # denominators sharing t, and a sum that shares it again
+    one = K.one()
+    assert str(one / (t * t + t) + one / (t ** 3 + t * t + t)) == "t/(t^3+1)"
 
 
 def test_frobenius_and_pth_root_inverse():
@@ -194,3 +200,99 @@ def test_gf_kernel_above_table_cap_matches_oracle(spec):
     pairs = [(rand(), rand()) for _ in range(60)]
     pairs.append((rand(), K.zero()))
     _check_scalar_ops(K, pairs)
+
+
+# ---------------------------------------------------------------------------
+# F_p(t..) against sympy's fraction fields
+# ---------------------------------------------------------------------------
+
+def _poly_text(data, K, min_terms):
+    """A drawn polynomial over GF(p)[t..] as text, with at least
+    min_terms distinct terms.  Exponents stay small in three variables,
+    where the oracle's subresultant gcds grow fast."""
+    top = 2 if len(K.tvars) < 3 else 1
+    exps = data.draw(st.lists(
+        st.tuples(*[st.integers(0, top)] * len(K.tvars)),
+        min_size=min_terms, max_size=3, unique=True))
+    terms = []
+    for e in exps:
+        c = data.draw(st.integers(1, K.p - 1))
+        terms.append("*".join([str(c)] + [f"{n}^{d}" for n, d in
+                                          zip(K.tvars, e) if d]))
+    return " + ".join(terms) or "0"
+
+
+def _fraction_texts(data, K):
+    """Two fractions n1 / (d e1) and n2 / (d e2): d has two or more terms,
+    so the denominators are not monomials, share d, and are often not
+    prime to the numerators."""
+    d = _poly_text(data, K, 2)
+    return [f"({_poly_text(data, K, 0)})/(({d})*({_poly_text(data, K, 1)}))"
+            for _ in range(2)]
+
+
+@pytest.mark.parametrize("spec", ["Fp(2;t1,t2,t3)", "Fp(3;t1,t2)",
+                                  "Fp(5;t)"])
+@settings(derandomize=True, max_examples=15, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_ratfunc_matches_sympy_oracle(spec, data):
+    K = make_field(spec)
+    O = RatFuncOracle(K.p, K.tvars)
+    texts = _fraction_texts(data, K)
+    (x, y), (ox, oy) = ([K.parse(s) for s in texts],
+                        [O.parse(s) for s in texts])
+
+    def same(got, want):
+        text = O.text(want)
+        assert str(got) == text
+        again = K.parse(text)
+        assert got == again and hash(got) == hash(again)
+
+    same(x, ox)
+    same(y, oy)
+    same(x + y, ox + oy)
+    same(x - y, ox - oy)
+    same(x * y, ox * oy)
+    if not y.is_zero():
+        same(x / y, ox / oy)
+    n = data.draw(st.integers(1 if x.is_zero() else -2, 2))
+    same(x ** n, ox ** n)
+    root, want = pth_root(x ** K.p), O.pth_root(ox ** K.p)
+    same(root, want)
+    assert (pth_root(x) is None) == (O.pth_root(ox) is None)
+    comps, want = p_components(x), O.p_components(ox)
+    assert comps.keys() == want.keys()
+    for a, comp in comps.items():
+        same(comp, want[a])
+    for name in K.tvars:
+        same(partial(x, name), O.partial(ox, name))
+    point = [data.draw(st.integers(0, K.p - 1)) for _ in K.tvars]
+    Fp = make_field(f"GF({K.p},1)")
+    got = evaluate_scalar(x, {n: Fp.from_int(a)
+                              for n, a in zip(K.tvars, point)}, Fp)
+    want = O.evaluate(ox, point)
+    assert (got is None and want is None) or got == Fp.from_int(want)
+    assert scalar_height(x) == O.height(ox)
+
+
+def test_ratfunc_enumeration_order_is_pinned():
+    assert [str(x) for x in iter_ratfunc_elements(
+        make_field("Fp(2;t1,t2)"), 1)] == [
+        '0', '1', 't2', 't2+1', 't1', 't1+1', 't1+t2', 't1+t2+1', '1/t2',
+        '(t2+1)/t2', 't1/t2', '(t1+1)/t2', '(t1+t2)/t2', '(t1+t2+1)/t2',
+        '1/(t2+1)', 't2/(t2+1)', 't1/(t2+1)', '(t1+1)/(t2+1)',
+        '(t1+t2)/(t2+1)', '(t1+t2+1)/(t2+1)', '1/t1', 't2/t1', '(t2+1)/t1',
+        '(t1+1)/t1', '(t1+t2)/t1', '(t1+t2+1)/t1', '1/(t1+1)', 't2/(t1+1)',
+        '(t2+1)/(t1+1)', 't1/(t1+1)', '(t1+t2)/(t1+1)', '(t1+t2+1)/(t1+1)',
+        '1/(t1+t2)', 't2/(t1+t2)', '(t2+1)/(t1+t2)', 't1/(t1+t2)',
+        '(t1+1)/(t1+t2)', '(t1+t2+1)/(t1+t2)', '1/(t1+t2+1)',
+        't2/(t1+t2+1)', '(t2+1)/(t1+t2+1)', 't1/(t1+t2+1)',
+        '(t1+1)/(t1+t2+1)', '(t1+t2)/(t1+t2+1)']
+    assert [str(x) for x in iter_ratfunc_elements(
+        make_field("Fp(3;t)"), 1)] == [
+        '0', '1', '2', 't', 't+1', 't+2', '2*t', '2*t+1', '2*t+2', '1/t',
+        '2/t', '(t+1)/t', '(t+2)/t', '(2*t+1)/t', '(2*t+2)/t', '1/(t+1)',
+        '2/(t+1)', 't/(t+1)', '(t+2)/(t+1)', '2*t/(t+1)', '(2*t+1)/(t+1)',
+        '1/(t+2)', '2/(t+2)', 't/(t+2)', '(t+1)/(t+2)', '2*t/(t+2)',
+        '(2*t+2)/(t+2)']

@@ -1,4 +1,5 @@
-"""Every module-level import in src/charpk is used by its module.
+"""Every module-level import in src/charpk is used by its module, and no
+module imports sympy.
 
 The package `__init__` re-exports the public API, so its imports are
 exempt; names that appear only inside string annotations count as used.
@@ -57,3 +58,25 @@ def test_module_level_imports_are_used(module):
 def test_the_check_sees_an_unused_import():
     assert _unused_imports('import os\nfrom x import a, b, c\n"a"\n'
                            'def f(y: "c"): b()\n') == [(1, "os"), (2, "a")]
+
+
+def _imported_modules(source):
+    out = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            out.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            out.add(node.module.split(".")[0])
+    return out
+
+
+@pytest.mark.parametrize("module", MODULES + ["__init__.py"])
+def test_no_module_imports_sympy(module):
+    """sympy is a test-only oracle: the library carries F_p(t..) itself."""
+    with open(os.path.join(SRC, module)) as fh:
+        assert "sympy" not in _imported_modules(fh.read())
+
+
+def test_the_sympy_check_sees_nested_imports():
+    assert "sympy" in _imported_modules(
+        "def f():\n    from sympy.polys import ring\n")

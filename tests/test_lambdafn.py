@@ -92,13 +92,16 @@ _TVARS = ("t1", "t2", "t3")
 
 
 def _pool(K):
-    """The polynomial pool of criterion 5 plus rational entries; the
-    denominators are monomials, which keeps sympy's gcds cheap."""
+    """The polynomial pool of criterion 5 plus rational entries with
+    monomial and non-monomial denominators: sums and products of their
+    p-th powers have denominators that mix both kinds of factor, whose
+    gcds stay fast only through both content rules of `mp_gcd`."""
     t1, t2, t3 = (K.gen(n) for n in _TVARS)
     one = K.one()
     return [K.zero(), one, t1, t2, t3, t1 + one, t2 + t3, t1 * t2,
             t1 + t2 + t3, t3 * t3,
-            one / t2, t3 / t1, (t1 + one) / t2, (t2 + t3) / (t1 * t3)]
+            one / t2, t3 / t1, (t1 + one) / t2, (t2 + t3) / (t1 * t3),
+            t3 / (t2 + one), (t1 + t2) / (t3 + one), one / (t1 * t2 + t3)]
 
 
 @settings(derandomize=True, max_examples=40, deadline=None)

@@ -1,7 +1,7 @@
 """Polynomial arithmetic on raw kernel values against the oracle.
 
 `MultiPoly`, `mp_divmod_single`, `mp_gcd` and the dense univariate
-routines compute on raw coefficients (int codes, reduced fractions);
+routines compute on raw coefficients (int codes, reduced pairs);
 `oracles.d_*` compute on dicts of FieldScalars.  Both must agree on
 every field kind: prime fields, table-driven GF(p^k) (with the default
 and a custom modulus), GF(2^17) above the table cap, and F_p(t).
@@ -10,12 +10,11 @@ and a custom modulus), GF(2^17) above the table cap, and F_p(t).
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from charpk.factor import mp_divmod_single, mp_gcd
 from charpk.fields import (FieldScalar, _scalar as wrap, make_field, u_add,
                            u_deriv, u_divmod, u_gcd, u_mul, u_powmod, u_sub)
-from charpk.polys import MultiPoly, PolyRing
+from charpk.polys import MultiPoly, PolyRing, mp_divmod_single, mp_gcd
 from oracles import (d_add, d_divmod, d_gcd1, d_mul, d_neg, d_partial,
-                     d_pow, d_powmod1, d_sub, d_substitute)
+                     d_pow, d_powmod1, d_sub, d_substitute, gfp_gcd)
 
 SPECS = ["GF(2,1)", "GF(7,1)", "GF(2,3)", "GF(3,2,a^2+a+2)", "GF(2,17)",
          "Fp(3;t)"]
@@ -37,11 +36,13 @@ def _scalar(data, K):
     return num / data.draw(st.sampled_from([K.one(), t, t + 1]))
 
 
-def _poly(data, K, nvars, max_terms=4, max_deg=3):
-    """A random polynomial as an oracle dict {exponents: FieldScalar}."""
+def _poly(data, K, nvars, max_terms=4, max_deg=3, free=None):
+    """A random polynomial as an oracle dict {exponents: FieldScalar},
+    free of variable number `free` when one is given."""
     out = {}
     for _ in range(data.draw(st.integers(0, max_terms))):
-        e = tuple(data.draw(st.integers(0, max_deg)) for _ in range(nvars))
+        e = tuple(0 if i == free else data.draw(st.integers(0, max_deg))
+                  for i in range(nvars))
         c = _scalar(data, K)
         if not c.is_zero():
             out[e] = c
@@ -90,16 +91,31 @@ def test_division_and_gcd_match_oracle(spec, data):
     if g:
         q, r = mp_divmod_single(_mp(R, f), _mp(R, g))
         assert (_d(q), _d(r)) == d_divmod(f, g, _grevlex)
-    # a constructed common factor h of a = h u and b = h v
-    h = _poly(data, K, 2, max_terms=3, max_deg=2)
-    u = _poly(data, K, 2, max_terms=3, max_deg=2)
-    v = _poly(data, K, 2, max_terms=3, max_deg=2)
-    a, b = d_mul(h, u), d_mul(h, v)
+    # a constructed common factor h of a = h u m_a and b = h v m_b in
+    # three variables, m_a and m_b monomials, and b free of one variable
+    # when one is drawn: inputs for both content rules of mp_gcd
+    R3 = PolyRing(K, ("x", "y", "z"))
+    free = data.draw(st.sampled_from([None, 0, 1, 2]))
+    h = _poly(data, K, 3, max_terms=3, max_deg=2, free=free)
+    u = _poly(data, K, 3, max_terms=3, max_deg=2)
+    v = _poly(data, K, 3, max_terms=3, max_deg=2, free=free)
+    ma, mb = ({tuple(0 if i == free else data.draw(st.integers(0, 2))
+                     for i in range(3)): K.one()} for _ in range(2))
+    a, b = d_mul(d_mul(h, u), ma), d_mul(d_mul(h, v), mb)
     if a and b:
-        gcd = _d(mp_gcd(_mp(R, a), _mp(R, b)))
+        gcd = _d(mp_gcd(_mp(R3, a), _mp(R3, b)))
+        assert gcd[max(gcd, key=_grevlex)] == K.one()
         assert not d_divmod(a, gcd, _grevlex)[1]
         assert not d_divmod(b, gcd, _grevlex)[1]
-        assert not d_divmod(gcd, h, _grevlex)[1]
+        # h and the common part of the monomials divide the gcd
+        (ea,), (eb,) = ma, mb
+        common = {tuple(map(min, ea, eb)): K.one()}
+        assert not d_divmod(gcd, d_mul(h, common), _grevlex)[1]
+        if K.kind == "gf" and K.k == 1:
+            # and nothing larger divides both
+            assert {e: c.value for e, c in gcd.items()} == gfp_gcd(
+                *({e: c.value for e, c in f.items()} for f in (a, b)),
+                K.p, _grevlex)
     # univariate: the monic Euclidean gcd exactly
     R1 = PolyRing(K, ("x",))
     f1, g1 = _poly(data, K, 1, max_deg=5), _poly(data, K, 1, max_deg=5)
