@@ -18,8 +18,7 @@ from .fields import (FieldDescriptor, FieldScalar, evaluate_scalar,
                      parse_scalar, pth_root, scalar_height)
 from .lambdafn import (is_p_independent, lambda_basis, lambda_multi,
                        lambda_solve, p_independence_verdict, p_monomials)
-from .polys import (Ideal, MultiPoly, PolyRing, eliminate, groebner_basis,
-                    ideal_dimension, ideal_member, normal_form)
+from .polys import Ideal, MultiPoly, PolyRing, normal_form
 from .factor import (factor_poly, is_absolutely_irreducible_poly,
                      uni_factor, uni_is_irreducible, uni_roots)
 from .variety import (AffineVariety, FunctionFieldElem, RationalMapData,

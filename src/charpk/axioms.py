@@ -9,15 +9,18 @@ The D-PAC scheme: data (V, W, f_1..f_n) over a differential field
   4. the equalizer E projects dominantly on W,
   5. every f_i pulled back to K(W) avoids K(W)^p (admissibility).
 
-Validation short-circuits at the first failing bullet; witness search
-then hunts for x in V(K) with every f_i(x) outside K^p and
-(x, D(x)) in W(K), bounded by coordinate height so runs reproduce.
+One runner checks the bullets of either scheme: it stops at the first
+failing bullet and reports a library error inside a bullet as
+UnsupportedInstance naming that bullet.  One witness loop then hunts
+through V(K) for a point its scheme accepts: for D-PAC, x with every
+f_i(x) outside K^p and (x, D(x)) in W(K), bounded by coordinate height
+so runs reproduce.
 
 The same skeleton drives the G-B-DCF scheme, where a finite group acts
 on K and the derivation is replaced by a B-operator for a truncated
 polynomial algebra B = k[eta]/(eta^n); for n = 2 the geometry is the
-classical prolongation, and a trivial group collapses the scheme
-bullet-for-bullet onto D-PAC.
+classical prolongation (bullets 2-4 above, shared), and a trivial group
+collapses the scheme bullet-for-bullet onto D-PAC.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ import json
 
 from . import lambdafn
 from .differential import (DerivationContext, derivation_extends, derive,
-                           kerprol_check)
+                           kerprol_check, require_doubled_space)
 from .errors import CharpkError, PreconditionError, UnsupportedInstance
 from .fields import FieldDescriptor, is_pth_power, iter_gf_elements
 from .formula import (eval_formula, parse as parse_formula,
@@ -79,6 +82,55 @@ def _bullet(name, verdict, detail=""):
 
 
 # ---------------------------------------------------------------------------
+# the shared pipeline: one bullet runner, one witness loop
+# ---------------------------------------------------------------------------
+
+def _run_bullets(checks) -> CheckReport:
+    """Run (name, check) pairs in order and stop at the first failure.  A
+    check returns its verdict, or a (verdict, detail) pair; a library
+    error inside it surfaces as UnsupportedInstance naming the bullet."""
+    bullets = []
+    for name, check in checks:
+        try:
+            verdict = check()
+        except CharpkError as exc:
+            raise UnsupportedInstance(f"bullet {name!r}: {exc}") from exc
+        ok, detail = verdict if isinstance(verdict, tuple) else (verdict, "")
+        bullets.append(_bullet(name, "pass" if ok else "fail", detail))
+        if not ok:
+            return CheckReport(bullets, "invalid", failed_bullet=name)
+    return CheckReport(bullets, "valid-instance")
+
+
+def _first_witness(V, bullets, bound, accept) -> CheckReport:
+    """The first point of V(K) in the deterministic enumeration order
+    (height <= bound over F_p(t..)) that `accept` takes, or exhausted."""
+    for point in enumerate_points(V, bound=bound):
+        if accept(point):
+            return CheckReport(bullets, "witness-found", witness=point,
+                               bound=bound)
+    return CheckReport(bullets, "exhausted", bound=bound)
+
+
+def _geometry_checks(inst):
+    """The three geometric bullets shared by D-PAC and G-B-DCF."""
+    V, W, D = inst.V, inst.W, inst.derivation
+    return [
+        ("W is contained in the prolongation of V",
+         lambda: derivation_extends(V, W, D)),
+        ("W projects dominantly on V",
+         lambda: is_dominant(projection_map(W, V, V.vars))),
+        ("E projects dominantly on W", lambda: kerprol_check(V, W, D)),
+    ]
+
+
+def _lifts_into_W(inst, point) -> bool:
+    """(x, D(x)) lies on W."""
+    dx = tuple(derive(c, inst.derivation) for c in point)
+    return inst.W.contains_point(point + dx)
+
+
+# ---------------------------------------------------------------------------
 # D-PAC instances
 # ---------------------------------------------------------------------------
 
@@ -92,10 +144,7 @@ class DPacInstance:
             derivation = DerivationContext(field, derivation)
         if V.field != field or W.field != field:
             raise PreconditionError("V and W must live over the base field")
-        n = len(V.vars)
-        if len(W.vars) != 2 * n or W.vars[:n] != V.vars:
-            raise PreconditionError(
-                "W must live in the doubled variable space of V")
+        require_doubled_space(V, W)
         self.field = field
         self.derivation = derivation
         self.V = V
@@ -105,65 +154,27 @@ class DPacInstance:
         self.bound = bound
 
 
-_DPAC_BULLETS = (
-    "W is absolutely irreducible",
-    "W is contained in the prolongation of V",
-    "W projects dominantly on V",
-    "E projects dominantly on W",
-    "the pulled-back functions avoid p-th powers",
-)
+def _dpac_checks(inst):
+    """The five D-PAC bullets in fixed order."""
+    def avoid_pth_powers():
+        for f in inst.fns:
+            pulled = inst.W.function_field_elem(f.rename(inst.W.ring))
+            if ppower_test(pulled).status == "root":
+                return False, f"{f} pulls back to a p-th power"
+        return True
+
+    return ([("W is absolutely irreducible",
+              lambda: is_absolutely_irreducible(inst.W))]
+            + _geometry_checks(inst)
+            + [("the pulled-back functions avoid p-th powers",
+                avoid_pth_powers)])
 
 
 def validate_dpac_instance(inst: DPacInstance) -> CheckReport:
     """The five bullets in fixed order; stops at the first failure."""
     inst.V.require_nonempty()
     inst.W.require_nonempty()
-    bullets = []
-
-    def fail(name, detail=""):
-        bullets.append(_bullet(name, "fail", detail))
-        return CheckReport(bullets, "invalid", failed_bullet=name)
-
-    name = _DPAC_BULLETS[0]
-    try:
-        ok = is_absolutely_irreducible(inst.W)
-    except CharpkError as exc:
-        raise UnsupportedInstance(f"bullet {name!r}: {exc}") from exc
-    if not ok:
-        return fail(name)
-    bullets.append(_bullet(name, "pass"))
-
-    name = _DPAC_BULLETS[1]
-    if not derivation_extends(inst.V, inst.W, inst.derivation):
-        return fail(name)
-    bullets.append(_bullet(name, "pass"))
-
-    name = _DPAC_BULLETS[2]
-    try:
-        ok = is_dominant(projection_map(inst.W, inst.V, inst.V.vars))
-    except CharpkError as exc:
-        raise UnsupportedInstance(f"bullet {name!r}: {exc}") from exc
-    if not ok:
-        return fail(name)
-    bullets.append(_bullet(name, "pass"))
-
-    name = _DPAC_BULLETS[3]
-    try:
-        ok = kerprol_check(inst.V, inst.W, inst.derivation)
-    except CharpkError as exc:
-        raise UnsupportedInstance(f"bullet {name!r}: {exc}") from exc
-    if not ok:
-        return fail(name)
-    bullets.append(_bullet(name, "pass"))
-
-    name = _DPAC_BULLETS[4]
-    for f in inst.fns:
-        pulled = inst.W.function_field_elem(f.rename(inst.W.ring))
-        verdict = ppower_test(pulled)
-        if verdict.status == "root":
-            return fail(name, f"{f} pulls back to a p-th power")
-    bullets.append(_bullet(name, "pass"))
-    return CheckReport(bullets, "valid-instance")
+    return _run_bullets(_dpac_checks(inst))
 
 
 def _witness_ok(inst: DPacInstance, point) -> bool:
@@ -171,12 +182,9 @@ def _witness_ok(inst: DPacInstance, point) -> bool:
     if not inst.V.contains_point(point):
         return False
     values = dict(zip(inst.V.vars, point))
-    for f in inst.fns:
-        v = f.evaluate(values)
-        if is_pth_power(v):
-            return False
-    dx = tuple(derive(c, inst.derivation) for c in point)
-    return inst.W.contains_point(point + dx)
+    if any(is_pth_power(f.evaluate(values)) for f in inst.fns):
+        return False
+    return _lifts_into_W(inst, point)
 
 
 def search_dpac_witness(inst: DPacInstance,
@@ -186,20 +194,8 @@ def search_dpac_witness(inst: DPacInstance,
     if report.status != "valid-instance":
         raise PreconditionError(
             f"witness search needs a valid instance (got {report.status})")
-    bound = None if inst.field.kind == "gf" else inst.bound
-    for point in enumerate_points(inst.V, bound=bound):
-        defined = True
-        values = dict(zip(inst.V.vars, point))
-        for f in inst.fns:
-            if f.evaluate(values) is None:
-                defined = False
-                break
-        if not defined:
-            continue
-        if _witness_ok(inst, point):
-            return CheckReport(report.bullets, "witness-found",
-                               witness=point, bound=inst.bound)
-    return CheckReport(report.bullets, "exhausted", bound=inst.bound)
+    return _first_witness(inst.V, report.bullets, inst.bound,
+                          lambda point: _witness_ok(inst, point))
 
 
 # ---------------------------------------------------------------------------
@@ -218,14 +214,12 @@ def pac_witness_task(V: AffineVariety, avoid=(), bound=1) -> CheckReport:
         raise PreconditionError("the carved open subset is empty")
     bullets = [_bullet("V is absolutely irreducible", "pass"),
                _bullet("the open part is nonempty", "pass")]
-    b = None if V.field.kind == "gf" else bound
-    for point in enumerate_points(V, bound=b):
+
+    def accept(point):
         values = dict(zip(V.vars, point))
-        if not avoid or any(not g.evaluate(values).is_zero()
-                            for g in avoid):
-            return CheckReport(bullets, "witness-found", witness=point,
-                               bound=bound)
-    return CheckReport(bullets, "exhausted", bound=bound)
+        return not avoid or any(not g.evaluate(values).is_zero()
+                                for g in avoid)
+    return _first_witness(V, bullets, bound, accept)
 
 
 # ---------------------------------------------------------------------------
@@ -449,105 +443,56 @@ def b_operator_check(maps, B: BAlgebra, generators, products=None) -> bool:
 # G-B-DCF instances
 # ---------------------------------------------------------------------------
 
-class GBdcfInstance:
+class GBdcfInstance(DPacInstance):
     """(K with B-operator and group action; V, W over K).  `action` is a
     FieldAction or None for the trivial group; the B-operator for
-    B = k[eta]/(eta^2) is (id, D) with D a DerivationContext."""
+    B = k[eta]/(eta^2) is (id, D) with D a DerivationContext (the zero
+    derivation when None)."""
 
-    __slots__ = ("field", "action", "balgebra", "derivation", "V", "W",
-                 "fns", "bound")
+    __slots__ = ("action", "balgebra")
 
     def __init__(self, field, balgebra, V, W, action=None, derivation=None,
                  fns=(), bound=1):
-        self.field = field
+        super().__init__(field, derivation, V, W, fns=fns, bound=bound)
         self.action = action
         self.balgebra = balgebra
-        if derivation is None:
-            derivation = DerivationContext(field)
-        elif not isinstance(derivation, DerivationContext):
-            derivation = DerivationContext(field, derivation)
-        self.derivation = derivation
-        self.V = V
-        self.W = W
-        self.fns = [V.ring.parse(f) if isinstance(f, str) else f
-                    for f in fns]
-        self.bound = bound
 
 
-def validate_gbdcf_instance(inst: GBdcfInstance, search=True) -> CheckReport:
-    """Faithfulness, K-irreducibility of V and W, the three geometric
-    bullets through the n = 2 prolongation, then witness search over
-    V(K^G)."""
+_FAITHFUL = "the action of G on K is faithful"
+
+
+def validate_gbdcf_instance(inst: GBdcfInstance) -> CheckReport:
+    """Faithfulness, then either the D-PAC bullets (trivial group) or
+    K-irreducibility of V and W and the three geometric bullets through
+    the n = 2 prolongation; then witness search over V(K^G)."""
     if not inst.balgebra.truncated:
         raise UnsupportedInstance("unsupported B-algebra class: only "
                                   "k[eta]/(eta^n) drives the geometry")
     if inst.balgebra.dim > 2:
         raise UnsupportedInstance("the geometric pipeline supports "
                                   "k[eta]/(eta^2) (n = 2) only")
-    trivial = inst.action is None or len(inst.action.group) == 1
-    bullets = []
-
-    name = "the action of G on K is faithful"
-    if trivial:
-        bullets.append(_bullet(name, "pass", "trivial group"))
-    else:
-        if not is_faithful(inst.action):
-            bullets.append(_bullet(name, "fail"))
-            return CheckReport(bullets, "invalid", failed_bullet=name)
-        bullets.append(_bullet(name, "pass"))
-
-    if trivial:
+    if inst.action is None or len(inst.action.group) == 1:
         # definitional collapse onto the D-PAC scheme
-        dpac = DPacInstance(inst.field, inst.derivation, inst.V, inst.W,
-                            fns=inst.fns, bound=inst.bound)
-        report = validate_dpac_instance(dpac)
-        bullets.extend(report.bullets)
+        inst.V.require_nonempty()
+        inst.W.require_nonempty()
+        report = _run_bullets([(_FAITHFUL, lambda: (True, "trivial group"))]
+                              + _dpac_checks(inst))
         if report.status != "valid-instance":
-            return CheckReport(bullets, report.status,
-                               failed_bullet=report.failed_bullet)
-        if not search:
-            return CheckReport(bullets, "valid-instance")
-        found = search_dpac_witness(dpac, validated=report)
-        return CheckReport(bullets, found.status, witness=found.witness,
-                           bound=found.bound)
+            return report
+        return search_dpac_witness(inst, validated=report)
 
     # nontrivial group: finite base field, hence the zero derivation
-    name = "V and W are K-irreducible"
-    if not (is_irreducible(inst.V) and is_irreducible(inst.W)):
-        bullets.append(_bullet(name, "fail"))
-        return CheckReport(bullets, "invalid", failed_bullet=name)
-    bullets.append(_bullet(name, "pass"))
-
-    name = "W is contained in the prolongation of V"
-    if not derivation_extends(inst.V, inst.W, inst.derivation):
-        bullets.append(_bullet(name, "fail"))
-        return CheckReport(bullets, "invalid", failed_bullet=name)
-    bullets.append(_bullet(name, "pass"))
-
-    name = "W projects dominantly on V"
-    if not is_dominant(projection_map(inst.W, inst.V, inst.V.vars)):
-        bullets.append(_bullet(name, "fail"))
-        return CheckReport(bullets, "invalid", failed_bullet=name)
-    bullets.append(_bullet(name, "pass"))
-
-    name = "E projects dominantly on W"
-    if not kerprol_check(inst.V, inst.W, inst.derivation):
-        bullets.append(_bullet(name, "fail"))
-        return CheckReport(bullets, "invalid", failed_bullet=name)
-    bullets.append(_bullet(name, "pass"))
-
-    if not search:
-        return CheckReport(bullets, "valid-instance")
-
-    # witness search over V(K^G)
+    report = _run_bullets(
+        [(_FAITHFUL, lambda: is_faithful(inst.action)),
+         ("V and W are K-irreducible",
+          lambda: is_irreducible(inst.V) and is_irreducible(inst.W))]
+        + _geometry_checks(inst))
+    if report.status != "valid-instance":
+        return report
+    # scan V(K) and keep the points with coordinates in K^G
     KG, embed = invariants(inst.action)
     fixed = {embed(x) for x in iter_gf_elements(KG)}
-    for point in enumerate_points(inst.V):
-        if not all(c in fixed for c in point):
-            continue
-        dx = tuple(derive(c, inst.derivation) for c in point)
-        if inst.W.contains_point(point + dx):
-            return CheckReport(bullets, "witness-found", witness=point,
-                               bound=inst.bound)
-    return CheckReport(bullets, "exhausted", bound=inst.bound)
-
+    return _first_witness(
+        inst.V, report.bullets, inst.bound,
+        lambda point: (all(c in fixed for c in point)
+                       and _lifts_into_W(inst, point)))

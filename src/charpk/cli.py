@@ -25,8 +25,7 @@ from .errors import (CharpkError, InstanceFileError, ResourceExhausted,
 from .fields import make_field
 from .instancefile import (InstanceFile, build_action, build_derivation,
                            build_field, build_variety)
-from .polys import (PolyRing, eliminate, groebner_basis, ideal_dimension,
-                    ideal_member)
+from .polys import PolyRing
 
 
 def _load(path) -> InstanceFile:
@@ -69,6 +68,18 @@ def _formula_block(inst):
     return phi, field, [str(v) for v in names]
 
 
+def _items(inst, kind):
+    """The `items` of an optional block, as strings; [] without one."""
+    block = inst.find(kind)
+    return [str(t) for t in block.require("items")] if block else []
+
+
+def _bound(inst):
+    """The search bound of the optional `bound` block, 1 without one."""
+    block = inst.find("bound")
+    return int(block.require("value")) if block else 1
+
+
 def _assignment(inst, field, kind="witness"):
     block = inst.find(kind)
     if block is None:
@@ -107,7 +118,7 @@ def cmd_poly(args):
     inst = _load(args.file)
     ideal = _ideal(inst)
     if args.action == "gb":
-        gb = groebner_basis(ideal, order=args.order)
+        gb = ideal.groebner(args.order)
         return 0, {"basis": [str(g) for g in gb]}, [str(g) for g in gb]
     if args.action == "elim":
         drop = args.drop or list(ideal.ring.vars[:1])
@@ -115,15 +126,15 @@ def cmd_poly(args):
         if unknown:
             raise InstanceFileError(
                 f"--drop names unknown variables: {', '.join(unknown)}")
-        out = eliminate(ideal, drop)
+        out = ideal.eliminate(drop)
         return 0, {"generators": [str(g) for g in out.gens]}, \
             [str(g) for g in out.gens]
     if args.action == "dim":
-        d = ideal_dimension(ideal)
+        d = ideal.dimension()
         return 0, {"dimension": d}, [f"dimension {d}"]
     if args.action == "member":
         f = ideal.ring.parse(args.poly)
-        ok = ideal_member(f, ideal)
+        ok = ideal.contains(f)
         return (0 if ok else 1), {"member": ok}, \
             [f"{args.poly} is {'' if ok else 'not '}in the ideal"]
     raise InstanceFileError(f"unknown poly action {args.action}")
@@ -162,9 +173,8 @@ def cmd_variety(args):
         ok = vmod.is_dominant(m)
         return (0 if ok else 1), {"dominant": ok}, [f"dominant: {ok}"]
     if args.action == "points":
-        bound = args.bound if V.field.kind != "gf" else None
         pts = [[str(c) for c in p]
-               for p in vmod.enumerate_points(V, bound=bound)]
+               for p in vmod.enumerate_points(V, bound=args.bound)]
         return 0, {"count": len(pts), "points": pts}, \
             [f"{len(pts)} points"] + ["(" + ", ".join(p) + ")" for p in pts]
     if args.action == "ppower":
@@ -348,11 +358,8 @@ def _dpac_instance(inst):
     V = _variety(inst, label="V")
     W = _variety(inst, label="W")
     D = _derivation(inst, field=V.field)
-    fblock = inst.find("functions")
-    fns = [str(t) for t in fblock.require("items")] if fblock else []
-    bblock = inst.find("bound")
-    bound = int(bblock.require("value")) if bblock else 1
-    return DPacInstance(V.field, D, V, W, fns=fns, bound=bound)
+    return DPacInstance(V.field, D, V, W, fns=_items(inst, "functions"),
+                        bound=_bound(inst))
 
 
 def cmd_axiom(args):
@@ -364,12 +371,9 @@ def cmd_axiom(args):
         report = search_dpac_witness(_dpac_instance(inst))
         return _report_exit(report), report.as_dict(), _report_lines(report)
     if args.action == "pac-open":
-        V = _variety(inst)
-        ablock = inst.find("avoid")
-        avoid = [str(t) for t in ablock.require("items")] if ablock else []
-        bblock = inst.find("bound")
-        bound = int(bblock.require("value")) if bblock else 1
-        report = pac_witness_task(V, avoid=avoid, bound=bound)
+        report = pac_witness_task(_variety(inst),
+                                  avoid=_items(inst, "avoid"),
+                                  bound=_bound(inst))
         return _report_exit(report), report.as_dict(), _report_lines(report)
     if args.action == "scf-reduce":
         phi, field, _ = _formula_block(inst)
@@ -411,12 +415,8 @@ def cmd_axiom(args):
                   if inst.find("action") else None)
         D = (_derivation(inst, field=V.field)
              if inst.find("derivation") else None)
-        fblock = inst.find("functions")
-        fns = [str(t) for t in fblock.require("items")] if fblock else []
-        bound_block = inst.find("bound")
-        bound = int(bound_block.require("value")) if bound_block else 1
         gi = GBdcfInstance(V.field, B, V, W, action=action, derivation=D,
-                           fns=fns, bound=bound)
+                           fns=_items(inst, "functions"), bound=_bound(inst))
         report = validate_gbdcf_instance(gi)
         return _report_exit(report), report.as_dict(), _report_lines(report)
     raise InstanceFileError(f"unknown axiom action {args.action}")

@@ -200,21 +200,24 @@ def _field_lift(K: FieldDescriptor, L: FieldDescriptor):
     raise FieldError(f"no canonical embedding of {K} into {L}")
 
 
+def require_doubled_space(V: AffineVariety, W: AffineVariety):
+    """W must live in the doubled variable space (x, u) of V."""
+    n = len(V.vars)
+    if len(W.vars) != 2 * n or W.vars[:n] != V.vars:
+        raise PreconditionError(
+            "W must live in the doubled variable space of V")
+
+
 def derivation_extends(V: AffineVariety, W: AffineVariety,
                        D: DerivationContext) -> bool:
     """W subseteq tau^D(V), by membership of every generator of I(tau) in
     I(W); W must live in the doubled variable space of V."""
-    n = len(V.vars)
-    if len(W.vars) != 2 * n or W.vars[:n] != V.vars:
-        raise RingError("W is not in the doubled variable space of V")
-    bundle = prolongation(V, D, uvars=W.vars[n:])
-    for g in bundle.tau.ideal.gens:
-        if not W.ideal.contains(g.rename(W.ring)):
-            return False
-    return True
+    return _violated_generator(V, W, D) is None
 
 
 def _violated_generator(V, W, D):
+    """A generator of I(tau^D(V)) outside I(W), or None."""
+    require_doubled_space(V, W)
     n = len(V.vars)
     bundle = prolongation(V, D, uvars=W.vars[n:])
     for g in bundle.tau.ideal.gens:
@@ -228,9 +231,6 @@ def equalizer(V: AffineVariety, W: AffineVariety,
     """E inside tau^D(W): points whose tau^D(alpha)-image and iota-image
     in tau^D(V) agree; concretely tau^D(W) plus the equations
     (derivative of x_i) = u_i."""
-    n = len(V.vars)
-    if len(W.vars) != 2 * n or W.vars[:n] != V.vars:
-        raise RingError("W is not in the doubled variable space of V")
     bad = _violated_generator(V, W, D)
     if bad is not None:
         raise PreconditionError(
@@ -244,6 +244,7 @@ def equalizer(V: AffineVariety, W: AffineVariety,
     bundle = prolongation(W, D, uvars=tvars)
     ring = bundle.tau.ring
     gens = list(bundle.tau.ideal.gens)
+    n = len(V.vars)
     for xv, uv in zip(W.vars[:n], W.vars[n:]):
         gens.append(ring.var(xv + "t") - ring.var(uv))
     return AffineVariety(W.field, W.vars + tvars, Ideal(ring, gens))
@@ -262,11 +263,10 @@ def extension_oracle(V: AffineVariety, W: AffineVariety,
     extending D exists iff the chain-rule system
         sum_i dg/dx_i * u_i + sum_j dg/du_j * xi_j + g^D = 0   (g in I(W))
     is solvable for xi_j in K(W)."""
-    n = len(V.vars)
-    if len(W.vars) != 2 * n or W.vars[:n] != V.vars:
-        raise RingError("W is not in the doubled variable space of V")
+    require_doubled_space(V, W)
     if not is_irreducible(W):
         raise PreconditionError("the oracle needs a K-irreducible W")
+    n = len(V.vars)
     ring = W.ring
     xvars, uvars = W.vars[:n], W.vars[n:]
     rows = []

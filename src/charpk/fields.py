@@ -681,6 +681,9 @@ class FieldScalar:
     def is_zero(self):
         return not self.value
 
+    def __bool__(self):
+        return bool(self.value)
+
     def is_one(self):
         return self.value == self.field._kernel.one
 

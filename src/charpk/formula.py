@@ -27,8 +27,9 @@ from dataclasses import dataclass
 from typing import Tuple
 
 from . import lambdafn
-from .errors import FieldError, FormulaError
-from .fields import FieldScalar, is_pth_power, lambda0, pth_root
+from .errors import FieldError, FormulaError, PreconditionError
+from .fields import (FieldDescriptor, FieldScalar, is_pth_power, lambda0,
+                     pth_root)
 
 
 # ---------------------------------------------------------------------------
@@ -127,10 +128,6 @@ class AndF(Formula):
 class OrF(Formula):
     left: Formula
     right: Formula
-
-
-QFFormula = Formula
-TermAST = Term
 
 
 # language tags --------------------------------------------------------------
@@ -587,16 +584,11 @@ class UnravelResult:
 
     def locus_variety(self):
         from .variety import locus
-        K = None
-        for v in self.values.values():
-            K = v.field
-            break
-        base = (K.prime_subfield() if hasattr(K, "prime_subfield")
-                else None)
-        from .fields import FieldDescriptor
-        base = FieldDescriptor("gf", K.p, 1)
-        return locus([self.values[n] for n in self.names], base,
-                     variables=self.names)
+        if not self.names:
+            raise PreconditionError("the locus needs a witness coordinate")
+        K = self.values[self.names[0]].field
+        return locus([self.values[n] for n in self.names],
+                     FieldDescriptor("gf", K.p, 1), variables=self.names)
 
 
 def unravel_lambda_terms(phi: Formula, structure, witness) -> UnravelResult:
@@ -820,8 +812,11 @@ def correct_lambda0_D(phi: Formula, structure=None, witness=None,
                 fresh.append(y)
                 p_power = Var(y)
                 # y^p as an explicit product
-                p = (structure["field"].p if structure is not None
-                     else _require_p(cases))
+                if structure is None:
+                    raise FormulaError(
+                        "explicit-case rewriting needs a structure to fix "
+                        "the characteristic; pass structure= as well")
+                p = structure["field"].p
                 for _ in range(p - 1):
                     p_power = Mul(p_power, Var(y))
                 defining.append(Atom(Sub(p_power, arg)))
@@ -874,11 +869,6 @@ def correct_lambda0_D(phi: Formula, structure=None, witness=None,
     _check_assignment_consistency(out, nonzero_args, fixed_terms)
     extended = env if witness else None
     return CorrectionResult(out, fixed_terms, trace, fresh, extended)
-
-
-def _require_p(cases):
-    raise FormulaError("explicit-case rewriting needs a structure to fix "
-                       "the characteristic; pass structure= as well")
 
 
 def _contains_negation(f):

@@ -912,20 +912,3 @@ class Ideal:
                     return size
         return 0
 
-
-# module-level functional wrappers ------------------------------------------
-
-def groebner_basis(ideal: Ideal, order="grevlex"):
-    return ideal.groebner(order)
-
-
-def ideal_member(f: MultiPoly, ideal: Ideal) -> bool:
-    return ideal.contains(f)
-
-
-def eliminate(ideal: Ideal, drop) -> Ideal:
-    return ideal.eliminate(drop)
-
-
-def ideal_dimension(ideal: Ideal):
-    return ideal.dimension()

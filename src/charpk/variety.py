@@ -530,28 +530,6 @@ def _single_geometric_root(h: MultiPoly, var: str) -> bool:
     return False
 
 
-def _triangular_shape(V: AffineVariety):
-    """Lex Groebner basis of shape f1(v1), v2 - g2(v1), ..: returns
-    (v1, f1) or None."""
-    gb = list(V.ideal.groebner("lex"))
-    if not gb:
-        return None
-    used = sorted(set().union(*[g.variables_used() for g in gb]))
-    # find the single non-linear generator; all others must peel
-    peel = peel_graph(V)
-    if len(peel.gens) != 1:
-        return None
-    f1 = peel.gens[0]
-    uvars = f1.variables_used()
-    if len(uvars) != 1:
-        return None
-    v1 = next(iter(uvars))
-    # remaining free variables beyond v1 would make V positive-dimensional
-    if set(peel.free_vars) - {v1}:
-        return None
-    return v1, f1
-
-
 def is_irreducible(V: AffineVariety) -> bool:
     if "irreducible" in V._flags:
         return V._flags["irreducible"]
@@ -579,10 +557,6 @@ def _decide_irreducible(V: AffineVariety, absolute: bool) -> bool:
         return True  # affine space
     if len(gens) == 1:
         return _poly_irreducible(gens[0], absolute)
-    tri = _triangular_shape(V)
-    if tri is not None:
-        v1, f1 = tri
-        return _poly_irreducible_zero_dim(f1, v1, absolute)
     red = _rational_graph_reduction(V, gens)
     if red is not None:
         return _decide_irreducible(red, absolute)

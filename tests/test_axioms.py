@@ -4,12 +4,14 @@ import json
 
 import pytest
 
+from charpk import axioms
 from charpk.axioms import (BAlgebra, DPacInstance, GBdcfInstance,
                            b_operator_check, pac_witness_task, scf_reduce,
                            search_dpac_witness, validate_dpac_instance,
                            validate_gbdcf_instance)
 from charpk.differential import DerivationContext, derive
-from charpk.errors import (PreconditionError, UnsupportedInstance)
+from charpk.errors import (CharpkError, PreconditionError,
+                           UnsupportedInstance)
 from charpk.fields import make_field
 from charpk.groups import FieldAction
 from charpk.variety import AffineVariety
@@ -179,3 +181,63 @@ def test_gbdcf_non_faithful_action_fails():
     report = validate_gbdcf_instance(GBdcfInstance(L, B, V, W, action=act))
     assert report.status == "invalid"
     assert report.failed_bullet == "the action of G on K is faithful"
+
+
+def test_gbdcf_instance_requires_the_doubled_space():
+    K = make_field("GF(2,2)")
+    B = BAlgebra.truncated_polynomial(K, 2)
+    V = AffineVariety(K, ("x",), [])
+    W = AffineVariety(K, ("y", "u"), ["u"])
+    with pytest.raises(PreconditionError, match="doubled variable space"):
+        GBdcfInstance(K, B, V, W)
+
+
+def _frobenius_instance():
+    L = make_field("GF(2,2)")
+    act = FieldAction.cyclic_action(2, L, "frobenius")
+    V = AffineVariety(L, ("x",), [])
+    W = AffineVariety(L, ("x", "u"), ["u"])
+    return GBdcfInstance(L, BAlgebra.truncated_polynomial(L, 2), V, W,
+                         action=act)
+
+
+def _trivial_group_instance():
+    inst = _line_instance()
+    return GBdcfInstance(inst.field,
+                         BAlgebra.truncated_polynomial(inst.field, 2),
+                         inst.V, inst.W, derivation=inst.derivation,
+                         fns=["x"], bound=1)
+
+
+_DPAC_FAULTS = [
+    ("is_absolutely_irreducible", "W is absolutely irreducible"),
+    ("derivation_extends", "W is contained in the prolongation of V"),
+    ("is_dominant", "W projects dominantly on V"),
+    ("kerprol_check", "E projects dominantly on W"),
+    ("ppower_test", "the pulled-back functions avoid p-th powers"),
+]
+_GEOMETRY_FAULTS = _DPAC_FAULTS[1:4]
+
+
+@pytest.mark.parametrize("build, validate, culprit, bullet", [
+    (_line_instance, validate_dpac_instance, c, b) for c, b in _DPAC_FAULTS
+] + [
+    (_trivial_group_instance, validate_gbdcf_instance, c, b)
+    for c, b in _DPAC_FAULTS
+] + [
+    (_frobenius_instance, validate_gbdcf_instance, c, b)
+    for c, b in [("is_faithful", "the action of G on K is faithful"),
+                 ("is_irreducible", "V and W are K-irreducible")]
+    + _GEOMETRY_FAULTS
+])
+def test_an_error_inside_a_bullet_names_that_bullet(monkeypatch, build,
+                                                    validate, culprit,
+                                                    bullet):
+    inst = build()
+
+    def broken(*args, **kwargs):
+        raise CharpkError("injected")
+    monkeypatch.setattr(axioms, culprit, broken)
+    with pytest.raises(UnsupportedInstance) as info:
+        validate(inst)
+    assert str(info.value) == f"bullet {bullet!r}: injected"

@@ -206,6 +206,32 @@ def test_cli_internal_error_exits_2_without_traceback(monkeypatch, capsys):
     assert "Traceback" not in captured.out + captured.err
 
 
+GBDCF_FROB = """
+variety V { vars: [x]; over: "GF(2,2)"; gens: [] }
+variety W { vars: [x, u]; over: "GF(2,2)"; gens: ["u"] }
+action { group: cyclic(2); field: "GF(2,2)"; generator_image: "frobenius" }
+"""
+
+
+@pytest.mark.parametrize("action, text", [("validate-dpac", DPAC3),
+                                          ("validate-gbdcf", DPAC3),
+                                          ("validate-gbdcf", GBDCF_FROB)])
+def test_cli_error_inside_a_bullet_exits_2(tmp_path, monkeypatch, capsys,
+                                           action, text):
+    import charpk.axioms as axioms
+    from charpk.errors import CharpkError
+
+    def broken(*args):
+        raise CharpkError("injected")
+    monkeypatch.setattr(axioms, "is_dominant", broken)
+    path = _write(tmp_path, "broken.inst", text)
+    assert main(["axiom", action, path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("unsupported: bullet 'W projects dominantly on "
+                            "V': injected\n")
+
+
 def test_cli_formula_correct(tmp_path, capsys):
     path = _write(tmp_path, "formula.inst", """
 formula { text: "D(l0(D(l0(x)) + D(x))) + x = 0"; language: "lambda0_D";
@@ -218,6 +244,16 @@ witness { x: "t" }
     assert payload["formula"] == ("(((y1 * y1) - D(x)) = 0 & "
                                   "(D(y1) + x) = 0)")
     assert payload["fixed_terms"] == ["x"]
+
+
+def test_cli_scf_reduce_without_witness_coordinates(tmp_path, capsys):
+    path = _write(tmp_path, "empty.inst", """
+formula { text: "t = t"; language: "lambda"; over: "Fp(2;t)"; vars: [] }
+witness { }
+""")
+    assert main(["axiom", "scf-reduce", path]) == 2
+    assert capsys.readouterr().err == (
+        "error: the locus needs a witness coordinate\n")
 
 
 def test_cli_formula_unravel(tmp_path, capsys):

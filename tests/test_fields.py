@@ -296,3 +296,15 @@ def test_ratfunc_enumeration_order_is_pinned():
         '2/(t+1)', 't/(t+1)', '(t+2)/(t+1)', '2*t/(t+1)', '(2*t+1)/(t+1)',
         '1/(t+2)', '2/(t+2)', 't/(t+2)', '(t+1)/(t+2)', '2*t/(t+2)',
         '(2*t+2)/(t+2)']
+
+
+@pytest.mark.parametrize("spec", ["GF(5,1)", "GF(3,2)", "Fp(2;t)",
+                                  "Fp(3;t1,t2)"])
+def test_scalar_truth_value_is_nonzero(spec):
+    K = make_field(spec)
+    assert not K.zero() and not bool(K.one() - K.one())
+    assert K.one() and K.from_int(-1)
+    x = K.gen(K.tvars[0]) if K.kind == "ratfunc" else K.generator()
+    assert x and (x / x) and not (x - x)
+    # the guard `if y: x / y` no longer divides by zero
+    assert [K.one() / y for y in (K.zero(), x) if y] == [K.one() / x]

@@ -1,4 +1,5 @@
-"""Every module-level import in src/charpk is used by its module, and no
+"""Every module-level import in src/charpk is used by its module, every
+module-level private name is referenced somewhere in the package, and no
 module imports sympy.
 
 The package `__init__` re-exports the public API, so its imports are
@@ -80,3 +81,72 @@ def test_no_module_imports_sympy(module):
 def test_the_sympy_check_sees_nested_imports():
     assert "sympy" in _imported_modules(
         "def f():\n    from sympy.polys import ring\n")
+
+
+def _private_definitions(tree):
+    """(name, top-level statement) for each module-level `_private`
+    function, class or constant; dunder names are not private."""
+    for stmt in tree.body:
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            names = [stmt.name]
+        elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+            targets = getattr(stmt, "targets", None) or [stmt.target]
+            names = [node.id for target in targets
+                     for node in ast.walk(target)
+                     if isinstance(node, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                yield name, stmt
+
+
+def _references(stmt):
+    """Names a statement loads, reads as attributes or imports."""
+    out = set()
+    for node in ast.walk(stmt):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            out.update(alias.name for alias in node.names)
+    return out
+
+
+def _unreferenced_privates(sources):
+    """(module, name) for each module-level private name that no other
+    top-level statement of any module references; `sources` maps module
+    names to their text.  A helper only its own body calls is unused."""
+    trees = {m: ast.parse(text) for m, text in sources.items()}
+    statements = [stmt for tree in trees.values() for stmt in tree.body]
+    refs = [(stmt, _references(stmt)) for stmt in statements]
+    return sorted(
+        (m, name) for m, tree in trees.items()
+        for name, home in _private_definitions(tree)
+        if not any(name in names for stmt, names in refs if stmt is not home))
+
+
+def test_every_private_name_is_referenced_in_the_package():
+    sources = {}
+    for module in MODULES + ["__init__.py"]:
+        with open(os.path.join(SRC, module)) as fh:
+            sources[module] = fh.read()
+    assert _unreferenced_privates(sources) == []
+
+
+def test_the_check_sees_an_unreferenced_private():
+    sources = {
+        "a.py": "def _used(): pass\n"
+                "def _orphan(n): return _orphan(n - 1)\n"
+                "_CONST, _PAIR = 1, 2\n"
+                "class _Kept: pass\n"
+                "__all__ = []\n",
+        "b.py": "from a import _used\n"
+                "import a\n"
+                "x = a._PAIR + _used()\n"
+                "y = _Kept\n",
+    }
+    assert _unreferenced_privates(sources) == [("a.py", "_CONST"),
+                                               ("a.py", "_orphan")]

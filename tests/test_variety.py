@@ -204,3 +204,16 @@ def test_function_field_elem_arithmetic_and_evaluation():
     # relations of the variety are respected in K(V)
     one = V.function_field_elem("x^2 + y^2")
     assert one == V.function_field_elem("1")
+
+
+@pytest.mark.parametrize("gens", [["x^2 - 2", "y - x^3"],
+                                  ["x^2 - 2", "x*y - 1"]])
+def test_triangular_systems_are_decided_by_peeling(gens):
+    # 2 is not a square mod 5, so V is one point over GF(25): irreducible
+    # over GF(5), not absolutely; no lex basis is computed on the way
+    K = make_field("GF(5,1)")
+    V = AffineVariety(K, ("x", "y"), gens)
+    assert is_irreducible(V)
+    W = AffineVariety(K, ("x", "y"), gens)
+    assert not is_absolutely_irreducible(W)
+    assert "lex" not in V.ideal._gb and "lex" not in W.ideal._gb
