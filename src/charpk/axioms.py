@@ -32,8 +32,6 @@ from .differential import (DerivationContext, derivation_extends, derive,
                            kerprol_check, require_doubled_space)
 from .errors import CharpkError, PreconditionError, UnsupportedInstance
 from .fields import FieldDescriptor, is_pth_power, iter_gf_elements
-from .formula import (eval_formula, parse as parse_formula,
-                      unravel_lambda_terms)
 from .groups import invariants, is_faithful
 from .variety import (AffineVariety, enumerate_points,
                       is_absolutely_irreducible, is_dominant, is_irreducible,
@@ -233,6 +231,8 @@ def scf_reduce(phi, context, witness, audit_bound=None):
     forces the formula.  `context` carries "field" and optionally
     "pindep": a list of rows, each a list of term strings over the
     formula variables."""
+    from .formula import parse as parse_formula, unravel_lambda_terms
+
     field = context["field"]
     structure = {"field": field}
     if isinstance(phi, str):
@@ -261,6 +261,7 @@ def _scf_audit(phi, structure, res, V, rows, nsamples):
     import itertools
 
     from .differential import scalar_hom
+    from .formula import eval_formula
 
     K = structure["field"]
     frozen = _constant_tvars(phi, K)
@@ -454,6 +455,8 @@ class GBdcfInstance(DPacInstance):
     def __init__(self, field, balgebra, V, W, action=None, derivation=None,
                  fns=(), bound=1):
         super().__init__(field, derivation, V, W, fns=fns, bound=bound)
+        if action is not None and action.field != field:
+            raise PreconditionError("the group must act on the base field")
         self.action = action
         self.balgebra = balgebra
 

@@ -6,7 +6,9 @@ internal error (one `internal error: <type>: <message>` line on stderr,
 no traceback).
 
 Inputs are instance files in the block DSL (see instancefile); every
-subcommand accepts --json for a machine-readable report.
+subcommand accepts --json for a machine-readable report.  Each handler
+imports the layers it uses, so a process that runs one job loads only
+those.
 """
 
 from __future__ import annotations
@@ -15,17 +17,11 @@ import argparse
 import json
 import sys
 
-from . import differential, formula as fmod, groups, variety as vmod
-from .axioms import (BAlgebra, DPacInstance, GBdcfInstance, b_operator_check,
-                     pac_witness_task, scf_reduce, search_dpac_witness,
-                     validate_dpac_instance, validate_gbdcf_instance)
-from .differential import DerivationContext, derive
 from .errors import (CharpkError, InstanceFileError, ResourceExhausted,
                      UnsupportedInstance)
 from .fields import make_field
 from .instancefile import (InstanceFile, build_action, build_derivation,
-                           build_field, build_variety)
-from .polys import PolyRing
+                           build_field, build_ideal, build_variety)
 
 
 def _load(path) -> InstanceFile:
@@ -41,14 +37,13 @@ def _derivation(inst, field=None):
     if block is None:
         if field is None:
             raise InstanceFileError("no derivation block and no field")
+        from .differential import DerivationContext
         return DerivationContext(field)
     return build_derivation(block, field=None if block.get("over") else field)
 
 
 def _ideal(inst):
-    block = inst.find("ideal") or inst.require("variety")
-    V = build_variety(block)
-    return V.ideal
+    return build_ideal(inst.find("ideal") or inst.require("variety"))
 
 
 def _point(inst, V):
@@ -57,6 +52,7 @@ def _point(inst, V):
 
 
 def _formula_block(inst):
+    from . import formula as fmod
     block = inst.require("formula")
     field = build_field(block.require("over"))
     names = block.get("vars", [])
@@ -141,6 +137,7 @@ def cmd_poly(args):
 
 
 def cmd_variety(args):
+    from . import variety as vmod
     inst = _load(args.file)
     if args.action == "locus":
         block = inst.require("locus")
@@ -198,6 +195,7 @@ def cmd_variety(args):
 
 
 def cmd_diff(args):
+    from . import differential
     inst = _load(args.file)
     V = _variety(inst, label="V") if inst.find("variety", "V") \
         else _variety(inst)
@@ -228,6 +226,7 @@ def cmd_diff(args):
 
 
 def cmd_action(args):
+    from . import groups
     inst = _load(args.file)
     if args.action == "galois":
         block = inst.require("galois")
@@ -249,6 +248,7 @@ def cmd_action(args):
         block = inst.require("probe")
         F = build_field(block.require("subfield"))
         K = build_field(block.require("field"))
+        from .polys import PolyRing
         ring = PolyRing(F, ("x",))
         thetas = [ring.parse(str(t)) for t in block.require("thetas")]
         report = groups.alg_strongly_pac_probe(F, K, thetas)
@@ -284,6 +284,7 @@ def cmd_action(args):
 
 
 def cmd_formula(args):
+    from . import formula as fmod
     inst = _load(args.file)
     phi, field, names = _formula_block(inst)
     if args.action == "parse":
@@ -355,6 +356,7 @@ def _report_lines(report):
 
 
 def _dpac_instance(inst):
+    from .axioms import DPacInstance
     V = _variety(inst, label="V")
     W = _variety(inst, label="W")
     D = _derivation(inst, field=V.field)
@@ -363,6 +365,9 @@ def _dpac_instance(inst):
 
 
 def cmd_axiom(args):
+    from .axioms import (BAlgebra, GBdcfInstance, b_operator_check,
+                         pac_witness_task, scf_reduce, search_dpac_witness,
+                         validate_dpac_instance, validate_gbdcf_instance)
     inst = _load(args.file)
     if args.action == "validate-dpac":
         report = validate_dpac_instance(_dpac_instance(inst))
@@ -423,6 +428,7 @@ def cmd_axiom(args):
 
 
 def _bop_maps(names, field, D):
+    from .differential import derive
     maps = []
     for i, name in enumerate(names):
         name = str(name)

@@ -712,11 +712,14 @@ def is_absolutely_irreducible_poly(F: MultiPoly) -> bool:
         _, facs = _uni_factor(u_from_mp(F, used[0]), field)
         return len(facs) == 1 and u_deg(facs[0][0]) == 1
     facs = factor_poly(F)[1]
-    if len(facs) > 1:
-        return False
-    G = facs[0][0]
+    return len(facs) == 1 and _stays_irreducible(facs[0][0])
+
+
+def _stays_irreducible(G: MultiPoly) -> bool:
+    """G irreducible over GF(q) stays irreducible over GF(q^s) for every
+    prime s dividing deg G, that is, G is absolutely irreducible."""
     for s in _prime_factors(G.total_degree()):
-        L, embed = extend_gf(field, s)
+        L, embed = extend_gf(G.ring.field, s)
         if len(factor_poly(_embed_raw(G, L, embed))[1]) > 1:
             return False
     return True

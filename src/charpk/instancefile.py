@@ -10,16 +10,16 @@ Syntax:
 A file is a sequence of blocks `kind [label] { key: value; ... }`.
 Values are strings, integers, bare words (kept verbatim, e.g.
 cyclic(4)), lists `[..]` or maps `{k: v, ...}`.
+
+The builders import the layer they build for when called, so parsing a
+file loads no variety, derivation or group code.
 """
 
 from __future__ import annotations
 
-from .differential import DerivationContext
 from .errors import InstanceFileError
 from .fields import FieldDescriptor, make_field
-from .groups import FieldAction
 from .polys import Ideal, PolyRing
-from .variety import AffineVariety
 
 
 class Block:
@@ -207,29 +207,37 @@ def build_field(spec) -> FieldDescriptor:
     return make_field(spec)
 
 
-def build_variety(block: Block, field=None) -> AffineVariety:
-    over = block.get("over")
+def build_ideal(block: Block, field=None) -> Ideal:
+    """The ideal of the block's `gens` in K[vars], K its `over` field
+    unless `field` is given."""
     if field is None:
+        over = block.get("over")
         if over is None:
             raise InstanceFileError("variety block needs an 'over' field")
         field = build_field(over)
     vars_ = block.require("vars")
     if isinstance(vars_, str):
         vars_ = [vars_]
-    vars_ = tuple(str(v) for v in vars_)
-    ring = PolyRing(field, vars_)
-    gens = [ring.parse(g) for g in block.get("gens", [])]
-    return AffineVariety(field, vars_, Ideal(ring, gens))
+    ring = PolyRing(field, tuple(str(v) for v in vars_))
+    return Ideal(ring, [ring.parse(g) for g in block.get("gens", [])])
 
 
-def build_derivation(block: Block, field=None) -> DerivationContext:
+def build_variety(block: Block, field=None) -> "AffineVariety":
+    from .variety import AffineVariety
+    ideal = build_ideal(block, field)
+    return AffineVariety(ideal.ring.field, ideal.ring.vars, ideal)
+
+
+def build_derivation(block: Block, field=None) -> "DerivationContext":
+    from .differential import DerivationContext
     if field is None:
         field = build_field(block.require("over"))
     images = block.get("images", {}) or {}
     return DerivationContext(field, images)
 
 
-def build_action(block: Block) -> FieldAction:
+def build_action(block: Block) -> "FieldAction":
+    from .groups import FieldAction
     field = build_field(block.require("field"))
     group = str(block.require("group")).strip()
     if not (group.startswith("cyclic(") and group.endswith(")")):

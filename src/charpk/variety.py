@@ -14,9 +14,9 @@ from __future__ import annotations
 
 import itertools
 
-from . import factor, lambdafn, linalg
-from .errors import (CharpkError, FieldError, PreconditionError, RingError,
-                     UnsupportedInstance)
+from . import factor, lambdafn, linalg, polys
+from .errors import (CharpkError, FieldError, PreconditionError,
+                     ResourceExhausted, RingError, UnsupportedInstance)
 from .fields import (FieldDescriptor, FieldScalar, _scalar, iter_elements,
                      iter_gf_elements, make_field, p_components, partial,
                      pth_root)
@@ -229,6 +229,10 @@ class FunctionFieldElem:
         if not is_irreducible(variety):
             raise PreconditionError(
                 "function-field elements need a K-irreducible variety")
+        if any(m > 1 for _, m in variety._flags.get("factors", ())):
+            raise PreconditionError(
+                "function-field elements need a prime presentation: the "
+                "generator has a repeated factor")
         gb = list(variety.ideal.groebner())
         if gb:
             num = normal_form(num, gb)
@@ -508,9 +512,13 @@ def _linear_in_var_primitive(f: MultiPoly):
     return False
 
 
-def _distinct_factor_count(f: MultiPoly):
-    unit, facs = factor.factor_poly(f)
-    return len(facs), facs
+def _factors(V: AffineVariety, f: MultiPoly):
+    """The distinct irreducible factors of V's one generator f after
+    peeling, with multiplicities; kept in V._flags for the
+    prime-presentation check of FunctionFieldElem."""
+    facs = factor.factor_poly(f)[1]
+    V._flags["factors"] = facs
+    return facs
 
 
 def _single_geometric_root(h: MultiPoly, var: str) -> bool:
@@ -556,7 +564,7 @@ def _decide_irreducible(V: AffineVariety, absolute: bool) -> bool:
     if not gens:
         return True  # affine space
     if len(gens) == 1:
-        return _poly_irreducible(gens[0], absolute)
+        return _poly_irreducible(V, gens[0], absolute)
     red = _rational_graph_reduction(V, gens)
     if red is not None:
         return _decide_irreducible(red, absolute)
@@ -591,24 +599,25 @@ def _rational_graph_reduction(V: AffineVariety, gens):
     return None
 
 
-def _poly_irreducible(f: MultiPoly, absolute: bool) -> bool:
+def _poly_irreducible(V: AffineVariety, f: MultiPoly, absolute: bool) -> bool:
     used = sorted(f.variables_used())
     if not used:
         return False  # constant: empty or whole space, both rejected above
     if len(used) == 1:
-        return _poly_irreducible_zero_dim(f, used[0], absolute)
+        return _poly_irreducible_zero_dim(V, f, used[0], absolute)
     if _linear_in_var_primitive(f):
         return True
     field = f.ring.field
     if field.kind == "gf":
         if absolute:
             if len(used) == 2:
-                return factor.is_absolutely_irreducible_poly(f)
+                facs = _factors(V, f)
+                return len(facs) == 1 and factor._stays_irreducible(
+                    facs[0][0])
             raise UnsupportedInstance(
                 "absolute irreducibility beyond two variables")
         try:
-            n, _ = _distinct_factor_count(f)
-            return n == 1
+            return len(_factors(V, f)) == 1
         except UnsupportedInstance:
             raise UnsupportedInstance(
                 "irreducibility for this variable count is unsupported")
@@ -618,10 +627,11 @@ def _poly_irreducible(f: MultiPoly, absolute: bool) -> bool:
         "variable class is unsupported")
 
 
-def _poly_irreducible_zero_dim(f: MultiPoly, var: str, absolute: bool) -> bool:
+def _poly_irreducible_zero_dim(V: AffineVariety, f: MultiPoly, var: str,
+                               absolute: bool) -> bool:
     """V(f) in the affine line (or a triangular system over it)."""
-    n, facs = _distinct_factor_count(f)
-    if n != 1:
+    facs = _factors(V, f)
+    if len(facs) != 1:
         return False
     if not absolute:
         return True
@@ -679,7 +689,9 @@ def projection_dominant(source: AffineVariety, target: AffineVariety,
 
 def enumerate_points(V: AffineVariety, bound=None):
     """All points of V(K): exhaustive for finite K; for F_p(t..), all
-    points of coordinate height <= bound.  Deterministic order."""
+    points of coordinate height <= bound.  Deterministic order.  Testing
+    more than `polys.MAX_POINT_CANDIDATES` tuples raises
+    ResourceExhausted; a caller that stops early tests fewer."""
     K = V.field
     n = len(V.vars)
     if n == 0:
@@ -693,7 +705,11 @@ def enumerate_points(V: AffineVariety, bound=None):
             raise PreconditionError(
                 "point enumeration over F_p(t..) needs a height bound")
         coords = list(iter_elements(K, bound))
-    for point in itertools.product(coords, repeat=n):
+    cap = polys.MAX_POINT_CANDIDATES
+    for count, point in enumerate(itertools.product(coords, repeat=n), 1):
+        if count > cap:
+            raise ResourceExhausted(
+                f"point enumeration past {cap} candidates")
         if V.contains_point(point):
             yield point
 

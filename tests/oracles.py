@@ -267,21 +267,27 @@ def weil_verdict(f: MultiPoly, K: FieldDescriptor):
 
 def linear_absolute_factor(f: MultiPoly, K: FieldDescriptor, s: int) -> bool:
     """Exhaustive search for a linear factor of f in K[x, y] over
-    GF(q^s): substitutes y = a x + b and x = c.  Complete for detecting
-    linear components."""
+    GF(q^s): f vanishes on some line y = a x + b or x = c.  On a line f
+    restricts to a polynomial of degree <= d = deg f in the line's
+    parameter, which is zero iff it has d + 1 distinct roots, so f is
+    tested at d + 1 points of each line.  Complete for detecting linear
+    components."""
     L, embed = factor.extend_gf(K, s)
-    F = {e: embed(c) for e, c in f.items()}
+    terms = [(i, j, embed(c)) for (i, j), c in f.items()]
     elems = list(iter_gf_elements(L))
-    x = {(1, 0): L.one()}
+    d = max(i + j for i, j, _ in terms)
+    assert len(elems) > d, "too few points on a line"
+    params = elems[:d + 1]
+
+    def vanishes(points):
+        return all(not sum((c * x ** i * y ** j for i, j, c in terms),
+                           L.zero())
+                   for x, y in points)
     for a in elems:
         for b in elems:
-            line = d_add({(1, 0): a}, {(0, 0): b})
-            if not d_substitute(F, [x, line], L, 2):
+            if vanishes([(x, a * x + b) for x in params]):
                 return True
-    for c in elems:
-        if not d_substitute(F, [{(0, 0): c}, {(0, 1): L.one()}], L, 2):
-            return True
-    return False
+    return any(vanishes([(c, y) for y in params]) for c in elems)
 
 
 def _line_dicts(K):

@@ -192,6 +192,18 @@ def test_gbdcf_instance_requires_the_doubled_space():
         GBdcfInstance(K, B, V, W)
 
 
+def test_gbdcf_instance_requires_the_action_on_the_base_field():
+    # V, W over GF(4), G acting on GF(16): the K^G points would be GF(16)
+    # scalars, and the search used to report exhausted
+    K = make_field("GF(2,2)")
+    act = FieldAction.cyclic_action(2, make_field("GF(2,4)"), "frobenius^2")
+    V = AffineVariety(K, ("x",), [])
+    W = AffineVariety(K, ("x", "u"), ["u"])
+    with pytest.raises(PreconditionError, match="act on the base field"):
+        GBdcfInstance(K, BAlgebra.truncated_polynomial(K, 2), V, W,
+                      action=act)
+
+
 def _frobenius_instance():
     L = make_field("GF(2,2)")
     act = FieldAction.cyclic_action(2, L, "frobenius")

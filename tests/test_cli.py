@@ -334,3 +334,76 @@ assert 'sympy' not in sys.modules, 'F_p(t) job'
     proc = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_cli_jobs_import_only_the_layers_they_use(tmp_path):
+    ideal = _write(tmp_path, "ideal.inst", """
+ideal { vars: [x, y, z]; over: "GF(7,1)"; gens: ["x - y^2", "z - y^3"] }
+""")
+    circle = _write(tmp_path, "circle.inst", CIRCLE7)
+    dpac = _write(tmp_path, "dpac.inst", DPAC3)
+    gbdcf = _write(tmp_path, "gbdcf.inst", GBDCF_FROB)
+    galois = _write(tmp_path, "galois.inst", """
+galois { field: "GF(2,4)"; subfield: "GF(2,1)" }
+""")
+    scf = _write(tmp_path, "scf.inst", """
+formula { text: "lam(1,1; t; x) - t = 0"; language: "lambda";
+          over: "Fp(2;t)"; vars: [x] }
+witness { x: "t^3 + t^2" }
+""")
+    script = f"""
+import sys
+
+def loaded():
+    return {{m[len('charpk.'):] for m in sys.modules
+            if m.startswith('charpk.')}}
+
+import charpk
+assert loaded() == set(), ('import charpk', loaded())
+from charpk.cli import main
+assert main(['poly', 'gb', {ideal!r}]) == 0
+assert main(['poly', 'member', {ideal!r}, '--poly', 'x*z - y^5']) == 0
+heavy = {{'variety', 'factor', 'differential', 'groups', 'formula',
+          'axioms'}}
+assert not loaded() & heavy, ('poly', loaded())
+assert main(['variety', 'points', {circle!r}]) == 0
+assert not loaded() & {{'formula', 'axioms', 'groups'}}, ('points', loaded())
+assert main(['field', 'GF(2,4)']) == 0
+assert main(['diff', 'prolong', {dpac!r}]) == 0
+assert main(['action', 'galois', {galois!r}]) == 0
+for action, path in [('validate-dpac', {dpac!r}), ('search-dpac', {dpac!r}),
+                     ('pac-open', {circle!r}),
+                     ('validate-gbdcf', {gbdcf!r})]:
+    assert main(['axiom', action, path]) in (0, 1)
+assert 'formula' not in loaded(), 'a job that reads no formula'
+assert main(['axiom', 'scf-reduce', {scf!r}]) == 0
+assert 'formula' in loaded(), 'scf-reduce'
+"""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(charpk.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_gbdcf_action_on_another_field_exits_2(tmp_path, capsys):
+    path = _write(tmp_path, "mismatch.inst", GBDCF_FROB.replace(
+        'field: "GF(2,2)"; generator_image: "frobenius"',
+        'field: "GF(2,4)"; generator_image: "frobenius^2"'))
+    assert main(["axiom", "validate-gbdcf", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: the group must act on the base "
+                            "field\n")
+
+
+def test_cli_point_enumeration_cap_exits_2(tmp_path, monkeypatch, capsys):
+    from charpk import polys
+    monkeypatch.setattr(polys, "MAX_POINT_CANDIDATES", 10)
+    path = _write(tmp_path, "circle.inst", CIRCLE7)
+    assert main(["variety", "points", path]) == 2
+    assert capsys.readouterr().err == (
+        "unsupported: point enumeration past 10 candidates\n")
+    # the search stops at its witness (0, 1), the second candidate
+    assert main(["axiom", "pac-open", path]) == 0
+    assert "witness: (0, 1)" in capsys.readouterr().out

@@ -1,16 +1,19 @@
 """Every module-level import in src/charpk is used by its module, every
-module-level private name is referenced somewhere in the package, and no
-module imports sympy.
+module-level private name is referenced somewhere in the package, no
+module imports sympy, and the package re-exports its public API.
 
-The package `__init__` re-exports the public API, so its imports are
-exempt; names that appear only inside string annotations count as used.
+The package `__init__` re-exports the public API lazily; names that
+appear only inside string annotations count as used.
 """
 
 import ast
+import importlib
 import os
 import re
 
 import pytest
+
+import charpk
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
     __file__))), "src", "charpk")
@@ -150,3 +153,40 @@ def test_the_check_sees_an_unreferenced_private():
     }
     assert _unreferenced_privates(sources) == [("a.py", "_CONST"),
                                                ("a.py", "_orphan")]
+
+
+# the names `charpk` has exported since its eager `__init__`
+PUBLIC_API = """
+AffineVariety BAlgebra CharpkError CheckReport CorrectionResult
+DPacInstance DerivationContext FieldAction FieldDescriptor FieldError
+FieldScalar FiniteGroup Formula FormulaError FunctionFieldElem
+GBdcfInstance Ideal InstanceFile InstanceFileError MultiPoly PolyRing
+PreconditionError ProlongationBundle RationalMapData ResourceExhausted
+RingError Term UnravelResult UnsupportedInstance
+alg_strongly_pac_probe b_operator_check check_galois_data
+code_finite_set correct_lambda0_D derivation_extends derive
+enumerate_points equalizer eval_formula evaluate_scalar
+extension_oracle factor_poly finite_set_k_irreducible frobenius
+frobenius_automorphism galois_group invariants
+is_absolutely_irreducible is_absolutely_irreducible_poly is_dominant
+is_faithful is_irreducible is_p_independent is_pth_power iter_elements
+iter_gf_elements kerprol_check lambda0 lambda_basis lambda_multi
+lambda_solve locus make_field nabla_point normal_form p_components
+p_independence_verdict p_monomials pac_witness_task parse parse_scalar
+pindep_function_field ppower_test print_formula print_term
+projection_map prolongation pth_root scalar_height scalar_hom
+scf_reduce search_dpac_witness uni_factor uni_is_irreducible uni_roots
+unravel_lambda_terms validate_dpac_instance validate_gbdcf_instance
+""".split()
+
+
+def test_the_package_re_exports_its_public_api():
+    assert sorted(charpk.__all__) == sorted(PUBLIC_API)
+    assert set(charpk.__all__) <= set(dir(charpk))
+    for name in charpk.__all__:
+        obj = getattr(charpk, name)
+        home = importlib.import_module(obj.__module__)
+        assert home.__name__.startswith("charpk.")
+        assert getattr(home, name) is obj, name
+    with pytest.raises(AttributeError, match="no_such_name"):
+        charpk.no_such_name

@@ -81,6 +81,37 @@ def test_point_enumeration_ratfunc_needs_bound():
     assert sorted(pts) == ["2*t", "t"]
 
 
+def test_point_enumeration_cap(monkeypatch):
+    from charpk import polys
+    from charpk.errors import ResourceExhausted
+    V = _curve("GF(7,1)", "x^2 + y^2 - 1")
+    monkeypatch.setattr(polys, "MAX_POINT_CANDIDATES", 48)
+    with pytest.raises(ResourceExhausted, match="past 48 candidates"):
+        list(enumerate_points(V))
+    # the cap counts the candidates actually tested: a search that stops
+    # early, or a scan of exactly the cap, is unaffected
+    assert next(enumerate_points(V)) == \
+        naive_point_scan(V.ideal.gens, V.field, 2)[0]
+    monkeypatch.setattr(polys, "MAX_POINT_CANDIDATES", 49)
+    assert len(list(enumerate_points(V))) == 8
+
+
+@pytest.mark.parametrize("spec, variables, text", [
+    ("GF(5,1)", ("x",), "x^2"),
+    ("GF(5,1)", ("x", "y"), "(x*y - 1)^2"),
+])
+def test_function_field_needs_a_prime_presentation(spec, variables, text):
+    # V(x^2) is irreducible as a set, but x is nilpotent in K[V]
+    V = _curve(spec, text, variables)
+    assert is_irreducible(V)
+    with pytest.raises(PreconditionError, match="prime presentation"):
+        V.function_field_elem("x")
+    W = _curve(spec, text, variables)
+    assert is_absolutely_irreducible(W)
+    with pytest.raises(PreconditionError, match="prime presentation"):
+        W.function_field_elem("x")
+
+
 def test_dominance_projection_and_rational_map():
     K = make_field("Fp(3;t)")
     # W = V(u - 1) inside the (x, u)-plane over V = the x-line
