@@ -12,7 +12,9 @@
   coefficient pairs and reduce to the bivariate case (Gauss lemma).
 
 The multivariate gcd and exact division (`mp_gcd`, `mp_exact_div`,
-`_content`) live in `polys`, where F_p(t..) arithmetic uses them too.
+`_content`) and the conversions between a univariate `MultiPoly` and a
+dense list (`u_from_mp`, `u_to_mp`) live in `polys`, where F_p(t..)
+arithmetic uses them too.
 
 Everything runs on raw coefficients, the values the field's kernel
 computes on (see `polys.MultiPoly`): univariate polynomials are the dense
@@ -38,7 +40,7 @@ from .fields import (FieldDescriptor, FieldScalar, _code_to_vec,
                      u_divmod, u_gcd, u_monic, u_mul, u_powmod, u_scale,
                      u_sub, u_trim)
 from .polys import (MultiPoly, PolyRing, _content, _mp, mp_divmod_single,
-                    mp_exact_div, mp_gcd)
+                    mp_exact_div, mp_gcd, u_from_mp, u_to_mp)
 
 # ---------------------------------------------------------------------------
 # dense univariate helpers on raw lists
@@ -50,24 +52,6 @@ def u_exact_div(f, g, K):
     if r:
         raise CharpkError("inexact univariate division")
     return q
-
-
-def u_from_mp(f: MultiPoly, var: str):
-    """Raw coefficient list of a MultiPoly using only `var`."""
-    i = f.ring._var_index[var]
-    out = [f.ring.field.kernel.zero] * (f.degree_in(var) + 1)
-    for e, c in f.terms.items():
-        if any(x and j != i for j, x in enumerate(e)):
-            raise CharpkError("polynomial is not univariate in " + var)
-        out[e[i]] = c
-    return u_trim(out)
-
-
-def u_to_mp(coeffs, ring: PolyRing, var: str):
-    i = ring._var_index[var]
-    zero = (0,) * ring.nvars
-    return _mp(ring, {zero[:i] + (d,) + zero[i + 1:]: c
-                      for d, c in enumerate(coeffs) if c})
 
 
 def _coeffs_key(g, field):

@@ -540,7 +540,8 @@ class FieldDescriptor:
     # -- identity ----------------------------------------------------------
 
     def __eq__(self, other):
-        return isinstance(other, FieldDescriptor) and self._spec == other._spec
+        return self is other or (isinstance(other, FieldDescriptor)
+                                 and self._spec == other._spec)
 
     def __hash__(self):
         return hash(self._spec)

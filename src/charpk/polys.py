@@ -9,8 +9,10 @@ are built only at the boundary (the constructor, `items`, `coeff`,
 `leading`, `constant_value`, printing).
 
 F_p(t..) itself runs on this module: its kernel, `_RatFuncKernel`,
-reduces every result with `mp_gcd`, the one multivariate gcd (primitive
-PRS after two content rules), and `mp_exact_div`.
+reduces every result with `mp_gcd`, the one multivariate gcd (Euclid on
+dense lists, `fields.u_gcd`, when both arguments use one and the same
+variable; otherwise the primitive PRS after two content rules), and
+`mp_exact_div`.
 
 Default order is graded reverse lexicographic; elimination uses block
 orders.  Bases are reduced, monic and deterministically sorted, so identical
@@ -25,7 +27,7 @@ from operator import add as _eadd, neg as _neg
 
 from .errors import CharpkError, RingError, ResourceExhausted
 from .fields import (FieldDescriptor, FieldScalar, _Parser, _scalar,
-                     parse_scalar)
+                     parse_scalar, u_gcd, u_trim)
 
 MAX_BASIS = 400
 MAX_DEGREE = 120
@@ -70,8 +72,9 @@ class PolyRing:
         self._var_index = {v: i for i, v in enumerate(variables)}
 
     def __eq__(self, other):
-        return (isinstance(other, PolyRing)
-                and self.field == other.field and self.vars == other.vars)
+        return self is other or (isinstance(other, PolyRing)
+                                 and self.field == other.field
+                                 and self.vars == other.vars)
 
     def __hash__(self):
         return hash((self.field, self.vars))
@@ -148,7 +151,8 @@ class MultiPoly:
         return not self.terms
 
     def is_constant(self):
-        return all(sum(e) == 0 for e in self.terms)
+        terms = self.terms
+        return not terms or (len(terms) == 1 and not any(next(iter(terms))))
 
     def constant_value(self):
         return self.coeff((0,) * self.ring.nvars)
@@ -181,9 +185,12 @@ class MultiPoly:
         return _scalar(field, self.terms.get(tuple(exps), field._kernel.zero))
 
     def __eq__(self, other):
+        if self is other:
+            return True
         if not isinstance(other, MultiPoly):
             return NotImplemented
-        return self.ring == other.ring and self.terms == other.terms
+        return ((self.ring is other.ring or self.ring == other.ring)
+                and self.terms == other.terms)
 
     def __hash__(self):
         return hash((self.ring, frozenset(self.terms.items())))
@@ -192,7 +199,7 @@ class MultiPoly:
 
     def _coerce(self, other):
         if isinstance(other, MultiPoly):
-            if other.ring != self.ring:
+            if other.ring is not self.ring and other.ring != self.ring:
                 raise RingError("mixed-ring arithmetic")
             return other
         if isinstance(other, FieldScalar):
@@ -692,10 +699,32 @@ def _prem(f: MultiPoly, g: MultiPoly, var: str):
     return _mp(ring, terms)
 
 
+def u_from_mp(f: MultiPoly, var: str):
+    """Raw coefficient list of a MultiPoly using only `var`."""
+    i = f.ring._var_index[var]
+    out = [f.ring.field.kernel.zero] * (f.degree_in(var) + 1)
+    for e, c in f.terms.items():
+        d = e[i]
+        if sum(e) != d:
+            raise CharpkError("polynomial is not univariate in " + var)
+        out[d] = c
+    return u_trim(out)
+
+
+def u_to_mp(coeffs, ring: PolyRing, var: str):
+    i = ring._var_index[var]
+    head, tail = (0,) * i, (0,) * (ring.nvars - i - 1)
+    return _mp(ring, {head + (d,) + tail: c
+                      for d, c in enumerate(coeffs) if c})
+
+
 def mp_gcd(f: MultiPoly, g: MultiPoly) -> MultiPoly:
-    """gcd over the coefficient field, monic under grevlex: the primitive
-    PRS in the first variable both arguments use, after two content rules
-    (Geddes, Czapor and Labahn, Algorithms for Computer Algebra, ch. 7).
+    """gcd over the coefficient field, monic under grevlex (Geddes, Czapor
+    and Labahn, Algorithms for Computer Algebra, ch. 7).
+
+    When both arguments use the same single variable it is Euclid on dense
+    coefficient lists (`fields.u_gcd`).  Otherwise two content rules come
+    first:
 
     * Monomial content: the gcd is the least-exponent monomial of the two
       monomial contents times the gcd of what remains once they are
@@ -703,14 +732,21 @@ def mp_gcd(f: MultiPoly, g: MultiPoly) -> MultiPoly:
     * One-sided variable: for a variable only one argument uses, the gcd
       is that of the other argument and the coefficients in it.
 
-    Each recursive call then has fewer variables or no monomial content,
-    so the recursion depth is bounded by the number of variables."""
+    and then the primitive PRS in the first variable both arguments use.
+    Each recursive call has fewer variables or no monomial content, so
+    the recursion depth is bounded by the number of variables, and it
+    bottoms out in a constant or in the univariate case."""
     if f.is_zero():
         return g.monic("grevlex")
     if g.is_zero():
         return f.monic("grevlex")
     if f.is_constant() or g.is_constant():
         return f.ring.one()
+    used_f, used_g = f.variables_used(), g.variables_used()
+    if len(used_f) == 1 and used_f == used_g:
+        (var,) = used_f
+        return u_to_mp(u_gcd(u_from_mp(f, var), u_from_mp(g, var),
+                             f.ring.field.kernel), f.ring, var)
     mf, mg = _monomial_content(f), _monomial_content(g)
     if any(mf) or any(mg):
         m = tuple(map(min, mf, mg))
@@ -720,7 +756,6 @@ def mp_gcd(f: MultiPoly, g: MultiPoly) -> MultiPoly:
                                 for e, c in g.terms.items()}))
         return _mp(f.ring, {tuple(map(_eadd, e, m)): c
                             for e, c in h.terms.items()})
-    used_f, used_g = f.variables_used(), g.variables_used()
     one_sided = sorted(used_f ^ used_g)
     if one_sided:
         var = one_sided[0]

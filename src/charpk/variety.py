@@ -18,8 +18,7 @@ from . import factor, lambdafn, linalg, polys
 from .errors import (CharpkError, FieldError, PreconditionError,
                      ResourceExhausted, RingError, UnsupportedInstance)
 from .fields import (FieldDescriptor, FieldScalar, _scalar, iter_elements,
-                     iter_gf_elements, make_field, p_components, partial,
-                     pth_root)
+                     make_field, p_components, partial, pth_root)
 from .polys import Ideal, MultiPoly, PolyRing, mp_gcd, normal_form
 
 
@@ -691,21 +690,22 @@ def enumerate_points(V: AffineVariety, bound=None):
     """All points of V(K): exhaustive for finite K; for F_p(t..), all
     points of coordinate height <= bound.  Deterministic order.  Testing
     more than `polys.MAX_POINT_CANDIDATES` tuples raises
-    ResourceExhausted; a caller that stops early tests fewer."""
+    ResourceExhausted; a caller that stops early tests fewer.  More
+    coordinates than that raise it too, once cap + 1 are listed: each
+    coordinate starts a candidate."""
     K = V.field
     n = len(V.vars)
     if n == 0:
         if not V.is_empty():
             yield ()
         return
-    if K.kind == "gf":
-        coords = list(iter_gf_elements(K))
-    else:
-        if bound is None:
-            raise PreconditionError(
-                "point enumeration over F_p(t..) needs a height bound")
-        coords = list(iter_elements(K, bound))
+    if K.kind != "gf" and bound is None:
+        raise PreconditionError(
+            "point enumeration over F_p(t..) needs a height bound")
     cap = polys.MAX_POINT_CANDIDATES
+    coords = list(itertools.islice(iter_elements(K, bound), cap + 1))
+    if len(coords) > cap:
+        raise ResourceExhausted(f"point enumeration past {cap} candidates")
     for count, point in enumerate(itertools.product(coords, repeat=n), 1):
         if count > cap:
             raise ResourceExhausted(

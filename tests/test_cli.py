@@ -407,3 +407,9 @@ def test_cli_point_enumeration_cap_exits_2(tmp_path, monkeypatch, capsys):
     # the search stops at its witness (0, 1), the second candidate
     assert main(["axiom", "pac-open", path]) == 0
     assert "witness: (0, 1)" in capsys.readouterr().out
+    # more coordinates than the cap: refused before they are all listed
+    path = _write(tmp_path, "t3.inst", 'variety { vars: [x]; over: '
+                  '"Fp(2;t1,t2,t3)"; gens: ["x - t1"] }\n')
+    assert main(["variety", "points", path, "--bound", "3"]) == 2
+    assert capsys.readouterr().err == (
+        "unsupported: point enumeration past 10 candidates\n")

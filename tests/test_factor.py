@@ -141,6 +141,33 @@ def test_mp_gcd_content_rules():
         P("y + 1")
 
 
+class _PrsReached(Exception):
+    pass
+
+
+@pytest.mark.parametrize("spec, a", [("GF(5,1)", "2"), ("Fp(3;t)", "t")])
+def test_univariate_mp_gcd_is_euclid_not_the_prs(monkeypatch, spec, a):
+    """Univariate gcds, also in one variable of a larger ring, run the
+    dense Euclid base case and never the pseudo-remainder sequence."""
+    from charpk import polys
+
+    def prem(*args):
+        raise _PrsReached
+    monkeypatch.setattr(polys, "_prem", prem)
+    K = make_field(spec)
+    for variables in (("x",), ("x", "y", "z")):
+        R = PolyRing(K, variables)
+        for v in variables:
+            # v^2 + a is irreducible and prime to v - 1 over K
+            f = R.parse(f"({v} + {a})^2*({v} - 1)")
+            g = R.parse(f"({v} + {a})*({v}^2 + {a})")
+            assert mp_gcd(f, g) == R.parse(f"{v} + {a}")
+            assert mp_gcd(f, R.parse(f"{v}^3")) == R.one()
+    # the patch is live: a bivariate gcd does reach the PRS
+    with pytest.raises(_PrsReached):
+        mp_gcd(R.parse("(x + y)*(x - y)"), R.parse("(x + y)*(x + 1)"))
+
+
 def test_extend_gf_embedding_is_homomorphism():
     K = make_field("GF(2,2)")
     L, embed = extend_gf(K, 3)

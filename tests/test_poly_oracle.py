@@ -116,11 +116,29 @@ def test_division_and_gcd_match_oracle(spec, data):
             assert {e: c.value for e, c in gcd.items()} == gfp_gcd(
                 *({e: c.value for e, c in f.items()} for f in (a, b)),
                 K.p, _grevlex)
-    # univariate: the monic Euclidean gcd exactly
+    # univariate, in R1 and in one variable of R3, one argument sometimes
+    # a nonzero constant: the monic Euclidean gcd exactly
     R1 = PolyRing(K, ("x",))
     f1, g1 = _poly(data, K, 1, max_deg=5), _poly(data, K, 1, max_deg=5)
+    which, c0 = data.draw(st.sampled_from([None, 0, 1])), _scalar(data, K)
+    if which == 0 and c0:
+        f1 = {(0,): c0}
+    if which == 1 and c0:
+        g1 = {(0,): c0}
+    i = data.draw(st.integers(0, 2))
+
+    def in_r3(f):
+        return {(0,) * i + e + (0,) * (2 - i): c for e, c in f.items()}
+
     if f1 or g1:
-        assert _d(mp_gcd(_mp(R1, f1), _mp(R1, g1))) == d_gcd1(f1, g1)
+        want = d_gcd1(f1, g1)
+        assert _d(mp_gcd(_mp(R1, f1), _mp(R1, g1))) == want
+        assert _d(mp_gcd(_mp(R3, in_r3(f1)), _mp(R3, in_r3(g1)))) == \
+            in_r3(want)
+        if K.kind == "gf" and K.k == 1 and f1 and g1:
+            assert {e: c.value for e, c in want.items()} == gfp_gcd(
+                *({e: c.value for e, c in f.items()} for f in (f1, g1)),
+                K.p, _grevlex)
 
 
 def _raw(f, K):

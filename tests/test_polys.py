@@ -146,6 +146,34 @@ def test_ring_mismatch_rejected():
         R1.parse("x*y").rename(R3)
 
 
+@pytest.mark.parametrize("spec, other", [("GF(5,1)", "GF(5,2)"),
+                                         ("Fp(3;t)", "Fp(3;s)")])
+def test_rings_built_twice_interoperate(spec, other):
+    # equal by value, not only by identity
+    R, S = _ring(spec, ("x", "y")), _ring(spec, ("x", "y"))
+    assert R is not S and R.field is not S.field
+    assert R == S and R.field == S.field and hash(R) == hash(S)
+    f, g = R.parse("x + 2*y"), S.parse("x + 2*y")
+    assert f == g and f - g == R.zero()
+    assert f * g == S.parse("x^2 + 4*x*y + 4*y^2")
+    # same variables over another field stay apart
+    T = _ring(other, ("x", "y"))
+    assert R != T and R.parse("x") != T.parse("x")
+    with pytest.raises(RingError):
+        R.parse("x") + T.parse("x")
+    with pytest.raises(RingError):
+        R.parse("x") * T.parse("x")
+
+
+def test_is_constant():
+    R = _ring()
+    assert R.zero().is_constant()
+    assert R.from_int(3).is_constant()
+    assert not R.parse("x").is_constant()
+    assert not R.parse("3*y^2").is_constant()
+    assert not R.parse("x*y + 1").is_constant()
+
+
 def test_buchberger_resource_caps():
     R = _ring("GF(2,1)", ("x", "y"))
     with pytest.raises(ResourceExhausted):

@@ -4,7 +4,7 @@ import pytest
 
 from charpk.errors import PreconditionError
 from charpk.factor import gf_embedding
-from charpk.fields import make_field
+from charpk.fields import iter_elements, make_field
 from charpk.polys import MultiPoly, PolyRing
 from charpk.variety import (AffineVariety, RationalMapData, enumerate_points,
                             is_absolutely_irreducible, is_dominant,
@@ -94,6 +94,26 @@ def test_point_enumeration_cap(monkeypatch):
         naive_point_scan(V.ideal.gens, V.field, 2)[0]
     monkeypatch.setattr(polys, "MAX_POINT_CANDIDATES", 49)
     assert len(list(enumerate_points(V))) == 8
+
+
+def test_point_enumeration_caps_the_coordinate_list(monkeypatch):
+    """More coordinates than the cap raise once cap + 1 are listed: each
+    coordinate starts a candidate.  Listing all of Fp(2;t1,t2,t3) up to
+    height 3 first would run for minutes."""
+    from charpk import polys, variety
+    from charpk.errors import ResourceExhausted
+    drawn = []
+
+    def counted(K, bound):
+        for x in iter_elements(K, bound):
+            drawn.append(x)
+            yield x
+    monkeypatch.setattr(variety, "iter_elements", counted)
+    monkeypatch.setattr(polys, "MAX_POINT_CANDIDATES", 50)
+    V = AffineVariety(make_field("Fp(2;t1,t2,t3)"), ("x",), ["x - t1"])
+    with pytest.raises(ResourceExhausted, match="past 50 candidates"):
+        next(enumerate_points(V, bound=3))
+    assert len(drawn) == 51
 
 
 @pytest.mark.parametrize("spec, variables, text", [
