@@ -73,7 +73,18 @@ def _items(inst, kind):
 def _bound(inst):
     """The search bound of the optional `bound` block, 1 without one."""
     block = inst.find("bound")
-    return int(block.require("value")) if block else 1
+    return _int(block, "value") if block else 1
+
+
+def _int(block, key):
+    """The integer value of `key` in an instance block."""
+    value = block.require(key)
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        raise InstanceFileError(
+            f"{key!r} of block {block.kind!r} must be an integer, "
+            f"not {value!r}") from None
 
 
 def _assignment(inst, field, kind="witness"):
@@ -401,7 +412,7 @@ def cmd_axiom(args):
         return 0, payload, lines
     if args.action == "bop-check":
         block = inst.require("bop")
-        n = int(block.require("n"))
+        n = _int(block, "n")
         field = build_field(block.require("over"))
         B = BAlgebra.truncated_polynomial(field, n)
         D = _derivation(inst, field=field)
@@ -414,7 +425,7 @@ def cmd_axiom(args):
         V = _variety(inst, label="V")
         W = _variety(inst, label="W")
         bblock = inst.find("balgebra")
-        n = int(bblock.require("n")) if bblock else 2
+        n = _int(bblock, "n") if bblock else 2
         B = BAlgebra.truncated_polynomial(V.field, n)
         action = (build_action(inst.find("action"))
                   if inst.find("action") else None)

@@ -30,6 +30,7 @@ with the input.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from functools import lru_cache
 
@@ -673,9 +674,10 @@ def _ratfunc_factor(coeffs, field):
 # ---------------------------------------------------------------------------
 
 def is_absolutely_irreducible_poly(F: MultiPoly) -> bool:
-    """Absolute irreducibility over K = GF(q) by factoring over GF(q^s)
-    for the primes s dividing d = deg G, G the one distinct K-irreducible
-    factor of F.
+    """Absolute irreducibility over K = GF(q): True at once for a curve
+    whose Newton polygon proves it (`_polygon_indecomposable`), else by
+    factoring over GF(q^s) for the primes s dividing d = deg G, G the one
+    distinct K-irreducible factor of F.
 
     G is squarefree over the algebraic closure (K is perfect), and its
     absolute components are the r Frobenius conjugates of one of them, of
@@ -695,6 +697,8 @@ def is_absolutely_irreducible_poly(F: MultiPoly) -> bool:
         # an irreducible univariate of degree >= 2 splits over its root field
         _, facs = _uni_factor(u_from_mp(F, used[0]), field)
         return len(facs) == 1 and u_deg(facs[0][0]) == 1
+    if len(used) == 2 and _polygon_indecomposable(F):
+        return True
     facs = factor_poly(F)[1]
     return len(facs) == 1 and _stays_irreducible(facs[0][0])
 
@@ -707,3 +711,54 @@ def _stays_irreducible(G: MultiPoly) -> bool:
         if len(factor_poly(_embed_raw(G, L, embed))[1]) > 1:
             return False
     return True
+
+
+def _polygon_indecomposable(F: MultiPoly) -> bool:
+    """True when F in two variables has no monomial factor and an
+    integrally indecomposable Newton polygon; then F is absolutely
+    irreducible.  False decides nothing.
+
+    Over every field Newt(G H) = Newt(G) + Newt(H) (Ostrowski), so a
+    factorization of F over the algebraic closure splits Newt(F) into
+    lattice summands, one of them a point, that is, one factor a monomial
+    (Gao, J. Algebra 237, 2001).  A polygon whose edges are n_i copies of
+    primitive vectors v_i splits into two lattice polygons of more than
+    one point each iff some sub-multiset of the v_i, neither empty nor all
+    of them, sums to zero (Gao and Lauder, Discrete Comput. Geom. 26,
+    2001).  Such a sub-multiset or its complement leaves out the last
+    vector, so it suffices to find a nonempty zero sum among the others."""
+    used = sorted(F.variables_used())
+    if len(used) != 2:
+        return False
+    i, j = (F.ring._var_index[v] for v in used)
+    points = sorted({(e[i], e[j]) for e in F.terms})
+    if min(a for a, _ in points) or min(b for _, b in points):
+        return False  # a monomial factor, or F a monomial
+    hull = _convex_hull(points)
+    edges = []
+    for (a, b), (c, d) in zip(hull, hull[1:] + hull[:1]):
+        g = math.gcd(c - a, d - b)
+        edges += [((c - a) // g, (d - b) // g)] * g
+    sums = set()
+    for dx, dy in edges[:-1]:
+        sums |= {(sx + dx, sy + dy) for sx, sy in sums}
+        sums.add((dx, dy))
+        if (0, 0) in sums:
+            return False
+    return True
+
+
+def _convex_hull(points):
+    """The vertices of the convex hull of two or more sorted distinct
+    points, counterclockwise and without collinear points (Andrew's
+    monotone chain)."""
+    def chain(pts):
+        out = []
+        for x, y in pts:
+            while len(out) >= 2 and (
+                    (out[-1][0] - out[-2][0]) * (y - out[-2][1])
+                    <= (out[-1][1] - out[-2][1]) * (x - out[-2][0])):
+                out.pop()
+            out.append((x, y))
+        return out[:-1]
+    return chain(points) + chain(points[::-1])

@@ -63,26 +63,6 @@ class FiniteGroup:
                 return j
         raise CharpkError("no inverse")
 
-    def generators(self):
-        """A small generating set (greedy closure)."""
-        n = len(self.elements)
-        chosen = []
-        closed = {self.identity}
-        for i in range(n):
-            if i in closed:
-                continue
-            chosen.append(i)
-            frontier = set(closed) | {i}
-            while True:
-                new = {self.table[a][b] for a in frontier for b in frontier}
-                if new <= frontier:
-                    break
-                frontier |= new
-            closed = frontier
-            if len(closed) == n:
-                break
-        return chosen
-
 
 class _Automorphism:
     """Field map of GF(p^k) fixed by the image of the generator."""

@@ -242,6 +242,11 @@ class MultiPoly:
     def __pow__(self, n: int):
         if n < 0:
             raise RingError("negative polynomial power")
+        if n and len(self.terms) == 1:
+            # a monomial: (c m)^n = c^n m^n, no products
+            ((e, c),) = self.terms.items()
+            return _mp(self.ring, {tuple(n * x for x in e):
+                                   self.ring.field.kernel.pow(c, n)})
         result = self.ring.one()
         base = self
         while n:
@@ -792,6 +797,17 @@ class _Frac(tuple):
         return bool(self[0].terms)
 
 
+def _cancel(a: MultiPoly, b: MultiPoly):
+    """a / g and b / g for g = gcd(a, b); no gcd is taken when a or b is
+    constant, the common case of polynomial values."""
+    if a.is_constant() or b.is_constant():
+        return a, b
+    g = mp_gcd(a, b)
+    if g.is_constant():
+        return a, b
+    return mp_exact_div(a, g), mp_exact_div(b, g)
+
+
 class _RatFuncKernel:
     """F_p(t..): raw values are `_Frac` pairs over `ring` = GF(p)[t..],
     and every result is reduced through `mp_gcd` and `mp_exact_div`.
@@ -809,10 +825,7 @@ class _RatFuncKernel:
         """num / den in normal form; den is nonzero."""
         if not num.terms:
             return self.zero
-        g = mp_gcd(num, den)
-        if not g.is_constant():
-            num, den = mp_exact_div(num, g), mp_exact_div(den, g)
-        return self._monic(num, den)
+        return self._monic(*_cancel(num, den))
 
     def _monic(self, num, den):
         """num / den for coprime num and den: den made monic under lex."""
@@ -829,21 +842,18 @@ class _RatFuncKernel:
         (an, ad), (bn, bd) = a, b
         if ad == bd:
             return self.frac(an + bn, ad)
-        g = mp_gcd(ad, bd)
-        if g.is_constant():
+        if (ad.is_constant() or bd.is_constant()
+                or (g := mp_gcd(ad, bd)).is_constant()):
             # coprime denominators leave a reduced sum
             return self._monic(an * bd + bn * ad, ad * bd)
-        ad1 = mp_exact_div(ad, g)
-        num = an * mp_exact_div(bd, g) + bn * ad1
+        ad1, bd1 = mp_exact_div(ad, g), mp_exact_div(bd, g)
+        num = an * bd1 + bn * ad1
         if not num.terms:
             return self.zero
-        # num is prime to ad / g and bd / g, so only g can share a factor
-        # with the denominator ad bd / g
-        den = ad1 * bd
-        h = mp_gcd(num, g)
-        if not h.is_constant():
-            num, den = mp_exact_div(num, h), mp_exact_div(den, h)
-        return self._monic(num, den)
+        # num is prime to ad1 and bd1, so only g can share a factor with
+        # the denominator ad1 bd1 g
+        num, g = _cancel(num, g)
+        return self._monic(num, ad1 * bd1 * g)
 
     def sub(self, a, b):
         return self.add(a, self.neg(b))
@@ -855,12 +865,8 @@ class _RatFuncKernel:
         (an, ad), (bn, bd) = a, b
         if not an.terms or not bn.terms:
             return self.zero
-        g = mp_gcd(an, bd)
-        if not g.is_constant():
-            an, bd = mp_exact_div(an, g), mp_exact_div(bd, g)
-        g = mp_gcd(bn, ad)
-        if not g.is_constant():
-            bn, ad = mp_exact_div(bn, g), mp_exact_div(ad, g)
+        an, bd = _cancel(an, bd)
+        bn, ad = _cancel(bn, ad)
         return self._monic(an * bn, ad * bd)
 
     def inv(self, a):

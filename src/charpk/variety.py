@@ -8,13 +8,19 @@ loci), enumerates rational points, tests dominance of rational maps by
 elimination, and carries the characteristic-p structure of function
 fields: p-th-power tests and p-independence, decided exactly by the rank
 of differentials (on the rational model when V has one).
+
+A plane curve over GF(q) is first tried on its Newton polygon: with no
+monomial factor and an integrally indecomposable polygon it is
+absolutely irreducible (Ostrowski; Gao, J. Algebra 237, 2001).  The
+check only ever proves irreducibility; when it fails, factoring over
+GF(q) and GF(q^s) decides.
 """
 
 from __future__ import annotations
 
 import itertools
 
-from . import factor, lambdafn, linalg, polys
+from . import lambdafn, linalg, polys
 from .errors import (CharpkError, FieldError, PreconditionError,
                      ResourceExhausted, RingError, UnsupportedInstance)
 from .fields import (FieldDescriptor, FieldScalar, _scalar, iter_elements,
@@ -459,6 +465,7 @@ def _minpoly_over_subfield(L, K):
     """Monic minimal polynomial over K of the generator gamma of L: the
     product of (x - gamma^(q^j)) for j < [L:K], q = |K|, with each
     coefficient pulled back through `factor.gf_embedding`."""
+    from . import factor
     q = K.p ** K.k
     gamma = L.generator()
     prod = factor.vanishing_poly([gamma ** (q ** j)
@@ -515,6 +522,7 @@ def _factors(V: AffineVariety, f: MultiPoly):
     """The distinct irreducible factors of V's one generator f after
     peeling, with multiplicities; kept in V._flags for the
     prime-presentation check of FunctionFieldElem."""
+    from . import factor
     facs = factor.factor_poly(f)[1]
     V._flags["factors"] = facs
     return facs
@@ -566,7 +574,12 @@ def _decide_irreducible(V: AffineVariety, absolute: bool) -> bool:
         return _poly_irreducible(V, gens[0], absolute)
     red = _rational_graph_reduction(V, gens)
     if red is not None:
-        return _decide_irreducible(red, absolute)
+        result = _decide_irreducible(red, absolute)
+        # K[V] = K[red][v] / (A v + B) with (A, B) the unit ideal of
+        # K[red], so V's presentation is prime iff red's is
+        if "factors" in red._flags:
+            V._flags["factors"] = red._flags["factors"]
+        return result
     if not absolute and V._flags.get("irreducible"):
         return True
     raise UnsupportedInstance(
@@ -606,8 +619,15 @@ def _poly_irreducible(V: AffineVariety, f: MultiPoly, absolute: bool) -> bool:
         return _poly_irreducible_zero_dim(V, f, used[0], absolute)
     if _linear_in_var_primitive(f):
         return True
+    # factor loads on first use, so a process that never factors (point
+    # listing, p-independence) does not compile it
+    from . import factor
     field = f.ring.field
     if field.kind == "gf":
+        if len(used) == 2 and factor._polygon_indecomposable(f):
+            # absolutely irreducible, so irreducible of multiplicity 1
+            V._flags["factors"] = [(f, 1)]
+            return True
         if absolute:
             if len(used) == 2:
                 facs = _factors(V, f)

@@ -331,6 +331,57 @@ def _divide_once(f, lin):
 
 
 # ---------------------------------------------------------------------------
+# Minkowski decomposability of lattice polygons, by enumeration
+# ---------------------------------------------------------------------------
+
+def _cross(o, a, b):
+    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+
+def _in_triangle(z, a, b, c):
+    """z in the closed triangle abc, which may be a segment or a point."""
+    if _cross(a, b, c) == 0:
+        return (all(_cross(u, v, z) == 0 for u in (a, b, c)
+                    for v in (a, b, c))
+                and min(a[0], b[0], c[0]) <= z[0] <= max(a[0], b[0], c[0])
+                and min(a[1], b[1], c[1]) <= z[1] <= max(a[1], b[1], c[1]))
+    signs = (_cross(a, b, z), _cross(b, c, z), _cross(c, a, z))
+    return all(s >= 0 for s in signs) or all(s <= 0 for s in signs)
+
+
+def in_hull(z, points):
+    """z in conv(points), by Caratheodory: in some (degenerate) triangle."""
+    return any(_in_triangle(z, a, b, c) for a, b, c in
+               itertools.combinations_with_replacement(points, 3))
+
+
+def minkowski_decomposable(points) -> bool:
+    """conv(points) = A + B for lattice polygons A and B of two or more
+    lattice points each.  Any such A has a translate inside P and at most
+    as many vertices as P; for each candidate A = conv(vertices), B is the
+    lattice set {b : b + A in P}, and A + conv(B) = P iff every extreme
+    point of P is a vertex of A plus a point of B."""
+    points = sorted(set(points))
+    xs, ys = [x for x, _ in points], [y for _, y in points]
+    lattice = {z for z in itertools.product(range(min(xs), max(xs) + 1),
+                                            range(min(ys), max(ys) + 1))
+               if in_hull(z, points)}
+    extreme = [z for z in points
+               if not in_hull(z, [w for w in points if w != z])]
+    for size in range(2, len(extreme) + 1):
+        for verts in itertools.combinations(sorted(lattice), size):
+            a0 = verts[0]
+            B = {(x - a0[0], y - a0[1]) for x, y in lattice}
+            B = {b for b in B
+                 if all((b[0] + v[0], b[1] + v[1]) in lattice for v in verts)}
+            if len(B) >= 2 and all(
+                    any((z[0] - v[0], z[1] - v[1]) in B for v in verts)
+                    for z in extreme):
+                return True
+    return False
+
+
+# ---------------------------------------------------------------------------
 # direct Leibniz audit
 # ---------------------------------------------------------------------------
 

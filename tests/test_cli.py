@@ -285,6 +285,20 @@ derivation { over: "Fp(3;t)"; images: {t: "1"} }
     assert main(["axiom", "bop-check", bop]) == 0
 
 
+@pytest.mark.parametrize("action, block", [
+    ("search-dpac", "bound { value: x2 }"),
+    ("validate-dpac", "bound { value: [1] }"),
+    ("validate-gbdcf", "balgebra { n: two }"),
+])
+def test_cli_non_integer_count_exits_2(tmp_path, capsys, action, block):
+    path = _write(tmp_path, "count.inst", DPAC3.replace(
+        "bound { value: 1 }", block))
+    assert main(["axiom", action, path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "must be an integer" in err
+    assert "internal error:" not in err
+
+
 def test_cli_ppower_exit_codes(tmp_path, capsys):
     sq = _write(tmp_path, "sq.inst", """
 variety { vars: [x]; over: "Fp(2;t)"; gens: [] }
@@ -367,7 +381,8 @@ heavy = {{'variety', 'factor', 'differential', 'groups', 'formula',
           'axioms'}}
 assert not loaded() & heavy, ('poly', loaded())
 assert main(['variety', 'points', {circle!r}]) == 0
-assert not loaded() & {{'formula', 'axioms', 'groups'}}, ('points', loaded())
+assert not loaded() & {{'formula', 'axioms', 'groups', 'factor'}}, \
+    ('points', loaded())
 assert main(['field', 'GF(2,4)']) == 0
 assert main(['diff', 'prolong', {dpac!r}]) == 0
 assert main(['action', 'galois', {galois!r}]) == 0

@@ -4,14 +4,16 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from charpk import factor
 from charpk.errors import FieldError, UnsupportedInstance
 from charpk.factor import (extend_gf, factor_poly, gf_embedding, mp_gcd,
                            project_to_subfield, uni_factor,
                            uni_is_irreducible, uni_roots)
 from charpk.fields import iter_gf_elements, make_field
 from charpk.polys import PolyRing
-from oracles import d_divmod, d_mul
+from oracles import d_divmod, d_mul, minkowski_decomposable
 
 
 def _udict(coeffs):
@@ -278,3 +280,90 @@ def test_eisenstein_curves_are_absolutely_irreducible(spec, text):
     from charpk.factor import is_absolutely_irreducible_poly
     F = PolyRing(make_field(spec), ("x", "y")).parse(text)
     assert is_absolutely_irreducible_poly(F) is True
+
+
+# -- the Newton-polygon certificate -----------------------------------------
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(support=st.sets(st.tuples(st.integers(0, 3), st.integers(0, 3)),
+                       min_size=1, max_size=5))
+def test_polygon_check_matches_brute_force_minkowski(support):
+    R = PolyRing(make_field("GF(2,1)"), ("x", "y"))
+    F = R.from_raw({e: 1 for e in support})
+    xs, ys = {x for x, _ in support}, {y for _, y in support}
+    want = (xs != {0} and ys != {0} and min(xs) == 0 and min(ys) == 0
+            and not minkowski_decomposable(support))
+    assert factor._polygon_indecomposable(F) is want
+
+
+def test_polygon_check_examples():
+    R = PolyRing(make_field("GF(3,1)"), ("x", "y", "z"))
+    for text, want in [
+            ("x^2 + y^3", True),             # one primitive edge each way
+            ("y^3 + x*y + x", True),         # Eisenstein at x
+            ("x*z^2 + z + 1", True),         # the two variables used
+            ("x^2 + y^2", False),            # a segment of lattice length 2
+            ("x*y + x", False),              # the monomial factor x
+            ("x^2 + x*y + y^2 + 1", False),  # twice the triangle 0, x, y
+            ("x^2*z + y + 1", False),        # three variables, or one
+            ("x^3 + 1", False)]:
+        F = R.parse(text)
+        assert factor._polygon_indecomposable(F) is want, text
+
+
+GF4_EISENSTEIN = "y^3 + g*x*y + x^2 + x"
+
+
+@pytest.mark.parametrize("spec, text", [
+    ("GF(2,2)", GF4_EISENSTEIN),
+    ("GF(2,2)", "y^4 + x*y^2 + g*x^2*y + x^3 + x"),
+    ("GF(5,1)", "y^3 + 2*x*y + x^3 + 3*x"),
+    ("GF(5,1)", "y^4 + x*y^3 + 4*x^2*y + x^2 + x"),
+    ("GF(3,2)", "y^3 + x*y^2 + g*x*y + x^2 + g*x"),
+    ("GF(3,2)", "y^3 + g*x^2*y + x^3 + x")])
+def test_polygon_check_decides_eisenstein_without_factoring(monkeypatch,
+                                                           spec, text):
+    """The certificate answers before any factoring over GF(q^s)."""
+    from charpk.variety import (AffineVariety, is_absolutely_irreducible,
+                                is_irreducible)
+
+    def fallback(*args):
+        raise AssertionError("reached the factoring fallback")
+    monkeypatch.setattr(factor, "factor_poly", fallback)
+    monkeypatch.setattr(factor, "_stays_irreducible", fallback)
+    K = make_field(spec)
+    F = PolyRing(K, ("x", "y")).parse(text)
+    assert factor.is_absolutely_irreducible_poly(F) is True
+    V = AffineVariety(K, ("x", "y"), [F])
+    assert is_absolutely_irreducible(V) is True
+    W = AffineVariety(K, ("x", "y"), [F])
+    assert is_irreducible(W) is True
+    assert W._flags["factors"] == [(F, 1)]
+    assert W.function_field_elem("x") != W.function_field_elem("y")
+
+
+@pytest.mark.parametrize("spec, text", [
+    ("GF(5,1)", "x*y"),
+    ("GF(5,1)", "x^3 - y^3"),
+    # (x + y^2)^2 - 2 (y + 1)^2, 2 a non-square: a norm form from GF(25)
+    ("GF(5,1)", "x^2 + 2*x*y^2 + y^4 - 2*y^2 - 4*y - 2")])
+def test_polygon_check_leaves_the_rest_to_factoring(monkeypatch, spec, text):
+    from charpk.variety import (AffineVariety, is_absolutely_irreducible,
+                                is_irreducible)
+
+    class Fallback(Exception):
+        pass
+
+    def fallback(*args):
+        raise Fallback
+    K = make_field(spec)
+    F = PolyRing(K, ("x", "y")).parse(text)
+    assert factor.is_absolutely_irreducible_poly(F) is False
+    monkeypatch.setattr(factor, "factor_poly", fallback)
+    monkeypatch.setattr(factor, "_stays_irreducible", fallback)
+    with pytest.raises(Fallback):
+        factor.is_absolutely_irreducible_poly(F)
+    with pytest.raises(Fallback):
+        is_absolutely_irreducible(AffineVariety(K, ("x", "y"), [F]))
+    with pytest.raises(Fallback):
+        is_irreducible(AffineVariety(K, ("x", "y"), [F]))

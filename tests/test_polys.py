@@ -165,6 +165,20 @@ def test_rings_built_twice_interoperate(spec, other):
         R.parse("x") * T.parse("x")
 
 
+@pytest.mark.parametrize("spec", ["GF(5,1)", "GF(2,3)", "Fp(3;t)"])
+def test_powers_match_repeated_products(spec):
+    R = _ring(spec)
+    c = "t" if spec.startswith("Fp") else "3"
+    for text in ["x", f"{c}*x^2*y", "z^3", "2", f"x + {c}", "x*y - z^2 + 1"]:
+        f = R.parse(text)
+        prod = R.one()
+        for n in range(6):
+            assert f ** n == prod, (text, n)
+            prod = prod * f
+    assert R.parse("x^2*y^3") == R.var("x") ** 2 * R.var("y") ** 3
+    assert R.zero() ** 0 == R.one() and R.zero() ** 3 == R.zero()
+
+
 def test_is_constant():
     R = _ring()
     assert R.zero().is_constant()

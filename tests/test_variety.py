@@ -132,6 +132,22 @@ def test_function_field_needs_a_prime_presentation(spec, variables, text):
         W.function_field_elem("x")
 
 
+@pytest.mark.parametrize("variables, gens", [
+    (("x", "y"), ["(x^2 - 2)^2", "x*y - 1"]),
+    (("x", "y", "z"), ["(x^2 - 2)^2", "x*y - 1", "z - y^2"]),
+])
+def test_prime_presentation_survives_the_graph_reduction(variables, gens):
+    # V is a graph over V((x^2 - 2)^2) in the x-line, where x^2 - 2 is
+    # nilpotent: 1 / (x^2 - 2) must not be built
+    V = AffineVariety(make_field("GF(5,1)"), variables, gens)
+    assert is_irreducible(V)
+    with pytest.raises(PreconditionError, match="prime presentation"):
+        V.function_field_elem("x")
+    W = AffineVariety(make_field("GF(5,1)"), variables,
+                      ["x^2 - 2"] + gens[1:])
+    assert 1 / W.function_field_elem("x") == W.function_field_elem("y")
+
+
 def test_dominance_projection_and_rational_map():
     K = make_field("Fp(3;t)")
     # W = V(u - 1) inside the (x, u)-plane over V = the x-line
