@@ -27,10 +27,11 @@ from __future__ import annotations
 
 import json
 
-from . import lambdafn
+from . import lambdafn, polys
 from .differential import (DerivationContext, derivation_extends, derive,
                            kerprol_check, require_doubled_space)
-from .errors import CharpkError, PreconditionError, UnsupportedInstance
+from .errors import (CharpkError, PreconditionError, ResourceExhausted,
+                     UnsupportedInstance)
 from .fields import FieldDescriptor, is_pth_power, iter_gf_elements
 from .groups import invariants, is_faithful
 from .variety import (AffineVariety, enumerate_points,
@@ -271,10 +272,15 @@ def _scf_audit(phi, structure, res, V, rows, nsamples):
         extras.extend([g + K.one(), g * g, g * g + g])
     pools = [[K.gen(n)] if n in frozen else [K.gen(n)] + extras
              for n in K.tvars]
+    cap = polys.MAX_AUDIT_CHOICES
     count = 0
-    for choice in itertools.product(*pools):
+    for tried, choice in enumerate(itertools.product(*pools), 1):
         if count >= nsamples:
             break
+        if tried > cap:
+            raise ResourceExhausted(
+                f"reduction audit: more than {cap} substitutions tried "
+                f"for {count} of {nsamples} samples")
         images = dict(zip(K.tvars, choice))
         try:
             point = tuple(scalar_hom(res.values[n], images, K)

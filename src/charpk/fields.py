@@ -29,6 +29,7 @@ The m = 0 rational-function field degenerates to the prime field.
 from __future__ import annotations
 
 import itertools
+import re
 from functools import lru_cache
 
 from .errors import FieldError
@@ -868,7 +869,6 @@ def _split_top(text, sep):
 
 def _parse_gf_modulus(text, p):
     """Parse a defining polynomial in a single variable; returns (name, coeffs)."""
-    import re
     names = sorted(set(re.findall(r"[A-Za-z_][A-Za-z_0-9]*", text)))
     if len(names) != 1:
         raise FieldError(f"defining polynomial must use one variable: {text!r}")
@@ -902,6 +902,11 @@ def _parse_gf_modulus(text, p):
     return name, vec
 
 
+# \s and \w match exactly str.isspace() and (str.isalnum() or "_")
+_SPACES = re.compile(r"\s*")
+_WORD = re.compile(r"\w*")
+
+
 class _Parser:
     """Recursive descent over + - * / ^, parentheses, integer literals and
     names.  Subclasses build the values: `number`, `symbol`, `divide` and
@@ -912,23 +917,33 @@ class _Parser:
 
     def __init__(self, text, target):
         self.text = text
+        self.end = len(text)
         self.pos = 0
         self.target = target
 
     def parse(self):
         v = self.expr()
         self.skip()
-        if self.pos != len(self.text):
+        if self.pos != self.end:
             raise self.error(f"trailing input in {self.what} {self.text!r}")
         return v
 
     def skip(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
+        pos = self.pos
+        if pos < self.end and self.text[pos].isspace():
+            self.pos = _SPACES.match(self.text, pos).end()
 
     def peek(self):
-        self.skip()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
+        """The next non-space character, or "" at the end."""
+        pos = self.pos
+        if pos < self.end:
+            ch = self.text[pos]
+            if not ch.isspace():
+                return ch
+            pos = self.pos = _SPACES.match(self.text, pos).end()
+            if pos < self.end:
+                return self.text[pos]
+        return ""
 
     def expr(self):
         v = self.term()
@@ -984,10 +999,7 @@ class _Parser:
             return self.number(self.integer())
         if ch.isalpha() or ch == "_":
             start = self.pos
-            while (self.pos < len(self.text)
-                   and (self.text[self.pos].isalnum()
-                        or self.text[self.pos] == "_")):
-                self.pos += 1
+            self.pos = _WORD.match(self.text, start).end()
             return self.symbol(self.text[start:self.pos])
         raise self.error(f"unexpected character {ch!r} in {self.what}")
 
@@ -997,7 +1009,7 @@ class _Parser:
         if signed and self.text.startswith("-", self.pos):
             self.pos += 1
         digits = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while self.pos < self.end and self.text[self.pos].isdigit():
             self.pos += 1
         if self.pos == digits:
             raise self.error(message)

@@ -2,17 +2,33 @@
 
 p-independence over F_p(t1..tm) is decided exactly by a rank: b_1..b_e
 are p-independent iff their differentials db_i are linearly independent,
-i.e. iff the Jacobian [db_i/dt_j] has rank e.
+i.e. iff the Jacobian J_b = [db_i/dt_j] has rank e (Matsumura,
+Commutative Ring Theory, Thm 26.5).
 
-The p-monomials of a tuple (b_1..b_e) are m_j = b_1^{i_1}...b_e^{i_e} with
-0 <= i_j <= p-1, enumerated lexicographically on the exponent vector, so
-m_1 = 1.  All Case-3 solves reduce, via the p-component decomposition of
-F_p(t..) over its standard monomial K^p-basis, to ordinary linear algebra
-over K: for unknowns v_j in K,
+The p-monomials of a tuple b = (b_1..b_e) are b^J = b_1^{j_1}...b_e^{j_e}
+with 0 <= j_i <= p-1, enumerated lexicographically on J, so the first is 1.
+`lambda_solve` tells the three cases apart with one elimination on
+[J_b | I_e]:
 
-    c = sum_j v_j^p m_j   <=>   for all a:  sum_j v_j comp_a(m_j) = comp_a(c)
+* Case 1, b p-dependent: J_b has fewer than e pivots.
+* Case 2, (b, c) p-independent: dc is outside the span of the db_i.
+* Case 3, c = sum_J lambda_J^p b^J.  With P the pivot columns, b and the
+  t_j off P form a p-basis of K, and the right block is J_b[:, P]^{-1}.
+  The derivations D_i = sum_r (J_b[:, P]^{-1})_{ri} d/dt_{P[r]} are dual
+  to db_1..db_e and kill the other basis elements, so they act as the
+  partials d/db_i: they commute, D_i^p = 0 and they vanish on K^p.  Every
+  factorial below p is a unit, so Taylor's formula inverts c = sum_J
+  mu_J b^J with mu_J in K^p:
 
-because comp_a is semilinear with respect to p-th powers.
+      mu_J = sum_K (-b)^K D^{J+K} c / (J! K!)   over J + K <= p - 1,
+
+  and lambda_J is the p-th root of mu_J.
+
+The derivatives are taken of c' = c d^p, d the denominator of c: d^p is
+a unit of K^p that every derivation kills, so c' is a polynomial with
+the same cases as c, and lambda_J = lambda'_J / d.  A Case-3 answer is
+checked against the defining formula c = sum_J lambda_J^p b^J before it
+is returned.
 """
 
 from __future__ import annotations
@@ -21,8 +37,8 @@ import itertools
 
 from . import linalg
 from .errors import FieldError
-from .fields import (FieldDescriptor, FieldScalar, _scalar, p_components,
-                     partial, pth_root)
+from .fields import (FieldDescriptor, FieldScalar, _scalar, partial,
+                     pth_root)
 
 
 def monomial_exponents(p: int, e: int):
@@ -44,32 +60,6 @@ def p_monomials(bs):
                 m = m * b ** i
         out.append(m)
     return out
-
-
-def _clear_pth(xs):
-    """Multiply each x by den(x)^p: a p-th-power unit, so lambda solves
-    transfer; returns (polynomial-valued scalars, denominators)."""
-    out, dens = [], []
-    for x in xs:
-        field = x.field
-        den = _scalar(field, field.kernel.frac(x.value[1], field._ring.one()))
-        out.append(x * den ** field.p)
-        dens.append(den)
-    return out, dens
-
-
-def _component_matrix(bs, K):
-    """Rows indexed by exponent vectors a in (0..p-1)^m, columns by the
-    p-monomials of bs; entry = comp_a(m_j(bs)).  Also returns the row index."""
-    p, m = K.p, K.imperfection_exponent
-    row_index = monomial_exponents(p, m)
-    cols = []
-    for mj in p_monomials(bs) if bs else [K.one()]:
-        comps = p_components(mj)
-        cols.append([comps.get(a, K.zero()) for a in row_index])
-    matrix = [[cols[j][i] for j in range(len(cols))]
-              for i in range(len(row_index))]
-    return matrix, row_index
 
 
 def p_independence_verdict(xs, K: FieldDescriptor):
@@ -111,43 +101,105 @@ def lambda_multi(i: int, e: int, bs, c: FieldScalar) -> FieldScalar:
     return sol[i - 1]
 
 
+def _derivative_table(c, dual, names, exps):
+    """{a: D^a c} for a in exps, with D_i = sum_r dual[r][i] d/d names[r].
+    D^a c is D_i of its predecessor, i the last nonzero place of a; the
+    gradient of each entry is taken once and serves all its successors."""
+    zero = c.field.zero()
+    table = {exps[0]: c}
+    grads = {}
+    for a in exps[1:]:
+        i = max(k for k, ak in enumerate(a) if ak)
+        prev = a[:i] + (a[i] - 1,) + a[i + 1:]
+        x = table[prev]
+        if x:
+            g = grads.get(prev)
+            if g is None:
+                g = grads[prev] = [partial(x, t) for t in names]
+            x = zero
+            for row, dx in zip(dual, g):
+                if row[i] and dx:
+                    x = x + row[i] * dx
+        table[a] = x
+    return table
+
+
+def _taylor_inverse(table, bs, exps):
+    """{J: mu_J} from the table of D^a c, where
+    mu_J = sum_K (-b)^K D^{J+K} c / (J! K!) over J + K <= p - 1.  The
+    weight is a product over coordinates, so the sum is taken one
+    coordinate at a time."""
+    K = table[exps[0]].field
+    p, one = K.p, K.one()
+    inv_fact = [1] * p
+    for k in range(2, p):
+        inv_fact[k] = inv_fact[k - 1] * pow(k, -1, p) % p
+    for i, b in enumerate(bs):
+        weights = [None]  # weights[k] = (-b)^k / k! for 1 <= k <= p - 1
+        power = one
+        for k in range(1, p):
+            power = power * b
+            w = (-1) ** k * inv_fact[k] % p
+            weights.append(power if w == 1 else power * K.from_int(w))
+        nxt = {}
+        for a in exps:
+            j = a[i]
+            acc = table[a]
+            for k in range(1, p - j):
+                d = table[a[:i] + (j + k,) + a[i + 1:]]
+                if d:
+                    acc = acc + weights[k] * d
+            if inv_fact[j] != 1 and acc:
+                acc = acc * K.from_int(inv_fact[j])
+            nxt[a] = acc
+        table = nxt
+    return table
+
+
 def lambda_solve(e: int, bs, c: FieldScalar):
     """All p^e lambda values at once, or None in Cases 1-2."""
     K = c.field
     bs = list(bs)
-    if not is_p_independent(bs, K):
+    if len(bs) != e:
+        raise FieldError(f"arity mismatch: expected {e} basis entries")
+    p, tvars = K.p, K.tvars
+    m = len(tvars)
+    zero, one = K.zero(), K.one()
+    # [J_b | I_e] in reduced echelon form: the pivot rows of the left
+    # block span the db_i, and the right block is E = J_b[:, P]^{-1}
+    rows = [[partial(b, t) for t in tvars]
+            + [one if r == i else zero for r in range(e)]
+            for i, b in enumerate(bs)]
+    pivots = linalg.echelon(rows, m)
+    if len(pivots) < e:
         return None  # Case 1
-    if K.is_perfect:
-        return [pth_root(c)]  # only the empty tuple is p-independent
-    # Case 2 versus Case 3: since bs is p-independent, the span of its
-    # p-monomials over K^p is the field K^p(bs), so c extends bs to a
-    # p-independent tuple exactly when the defining linear system below
-    # has no solution.  Deciding by attempted solve avoids a rank
-    # computation on the larger (and, in Case 3, rank-deficient) matrix
-    # of the extended tuple.
-    # Clear denominators so every p-component is a polynomial over a
-    # polynomial: b'_i = b_i d_i^p, c' = c d_c^p turn the solve into
-    # mu_j = lambda_j * d_c * prod_i d_i^{i_j}.
-    ys, dens = _clear_pth(bs)
-    cc, (dc,) = _clear_pth([c])
-    cc = cc[0]
-    matrix, row_index = _component_matrix(ys, K)
-    c_comps = p_components(cc)
-    rhs = [c_comps.get(a, K.zero()) for a in row_index]
-    mu = linalg.solve(matrix, rhs)
-    if mu is None:
-        return None  # Case 2
+    # c' = c d^p for d the denominator of c (module docstring)
+    cc, d = c, None
+    if K.kind != "gf" and not c.value[1].is_constant():
+        d = _scalar(K, K.kernel.frac(c.value[1], K._ring.one()))
+        cc = c * d ** p
+    grad = [partial(cc, t) for t in tvars]
+    for row, j in zip(rows, pivots):
+        f = grad[j]
+        if f:
+            grad = [x - f * y for x, y in zip(grad, row)]
+    if any(grad):
+        return None  # Case 2: dc' is outside the span of the db_i
+    # Case 3: D_i = sum_r E[r][i] d/dt_{P[r]}
+    exps = monomial_exponents(p, e)
+    table = _derivative_table(cc, [row[m:] for row in rows],
+                              [tvars[j] for j in pivots], exps)
+    table = _taylor_inverse(table, bs, exps)
     sol = []
-    for exps, mj in zip(monomial_exponents(K.p, e), mu):
-        num = mj
-        for d, i in zip(dens, exps):
-            if i:
-                num = num * d ** i
-        sol.append(num / dc)
+    for a in exps:
+        lam = pth_root(table[a])
+        if lam is None:
+            raise FieldError("lambda Taylor coefficient is not a p-th power")
+        sol.append(lam if d is None else lam / d)
     # defining-formula round trip (exact self-check)
-    acc = K.zero()
-    for lam, m in zip(sol, p_monomials(bs) if bs else [K.one()]):
-        acc = acc + lam ** K.p * m
+    acc = zero
+    for lam, mono in zip(sol, p_monomials(bs) if bs else [one]):
+        acc = acc + lam ** p * mono
     if acc != c:
         raise FieldError("lambda defining-formula verification failed")
     return sol

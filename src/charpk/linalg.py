@@ -8,7 +8,7 @@ are lists of row lists.  Everything here is small and dense: desk scale.
 from __future__ import annotations
 
 
-def _echelon(rows, ncols):
+def echelon(rows, ncols):
     """In-place fraction Gaussian elimination; returns list of pivot columns."""
     pivots = []
     r = 0
@@ -38,7 +38,7 @@ def rank(matrix) -> int:
     if not matrix:
         return 0
     rows = [list(r) for r in matrix]
-    return len(_echelon(rows, len(rows[0])))
+    return len(echelon(rows, len(rows[0])))
 
 
 def solve(matrix, rhs):
@@ -50,7 +50,7 @@ def solve(matrix, rhs):
         return []
     ncols = len(matrix[0])
     rows = [list(r) + [b] for r, b in zip(matrix, rhs)]
-    pivots = _echelon(rows, ncols)
+    pivots = echelon(rows, ncols)
     zero = None
     for row in matrix:
         for x in row:

@@ -32,6 +32,7 @@ from .fields import (FieldDescriptor, FieldScalar, _Parser, _scalar,
 MAX_BASIS = 400
 MAX_DEGREE = 120
 MAX_POINT_CANDIDATES = 10 ** 6   # tuples variety.enumerate_points may test
+MAX_AUDIT_CHOICES = 10 ** 4      # substitutions axioms._scf_audit may try
 
 
 # ---------------------------------------------------------------------------

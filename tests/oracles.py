@@ -5,8 +5,9 @@ normal-form reduction over a lex basis, absolute-component counts come
 from rational-point counting over controlled extensions, point scans
 and fixed sets are plain loops, polynomial arithmetic is on dicts of
 FieldScalars (`d_*`), GF(p^k) arithmetic is polynomial-basis
-arithmetic on coefficient tuples, and F_p(t..) arithmetic and gcds over
-GF(p) are sympy's (a test-only dependency).
+arithmetic on coefficient tuples, F_p(t..) arithmetic and gcds over
+GF(p) are sympy's (a test-only dependency), and lambda values come from
+elimination on p-components, not from derivations.
 """
 
 from __future__ import annotations
@@ -14,8 +15,9 @@ from __future__ import annotations
 import itertools
 import re
 
-from charpk import factor
-from charpk.fields import FieldDescriptor, iter_gf_elements
+from charpk import factor, linalg
+from charpk.fields import (FieldDescriptor, FieldScalar, iter_gf_elements,
+                           p_components)
 from charpk.polys import MultiPoly, PolyRing, buchberger, normal_form
 
 
@@ -379,6 +381,61 @@ def minkowski_decomposable(points) -> bool:
                     for z in extreme):
                 return True
     return False
+
+
+# ---------------------------------------------------------------------------
+# lambda-functions by the p-component elimination: the definition of the
+# three cases, read off one linear system over K
+# ---------------------------------------------------------------------------
+
+def _cleared(x):
+    """(x d^p, d) with d the denominator of x: a p-th-power unit factor,
+    so that every p-component of x d^p is a polynomial over a polynomial."""
+    K = x.field
+    if K.kind == "gf":
+        return x, K.one()
+    den = FieldScalar(K, (x.value[1], K.one().value[0]))
+    return x * den ** K.p, den
+
+
+def lambda_by_components(bs, c):
+    """The p^e lambda values of c against the tuple bs, or None in Cases
+    1-2, by elimination on the p^m x (p^e + 1) matrix of p-components.
+
+    comp_a is semilinear for p-th powers, so c = sum_J v_J^p b^J iff
+    sum_J v_J comp_a(b^J) = comp_a(c) for every a in (0..p-1)^m.  The
+    columns comp(b^J) have full rank iff the b^J are K^p-independent
+    (Case 1 otherwise), and the system is consistent iff c lies in their
+    K^p-span (Case 2 otherwise).  Denominators are cleared first:
+    b'_i = b_i d_i^p, c' = c d_c^p turn the solution into
+    v_J = lambda_J d_c / prod_i d_i^{j_i}."""
+    K = c.field
+    p = K.p
+    cleared = [_cleared(b) for b in bs]
+    cc, dc = _cleared(c)
+    exps = list(itertools.product(range(p), repeat=len(bs)))
+    cols = []
+    for jj in exps:
+        mono = K.one()
+        for (b, _), j in zip(cleared, jj):
+            mono = mono * b ** j
+        cols.append(p_components(mono))
+    cols.append(p_components(cc))
+    rows = [[col.get(a, K.zero()) for col in cols]
+            for a in itertools.product(range(p),
+                                       repeat=K.imperfection_exponent)]
+    pivots = linalg.echelon(rows, len(exps))
+    if len(pivots) < len(exps):
+        return None  # Case 1
+    if any(row[-1] for row in rows[len(exps):]):
+        return None  # Case 2
+    sol = []
+    for jj, row in zip(exps, rows):
+        v = row[-1]
+        for (_, d), j in zip(cleared, jj):
+            v = v * d ** j
+        sol.append(v / dc)
+    return sol
 
 
 # ---------------------------------------------------------------------------

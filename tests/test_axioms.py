@@ -4,14 +4,14 @@ import json
 
 import pytest
 
-from charpk import axioms
+from charpk import axioms, differential, polys
 from charpk.axioms import (BAlgebra, DPacInstance, GBdcfInstance,
                            b_operator_check, pac_witness_task, scf_reduce,
                            search_dpac_witness, validate_dpac_instance,
                            validate_gbdcf_instance)
 from charpk.differential import DerivationContext, derive
-from charpk.errors import (CharpkError, PreconditionError,
-                           UnsupportedInstance)
+from charpk.errors import (CharpkError, FieldError, PreconditionError,
+                           ResourceExhausted, UnsupportedInstance)
 from charpk.fields import make_field
 from charpk.groups import FieldAction
 from charpk.variety import AffineVariety
@@ -253,3 +253,26 @@ def test_an_error_inside_a_bullet_names_that_bullet(monkeypatch, build,
     with pytest.raises(UnsupportedInstance) as info:
         validate(inst)
     assert str(info.value) == f"bullet {bullet!r}: injected"
+
+
+def test_scf_audit_counts_attempted_substitutions(monkeypatch):
+    """A substitution whose homomorphism fails still counts against
+    `polys.MAX_AUDIT_CHOICES`, so a pool where every one fails stops at
+    the cap instead of walking the whole product."""
+    K = make_field("Fp(2;t1,t2)")
+    t1 = K.gen("t1")
+    args = ("lam(1,1; t1; x) - t1 = 0", {"field": K, "pindep": [["x"]]},
+            {"x": t1 ** 3 + t1 ** 2})
+    # t1 is a constant of the formula, so only t2 moves: 7 substitutions
+    scf_reduce(*args, audit_bound=7)
+    monkeypatch.setattr(polys, "MAX_AUDIT_CHOICES", 6)
+    with pytest.raises(ResourceExhausted, match="more than 6"):
+        scf_reduce(*args, audit_bound=7)
+    scf_reduce(*args, audit_bound=6)
+
+    def undefined(*_):
+        raise FieldError("homomorphism undefined: denominator vanishes")
+
+    monkeypatch.setattr(differential, "scalar_hom", undefined)
+    with pytest.raises(ResourceExhausted, match="for 0 of 1 samples"):
+        scf_reduce(*args, audit_bound=1)

@@ -118,6 +118,11 @@ def test_scalar_parsing_round_trip():
     for text in ["0", "1", "t", "t^2+1", "(t+1)/(t^2+4)", "3*t"]:
         x = K.parse(text)
         assert K.parse(str(x)) == x
+    # any str.isspace() character separates tokens, and only separates
+    assert K.parse("\t(t +1)\n/ ( t^2 + 4 ) ") == K.parse("(t+1)/(t^2+4)")
+    with pytest.raises(FieldError, match="trailing input in scalar literal "
+                                         "'t 1 '"):
+        K.parse("t 1 ")
     L = make_field("GF(2,3)")
     for text in ["0", "1", "g", "g^2+g+1"]:
         x = L.parse(text)

@@ -4,12 +4,16 @@ import itertools
 import random
 from functools import lru_cache
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracles
+from charpk import linalg
+from charpk.errors import FieldError
 from charpk.fields import iter_elements, make_field
-from charpk.lambdafn import (is_p_independent, lambda_multi, lambda_solve,
-                             monomial_exponents, p_independence_verdict,
-                             p_monomials)
+from charpk.lambdafn import (PBasisContext, is_p_independent, lambda_basis,
+                             lambda_multi, lambda_solve, monomial_exponents,
+                             p_independence_verdict, p_monomials)
 
 
 @lru_cache(maxsize=None)
@@ -142,3 +146,119 @@ def test_large_dependent_tuple():
         c = c + aj ** 2 * m
     assert is_p_independent([b1, b2], K)
     assert not is_p_independent([b1, b2, c], K)
+
+
+# ---------------------------------------------------------------------------
+# lambda_solve against the p-component elimination oracle
+# ---------------------------------------------------------------------------
+
+def _small_pool(K):
+    """Entries of modest degree, with denominators below p = 5: their
+    5th powers make the oracle's 25 x 26 elimination slow, and the
+    denominator path is the same for every p."""
+    t1, t2 = K.gen("t1"), K.gen("t2")
+    one = K.one()
+    pool = [one, t1, t2, t1 + one, t1 * t2]
+    if K.p < 5:
+        pool += [one / t2, t1 / (t2 + one), (t1 + t2) / t1]
+    return pool
+
+
+# (e, case) pairs that exist over F_p(t1,t2): the empty tuple is
+# p-independent, and a p-independent pair is a p-basis (no Case 2)
+_SHAPES = [(0, 2), (0, 3), (1, 1), (1, 2), (1, 3), (2, 1), (2, 3)]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("e,case", _SHAPES)
+@settings(derandomize=True, max_examples=10, deadline=None)
+@given(data=st.data())
+def test_lambda_solve_matches_component_oracle(data, p, e, case):
+    """Over F_p(t1,t2): Case 1 on a p-dependent tuple, Case 2 on an
+    argument outside K^p(b), Case 3 on sum_J a_J^p b^J with a few nonzero
+    a_J.  p = 5 is the first prime whose Taylor sum has 3! and 4!."""
+    K = make_field(f"Fp({p};t1,t2)")
+    entries = st.sampled_from(_small_pool(K))
+    sigma = data.draw(st.permutations(("t1", "t2")))
+    bs = [data.draw(entries) ** p * K.gen(name) + data.draw(entries) ** p
+          for name in sigma[:e]]
+    if case == 1:
+        # b_e in K^p(b_1..b_{e-1}): a p-th power, or a^p b_1 + v^p
+        last = data.draw(entries) ** p
+        if e == 2:
+            last = last * bs[0] + data.draw(entries) ** p
+        bs[-1] = last
+    if case == 2:
+        c = data.draw(entries) ** p * K.gen(sigma[e]) \
+            + data.draw(entries) ** p
+    else:
+        exps = monomial_exponents(p, e)
+        picked = data.draw(st.lists(st.sampled_from(exps), min_size=1,
+                                    max_size=3, unique=True))
+        c = K.zero()
+        for exps_j, mono in zip(exps, p_monomials(bs) if bs else [K.one()]):
+            if exps_j in picked:
+                c = c + data.draw(entries) ** p * mono
+    got = lambda_solve(e, bs, c)
+    assert got == oracles.lambda_by_components(bs, c)
+    assert (got is not None) == (case == 3)
+
+
+
+def test_lambda_solve_never_calls_the_linear_solver(monkeypatch):
+    """The cases are decided and Case 3 solved without `linalg.solve`."""
+    def refuse(*args):
+        raise AssertionError("lambda_solve fell back to linalg.solve")
+
+    monkeypatch.setattr(linalg, "solve", refuse)
+    K = make_field("Fp(3;t1,t2)")
+    t1, t2 = K.gen("t1"), K.gen("t2")
+    one = K.one()
+    a = [t1 + one, t2 / t1, one, t1 * t2]
+    b = t2 ** 3 * t1 + one
+    # Case 1: a p-th power, and a pair with b_2 in K^p(b_1)
+    assert lambda_solve(1, [t1 ** 3], t2) is None
+    assert lambda_solve(2, [b, a[0] ** 3 * b + one], t2) is None
+    # Case 2: c outside K^p(b), including the empty tuple
+    assert lambda_solve(1, [b], t2) is None
+    assert lambda_solve(0, [], t1) is None
+    # Case 3
+    assert lambda_solve(0, [], a[1] ** 3) == [a[1]]
+    assert lambda_solve(1, [b], a[0] ** 3 + a[1] ** 3 * b
+                        + a[2] ** 3 * b * b) == a[:3]
+    pair = [b, t2]
+    c = sum((x ** 3 * m for x, m in zip(a, p_monomials(pair))), K.zero())
+    assert lambda_solve(2, pair, c) == a + [K.zero()] * 5
+    # a perfect field: only the empty tuple is p-independent
+    F = make_field("GF(3,2)")
+    g = F.generator()
+    assert lambda_solve(1, [g], g) is None
+    (root,) = lambda_solve(0, [], g)
+    assert root ** 3 == g
+
+
+def test_p_basis_context_recovers_the_coordinates():
+    """On the p-basis (t1, t2) of F_3(t1,t2), lambda_basis(i, c) is the
+    a_J of c = sum_J a_J^3 t^J, J in lexicographic order."""
+    K = make_field("Fp(3;t1,t2)")
+    t1, t2 = K.gen("t1"), K.gen("t2")
+    ctx = PBasisContext(K, (t1, t2))
+    coords = [t1 + t2, K.zero(), t2 / (t1 + K.one()), K.from_int(2), t1,
+              K.zero(), K.one() / t2, t1 * t2, K.zero()]
+    c = K.zero()
+    for a, (i, j) in zip(coords, monomial_exponents(3, 2)):
+        c = c + a ** 3 * t1 ** i * t2 ** j
+    assert [lambda_basis(i, c, ctx) for i in range(1, 10)] == coords
+    with pytest.raises(FieldError):
+        lambda_basis(1, make_field("Fp(3;t1)").gen("t1"), ctx)
+
+
+def test_p_basis_context_refuses_non_bases():
+    K = make_field("Fp(3;t1,t2)")
+    t1, t2 = K.gen("t1"), K.gen("t2")
+    with pytest.raises(FieldError, match="length 2"):
+        PBasisContext(K, (t1,))
+    with pytest.raises(FieldError, match="length 2"):
+        PBasisContext(K, (t1, t2, t1 + t2))
+    with pytest.raises(FieldError, match="not p-independent"):
+        PBasisContext(K, (t1, t1 + t2 ** 3))
