@@ -33,7 +33,6 @@ from .differential import (DerivationContext, derivation_extends, derive,
 from .errors import (CharpkError, PreconditionError, ResourceExhausted,
                      UnsupportedInstance)
 from .fields import FieldDescriptor, is_pth_power, iter_gf_elements
-from .groups import invariants, is_faithful
 from .variety import (AffineVariety, enumerate_points,
                       is_absolutely_irreducible, is_dominant, is_irreducible,
                       ppower_test, projection_map, _radical_contains)
@@ -491,6 +490,7 @@ def validate_gbdcf_instance(inst: GBdcfInstance) -> CheckReport:
         return search_dpac_witness(inst, validated=report)
 
     # nontrivial group: finite base field, hence the zero derivation
+    from .groups import invariants, is_faithful
     report = _run_bullets(
         [(_FAITHFUL, lambda: is_faithful(inst.action)),
          ("V and W are K-irreducible",

@@ -4,12 +4,23 @@
   descent), distinct-degree splitting, Cantor-Zassenhaus equal-degree
   splitting (trace variant in characteristic 2);
 * bivariate over GF(p^k): content/primitive split, p-th-power descent,
-  gcd-based squarefree reduction, then Hensel lifting from a squarefree
+  squarefree reduction, then Hensel lifting from a squarefree
   specialization with subset recombination; when the base field is too
   small to host a good specialization, ascend to GF(p^{k r}), factor
   there and descend by grouping Frobenius orbits of the factors;
 * univariate over F_p(t): clear the denominators of the (numer, denom)
   coefficient pairs and reduce to the bivariate case (Gauss lemma).
+
+Squarefree by specialization.  Let F be primitive in y with dF/dy != 0.
+A good specialization, an x0 in K with F(x0, y) squarefree of degree
+deg_y F, proves gcd(F, dF/dy) = 1 without computing it: a common factor
+g of positive y-degree has lc_y(g) | lc_y(F), which is nonzero at x0, so
+g(x0, y) would be a nonconstant common factor of F(x0, y) and its
+y-derivative; a common factor in K[x] alone would divide the y-content,
+which is 1.  So the search for x0, which Hensel lifting needs anyway,
+comes first, and the bivariate gcd is taken only when dF/dy = 0 or no x0
+in K is good (von zur Gathen and Gerhard, Modern Computer Algebra,
+sec. 15.6).
 
 The multivariate gcd and exact division (`mp_gcd`, `mp_exact_div`,
 `_content`) and the conversions between a univariate `MultiPoly` and a
@@ -364,8 +375,14 @@ def _fb(F, xv, yv):
         G = _mp(ring, {tuple(e // p for e in ex): pw(c, root)
                        for ex, c in F.terms.items()})
         return [(g, m * p) for g, m in _fb(G, xv, yv)]
-    sep = yv if not Fy.is_zero() else xv
-    Fs = Fy if not Fy.is_zero() else Fx
+    if not Fy.is_zero():
+        # a good specialization proves gcd(F, dF/dy) = 1 (module docstring)
+        x0 = _good_specialization(F, xv, yv)
+        if x0 is not None:
+            return [(h, 1) for h in _factor_sqfree(F, xv, yv, x0)]
+        sep, Fs = yv, Fy
+    else:
+        sep, Fs = xv, Fx
     g = mp_gcd(F, Fs)
     if not g.is_constant():
         return _merge_mp([_fb(g, xv, yv),
@@ -373,12 +390,14 @@ def _fb(F, xv, yv):
     # squarefree and primitive; orient so the separable variable is yv
     if sep == xv:
         xv, yv = yv, xv
-    return [(h, 1) for h in _factor_sqfree(F, xv, yv)]
+        x0 = _good_specialization(F, xv, yv)
+    return [(h, 1) for h in _factor_sqfree(F, xv, yv, x0)]
 
 
-def _factor_sqfree(F, xv, yv):
+def _factor_sqfree(F, xv, yv, x0):
     """Irreducible factors (mult 1) of a squarefree primitive bivariate
-    polynomial, separable in yv."""
+    polynomial, separable in yv, given a raw x0 with F(x0, y) squarefree
+    of full degree in yv, or None when no x0 in the base field is one."""
     ring = F.ring
     K = ring.field.kernel
     dy = F.degree_in(yv)
@@ -386,13 +405,14 @@ def _factor_sqfree(F, xv, yv):
     lc = coeffs[dy]
     if not lc.is_constant():
         # G(x,y) = lc^(dy-1) F(x, y/lc) is monic in y, primitive and
-        # squarefree, and its irreducible factors match those of F
+        # squarefree, and its irreducible factors match those of F; x0
+        # stays good for G, since lc(x0) != 0
         G = ring.var(yv) ** dy
         y = ring.var(yv)
         for j in range(dy):
             cj = coeffs.get(j, ring.zero())
             G = G + cj * lc ** (dy - 1 - j) * y ** j
-        subfacs = _factor_sqfree(G, xv, yv)
+        subfacs = _factor_sqfree(G, xv, yv, x0)
         out = []
         for H in subfacs:
             # substitute y -> lc * y and strip the K[x]-content
@@ -400,11 +420,9 @@ def _factor_sqfree(F, xv, yv):
             c = _content(Hs, yv)
             out.append(mp_exact_div(Hs, c))
         return out
-    F = F._scale(K.inv(lc.terms[(0,) * ring.nvars]))
-    # find a specialization x0 with F(x0, y) squarefree of degree dy
-    x0 = _good_specialization(F, xv, yv, dy)
     if x0 is None:
         return _factor_by_ascent(F, xv, yv)
+    F = F._scale(K.inv(lc.terms[(0,) * ring.nvars]))
     facs = _hensel_factor(_shift(F, xv, x0), xv, yv)
     return [_shift(G, xv, K.neg(x0)) for G in facs]
 
@@ -433,9 +451,12 @@ def _shift(F, var, c):
     return _mp(ring, terms)
 
 
-def _good_specialization(F, xv, yv, dy):
+def _good_specialization(F, xv, yv):
+    """The least raw x0 with F(x0, y) squarefree of degree deg_y F, or
+    None when no element of the base field is one."""
     field = F.ring.field
     K = field.kernel
+    dy = F.degree_in(yv)
     for x0 in range(field.p ** field.k):
         f0 = _specialize_x(F, xv, yv, x0)
         if u_deg(f0) != dy:
@@ -467,7 +488,8 @@ def _factor_by_ascent(F, xv, yv):
     L, embed = extend_gf(field, r)
     FL = _embed_raw(F, L, embed)
     ringL = FL.ring
-    facsL = [g.monic("grevlex") for g in _factor_sqfree(FL, xv, yv)]
+    x0 = _good_specialization(FL, xv, yv)
+    facsL = [g.monic("grevlex") for g in _factor_sqfree(FL, xv, yv, x0)]
     pw = L.kernel.pow
 
     def frob(G):

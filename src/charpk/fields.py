@@ -816,8 +816,12 @@ def _ratpoly_str(poly, field):
 # field specification / scalar literal parsing
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=256)
 def make_field(spec: str) -> FieldDescriptor:
-    """Build a field from a spec string: GF(p,k[,poly]) or Fp(p; t,s,...)."""
+    """Build a field from a spec string: GF(p,k[,poly]) or Fp(p; t,s,...).
+    Interned: the same spec text returns the same descriptor, so the
+    modulus is tested for irreducibility once and equal descriptors
+    compare by identity; a bad spec raises on every call."""
     text = spec.strip()
     if text.startswith("GF(") and text.endswith(")"):
         inner = text[3:-1]
@@ -995,7 +999,7 @@ class _Parser:
                 raise self.error(f"unbalanced parentheses in {self.text!r}")
             self.pos += 1
             return v
-        if ch.isdigit():
+        if ch.isdecimal():
             return self.number(self.integer())
         if ch.isalpha() or ch == "_":
             start = self.pos
@@ -1009,7 +1013,7 @@ class _Parser:
         if signed and self.text.startswith("-", self.pos):
             self.pos += 1
         digits = self.pos
-        while self.pos < self.end and self.text[self.pos].isdigit():
+        while self.pos < self.end and self.text[self.pos].isdecimal():
             self.pos += 1
         if self.pos == digits:
             raise self.error(message)

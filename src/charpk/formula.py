@@ -317,7 +317,7 @@ class _Parser:
     def integer(self):
         self.skip()
         start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while self.pos < len(self.text) and self.text[self.pos].isdecimal():
             self.pos += 1
         if start == self.pos:
             raise FormulaError(f"expected a number at position {start}")
@@ -432,7 +432,7 @@ class _Parser:
             e = self.expr()
             self.eat(")")
             return e
-        if self.pos < len(self.text) and self.text[self.pos].isdigit():
+        if self.pos < len(self.text) and self.text[self.pos].isdecimal():
             return IntConst(self.integer())
         if self.peek("s["):
             self.eat("s[")

@@ -204,6 +204,8 @@ class InstanceFile:
 def build_field(spec) -> FieldDescriptor:
     if isinstance(spec, FieldDescriptor):
         return spec
+    if not isinstance(spec, str):
+        raise InstanceFileError(f"field spec must be a string, not {spec!r}")
     return make_field(spec)
 
 

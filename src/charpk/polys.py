@@ -22,6 +22,7 @@ ResourceExhausted rather than returning a wrong answer.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from operator import add as _eadd, neg as _neg
 
@@ -55,6 +56,28 @@ def order_key(order):
 
         def key(exps):
             return (_key_grevlex(exps[:nb]), _key_grevlex(exps[nb:]))
+        return key
+    raise RingError(f"unknown monomial order {order!r}")
+
+
+def _rev_grevlex(exps):
+    return (-sum(exps), exps[::-1])
+
+
+def _reverse_key(order):
+    """A key whose ascending order is the descending monomial order, for
+    the min-heap of `_reduce`."""
+    if order == "lex":
+        return lambda exps: tuple(map(_neg, exps))
+    if order == "grlex":
+        return lambda exps: (-sum(exps), tuple(map(_neg, exps)))
+    if order == "grevlex":
+        return _rev_grevlex
+    if isinstance(order, tuple) and order[0] == "elim":
+        nb = order[1]
+
+        def key(exps):
+            return (_rev_grevlex(exps[:nb]), _rev_grevlex(exps[nb:]))
         return key
     raise RingError(f"unknown monomial order {order!r}")
 
@@ -514,8 +537,11 @@ def _reduce(f, basis, order, quotient=None):
     """Raw remainder of f by the nonzero polynomials in basis: the largest
     term left is divided by the first leading term that divides it, or
     else moved to the remainder.  For basis [g], the quotient's terms go
-    into the dict `quotient` when one is given."""
-    key = order_key(order)
+    into the dict `quotient` when one is given.
+
+    The terms left are popped from a heap of reversed order keys; an
+    entry whose term has cancelled since it was pushed is skipped."""
+    rkey = _reverse_key(order)
     K = f.ring.field.kernel
     mul, sub, neg = K.mul, K.sub, K.neg
     divisors = []
@@ -525,9 +551,14 @@ def _reduce(f, basis, order, quotient=None):
                          [(ge, gc) for ge, gc in g.terms.items() if ge != le]))
     remainder = {}
     work = dict(f.terms)
-    while work:
-        e = max(work, key=key)
-        c = work.pop(e)
+    heap = [(rkey(e), e) for e in work]
+    heapq.heapify(heap)
+    pop, push = heapq.heappop, heapq.heappush
+    while heap:
+        e = pop(heap)[1]
+        c = work.pop(e, None)
+        if c is None:
+            continue
         for le, ilc, tail in divisors:
             if _divides(le, e):
                 break
@@ -542,12 +573,15 @@ def _reduce(f, basis, order, quotient=None):
         for ge, gc in tail:
             ne = tuple(map(_eadd, ge, shift))
             cur = work.get(ne)
-            cur = neg(mul(factor, gc)) if cur is None \
-                else sub(cur, mul(factor, gc))
+            if cur is None:
+                work[ne] = neg(mul(factor, gc))
+                push(heap, (rkey(ne), ne))
+                continue
+            cur = sub(cur, mul(factor, gc))
             if cur:
                 work[ne] = cur
             else:
-                work.pop(ne, None)
+                del work[ne]
     return remainder
 
 

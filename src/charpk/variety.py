@@ -19,6 +19,7 @@ GF(q) and GF(q^s) decides.
 from __future__ import annotations
 
 import itertools
+import math
 
 from . import lambdafn, linalg, polys
 from .errors import (CharpkError, FieldError, PreconditionError,
@@ -711,8 +712,9 @@ def enumerate_points(V: AffineVariety, bound=None):
     points of coordinate height <= bound.  Deterministic order.  Testing
     more than `polys.MAX_POINT_CANDIDATES` tuples raises
     ResourceExhausted; a caller that stops early tests fewer.  More
-    coordinates than that raise it too, once cap + 1 are listed: each
-    coordinate starts a candidate."""
+    coordinates than that raise it too, before any is listed when a
+    lower bound on their number shows it, else once cap + 1 are listed:
+    each coordinate starts a candidate."""
     K = V.field
     n = len(V.vars)
     if n == 0:
@@ -723,6 +725,17 @@ def enumerate_points(V: AffineVariety, bound=None):
         raise PreconditionError(
             "point enumeration over F_p(t..) needs a height bound")
     cap = polys.MAX_POINT_CANDIDATES
+    if K.kind == "gf":
+        least = K.p ** K.k
+    elif bound >= 0:
+        # the polynomials of degree <= bound alone number p^C(m + b, m);
+        # an exponent of cap.bit_length() already exceeds the cap
+        least = K.p ** min(math.comb(len(K.tvars) + bound, bound),
+                           cap.bit_length())
+    else:
+        least = 0  # no height is negative
+    if least > cap:
+        raise ResourceExhausted(f"point enumeration past {cap} candidates")
     coords = list(itertools.islice(iter_elements(K, bound), cap + 1))
     if len(coords) > cap:
         raise ResourceExhausted(f"point enumeration past {cap} candidates")

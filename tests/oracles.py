@@ -6,8 +6,9 @@ from rational-point counting over controlled extensions, point scans
 and fixed sets are plain loops, polynomial arithmetic is on dicts of
 FieldScalars (`d_*`), GF(p^k) arithmetic is polynomial-basis
 arithmetic on coefficient tuples, F_p(t..) arithmetic and gcds over
-GF(p) are sympy's (a test-only dependency), and lambda values come from
-elimination on p-components, not from derivations.
+GF(p) are sympy's (a test-only dependency), lambda values come from
+elimination on p-components, not from derivations, and `scan_reduce`
+finds each leading term by a scan where `polys._reduce` keeps a heap.
 """
 
 from __future__ import annotations
@@ -18,7 +19,8 @@ import re
 from charpk import factor, linalg
 from charpk.fields import (FieldDescriptor, FieldScalar, iter_gf_elements,
                            p_components)
-from charpk.polys import MultiPoly, PolyRing, buchberger, normal_form
+from charpk.polys import (MultiPoly, PolyRing, buchberger, normal_form,
+                          order_key)
 
 
 # ---------------------------------------------------------------------------
@@ -322,6 +324,41 @@ def count_k_linear_factors(f: MultiPoly, K: FieldDescriptor):
 
 def _lex(e):
     return e
+
+
+def scan_reduce(f: MultiPoly, basis, order, quotient=None):
+    """Raw remainder of f by basis, as `polys._reduce` defines it, with
+    each leading term found by a scan over all the terms left."""
+    key = order_key(order)
+    K = f.ring.field.kernel
+    divisors = []
+    for g in basis:
+        le = max(g.terms, key=key)
+        divisors.append((le, K.inv(g.terms[le]),
+                         [(ge, gc) for ge, gc in g.terms.items() if ge != le]))
+    remainder = {}
+    work = dict(f.terms)
+    while work:
+        e = max(work, key=key)
+        c = work.pop(e)
+        for le, ilc, tail in divisors:
+            if all(a <= b for a, b in zip(le, e)):
+                break
+        else:
+            remainder[e] = c
+            continue
+        factor = K.mul(c, ilc)
+        shift = tuple(a - b for a, b in zip(e, le))
+        if quotient is not None:
+            quotient[shift] = factor
+        for ge, gc in tail:
+            ne = tuple(a + b for a, b in zip(ge, shift))
+            cur = K.sub(work.get(ne, K.zero), K.mul(factor, gc))
+            if cur:
+                work[ne] = cur
+            else:
+                work.pop(ne, None)
+    return remainder
 
 
 def _divide_once(f, lin):

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from charpk import axioms, differential, polys
+from charpk import axioms, differential, groups, polys
 from charpk.axioms import (BAlgebra, DPacInstance, GBdcfInstance,
                            b_operator_check, pac_witness_task, scf_reduce,
                            search_dpac_witness, validate_dpac_instance,
@@ -249,7 +249,9 @@ def test_an_error_inside_a_bullet_names_that_bullet(monkeypatch, build,
 
     def broken(*args, **kwargs):
         raise CharpkError("injected")
-    monkeypatch.setattr(axioms, culprit, broken)
+    # axioms imports groups only on the G-B-DCF path, at call time
+    owner = groups if culprit == "is_faithful" else axioms
+    monkeypatch.setattr(owner, culprit, broken)
     with pytest.raises(UnsupportedInstance) as info:
         validate(inst)
     assert str(info.value) == f"bullet {bullet!r}: injected"

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -145,6 +146,13 @@ variety {{ vars: [x]; over: "GF(5,1)"; gens: {gens} }}
 """)
         assert main(["variety", "points", path]) == 2
         assert capsys.readouterr().err.startswith("error: ")
+    for over in ("[1]", "3"):
+        path = _write(tmp_path, "over.inst", f"""
+variety {{ vars: [x]; over: {over}; gens: ["x"] }}
+""")
+        assert main(["variety", "points", path]) == 2
+        assert capsys.readouterr().err == \
+            f"error: field spec must be a string, not {json.loads(over)!r}\n"
     path = _write(tmp_path, "image.inst", """
 variety V { vars: [x]; over: "Fp(3;t)"; gens: ["x^2 - t"] }
 derivation { over: "Fp(3;t)"; images: {t: "1/0"} }
@@ -335,6 +343,7 @@ variety { vars: [x, y]; over: "GF(11,1)"; gens: ["y^2 - x^3 - 3*x - 5"] }
 """)
     script = f"""
 import sys
+import time
 import charpk.cli
 assert 'sympy' not in sys.modules, 'import'
 assert charpk.cli.main(['variety', 'points', {path!r}, '--json']) == 0
@@ -367,6 +376,7 @@ witness { x: "t^3 + t^2" }
 """)
     script = f"""
 import sys
+import time
 
 def loaded():
     return {{m[len('charpk.'):] for m in sys.modules
@@ -383,11 +393,13 @@ assert not loaded() & heavy, ('poly', loaded())
 assert main(['variety', 'points', {circle!r}]) == 0
 assert not loaded() & {{'formula', 'axioms', 'groups', 'factor'}}, \
     ('points', loaded())
+for action in ('validate-dpac', 'search-dpac'):
+    assert main(['axiom', action, {dpac!r}]) == 0
+assert not loaded() & {{'groups', 'factor', 'formula'}}, ('dpac', loaded())
 assert main(['field', 'GF(2,4)']) == 0
 assert main(['diff', 'prolong', {dpac!r}]) == 0
 assert main(['action', 'galois', {galois!r}]) == 0
-for action, path in [('validate-dpac', {dpac!r}), ('search-dpac', {dpac!r}),
-                     ('pac-open', {circle!r}),
+for action, path in [('pac-open', {circle!r}),
                      ('validate-gbdcf', {gbdcf!r})]:
     assert main(['axiom', action, path]) in (0, 1)
 assert 'formula' not in loaded(), 'a job that reads no formula'
@@ -412,6 +424,21 @@ def test_gbdcf_action_on_another_field_exits_2(tmp_path, capsys):
                             "field\n")
 
 
+def test_cli_superscript_digits_are_parse_errors(tmp_path, capsys):
+    """Superscripts pass str.isdigit() but not int(): a parse error."""
+    path = _write(tmp_path, "sup.inst", 'variety { vars: [x, y]; over: '
+                  '"GF(7,1)"; gens: ["x^² + y - 1"] }\n')
+    assert main(["variety", "points", path]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: expected integer exponent\n"
+    path = _write(tmp_path, "supf.inst", 'formula { text: "x^² - t = 0";'
+                  ' language: "lambda"; over: "Fp(2;t)"; vars: [x] }\n'
+                  'witness { x: "t" }\n')
+    assert main(["axiom", "scf-reduce", path]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: expected a number at position 2\n"
+
+
 def test_cli_point_enumeration_cap_exits_2(tmp_path, monkeypatch, capsys):
     from charpk import polys
     monkeypatch.setattr(polys, "MAX_POINT_CANDIDATES", 10)
@@ -428,3 +455,11 @@ def test_cli_point_enumeration_cap_exits_2(tmp_path, monkeypatch, capsys):
     assert main(["variety", "points", path, "--bound", "3"]) == 2
     assert capsys.readouterr().err == (
         "unsupported: point enumeration past 10 candidates\n")
+    # at the real cap: 2^C(6, 3) = 2^20 polynomials of height <= 3 alone
+    # exceed 10^6, so nothing is listed
+    monkeypatch.undo()
+    start = time.perf_counter()
+    assert main(["variety", "points", path, "--bound", "3"]) == 2
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr().err == (
+        "unsupported: point enumeration past 1000000 candidates\n")

@@ -367,3 +367,121 @@ def test_polygon_check_leaves_the_rest_to_factoring(monkeypatch, spec, text):
         is_absolutely_irreducible(AffineVariety(K, ("x", "y"), [F]))
     with pytest.raises(Fallback):
         is_irreducible(AffineVariety(K, ("x", "y"), [F]))
+
+
+# -- squarefree by specialization --------------------------------------------
+
+def _as_factor_set(facs):
+    return {(g.monic("grevlex"), m) for g, m in facs}
+
+
+def _construction(R, parts):
+    """The product of (text, multiplicity) parts and its factor set."""
+    F = R.one()
+    for text, m in parts:
+        F = F * R.parse(text) ** m
+    return F, {(R.parse(t).monic("grevlex"), m) for t, m in parts}
+
+
+@pytest.mark.parametrize("spec, parts", [
+    # monic in y
+    ("GF(5,1)", ["y^2 + x", "y + x + 1"]),
+    ("GF(5,1)", ["y^3 + x*y + x", "y^2 + 2*x^2 + 3"]),
+    ("GF(2,2)", ["y^2 + g*x*y + x", "y + g*x + 1"]),
+    ("GF(3,2)", ["y^3 + g*x*y + x^2 + x", "y - x^2 - g"]),
+    # non-monic in y
+    ("GF(5,1)", ["x*y^2 + y + 1", "(x + 1)*y + 2"]),
+    ("GF(2,2)", ["x*y^2 + g*y + x + 1", "x*y + g"]),
+    ("GF(3,2)", ["(x + g)*y^2 + x", "x*y + y + 1"])])
+def test_good_specialization_replaces_the_bivariate_gcd(monkeypatch, spec,
+                                                        parts):
+    """A squarefree primitive curve with a good specialization factors
+    without the gcd of F and dF/dy, and Hensel-lifts from it over K."""
+    def refuse(*args):
+        raise AssertionError("took the bivariate gcd or the ascent")
+    monkeypatch.setattr(factor, "mp_gcd", refuse)
+    monkeypatch.setattr(factor, "_factor_by_ascent", refuse)
+    R = PolyRing(make_field(spec), ("x", "y"))
+    F, want = _construction(R, [(t, 1) for t in parts])
+    unit, facs = factor_poly(F)
+    assert _as_factor_set(facs) == want
+    assert len(facs) == len(parts)
+
+
+@pytest.mark.parametrize("spec, parts, path", [
+    # no squarefree specialization: the gcd splits off the square
+    ("GF(5,1)", [("y^2 + x", 2), ("y + x + 1", 1)], "mp_gcd"),
+    ("GF(3,1)", [("y^2 + x", 2), ("y + x + 1", 1)], "mp_gcd"),
+    # in K[x, y^p]: dF/dy = 0, so the gcd with dF/dx
+    ("GF(3,1)", [("x + y^3", 2), ("x^2 + y^3 + 1", 1)], "mp_gcd"),
+    ("GF(2,1)", [("x*y^2 + x + y^2", 1)], "mp_gcd"),
+    # F(0, y) = F(1, y) = (y + 1)^2: no good x0 in GF(2)
+    ("GF(2,1)", [("y^2 + x^2*y + x*y + x^3 + x + 1", 1)],
+     "_factor_by_ascent")])
+def test_curves_without_a_good_specialization_keep_the_old_paths(
+        monkeypatch, spec, parts, path):
+    calls = []
+    original = getattr(factor, path)
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+    monkeypatch.setattr(factor, path, counted)
+    R = PolyRing(make_field(spec), ("x", "y"))
+    F, want = _construction(R, parts)
+    _, facs = factor_poly(F)
+    assert _as_factor_set(facs) == want
+    assert calls
+
+
+def _eisenstein(rng, K, R, d):
+    """y^d + x a(x, y) with a(0, 0) != 0: irreducible over the algebraic
+    closure of K(x), so absolutely irreducible."""
+    els = list(iter_gf_elements(K))
+    x, y = R.var("x"), R.var("y")
+    F = y ** d + x * R.from_scalar(rng.choice(els[1:]))
+    for j in range(d):
+        for i in range(2 if j == 0 else 1, d - j + 1):
+            F = F + x ** i * y ** j * R.from_scalar(rng.choice(els))
+    return F
+
+
+@pytest.mark.parametrize("spec", ["GF(2,1)", "GF(3,1)", "GF(2,2)", "GF(5,1)",
+                                  "GF(7,1)", "GF(2,3)", "GF(3,2)"])
+def test_products_of_eisenstein_curves_factor_to_their_construction(spec):
+    K = make_field(spec)
+    R = PolyRing(K, ("x", "y"))
+    rng = random.Random(spec)
+    for _ in range(3):
+        want = {}
+        while len(want) < 2:
+            G = _eisenstein(rng, K, R, rng.choice((1, 2, 3))).monic("grevlex")
+            want.setdefault(G, rng.choice((1, 1, 2)))
+        F = R.one()
+        for G, m in want.items():
+            F = F * G ** m
+        _, facs = factor_poly(F)
+        assert _as_factor_set(facs) == set(want.items())
+
+
+@pytest.mark.parametrize("spec, text", [
+    ("GF(5,1)", "(y^2 + x)*(y + x + 1)"),
+    ("GF(5,1)", "(x*y^2 + y + 1)*((x + 1)*y + 2)"),
+    ("GF(2,2)", "(x*y^2 + g*y + x + 1)*(x*y + g)"),
+    ("GF(2,1)", "y^2 + x^2*y + x*y + x^3 + x + 1"),
+    ("GF(3,1)", "(x + y^3)*(x^2 + y^3 + 1)")])
+def test_one_specialization_search_per_squarefree_input(monkeypatch, spec,
+                                                        text):
+    searched = []
+    original = factor._good_specialization
+
+    def counted(F, xv, yv):
+        searched.append((F.ring.field, frozenset(F.terms.items()), yv))
+        return original(F, xv, yv)
+    monkeypatch.setattr(factor, "_good_specialization", counted)
+    F = PolyRing(make_field(spec), ("x", "y")).parse(text)
+    factor_poly(F)
+    assert searched
+    assert len(set(searched)) == len(searched)
+    base = [s for s in searched if s[0] == F.ring.field]
+    assert len(base) == 1

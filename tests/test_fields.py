@@ -29,6 +29,16 @@ def test_bad_specs_rejected():
                 "GF(2,k)", "Fp(x;t)"]:
         with pytest.raises(FieldError):
             make_field(bad)
+        with pytest.raises(FieldError):
+            make_field(bad)  # not cached: a bad spec raises every time
+
+
+@pytest.mark.parametrize("spec", ["GF(5,1)", "GF(2,4)", "GF(3,2,a^2+1)",
+                                  "Fp(3;t)", "Fp(2;t1,t2)"])
+def test_make_field_interns_descriptors(spec):
+    K = make_field(spec)
+    assert make_field(spec) is K
+    assert make_field(spec).one() == K.one()
 
 
 def test_gf_field_axioms_exhaustive():

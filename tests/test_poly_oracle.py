@@ -5,16 +5,21 @@ routines compute on raw coefficients (int codes, reduced pairs);
 `oracles.d_*` compute on dicts of FieldScalars.  Both must agree on
 every field kind: prime fields, table-driven GF(p^k) (with the default
 and a custom modulus), GF(2^17) above the table cap, and F_p(t).
+`polys._reduce` is checked against the oracle's full-scan reduction.
 """
+
+import random
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from charpk.fields import (FieldScalar, _scalar as wrap, make_field, u_add,
                            u_deriv, u_divmod, u_gcd, u_mul, u_powmod, u_sub)
-from charpk.polys import MultiPoly, PolyRing, mp_divmod_single, mp_gcd
+from charpk.polys import (MultiPoly, PolyRing, _reduce, mp_divmod_single,
+                          mp_gcd)
 from oracles import (d_add, d_divmod, d_gcd1, d_mul, d_neg, d_partial,
-                     d_pow, d_powmod1, d_sub, d_substitute, gfp_gcd)
+                     d_pow, d_powmod1, d_sub, d_substitute, gfp_gcd,
+                     scan_reduce)
 
 SPECS = ["GF(2,1)", "GF(7,1)", "GF(2,3)", "GF(3,2,a^2+a+2)", "GF(2,17)",
          "Fp(3;t)"]
@@ -176,3 +181,31 @@ def test_univariate_routines_match_oracle(spec, data):
             d_powmod1(f, n, g, K)
     if f or g:
         assert _back(u_gcd(rf, rg, kern), K) == d_gcd1(f, g)
+
+
+@pytest.mark.parametrize("order", ["lex", "grlex", "grevlex", ("elim", 1),
+                                   ("elim", 2)])
+@pytest.mark.parametrize("spec", ["GF(3,1)", "GF(2,3)", "Fp(3;t)"])
+def test_heap_reduce_matches_the_scan(spec, order):
+    """`polys._reduce` pops leading terms from a heap; the oracle scans
+    for them.  Remainders and quotients agree on random divisions."""
+    K = make_field(spec)
+    R = PolyRing(K, ("x", "y", "z"))
+    rng = random.Random(f"{spec}{order}")
+    els = ([K.from_int(c) for c in range(1, K.p)] + [K.generator()]
+           if K.kind == "gf" else [K.one(), K.gen("t"), K.gen("t") + K.one()])
+
+    def rand(nterms, deg):
+        return MultiPoly(R, {
+            tuple(rng.randrange(deg + 1) for _ in range(3)): rng.choice(els)
+            for _ in range(nterms)})
+    for _ in range(12):
+        g = rand(rng.randrange(1, 6), 3)
+        if g.is_zero():
+            continue
+        f = rand(rng.randrange(0, 8), 3) * g + rand(rng.randrange(0, 5), 4)
+        qa, qb = {}, {}
+        assert _reduce(f, [g], order, qa) == scan_reduce(f, [g], order, qb)
+        assert qa == qb
+        basis = [b for b in (g, rand(3, 2), rand(2, 2)) if not b.is_zero()]
+        assert _reduce(f, basis, order) == scan_reduce(f, basis, order)

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from charpk.errors import ResourceExhausted, RingError
-from charpk.fields import iter_gf_elements, make_field
+from charpk.fields import FieldDescriptor, iter_gf_elements, make_field
 from charpk.polys import (Ideal, MultiPoly, PolyRing, buchberger,
                           normal_form, order_key)
 
@@ -149,8 +149,13 @@ def test_ring_mismatch_rejected():
 @pytest.mark.parametrize("spec, other", [("GF(5,1)", "GF(5,2)"),
                                          ("Fp(3;t)", "Fp(3;s)")])
 def test_rings_built_twice_interoperate(spec, other):
-    # equal by value, not only by identity
-    R, S = _ring(spec, ("x", "y")), _ring(spec, ("x", "y"))
+    # equal by value, not only by identity: make_field interns its
+    # descriptors, so S gets a second one built directly
+    R = _ring(spec, ("x", "y"))
+    K = R.field
+    S = PolyRing(FieldDescriptor(K.kind, K.p, K.k, modulus=K.modulus,
+                                 gen_name=K.gen_name, tvars=K.tvars),
+                 ("x", "y"))
     assert R is not S and R.field is not S.field
     assert R == S and R.field == S.field and hash(R) == hash(S)
     f, g = R.parse("x + 2*y"), S.parse("x + 2*y")

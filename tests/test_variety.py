@@ -98,8 +98,9 @@ def test_point_enumeration_cap(monkeypatch):
 
 def test_point_enumeration_caps_the_coordinate_list(monkeypatch):
     """More coordinates than the cap raise once cap + 1 are listed: each
-    coordinate starts a candidate.  Listing all of Fp(2;t1,t2,t3) up to
-    height 3 first would run for minutes."""
+    coordinate starts a candidate.  When the p^C(m + b, m) polynomials of
+    height <= b alone exceed the cap, nothing is listed: listing all of
+    Fp(2;t1,t2,t3) up to height 3 would run for minutes."""
     from charpk import polys, variety
     from charpk.errors import ResourceExhausted
     drawn = []
@@ -110,10 +111,24 @@ def test_point_enumeration_caps_the_coordinate_list(monkeypatch):
             yield x
     monkeypatch.setattr(variety, "iter_elements", counted)
     monkeypatch.setattr(polys, "MAX_POINT_CANDIDATES", 50)
+    # 2^C(5, 1) = 32 polynomials, but more than 50 fractions
+    V = AffineVariety(make_field("Fp(2;t1)"), ("x",), ["x - t1"])
+    with pytest.raises(ResourceExhausted, match="past 50 candidates"):
+        next(enumerate_points(V, bound=4))
+    assert len(drawn) == 51
+    drawn.clear()
     V = AffineVariety(make_field("Fp(2;t1,t2,t3)"), ("x",), ["x - t1"])
     with pytest.raises(ResourceExhausted, match="past 50 candidates"):
         next(enumerate_points(V, bound=3))
-    assert len(drawn) == 51
+    assert drawn == []
+    V = AffineVariety(make_field("GF(2,6)"), ("x",), ["x - 1"])
+    with pytest.raises(ResourceExhausted, match="past 50 candidates"):
+        next(enumerate_points(V))
+    assert drawn == []
+    # 2^C(3, 2) = 8 polynomials of height <= 1 in t1, t2: listed in full
+    V = AffineVariety(make_field("Fp(2;t1,t2)"), ("x",), ["x - t1"])
+    assert [str(p[0]) for p in enumerate_points(V, bound=1)] == ["t1"]
+    assert list(enumerate_points(V, bound=-1)) == []
 
 
 @pytest.mark.parametrize("spec, variables, text", [
