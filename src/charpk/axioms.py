@@ -500,6 +500,9 @@ def validate_gbdcf_instance(inst: GBdcfInstance) -> CheckReport:
         return report
     # scan V(K) and keep the points with coordinates in K^G
     KG, embed = invariants(inst.action)
+    cap = polys.MAX_INVARIANT_ELEMENTS
+    if KG.size > cap:
+        raise ResourceExhausted(f"invariant field past {cap} elements")
     fixed = {embed(x) for x in iter_gf_elements(KG)}
     return _first_witness(
         inst.V, report.bullets, inst.bound,

@@ -985,7 +985,10 @@ class _Parser:
         v = self.atom()
         while self.peek() == "^":
             self.pos += 1
-            v = v ** self.exponent()
+            n = self.exponent()
+            if n < 0 and v.is_zero():
+                raise self.error(f"division by zero in {self.text!r}")
+            v = v ** n
             if not self.chained_powers:
                 break
         return v

@@ -9,10 +9,13 @@ are built only at the boundary (the constructor, `items`, `coeff`,
 `leading`, `constant_value`, printing).
 
 F_p(t..) itself runs on this module: its kernel, `_RatFuncKernel`,
-reduces every result with `mp_gcd`, the one multivariate gcd (Euclid on
-dense lists, `fields.u_gcd`, when both arguments use one and the same
-variable; otherwise the primitive PRS after two content rules), and
-`mp_exact_div`.
+keeps values with denominator 1 as polynomials and reduces every other
+result with `mp_gcd`, the one multivariate gcd (Euclid on dense lists,
+`fields.u_gcd`, when both arguments use one and the same variable;
+otherwise the primitive PRS after two content rules), and
+`mp_exact_div`.  Polynomials over F_p(t..) cross to GF(p)[t.., x..] and
+back with `join_coeffs` and `split_coeffs`, one reduction per
+coefficient; text over F_p(t..) is read on that side.
 
 Default order is graded reverse lexicographic; elimination uses block
 orders.  Bases are reduced, monic and deterministically sorted, so identical
@@ -26,7 +29,7 @@ import heapq
 import itertools
 from operator import add as _eadd, neg as _neg
 
-from .errors import CharpkError, RingError, ResourceExhausted
+from .errors import CharpkError, FieldError, RingError, ResourceExhausted
 from .fields import (FieldDescriptor, FieldScalar, _Parser, _scalar,
                      parse_scalar, u_gcd, u_trim)
 
@@ -34,6 +37,8 @@ MAX_BASIS = 400
 MAX_DEGREE = 120
 MAX_POINT_CANDIDATES = 10 ** 6   # tuples variety.enumerate_points may test
 MAX_AUDIT_CHOICES = 10 ** 4      # substitutions axioms._scf_audit may try
+MAX_P_MONOMIALS = 10 ** 4        # p^m rows per entry variety._semilinear_solve
+MAX_INVARIANT_ELEMENTS = 10 ** 5  # elements of K^G the G-B-DCF search lists
 
 
 # ---------------------------------------------------------------------------
@@ -146,6 +151,8 @@ class PolyRing:
     def parse(self, text: str):
         if not isinstance(text, str):
             raise RingError(f"a polynomial must be given as text, not {text!r}")
+        if self.field.kind == "ratfunc":
+            return _FracParser(text, self).parse()
         return _PolyParser(text, self).parse()
 
 
@@ -471,6 +478,17 @@ def _add_terms(a, b, add):
 def _mul_terms(a, b, K):
     """Product of two raw term dicts."""
     add, mul = K.add, K.mul
+    # by a monomial: exponents stay distinct and products nonzero
+    if len(b) == 1:
+        ((e2, c2),) = b.items()
+        if any(e2):
+            return {tuple(map(_eadd, e1, e2)): mul(c1, c2)
+                    for e1, c1 in a.items()}
+        return {e1: mul(c1, c2) for e1, c1 in a.items()}
+    if len(a) == 1:
+        ((e1, c1),) = a.items()
+        return {tuple(map(_eadd, e1, e2)): mul(c1, c2)
+                for e2, c2 in b.items()}
     out = {}
     get = out.get
     for e1, c1 in a.items():
@@ -508,6 +526,84 @@ class _PolyParser(_Parser):
 
     def exponent(self):
         return self.integer(message="expected integer exponent")
+
+
+class _Pair:
+    """N / d while reading a polynomial over F_p(t..): N and d in
+    GF(p)[t.., x..], d free of x.. and None for 1."""
+
+    __slots__ = ("num", "den")
+
+    def __init__(self, num, den=None):
+        self.num, self.den = num, den
+
+    def is_zero(self):
+        return not self.num.terms
+
+    def __add__(self, other):
+        if self.den == other.den:
+            return _Pair(self.num + other.num, self.den)
+        return _Pair(_times(self.num, other.den) + _times(other.num, self.den),
+                     _times(self.den, other.den))
+
+    def __neg__(self):
+        return _Pair(-self.num, self.den)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        return _Pair(self.num * other.num, _times(self.den, other.den))
+
+    def __pow__(self, n):
+        return _Pair(self.num ** n, None if self.den is None
+                     else self.den ** n)
+
+
+def _times(a, b):
+    """a * b for polynomials or None, which stands for 1."""
+    if a is None:
+        return b
+    return a if b is None else a * b
+
+
+class _FracParser(_PolyParser):
+    """The polynomial DSL over F_p(t..), read in GF(p)[t.., x..] as a
+    pair N / d: `+ - * ^` act on pairs without gcds, `/` only by a value
+    whose N has no ring variable, and one `split_coeffs` at the end
+    reduces each coefficient once."""
+
+    def __init__(self, text, ring):
+        super().__init__(text, ring)
+        self.joined = joined_ring(ring)
+
+    def parse(self):
+        v = super().parse()
+        den = self.joined.one() if v.den is None else v.den
+        return split_coeffs(v.num, den, self.target)
+
+    def number(self, n):
+        n %= self.target.field.p
+        joined = self.joined
+        return _Pair(_mp(joined, {(0,) * joined.nvars: n} if n else {}))
+
+    def symbol(self, name):
+        ring, tvars = self.target, self.target.field.tvars
+        if name in ring._var_index:
+            i = len(tvars) + ring._var_index[name]
+        elif name in tvars:
+            i = tvars.index(name)
+        else:
+            raise FieldError(f"unknown transcendental {name!r}")
+        e = [0] * self.joined.nvars
+        e[i] = 1
+        return _Pair(_mp(self.joined, {tuple(e): 1}))
+
+    def divide(self, v, d):
+        m = len(self.target.field.tvars)
+        if any(any(e[m:]) for e in d.num.terms):
+            raise RingError("division only by base-field constants")
+        return _Pair(_times(v.num, d.den), _times(v.den, d.num))
 
 
 # ---------------------------------------------------------------------------
@@ -844,22 +940,32 @@ def _cancel(a: MultiPoly, b: MultiPoly):
 
 
 class _RatFuncKernel:
-    """F_p(t..): raw values are `_Frac` pairs over `ring` = GF(p)[t..],
-    and every result is reduced through `mp_gcd` and `mp_exact_div`.
-    Sums and products take gcds of the parts that can share a factor
-    only (Henrici; Knuth, TAOCP vol. 2, 4.5.1)."""
+    """F_p(t..): raw values are `_Frac` pairs over `ring` = GF(p)[t..].
 
-    __slots__ = ("p", "ring", "zero", "one")
+    While both denominators are 1, a sum, difference or product is the
+    pair (polynomial result, 1), already in normal form (gcd(n, 1) = 1 and
+    1 is lex-monic), so no gcd is taken.  Every other result is reduced
+    through `mp_gcd` and `mp_exact_div`, taking gcds of the parts that can
+    share a factor only (Henrici; Knuth, TAOCP vol. 2, 4.5.1).  Crossings
+    between F_p(t..)[x..] and GF(p)[t.., x..] (`join_coeffs`,
+    `split_coeffs`) reduce once per coefficient."""
+
+    __slots__ = ("p", "ring", "zero", "one", "_one_terms")
 
     def __init__(self, ring: PolyRing):
         self.p, self.ring = ring.field.p, ring
         self.zero = _Frac((ring.zero(), ring.one()))
         self.one = _Frac((ring.one(), ring.one()))
+        # a denominator is 1 iff its terms equal these: a constant
+        # denominator is lex-monic, so it is 1
+        self._one_terms = {(0,) * ring.nvars: 1}
 
     def frac(self, num: MultiPoly, den: MultiPoly):
         """num / den in normal form; den is nonzero."""
         if not num.terms:
             return self.zero
+        if den.terms == self._one_terms:
+            return _Frac((num, den))
         return self._monic(*_cancel(num, den))
 
     def _monic(self, num, den):
@@ -875,6 +981,9 @@ class _RatFuncKernel:
 
     def add(self, a, b):
         (an, ad), (bn, bd) = a, b
+        one = self._one_terms
+        if ad.terms == one and bd.terms == one:
+            return _Frac((an + bn, ad))
         if ad == bd:
             return self.frac(an + bn, ad)
         if (ad.is_constant() or bd.is_constant()
@@ -891,6 +1000,10 @@ class _RatFuncKernel:
         return self._monic(num, ad1 * bd1 * g)
 
     def sub(self, a, b):
+        (an, ad), (bn, bd) = a, b
+        one = self._one_terms
+        if ad.terms == one and bd.terms == one:
+            return _Frac((an - bn, ad))
         return self.add(a, self.neg(b))
 
     def neg(self, a):
@@ -898,6 +1011,9 @@ class _RatFuncKernel:
 
     def mul(self, a, b):
         (an, ad), (bn, bd) = a, b
+        one = self._one_terms
+        if ad.terms == one and bd.terms == one:
+            return _Frac((an * bn, ad))
         if not an.terms or not bn.terms:
             return self.zero
         an, bd = _cancel(an, bd)
@@ -910,6 +1026,71 @@ class _RatFuncKernel:
     def pow(self, a, e):
         # a power of a lex-monic denominator is lex-monic
         return _Frac((a[0] ** e, a[1] ** e))
+
+
+# ---------------------------------------------------------------------------
+# crossings between F_p(t..)[x..] and GF(p)[t.., x..]
+# ---------------------------------------------------------------------------
+
+def joined_ring(ring: PolyRing) -> PolyRing:
+    """GF(p)[t.., x..] for ring = F_p(t..)[x..] (or GF(p)[x..]): the
+    transcendentals first, then ring's variables.  The t's are read by
+    position, so a t that shares its name with a variable of ring is
+    renamed here."""
+    names = list(ring.field.tvars)
+    for i, name in enumerate(names):
+        while name in ring._var_index or name in names[:i]:
+            name += "'"
+        names[i] = name
+    prime = ring.field.kernel.ring.field if names else ring.field
+    return PolyRing(prime, tuple(names) + ring.vars)
+
+
+def join_coeffs(f: MultiPoly, joined: PolyRing):
+    """f over F_p(t..)[x..] as (N, d) in joined = `joined_ring(f.ring)`
+    with f = N / d: d is free of x.., the lcm of the coefficients'
+    denominators, and 1 when they are all polynomials.  Over GF(p), N is
+    f itself."""
+    if f.ring.field.kind == "gf":
+        return _mp(joined, f.terms), joined.one()
+    one = f.ring.field.kernel._one_terms
+    den = None
+    for _, d in f.terms.values():
+        if d.terms != one and d != den:
+            den = d if den is None else den * mp_exact_div(d, mp_gcd(den, d))
+    terms = {}
+    for e, (num, d) in f.terms.items():
+        if den is not None and d != den:
+            num = num * (den if d.terms == one else mp_exact_div(den, d))
+        for te, c in num.terms.items():
+            terms[te + e] = c
+    if den is None:
+        return _mp(joined, terms), joined.one()
+    pad = (0,) * f.ring.nvars
+    return _mp(joined, terms), _mp(joined, {e + pad: c
+                                            for e, c in den.terms.items()})
+
+
+def split_coeffs(N: MultiPoly, d: MultiPoly, ring: PolyRing) -> MultiPoly:
+    """N / d as a polynomial over ring = F_p(t..)[x..], the inverse of
+    `join_coeffs`: N and d in `joined_ring(ring)`, d nonzero and free of
+    x...  N is grouped by x-exponents and each group reduced once with
+    `kernel.frac`; no gcd is taken when d = 1."""
+    kernel = ring.field.kernel
+    if ring.field.kind == "gf":
+        inv = kernel.inv(d.terms[(0,) * d.ring.nvars])
+        return _mp(ring, {e: kernel.mul(c, inv) for e, c in N.terms.items()})
+    m = len(ring.field.tvars)
+    groups = {}
+    for e, c in N.terms.items():
+        groups.setdefault(e[m:], {})[e[:m]] = c
+    tring = kernel.ring
+    den = _mp(tring, {e[:m]: c for e, c in d.terms.items()})
+    if den.terms == kernel._one_terms:
+        return _mp(ring, {x: _Frac((_mp(tring, t), kernel.one[1]))
+                          for x, t in groups.items()})
+    return _mp(ring, {x: kernel.frac(_mp(tring, t), den)
+                      for x, t in groups.items()})
 
 
 # ---------------------------------------------------------------------------

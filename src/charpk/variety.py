@@ -26,7 +26,8 @@ from .errors import (CharpkError, FieldError, PreconditionError,
                      ResourceExhausted, RingError, UnsupportedInstance)
 from .fields import (FieldDescriptor, FieldScalar, _scalar, iter_elements,
                      make_field, p_components, partial, pth_root)
-from .polys import Ideal, MultiPoly, PolyRing, mp_gcd, normal_form
+from .polys import (Ideal, MultiPoly, PolyRing, join_coeffs, joined_ring,
+                    mp_gcd, normal_form, split_coeffs)
 
 
 class AffineVariety:
@@ -149,55 +150,68 @@ def peel_graph(V: AffineVariety) -> PeeledPresentation:
 # ---------------------------------------------------------------------------
 
 class FunctionFieldModel:
-    """K(V) as F_p(t.., free coordinates): exact p-structure."""
+    """K(V) as F_p(t.., free coordinates): exact p-structure.  Functions
+    cross into the big field through GF(p)[t.., x..], `joined` (see
+    `polys.join_coeffs`), where the graph substitution runs too, so the
+    coefficients are reduced once per crossing."""
 
-    __slots__ = ("variety", "peel", "big", "tvars")
+    __slots__ = ("variety", "big", "joined", "images")
 
-    def __init__(self, variety, peel, big, tvars):
+    def __init__(self, variety, peel, big):
         self.variety = variety
-        self.peel = peel
         self.big = big
-        self.tvars = tvars
+        self.joined = joined_ring(variety.ring)
+        # x_v = P / q for each peeled variable v, with P and q in joined
+        self.images = {v: join_coeffs(expr, self.joined)
+                       for v, expr in peel.subst.items()}
 
-    def embed_scalar(self, c: FieldScalar) -> FieldScalar:
-        K = c.field
-        big = self.big
-        if K.kind == "gf":
-            return big.from_int(c.rep[0])
-        num, den = (f.rename(big._ring) for f in c.value)
-        return _scalar(big, big.kernel.frac(num, den))
+    def _join(self, f: MultiPoly):
+        """(N, d) in the big field's ring with f = N / d on V: f joined,
+        then each x_v = P / q put in by Horner's rule on the homogenized
+        N = sum_k N_k x_v^k, as sum_k N_k P^k q^(D-k) with D the x_v-degree,
+        and d multiplied by q^D."""
+        N, d = join_coeffs(f, self.joined)
+        for v, (P, q) in self.images.items():
+            parts = N.coeffs_in(v)
+            top = max(parts, default=0)
+            if not top:
+                continue
+            # q is constant only as 1: P / q has polynomial coefficients
+            unit = q.is_constant()
+            acc, qpow = parts[top], None
+            for k in range(top - 1, -1, -1):
+                acc = acc * P
+                if not unit:
+                    qpow = q if qpow is None else qpow * q
+                if k in parts:
+                    acc = acc + (parts[k] if unit else parts[k] * qpow)
+            N = acc
+            if not unit:
+                d = d * qpow
+        return self._move(N, self.big._ring), self._move(d, self.big._ring)
 
-    def embed_poly(self, f: MultiPoly) -> FieldScalar:
-        f = f.substitute(self.peel.subst) if self.peel.subst else f
-        big = self.big
-        acc = big.zero()
-        for e, c in f.items():
-            term = self.embed_scalar(c)
-            for v, d in zip(f.ring.vars, e):
-                if d:
-                    term = term * self.big.gen(v) ** d
-            acc = acc + term
-        return acc
+    def _move(self, N: MultiPoly, target: PolyRing):
+        """N moved between `joined` and the big field's ring, which both
+        begin with the transcendentals of K (renamed in `joined` where V
+        has a variable of the same name)."""
+        m = len(self.variety.field.tvars)
+        return N.rename(target, dict(zip(N.ring.vars[:m], target.vars[:m])))
 
     def embed(self, f: "FunctionFieldElem") -> FieldScalar:
-        num = self.embed_poly(f.num)
-        den = self.embed_poly(f.den)
-        if den.is_zero():
+        """f in the big field: its numerator and denominator joined, then
+        one reduction."""
+        (nn, nd), (dn, dd) = self._join(f.num), self._join(f.den)
+        if not dn.terms:
             raise FieldError("denominator vanishes identically on V")
-        return num / den
+        big = self.big
+        return _scalar(big, big.kernel.frac(nn * dd, dn * nd))
 
     def to_function(self, x: FieldScalar) -> "FunctionFieldElem":
         """The big-field scalar x on V: transcendentals of K go into the
         coefficients, free coordinates into exponents."""
-        K = self.variety.field
-        ring = self.variety.ring
-        values = {name: (ring.from_scalar(K.gen(name)) if name in self.tvars
-                         else ring.var(name))
-                  for name in self.big.tvars}
-
-        def lift(c):
-            return ring.from_int(c.value)
-        num, den = (f.evaluate(values, lift) for f in x.value)
+        ring, joined = self.variety.ring, self.joined
+        num, den = (split_coeffs(self._move(f, joined), joined.one(), ring)
+                    for f in x.value)
         return FunctionFieldElem(self.variety, num, den)
 
 
@@ -216,7 +230,7 @@ def function_field_model(V: AffineVariety):
         names = tuple(tvars) + tuple(peel.free_vars)
         if len(set(names)) == len(names):
             big = make_field(f"Fp({K.p};{','.join(names)})")
-            model = FunctionFieldModel(V, peel, big, set(tvars))
+            model = FunctionFieldModel(V, peel, big)
     V._flags["ffmodel"] = model
     return model
 
@@ -852,6 +866,10 @@ def _semilinear_solve(cols, rhs, K):
             return None
         return [pth_root(v) for v in sol]
     # imperfect: comp_a(sum c_j^p x) = sum c_j comp_a(x) is K-linear
+    cap = polys.MAX_P_MONOMIALS
+    if K.p ** K.imperfection_exponent > cap:
+        raise ResourceExhausted(
+            f"p-component system past {cap} rows per equation")
     row_index = lambdafn.monomial_exponents(K.p, K.imperfection_exponent)
     matrix = []
     vec = []

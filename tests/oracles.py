@@ -9,6 +9,11 @@ arithmetic on coefficient tuples, F_p(t..) arithmetic and gcds over
 GF(p) are sympy's (a test-only dependency), lambda values come from
 elimination on p-components, not from derivations, and `scan_reduce`
 finds each leading term by a scan where `polys._reduce` keeps a heap.
+Polynomial text over F_p(t..) is read by `MultiPolyReader`, with one
+F_p(t..) kernel operation per arithmetic step, where the library reads
+pairs over GF(p)[t.., x..]; `embed_by_terms` and `function_by_lift` move
+functions into and out of a rational model K(V) = F_p(t.., free) by
+FieldScalar arithmetic, where the library joins coefficients.
 """
 
 from __future__ import annotations
@@ -17,10 +22,12 @@ import itertools
 import re
 
 from charpk import factor, linalg
-from charpk.fields import (FieldDescriptor, FieldScalar, iter_gf_elements,
-                           p_components)
+from charpk.errors import RingError
+from charpk.fields import (FieldDescriptor, FieldScalar, _Parser,
+                           iter_gf_elements, p_components, parse_scalar)
 from charpk.polys import (MultiPoly, PolyRing, buchberger, normal_form,
                           order_key)
+from charpk.variety import FunctionFieldElem, peel_graph
 
 
 # ---------------------------------------------------------------------------
@@ -40,6 +47,74 @@ def naive_point_scan(gens, field, nvars):
 def _eval_poly(g: MultiPoly, point):
     values = dict(zip(g.ring.vars, point))
     return g.evaluate(values, lift=lambda c: c)
+
+
+# ---------------------------------------------------------------------------
+# polynomial text by MultiPoly arithmetic, and rational models term by term
+# ---------------------------------------------------------------------------
+
+class MultiPolyReader(_Parser):
+    """`3*x^2*y + t*x - 1` in a PolyRing, every step a MultiPoly
+    operation: `MultiPolyReader(text, ring).parse()`."""
+
+    what, error = "polynomial", RingError
+    chained_powers = True
+
+    def number(self, n):
+        return self.target.from_int(n)
+
+    def symbol(self, name):
+        ring = self.target
+        if name in ring.vars:
+            return ring.var(name)
+        return ring.from_scalar(parse_scalar(name, ring.field))
+
+    def divide(self, v, d):
+        if not d.is_constant():
+            raise RingError("division only by base-field constants")
+        return v.scale(d.constant_value().inverse())
+
+    def exponent(self):
+        return self.integer(message="expected integer exponent")
+
+
+def _big_scalar(c, big):
+    """A scalar of K = GF(p) or F_p(t..) in big = F_p(t.., ..)."""
+    if c.field.kind == "gf":
+        return big.from_int(c.rep[0])
+    return FieldScalar(big, [g.rename(big._ring) for g in c.value])
+
+
+def embed_by_terms(f, big):
+    """The function f on a graph variety V in its model big: the graph
+    substituted, then summed term by term in big's scalars."""
+    subst = peel_graph(f.variety).subst
+
+    def poly(g):
+        g = g.substitute(subst) if subst else g
+        acc = big.zero()
+        for e, c in g.items():
+            term = _big_scalar(c, big)
+            for v, d in zip(g.ring.vars, e):
+                if d:
+                    term = term * big.gen(v) ** d
+            acc = acc + term
+        return acc
+    return poly(f.num) / poly(f.den)
+
+
+def function_by_lift(x, V):
+    """The big-field scalar x on V, by evaluating its numerator and
+    denominator at the transcendentals and coordinates of V."""
+    K, ring = V.field, V.ring
+    values = {name: (ring.from_scalar(K.gen(name)) if name in K.tvars
+                     else ring.var(name))
+              for name in x.field.tvars}
+
+    def lift(c):
+        return ring.from_int(c.value)
+    num, den = (g.evaluate(values, lift) for g in x.value)
+    return FunctionFieldElem(V, num, den)
 
 
 # ---------------------------------------------------------------------------

@@ -158,6 +158,24 @@ def test_gbdcf_nontrivial_group_over_gf():
     assert str(x) in ("0", "1")
 
 
+def test_gbdcf_search_caps_the_invariant_field(monkeypatch):
+    """K^G = GF(2) has 2 elements: past a cap of 1 the search refuses
+    before listing any."""
+    monkeypatch.setattr(polys, "MAX_INVARIANT_ELEMENTS", 1)
+    listed = []
+    monkeypatch.setattr(axioms, "iter_gf_elements",
+                        lambda field: listed.append(field) or iter(()))
+    L = make_field("GF(2,2)")
+    act = FieldAction.cyclic_action(2, L, "frobenius")
+    inst = GBdcfInstance(L, BAlgebra.truncated_polynomial(L, 2),
+                         AffineVariety(L, ("x",), []),
+                         AffineVariety(L, ("x", "u"), ["u"]), action=act)
+    with pytest.raises(ResourceExhausted,
+                       match="invariant field past 1 elements"):
+        validate_gbdcf_instance(inst)
+    assert listed == []
+
+
 def test_gbdcf_unsupported_algebra_classes():
     K = make_field("GF(2,2)")
     B3 = BAlgebra.truncated_polynomial(K, 3)

@@ -1,12 +1,17 @@
 """Instance files and the command-line surface."""
 
+import io
 import json
 import os
+import re
+import signal
 import subprocess
 import sys
 import time
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import charpk
 from charpk.cli import main
@@ -439,6 +444,14 @@ def test_cli_superscript_digits_are_parse_errors(tmp_path, capsys):
     assert err == "error: expected a number at position 2\n"
 
 
+def test_cli_negative_power_of_zero_exits_2(tmp_path, capsys):
+    path = _write(tmp_path, "zero.inst",
+                  DPAC3.replace('images: {t: "1"}', 'images: {t: "0^-1"}'))
+    assert main(["axiom", "validate-dpac", path]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: division by zero in '0^-1'\n"
+
+
 def test_cli_point_enumeration_cap_exits_2(tmp_path, monkeypatch, capsys):
     from charpk import polys
     monkeypatch.setattr(polys, "MAX_POINT_CANDIDATES", 10)
@@ -463,3 +476,113 @@ def test_cli_point_enumeration_cap_exits_2(tmp_path, monkeypatch, capsys):
     assert time.perf_counter() - start < 1.0
     assert capsys.readouterr().err == (
         "unsupported: point enumeration past 1000000 candidates\n")
+
+
+# ---------------------------------------------------------------------------
+# the exit-code contract under mutated input
+# ---------------------------------------------------------------------------
+
+FUZZ_JOBS = [
+    (["axiom", "validate-dpac"], DPAC3),
+    (["axiom", "search-dpac"], DPAC3),
+    (["variety", "points"], CIRCLE7),
+    (["variety", "points", "--bound", "1"],
+     'variety { vars: [x, y]; over: "Fp(3;t)"; gens: ["x*y - t"] }'),
+    (["variety", "ppower"], """
+variety { vars: [x, y]; over: "Fp(3;t)"; gens: ["y - (t*x^2 + 2*x)/(t + 1)"] }
+function { num: "(x + t)^3*y"; den: "x - t/2" }
+"""),
+    (["variety", "pindep"], """
+variety { vars: [x, y]; over: "Fp(2;t1,t2)";
+          gens: ["y - x^2*t1 - t2/(t1 + 1)"] }
+functions { items: ["x", "t1*y", "(t2 + x)^2"] }
+"""),
+    (["poly", "gb"], 'ideal { vars: [x, y]; over: "Fp(5;t)"; '
+                     'gens: ["x^2 - t*y", "(t + 1)*x*y - 3/t"] }'),
+]
+FUZZ_SPECS = ["GF(2,4)", "GF(3,2,a^2+1)", "GF(7,1)", "Fp(5;t)",
+              "Fp(2;t1,t2)", "Fp(7;)"]
+_TOKEN = re.compile(r"\s+|\w+|.", re.S)
+_OPERATORS = "+-*/^"
+_INSERTS = ["^-1", "/0", "(t-t)", "/(t-t)", "0^-1", "\u00b2", "\u0663"]
+FUZZ_SECONDS = 5
+
+
+@st.composite
+def _mutated(draw, text):
+    """text with one to three token deletions, duplications, operator
+    swaps or insertions, half of them inside its quoted strings other
+    than field specs."""
+    tokens = _TOKEN.findall(text)
+    for _ in range(draw(st.integers(1, 3))):
+        quoted, inside = [], None
+        for i, tok in enumerate(tokens):
+            if tok == '"':
+                inside = [] if inside is None else None
+            elif inside is not None:
+                inside.append(i)
+                if tokens[inside[0]] not in ("Fp", "GF"):
+                    quoted.append(i)
+        pool = quoted if quoted and draw(st.booleans()) else \
+            range(len(tokens))
+        i = draw(st.sampled_from(pool))
+        kind = draw(st.sampled_from(["delete", "duplicate", "swap",
+                                     "insert"]))
+        if kind == "delete" and len(tokens) > 1:
+            del tokens[i]
+        elif kind == "duplicate":
+            tokens.insert(i, tokens[i] + " ")
+        elif kind == "swap":
+            ops = [j for j in pool if tokens[j] in _OPERATORS]
+            if ops:
+                tokens[draw(st.sampled_from(ops))] = draw(
+                    st.sampled_from(_OPERATORS))
+        else:
+            tokens.insert(i, draw(st.sampled_from(_INSERTS)))
+    return "".join(tokens)
+
+
+class _Timeout(BaseException):
+    """Raised by the alarm; not an Exception, so `main` cannot map it."""
+
+
+def _alarm(signum, frame):
+    raise _Timeout
+
+
+def _run_contract(argv):
+    """main(argv + --json) in process under an alarm: the exit code is
+    0, 1 or 2, exit 1 carries a verdict payload, and stderr holds no
+    traceback and no internal error."""
+    out, err = io.StringIO(), io.StringIO()
+    previous = signal.signal(signal.SIGALRM, _alarm)
+    signal.setitimer(signal.ITIMER_REAL, FUZZ_SECONDS)
+    try:
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main([*argv, "--json"])
+    except _Timeout:
+        pytest.fail(f"{argv} ran past {FUZZ_SECONDS} s")
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    err = err.getvalue()
+    assert code in (0, 1, 2), (argv, code, err)
+    assert "Traceback" not in err and "internal error:" not in err, \
+        (argv, err)
+    if code == 1:
+        payload = json.loads(out.getvalue().splitlines()[-1])
+        assert isinstance(payload, dict) and payload, (argv, payload)
+
+
+@settings(derandomize=True, max_examples=80, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_cli_contract_holds_on_mutated_input(tmp_path_factory, data):
+    if data.draw(st.integers(0, 5)) == 0:
+        spec = data.draw(st.sampled_from(FUZZ_SPECS))
+        _run_contract(["field", data.draw(_mutated(spec))])
+        return
+    argv, text = data.draw(st.sampled_from(FUZZ_JOBS))
+    path = tmp_path_factory.mktemp("fuzz") / "case.inst"
+    path.write_text(data.draw(_mutated(text)), encoding="utf-8")
+    _run_contract([argv[0], argv[1], str(path), *argv[2:]])

@@ -139,6 +139,17 @@ def test_scalar_parsing_round_trip():
         assert L.parse(str(x)) == x
 
 
+@pytest.mark.parametrize("spec, zero", [("GF(7,1)", "(g-g)"),
+                                        ("GF(2,4)", "(g+g)"),
+                                        ("Fp(3;t1,t2)", "(t1-t1)")])
+def test_negative_power_of_zero_is_a_parse_error(spec, zero):
+    K = make_field(spec)
+    for text in ["0^-1", f"{zero}^-2", f"1 + 2*{zero}^-1"]:
+        with pytest.raises(FieldError, match="division by zero in "):
+            K.parse(text)
+    assert K.parse(f"{zero}^2") == K.zero()
+
+
 # every field of order <= 64, plus custom defining polynomials
 SMALL_GF = ["GF(2,1)", "GF(2,2)", "GF(2,3)", "GF(2,4)", "GF(2,5)", "GF(2,6)",
             "GF(3,1)", "GF(3,2)", "GF(3,3)", "GF(5,1)", "GF(5,2)", "GF(7,1)",
@@ -254,7 +265,9 @@ def _fraction_texts(data, K):
 def test_ratfunc_matches_sympy_oracle(spec, data):
     K = make_field(spec)
     O = RatFuncOracle(K.p, K.tvars)
-    texts = _fraction_texts(data, K)
+    polynomial = data.draw(st.booleans())
+    texts = ([_poly_text(data, K, 0) for _ in range(2)] if polynomial
+             else _fraction_texts(data, K))
     (x, y), (ox, oy) = ([K.parse(s) for s in texts],
                         [O.parse(s) for s in texts])
 
@@ -269,6 +282,11 @@ def test_ratfunc_matches_sympy_oracle(spec, data):
     same(x + y, ox + oy)
     same(x - y, ox - oy)
     same(x * y, ox * oy)
+    if polynomial:
+        # sums, differences and products of polynomials keep denominator 1
+        one = K._ring.one()
+        assert all(z.value[1] == one
+                   for z in (x, y, x + y, x - y, x * y, x ** 2))
     if not y.is_zero():
         same(x / y, ox / oy)
     n = data.draw(st.integers(1 if x.is_zero() else -2, 2))

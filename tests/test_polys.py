@@ -3,13 +3,14 @@
 import random
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from charpk.errors import ResourceExhausted, RingError
+from charpk.errors import CharpkError, ResourceExhausted, RingError
 from charpk.fields import FieldDescriptor, iter_gf_elements, make_field
 from charpk.polys import (Ideal, MultiPoly, PolyRing, buchberger,
                           normal_form, order_key)
 
-from oracles import lex_member
+from oracles import MultiPolyReader, lex_member
 
 
 def _ring(spec="GF(5,1)", variables=("x", "y", "z")):
@@ -207,3 +208,66 @@ def test_ratfunc_coefficients_supported():
     f = R.var("x") ** 2 - t
     gb = buchberger([f, R.var("x") * f], order="lex")
     assert list(gb) == [f.monic("lex")]
+
+
+# ---------------------------------------------------------------------------
+# polynomial text over F_p(t..): pairs over GF(p)[t.., x..] against
+# MultiPoly arithmetic
+# ---------------------------------------------------------------------------
+
+RATFUNC_SPECS = [f"Fp({p};{t})" for p in (2, 3, 5) for t in ("t", "t1,t2")]
+
+
+def _text(data, names, tnames, p, depth):
+    """A random polynomial text: + - * ^, unary minus, nested parentheses
+    and divisions by texts in the transcendentals and integers only."""
+    if depth == 0 or data.draw(st.integers(0, 3)) == 0:
+        return data.draw(st.sampled_from(
+            names + tnames + [str(data.draw(st.integers(0, p + 1)))]))
+    a = _text(data, names, tnames, p, depth - 1)
+    kind = data.draw(st.sampled_from(["+", "-", "*", "^", "/", "()", "neg"]))
+    if kind in "+-*":
+        return f"{a} {kind} {_text(data, names, tnames, p, depth - 1)}"
+    if kind == "^":
+        return f"({a})^{data.draw(st.integers(0, 2))}"
+    if kind == "/":
+        return f"({a})/({_text(data, [], tnames, p, depth - 1)})"
+    return f"({a})" if kind == "()" else f"-{a}"
+
+
+def _errors(a, b):
+    """Texts that must fail: a non-constant divisor, a zero divisor, an
+    unknown symbol, unbalanced parentheses, trailing input."""
+    return [f"({a})/(x + {b})", f"({a})/(({b}) - ({b}))", f"{a} + zz",
+            f"({a}", f"{a})", f"{a} {b}", f"({a})/0"]
+
+
+def _read(text, ring, reader):
+    try:
+        return reader(text, ring)
+    except CharpkError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("spec", RATFUNC_SPECS)
+@settings(derandomize=True, max_examples=25, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_ratfunc_reader_matches_multipoly_arithmetic(spec, data):
+    K = make_field(spec)
+    R = PolyRing(K, ("x", "y"))
+    a, b = (_text(data, ["x", "y"], list(K.tvars), K.p, 3) for _ in "ab")
+    for text in [a, b] + _errors(a, b):
+        got = _read(text, R, lambda s, ring: ring.parse(s))
+        want = _read(text, R, lambda s, ring: MultiPolyReader(s, ring).parse())
+        assert got == want, text
+        assert str(got) == str(want), text
+
+
+def test_ratfunc_reader_names_a_variable_like_a_transcendental():
+    """A ring variable shadows a transcendental of the same name."""
+    K = make_field("Fp(3;t,s)")
+    R = PolyRing(K, ("t", "x"))
+    for text in ["t*x + s", "(s + 1)/(s^2 + 2)*t^2 - x/s", "x/t"]:
+        assert _read(text, R, lambda s, ring: ring.parse(s)) == \
+            _read(text, R, lambda s, ring: MultiPolyReader(s, ring).parse())

@@ -1,17 +1,21 @@
 """Affine varieties: irreducibility, dominance, points, p-structure."""
 
+import collections
+
 import pytest
 
-from charpk.errors import PreconditionError
+from charpk.errors import PreconditionError, ResourceExhausted
 from charpk.factor import gf_embedding
 from charpk.fields import iter_elements, make_field
 from charpk.polys import MultiPoly, PolyRing
 from charpk.variety import (AffineVariety, RationalMapData, enumerate_points,
-                            is_absolutely_irreducible, is_dominant,
-                            is_irreducible, locus, pindep_function_field,
-                            ppower_test, projection_dominant)
+                            function_field_model, is_absolutely_irreducible,
+                            is_dominant, is_irreducible, locus,
+                            pindep_function_field, ppower_test,
+                            projection_dominant)
 
-from oracles import naive_point_scan, weil_verdict
+from oracles import (embed_by_terms, function_by_lift, naive_point_scan,
+                     weil_verdict)
 
 
 def _curve(spec, text, variables=("x", "y")):
@@ -258,6 +262,91 @@ def test_ppower_without_rational_model():
     f = W.function_field_elem("x^3*y + t")
     v = ppower_test(f)
     assert v.status == "root" and v.value ** 3 == f
+
+
+def test_ppower_ansatz_caps_the_p_component_rows(monkeypatch):
+    """The ansatz over F_3(t) needs 3^1 rows per equation: past a cap of
+    2 it refuses before building them."""
+    from charpk import polys, variety
+    monkeypatch.setattr(polys, "MAX_P_MONOMIALS", 2)
+    built = []
+    monkeypatch.setattr(variety.lambdafn, "monomial_exponents",
+                        lambda *args: built.append(args))
+    W = _curve("Fp(3;t)", "x^3*y + z^3 + t", ("x", "y", "z"))
+    with pytest.raises(ResourceExhausted,
+                       match="p-component system past 2 rows"):
+        ppower_test(W.function_field_elem("x^3*y + t"))
+    assert built == []
+
+
+GRAPHS = [
+    # polynomial coefficients
+    ("Fp(3;t)", ("x", "y"), ["y - x^2 - t"]),
+    ("Fp(2;t1,t2)", ("x", "y", "z"), ["y - t1*x^2 - t2", "z - x*y + t1"]),
+    ("GF(5,1)", ("x", "y"), ["y - x^3 - 2"]),
+    # rational coefficients
+    ("Fp(5;t)", ("x", "y"), ["(t + 1)*y - x^2 - 1/t"]),
+    ("Fp(3;t1,t2)", ("x", "y", "z"),
+     ["y - x/(t1 + t2)", "z - y^2 - x/t1 + t2/(t1 + 1)"]),
+    # a coordinate named like the transcendental, which it shadows in text
+    ("Fp(3;t)", ("x", "t"), ["t - x^2 - x"]),
+]
+
+
+@pytest.mark.parametrize("spec, variables, gens", GRAPHS)
+def test_rational_model_round_trip(spec, variables, gens):
+    """embed and to_function agree with term-by-term scalar arithmetic
+    and invert each other."""
+    V = AffineVariety(make_field(spec), variables, gens)
+    model = function_field_model(V)
+    t = next((t for t in V.field.tvars if t not in variables), "2")
+    x, y = variables[:2]
+    for num, den in [(f"{x}*{y} + {t}", "1"), (f"{y}^2 + {t}*{x}", f"{x} + 1"),
+                     (f"({t} + 1)*{x}^3 - {y}/{t}", y)]:
+        f = V.function_field_elem(num, den)
+        big = model.embed(f)
+        assert big == embed_by_terms(f, model.big)
+        g, h = model.to_function(big), function_by_lift(big, V)
+        assert (g.num, g.den) == (h.num, h.den)
+        assert g == f and model.embed(g) == big
+
+
+def test_polynomial_coefficients_cross_without_fraction_arithmetic(
+        monkeypatch):
+    """Reading texts with polynomial coefficients over F_p(t..) and
+    embedding such functions into the rational model take no F_p(t..)
+    sum, product or gcd."""
+    from charpk import polys
+    cases = []
+    # h has a constant x^2 coefficient, so normal forms on V(y - h) keep
+    # polynomial coefficients
+    for spec, h, funcs in [
+            ("Fp(3;t)", "2*t*x + x + t^2 + x^2",
+             ["(t*x + 2*y)^3*x + (x + t)^3", "x*(y + t^2*x + 1)^3",
+              "t*y^2 - 2*x*y + 1"]),
+            ("Fp(2;t1,t2)", "x^2 + t2*x + t1",
+             ["(t1*y + x)^2*x + (t2 + y)^2", "t1*t2*x*y - (x + t1)^3"])]:
+        K = make_field(spec)
+        V = AffineVariety(K, ("x", "y"), [f"y - ({h})"])
+        cases.append((V, funcs, function_field_model(V),
+                      [V.function_field_elem(f) for f in funcs]))
+    calls = collections.Counter()
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+    for name in ("add", "sub", "mul"):
+        monkeypatch.setattr(polys._RatFuncKernel, name,
+                            counted(name, getattr(polys._RatFuncKernel, name)))
+    monkeypatch.setattr(polys, "mp_gcd", counted("mp_gcd", polys.mp_gcd))
+    for V, funcs, model, elems in cases:
+        for text in funcs:
+            V.ring.parse(text)
+        for f in elems:
+            model.embed(f)
+    assert calls == {}
 
 
 def test_pindep_without_rational_model():
