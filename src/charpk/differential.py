@@ -83,7 +83,7 @@ def derive(f, D: DerivationContext, coordinate_images=None):
 
 
 class ProlongationBundle:
-    """tau^D(V) with its projection and generator provenance."""
+    """tau^D(V) with its generator provenance."""
 
     __slots__ = ("source", "tau", "uvars", "provenance", "derivation")
 
@@ -93,9 +93,6 @@ class ProlongationBundle:
         self.uvars = tuple(uvars)
         self.provenance = list(provenance)
         self.derivation = derivation
-
-    def project(self, point):
-        return tuple(point[:len(self.source.vars)])
 
 
 def _default_uvars(xvars):

@@ -523,6 +523,11 @@ class FieldDescriptor:
             tvars = tuple(tvars)
             if len(set(tvars)) != len(tvars):
                 raise FieldError("duplicate transcendental names")
+            for name in tvars:
+                if not (name[:1].isalpha() or name[:1] == "_") \
+                        or _WORD.fullmatch(name) is None:
+                    raise FieldError(
+                        f"transcendental name {name!r} is not an identifier")
             self.k = 1
             self.modulus = None
             self.gen_name = None
@@ -873,37 +878,18 @@ def _split_top(text, sep):
 
 def _parse_gf_modulus(text, p):
     """Parse a defining polynomial in a single variable; returns (name, coeffs)."""
-    names = sorted(set(re.findall(r"[A-Za-z_][A-Za-z_0-9]*", text)))
+    names = set(re.findall(r"[A-Za-z_][A-Za-z_0-9]*", text))
     if len(names) != 1:
         raise FieldError(f"defining polynomial must use one variable: {text!r}")
-    name = names[0]
-    coeffs = {}
-    for term in re.split(r"(?=[+-])", text.replace(" ", "")):
-        if not term:
-            continue
-        sign = 1
-        if term[0] == "+":
-            term = term[1:]
-        elif term[0] == "-":
-            sign = -1
-            term = term[1:]
-        m = re.fullmatch(
-            rf"(?:(\d+)\*?)?(?:{re.escape(name)}(?:\^(\d+))?)?", term)
-        if not m or (m.group(1) is None and name not in term):
-            m2 = re.fullmatch(r"(\d+)", term)
-            if not m2:
-                raise FieldError(f"cannot parse modulus term {term!r}")
-            coeffs[0] = (coeffs.get(0, 0) + sign * int(m2.group(1))) % p
-            continue
-        c = int(m.group(1)) if m.group(1) else 1
-        if name in term:
-            e = int(m.group(2)) if m.group(2) else 1
-        else:
-            e = 0
-        coeffs[e] = (coeffs.get(e, 0) + sign * c) % p
-    deg = max(coeffs)
-    vec = [coeffs.get(i, 0) for i in range(deg + 1)]
-    return name, vec
+    name = names.pop()
+    K = FieldDescriptor("ratfunc", p, tvars=(name,))
+    num, den = parse_scalar(text, K).value
+    if not den.is_constant():
+        raise FieldError(f"defining polynomial must be a polynomial: {text!r}")
+    coeffs = [0] * (1 + max((e for (e,) in num.terms), default=0))
+    for (e,), c in num.terms.items():
+        coeffs[e] = c
+    return name, coeffs
 
 
 # \s and \w match exactly str.isspace() and (str.isalnum() or "_")
@@ -913,8 +899,11 @@ _WORD = re.compile(r"\w*")
 
 class _Parser:
     """Recursive descent over + - * / ^, parentheses, integer literals and
-    names.  Subclasses build the values: `number`, `symbol`, `divide` and
-    `exponent`; `what` and `error` name the input in error messages."""
+    names: the one text grammar of scalars, polynomials, GF(p^k) moduli
+    and formula terms.  A leading minus negates the first term of a sum,
+    any other unary minus the factor after it.  Subclasses build the
+    values: `number`, `symbol`, `divide` and `exponent`; `what` and
+    `error` name the input in error messages."""
 
     what, error = "scalar literal", FieldError
     chained_powers = False
@@ -950,7 +939,11 @@ class _Parser:
         return ""
 
     def expr(self):
-        v = self.term()
+        if self.peek() == "-":
+            self.pos += 1
+            v = -self.term()
+        else:
+            v = self.term()
         while True:
             ch = self.peek()
             if ch == "+":

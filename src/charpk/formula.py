@@ -6,6 +6,9 @@ lambda-functions) and s[g](.) (automorphism application).  A language
 tag restricts the allowed constructors.  Formulas are boolean
 combinations of atoms `term = 0`, held in negation normal form; the
 canonical printer is fully parenthesized and parse(print(x)) == x.
+Terms are read by the grammar that scalars and polynomials share
+(`fields._Parser`), with unsigned exponents and `/` between constants
+only.
 
 Two syntactic engines operate on these:
 
@@ -26,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Tuple
 
-from . import lambdafn
+from . import fields, lambdafn
 from .errors import FieldError, FormulaError, PreconditionError
 from .fields import (FieldDescriptor, FieldScalar, is_pth_power, lambda0,
                      pth_root)
@@ -38,12 +41,39 @@ from .fields import (FieldDescriptor, FieldScalar, is_pth_power, lambda0,
 
 @dataclass(frozen=True)
 class Term:
-    pass
+    """+ - * and unary - build Add, Sub and Mul nodes: -a is 0 - a and
+    a ** n the left-nested product a * a * .. * a, with a ** 0 = 1."""
+
+    def __add__(self, other):
+        return Add(self, other)
+
+    def __sub__(self, other):
+        return Sub(self, other)
+
+    def __mul__(self, other):
+        return Mul(self, other)
+
+    def __neg__(self):
+        return Sub(IntConst(0), self)
+
+    def __pow__(self, n):
+        if n == 0:
+            return IntConst(1)
+        out = self
+        for _ in range(n - 1):
+            out = Mul(out, self)
+        return out
+
+    def is_zero(self):
+        return False
 
 
 @dataclass(frozen=True)
 class IntConst(Term):
     value: int
+
+    def is_zero(self):
+        return self.value == 0
 
 
 @dataclass(frozen=True)
@@ -52,6 +82,9 @@ class Const(Term):
 
     def __hash__(self):
         return hash(("Const", self.value))
+
+    def is_zero(self):
+        return self.value.is_zero()
 
 
 @dataclass(frozen=True)
@@ -276,95 +309,58 @@ def to_nnf(f: Formula) -> Formula:
 # parsing
 # ---------------------------------------------------------------------------
 
-class _Parser:
-    def __init__(self, text, tag, context):
-        self.text = text
-        self.pos = 0
-        self.tag = tag
-        self.context = context or {}
+class _Parser(fields._Parser):
+    """Formulas over the term grammar of `fields._Parser`: `|`, `&`,
+    `!(..)` and atoms `term = term`, where a parenthesized formula is
+    tried before a parenthesized term.  The hooks build term nodes and
+    `target` is the context {vars, field}."""
 
-    # -- lexing helpers -----------------------------------------------------
+    what, error = "formula", FormulaError
 
-    def skip(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def peek(self, s):
-        self.skip()
-        return self.text.startswith(s, self.pos)
-
-    def eat(self, s):
-        if not self.peek(s):
+    def parse(self):
+        node = self.formula() if "=" in self.text else self.expr()
+        if self.peek():
             raise FormulaError(
-                f"expected {s!r} at position {self.pos} in {self.text!r}")
-        self.pos += len(s)
+                f"trailing input at position {self.pos} in {self.text!r}")
+        return node
 
-    def at_end(self):
-        self.skip()
-        return self.pos >= len(self.text)
-
-    def ident(self):
-        self.skip()
-        start = self.pos
-        while (self.pos < len(self.text)
-               and (self.text[self.pos].isalnum()
-                    or self.text[self.pos] == "_")):
-            self.pos += 1
-        if start == self.pos:
-            raise FormulaError(f"expected a name at position {start}")
-        return self.text[start:self.pos]
-
-    def integer(self):
-        self.skip()
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdecimal():
-            self.pos += 1
-        if start == self.pos:
-            raise FormulaError(f"expected a number at position {start}")
-        return int(self.text[start:self.pos])
+    def eat(self, ch):
+        if self.peek() != ch:
+            raise FormulaError(
+                f"expected {ch!r} at position {self.pos} in {self.text!r}")
+        self.pos += 1
 
     # -- formulas -----------------------------------------------------------
 
     def formula(self):
         left = self.conj()
-        while self.peek("|"):
-            self.eat("|")
+        while self.peek() == "|":
+            self.pos += 1
             left = OrF(left, self.conj())
         return left
 
     def conj(self):
-        left = self.unit(self.atom_or_paren)
-        while self.peek("&"):
-            self.eat("&")
-            left = AndF(left, self.unit(self.atom_or_paren))
+        left = self.unit()
+        while self.peek() == "&":
+            self.pos += 1
+            left = AndF(left, self.unit())
         return left
 
-    def unit(self, inner):
-        if self.peek("!"):
-            self.eat("!")
-            self.eat("(")
-            f = self.formula()
-            self.eat(")")
-            return NotF(f)
-        return inner()
-
-    def atom_or_paren(self):
-        # disambiguate "(formula)" from a parenthesized term by backtracking
-        if self.peek("("):
+    def unit(self):
+        if self.peek() == "!":
+            self.pos += 1
+            return NotF(self.argument(self.formula))
+        if self.peek() == "(":
+            # disambiguate "(formula)" from a parenthesized term by
+            # backtracking
             save = self.pos
             try:
-                self.eat("(")
-                f = self.formula()
-                self.eat(")")
-                if self.peek("=") or self.peek("+") or self.peek("-") \
-                        or self.peek("*") or self.peek("^"):
+                f = self.argument(self.formula)
+                if self.peek() in ("=", "+", "-", "*", "^"):
                     raise FormulaError("term context")
                 return f
             except FormulaError:
                 self.pos = save
-        return self.atom()
-
-    def atom(self):
         left = self.expr()
         self.eat("=")
         right = self.expr()
@@ -372,107 +368,39 @@ class _Parser:
             return Atom(left)
         return Atom(Sub(left, right))
 
-    # -- terms --------------------------------------------------------------
+    def argument(self, read):
+        self.eat("(")
+        node = read()
+        self.eat(")")
+        return node
 
-    def expr(self):
-        if self.peek("-"):
-            self.eat("-")
-            left = Sub(IntConst(0), self.term())
-        else:
-            left = self.term()
-        while True:
-            if self.peek("+"):
-                self.eat("+")
-                left = Add(left, self.term())
-            elif self.peek("-") and not self.peek("->"):
-                self.eat("-")
-                left = Sub(left, self.term())
-            else:
-                return left
+    # -- term hooks ---------------------------------------------------------
 
-    def term(self):
-        left = self.power()
-        while True:
-            if self.peek("*"):
-                self.eat("*")
-                left = Mul(left, self.power())
-            elif self.peek("/"):
-                self.eat("/")
-                right = self.power()
-                left = self._const_div(left, right)
-            else:
-                return left
+    def number(self, n):
+        return IntConst(n)
 
-    def _const_div(self, left, right):
-        lv = _as_const(left, self.context)
-        rv = _as_const(right, self.context)
-        if lv is None or rv is None:
-            raise FormulaError("division is only defined between constants")
-        return Const(lv / rv)
-
-    def power(self):
-        base = self.factor()
-        if self.peek("^"):
-            self.eat("^")
-            n = self.integer()
-            if n < 0:
-                raise FormulaError("negative exponents are not terms")
-            if n == 0:
-                return IntConst(1)
-            out = base
-            for _ in range(n - 1):
-                out = Mul(out, base)
-            return out
-        return base
-
-    def factor(self):
-        self.skip()
-        if self.peek("("):
-            self.eat("(")
-            e = self.expr()
-            self.eat(")")
-            return e
-        if self.pos < len(self.text) and self.text[self.pos].isdecimal():
-            return IntConst(self.integer())
-        if self.peek("s["):
-            self.eat("s[")
-            g = self.ident()
+    def symbol(self, name):
+        if name == "s" and self.text.startswith("[", self.pos):
+            self.pos += 1
+            self.skip()
+            start = self.pos
+            self.pos = fields._WORD.match(self.text, start).end()
+            if self.pos == start:
+                raise FormulaError(f"expected a name at position {start}")
+            element = self.text[start:self.pos]
             self.eat("]")
-            self.eat("(")
-            e = self.expr()
-            self.eat(")")
-            return Sigma(g, e)
-        name = self.ident()
-        if name == "D" and self.peek("("):
-            self.eat("(")
-            e = self.expr()
-            self.eat(")")
-            return DOp(e)
-        if name == "l0" and self.peek("("):
-            self.eat("(")
-            e = self.expr()
-            self.eat(")")
-            return Lambda0(e)
-        if name == "lam" and self.peek("("):
-            self.eat("(")
-            i = self.integer()
-            self.eat(",")
-            e = self.integer()
-            self.eat(";")
-            basis = []
-            if not self.peek(";"):
-                basis.append(self.expr())
-                while self.peek(","):
-                    self.eat(",")
-                    basis.append(self.expr())
-            self.eat(";")
-            c = self.expr()
-            self.eat(")")
-            return Lam(i, e, tuple(basis), c)
-        declared = self.context.get("vars")
+            return Sigma(element, self.argument(self.expr))
+        if self.peek() == "(":
+            if name == "D":
+                return DOp(self.argument(self.expr))
+            if name == "l0":
+                return Lambda0(self.argument(self.expr))
+            if name == "lam":
+                return self.argument(self.lam)
+        declared = self.target.get("vars")
         if declared is None or name in declared:
             return Var(name)
-        field = self.context.get("field")
+        field = self.target.get("field")
         if field is not None:
             try:
                 return Const(field.parse(name))
@@ -480,30 +408,47 @@ class _Parser:
                 pass
         return Var(name)
 
+    def lam(self):
+        """`i,e; b..; c` inside lam(..)."""
+        i = self.natural()
+        self.eat(",")
+        e = self.natural()
+        self.eat(";")
+        basis = []
+        if self.peek() != ";":
+            basis.append(self.expr())
+            while self.peek() == ",":
+                self.pos += 1
+                basis.append(self.expr())
+        self.eat(";")
+        return Lam(i, e, tuple(basis), self.expr())
 
-def _as_const(t, context):
-    if isinstance(t, Const):
-        return t.value
-    if isinstance(t, IntConst):
-        field = (context or {}).get("field")
-        if field is not None:
-            return field.from_int(t.value)
-        return None
-    return None
+    def divide(self, v, d):
+        field = self.target.get("field")
+
+        def value(t):
+            if isinstance(t, Const):
+                return t.value
+            if isinstance(t, IntConst) and field is not None:
+                return field.from_int(t.value)
+            raise FormulaError("division is only defined between constants")
+        num, den = value(v), value(d)
+        if den.is_zero():
+            raise FormulaError(f"division by zero in {self.text!r}")
+        return Const(num / den)
+
+    def natural(self):
+        self.skip()
+        return self.integer(
+            message=f"expected a number at position {self.pos}")
+
+    exponent = natural
 
 
 def parse(text: str, tag: str = "full", context=None):
     """Parse a term or (when it contains '=') a formula; validates the
     language tag."""
-    p = _Parser(text, tag, context)
-    if "=" in text:
-        node = p.formula()
-    else:
-        node = p.expr()
-    if not p.at_end():
-        raise FormulaError(
-            f"trailing input at position {p.pos} in {text!r}")
-    return check_language(node, tag)
+    return check_language(_Parser(text, context or {}).parse(), tag)
 
 
 # ---------------------------------------------------------------------------
@@ -703,16 +648,16 @@ def simplify_term(t: Term) -> Term:
         a = simplify_term(t.left)
         b = simplify_term(t.right)
         if isinstance(t, Add):
-            if _is_zero_term(a):
+            if a.is_zero():
                 return b
-            if _is_zero_term(b):
+            if b.is_zero():
                 return a
             return Add(a, b)
         if isinstance(t, Sub):
-            if _is_zero_term(b):
+            if b.is_zero():
                 return a
             return Sub(a, b)
-        if _is_zero_term(a) or _is_zero_term(b):
+        if a.is_zero() or b.is_zero():
             return IntConst(0)
         if _is_one_term(a):
             return b
@@ -735,11 +680,6 @@ def simplify_term(t: Term) -> Term:
     if isinstance(t, Sigma):
         return Sigma(t.element, simplify_term(t.arg))
     return t
-
-
-def _is_zero_term(t):
-    return (isinstance(t, IntConst) and t.value == 0) or (
-        isinstance(t, Const) and t.value.is_zero())
 
 
 def _is_one_term(t):

@@ -172,9 +172,6 @@ class FieldAction:
             sigmas.append(sigma.compose(sigmas[-1]))
         return cls(group, field, sigmas)
 
-    def apply(self, g: int, x: FieldScalar) -> FieldScalar:
-        return self.sigmas[g](x)
-
 
 # ---------------------------------------------------------------------------
 # Galois groups and invariants
@@ -400,6 +397,7 @@ def alg_strongly_pac_probe(F: FieldDescriptor, K: FieldDescriptor,
     in F; a K-irreducible theta without one certifies failure."""
     if F.kind != "gf" or K.kind != "gf" or F.p != K.p or K.k % F.k != 0:
         raise UnsupportedInstance("probe supports finite fields F <= K")
+    embed = factor.gf_embedding(F, K)
     entries = []
     for theta in thetas:
         coeffs = _theta_coeffs(theta, F)
@@ -407,7 +405,7 @@ def alg_strongly_pac_probe(F: FieldDescriptor, K: FieldDescriptor,
             raise PreconditionError("theta must be nonconstant")
         # orbit structure over K: degrees of the distinct irreducible
         # factors over K
-        coeffs_K = [_embed_into(c, F, K) for c in coeffs]
+        coeffs_K = [embed(c) for c in coeffs]
         _, facs_K = factor.uni_factor(coeffs_K, K)
         orbit_sizes = sorted(len(g) - 1 for g, _ in facs_K)
         k_irreducible = len(orbit_sizes) == 1
@@ -435,7 +433,3 @@ def _theta_coeffs(theta, F):
     if len(used) != 1:
         raise UnsupportedInstance("theta must be univariate")
     return [_scalar(F, c) for c in factor.u_from_mp(theta, used[0])]
-
-
-def _embed_into(c: FieldScalar, F: FieldDescriptor, K: FieldDescriptor):
-    return factor.gf_embedding(F, K)(c)

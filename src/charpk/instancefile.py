@@ -193,9 +193,6 @@ class InstanceFile:
             raise InstanceFileError(f"no {kind!r}{where} block in the file")
         return b
 
-    def find_all(self, kind):
-        return [b for b in self.blocks if b.kind == kind]
-
 
 # ---------------------------------------------------------------------------
 # builders

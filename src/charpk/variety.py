@@ -72,11 +72,6 @@ class AffineVariety:
         if self.is_empty():
             raise PreconditionError("operation requires a nonempty variety")
 
-    def dimension(self):
-        if "dimension" not in self._flags:
-            self._flags["dimension"] = self.ideal.dimension()
-        return self._flags["dimension"]
-
     def contains_point(self, point) -> bool:
         values = dict(zip(self.vars, point))
         return all(g.evaluate(values).is_zero()

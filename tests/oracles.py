@@ -13,7 +13,10 @@ Polynomial text over F_p(t..) is read by `MultiPolyReader`, with one
 F_p(t..) kernel operation per arithmetic step, where the library reads
 pairs over GF(p)[t.., x..]; `embed_by_terms` and `function_by_lift` move
 functions into and out of a rational model K(V) = F_p(t.., free) by
-FieldScalar arithmetic, where the library joins coefficients.
+FieldScalar arithmetic, where the library joins coefficients.  Formula
+text is read by `read_formula`, a recursive descent with its own lexer
+and precedence levels, where the library reads terms with the shared
+scalar and polynomial grammar.
 """
 
 from __future__ import annotations
@@ -22,9 +25,12 @@ import itertools
 import re
 
 from charpk import factor, linalg
-from charpk.errors import RingError
+from charpk.errors import FieldError, FormulaError, RingError
 from charpk.fields import (FieldDescriptor, FieldScalar, _Parser,
                            iter_gf_elements, p_components, parse_scalar)
+from charpk.formula import (Add, AndF, Atom, Const, DOp, IntConst, Lam,
+                            Lambda0, Mul, NotF, OrF, Sigma, Sub, Var,
+                            check_language)
 from charpk.polys import (MultiPoly, PolyRing, buchberger, normal_form,
                           order_key)
 from charpk.variety import FunctionFieldElem, peel_graph
@@ -745,3 +751,240 @@ class RatFuncOracle:
     def height(self, x):
         return max(max((sum(e) for e in poly.monoms()), default=0)
                    for poly in self.normal(x))
+
+
+# ---------------------------------------------------------------------------
+# formula text by its own recursive descent
+# ---------------------------------------------------------------------------
+
+class FormulaReader:
+    """The formula reader with its own lexer and precedence levels, kept
+    as the differential oracle for `formula.parse`."""
+
+    def __init__(self, text, tag, context):
+        self.text = text
+        self.pos = 0
+        self.tag = tag
+        self.context = context or {}
+
+    # -- lexing helpers -----------------------------------------------------
+
+    def skip(self):
+        while self.pos < len(self.text) and self.text[self.pos].isspace():
+            self.pos += 1
+
+    def peek(self, s):
+        self.skip()
+        return self.text.startswith(s, self.pos)
+
+    def eat(self, s):
+        if not self.peek(s):
+            raise FormulaError(
+                f"expected {s!r} at position {self.pos} in {self.text!r}")
+        self.pos += len(s)
+
+    def at_end(self):
+        self.skip()
+        return self.pos >= len(self.text)
+
+    def ident(self):
+        self.skip()
+        start = self.pos
+        while (self.pos < len(self.text)
+               and (self.text[self.pos].isalnum()
+                    or self.text[self.pos] == "_")):
+            self.pos += 1
+        if start == self.pos:
+            raise FormulaError(f"expected a name at position {start}")
+        return self.text[start:self.pos]
+
+    def integer(self):
+        self.skip()
+        start = self.pos
+        while self.pos < len(self.text) and self.text[self.pos].isdecimal():
+            self.pos += 1
+        if start == self.pos:
+            raise FormulaError(f"expected a number at position {start}")
+        return int(self.text[start:self.pos])
+
+    # -- formulas -----------------------------------------------------------
+
+    def formula(self):
+        left = self.conj()
+        while self.peek("|"):
+            self.eat("|")
+            left = OrF(left, self.conj())
+        return left
+
+    def conj(self):
+        left = self.unit(self.atom_or_paren)
+        while self.peek("&"):
+            self.eat("&")
+            left = AndF(left, self.unit(self.atom_or_paren))
+        return left
+
+    def unit(self, inner):
+        if self.peek("!"):
+            self.eat("!")
+            self.eat("(")
+            f = self.formula()
+            self.eat(")")
+            return NotF(f)
+        return inner()
+
+    def atom_or_paren(self):
+        # disambiguate "(formula)" from a parenthesized term by backtracking
+        if self.peek("("):
+            save = self.pos
+            try:
+                self.eat("(")
+                f = self.formula()
+                self.eat(")")
+                if self.peek("=") or self.peek("+") or self.peek("-") \
+                        or self.peek("*") or self.peek("^"):
+                    raise FormulaError("term context")
+                return f
+            except FormulaError:
+                self.pos = save
+        return self.atom()
+
+    def atom(self):
+        left = self.expr()
+        self.eat("=")
+        right = self.expr()
+        if isinstance(right, IntConst) and right.value == 0:
+            return Atom(left)
+        return Atom(Sub(left, right))
+
+    # -- terms --------------------------------------------------------------
+
+    def expr(self):
+        if self.peek("-"):
+            self.eat("-")
+            left = Sub(IntConst(0), self.term())
+        else:
+            left = self.term()
+        while True:
+            if self.peek("+"):
+                self.eat("+")
+                left = Add(left, self.term())
+            elif self.peek("-") and not self.peek("->"):
+                self.eat("-")
+                left = Sub(left, self.term())
+            else:
+                return left
+
+    def term(self):
+        left = self.power()
+        while True:
+            if self.peek("*"):
+                self.eat("*")
+                left = Mul(left, self.power())
+            elif self.peek("/"):
+                self.eat("/")
+                right = self.power()
+                left = self._const_div(left, right)
+            else:
+                return left
+
+    def _const_div(self, left, right):
+        lv = _formula_const(left, self.context)
+        rv = _formula_const(right, self.context)
+        if lv is None or rv is None:
+            raise FormulaError("division is only defined between constants")
+        return Const(lv / rv)
+
+    def power(self):
+        base = self.factor()
+        if self.peek("^"):
+            self.eat("^")
+            n = self.integer()
+            if n < 0:
+                raise FormulaError("negative exponents are not terms")
+            if n == 0:
+                return IntConst(1)
+            out = base
+            for _ in range(n - 1):
+                out = Mul(out, base)
+            return out
+        return base
+
+    def factor(self):
+        self.skip()
+        if self.peek("("):
+            self.eat("(")
+            e = self.expr()
+            self.eat(")")
+            return e
+        if self.pos < len(self.text) and self.text[self.pos].isdecimal():
+            return IntConst(self.integer())
+        if self.peek("s["):
+            self.eat("s[")
+            g = self.ident()
+            self.eat("]")
+            self.eat("(")
+            e = self.expr()
+            self.eat(")")
+            return Sigma(g, e)
+        name = self.ident()
+        if name == "D" and self.peek("("):
+            self.eat("(")
+            e = self.expr()
+            self.eat(")")
+            return DOp(e)
+        if name == "l0" and self.peek("("):
+            self.eat("(")
+            e = self.expr()
+            self.eat(")")
+            return Lambda0(e)
+        if name == "lam" and self.peek("("):
+            self.eat("(")
+            i = self.integer()
+            self.eat(",")
+            e = self.integer()
+            self.eat(";")
+            basis = []
+            if not self.peek(";"):
+                basis.append(self.expr())
+                while self.peek(","):
+                    self.eat(",")
+                    basis.append(self.expr())
+            self.eat(";")
+            c = self.expr()
+            self.eat(")")
+            return Lam(i, e, tuple(basis), c)
+        declared = self.context.get("vars")
+        if declared is None or name in declared:
+            return Var(name)
+        field = self.context.get("field")
+        if field is not None:
+            try:
+                return Const(field.parse(name))
+            except FieldError:
+                pass
+        return Var(name)
+
+
+def _formula_const(t, context):
+    if isinstance(t, Const):
+        return t.value
+    if isinstance(t, IntConst):
+        field = (context or {}).get("field")
+        if field is not None:
+            return field.from_int(t.value)
+        return None
+    return None
+
+
+def read_formula(text: str, tag: str = "full", context=None):
+    """Parse a term or (when it contains '=') a formula; validates the
+    language tag."""
+    p = FormulaReader(text, tag, context)
+    if "=" in text:
+        node = p.formula()
+    else:
+        node = p.expr()
+    if not p.at_end():
+        raise FormulaError(
+            f"trailing input at position {p.pos} in {text!r}")
+    return check_language(node, tag)

@@ -452,6 +452,26 @@ def test_cli_negative_power_of_zero_exits_2(tmp_path, capsys):
     assert err == "error: division by zero in '0^-1'\n"
 
 
+@pytest.mark.parametrize("text", ["x - 1/0 = 0", "0/0 = x", "t/0 = x"])
+def test_cli_formula_division_by_zero_exits_2(tmp_path, capsys, text):
+    path = _write(tmp_path, "zero.inst", f'formula {{ text: "{text}"; '
+                  'language: "full"; over: "Fp(2;t)"; vars: [x] }\n')
+    assert main(["formula", "parse", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: division by zero in {text!r}\n"
+
+
+@pytest.mark.parametrize("spec, name", [("Fp(2;t1 t1,t2)", "t1 t1"),
+                                        ("Fp(2;1)", "1")])
+def test_cli_field_names_must_be_identifiers(capsys, spec, name):
+    assert main(["field", spec]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: transcendental name {name!r} is not "
+                            "an identifier\n")
+
+
 def test_cli_point_enumeration_cap_exits_2(tmp_path, monkeypatch, capsys):
     from charpk import polys
     monkeypatch.setattr(polys, "MAX_POINT_CANDIDATES", 10)
@@ -499,6 +519,21 @@ functions { items: ["x", "t1*y", "(t2 + x)^2"] }
 """),
     (["poly", "gb"], 'ideal { vars: [x, y]; over: "Fp(5;t)"; '
                      'gens: ["x^2 - t*y", "(t + 1)*x*y - 3/t"] }'),
+    (["formula", "parse"], """
+formula { text: "D(l0(x)) - 1 = 0"; language: "lambda0_D";
+          over: "Fp(2;t)"; vars: [x] }
+derivation { over: "Fp(2;t)"; images: {t: "1"} }
+witness { x: "t^2" }
+"""),
+    (["formula", "parse"], """
+formula { text: "lam(1,1; t; x) - s[g](t) + x*(t/2) = 0"; language: "full";
+          over: "Fp(3;t)"; vars: [x] }
+"""),
+    (["axiom", "scf-reduce"], """
+formula { text: "lam(1,1; t; x) - t = 0 | x*(1/t) = 0"; language: "lambda";
+          over: "Fp(2;t)"; vars: [x] }
+witness { x: "t^3 + t^2" }
+"""),
 ]
 FUZZ_SPECS = ["GF(2,4)", "GF(3,2,a^2+1)", "GF(7,1)", "Fp(5;t)",
               "Fp(2;t1,t2)", "Fp(7;)"]

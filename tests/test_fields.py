@@ -33,6 +33,28 @@ def test_bad_specs_rejected():
             make_field(bad)  # not cached: a bad spec raises every time
 
 
+@pytest.mark.parametrize("spec", ["Fp(2;t1 t1,t2)", "Fp(2;1)", "Fp(2;t,2u)",
+                                  "Fp(3;\u00b2)", "Fp(3;t-1)"])
+def test_transcendental_names_are_identifiers(spec):
+    """A name no literal can reference is refused."""
+    with pytest.raises(FieldError, match="is not an identifier"):
+        make_field(spec)
+    assert make_field("Fp(3;_t, t_1, \u00e9)").tvars == ("_t", "t_1", "\u00e9")
+
+
+def test_gf_modulus_reads_the_scalar_grammar():
+    """A defining polynomial is polynomial text in its one variable."""
+    K = make_field("GF(5,2,g^2+2)")
+    for text in ["g*g+2", "g^2 + 2", "(g + 0)^2 - 3", "2*g^2 + g^2 - 2*g^2+7",
+                 "-(4*g^2 + 3)"]:
+        assert make_field(f"GF(5,2,{text})") == K
+    assert make_field(K.spec) is K
+    assert make_field("GF(3,3,g^3+2*g+1)").spec == "GF(3,3,g^3+2*g+1)"
+    for text in ["1/g+g^2", "6g^2+1", "g^2+h", "g^-1", "2", "g-g"]:
+        with pytest.raises(FieldError):
+            make_field(f"GF(5,2,{text})")
+
+
 @pytest.mark.parametrize("spec", ["GF(5,1)", "GF(2,4)", "GF(3,2,a^2+1)",
                                   "Fp(3;t)", "Fp(2;t1,t2)"])
 def test_make_field_interns_descriptors(spec):

@@ -1,15 +1,21 @@
 """Quantifier-free formulas: parsing, printing, evaluation, rewriting."""
 
+import collections
 import random
+import re
 
 import pytest
 
 from charpk.differential import DerivationContext
-from charpk.errors import FormulaError
+from charpk.errors import CharpkError, FormulaError
 from charpk.fields import make_field
-from charpk.formula import (Atom, correct_lambda0_D, eval_formula, eval_term,
-                            parse, print_formula, print_term, simplify_term,
+from charpk.formula import (Atom, Formula, IntConst, Mul, Sub, Var,
+                            correct_lambda0_D, eval_formula, eval_term,
+                            formula_variables, parse, print_formula,
+                            print_term, simplify_term, term_variables,
                             unravel_lambda_terms)
+
+from oracles import read_formula
 
 
 def _structure(spec="Fp(3;t)"):
@@ -155,3 +161,175 @@ def test_correction_nested_example_both_squares():
     assert out == ("(((y1 * y1) - x) = 0 & (((y2 * y2) - (D(y1) + D(x)))"
                    " = 0 & (D(y2) + x) = 0))")
     assert res.fixed_terms == []
+
+
+def test_term_operators_build_the_reader_nodes():
+    x, y = Var("x"), Var("y")
+    assert x ** 3 == Mul(Mul(x, x), x)
+    assert x ** 0 == IntConst(1)
+    assert -x * y == Mul(Sub(IntConst(0), x), y)
+    assert parse("-x*y") == Sub(IntConst(0), Mul(x, y))
+    assert parse("x^3") == x ** 3 and parse("x^0") == IntConst(1)
+
+
+def test_unary_minus_as_in_polynomial_text():
+    """A minus inside a product or after a binary minus negates the
+    factor after it, as polynomial text allows."""
+    t, b = Var("t"), Var("b")
+    assert parse("x*-t") == Mul(Var("x"), Sub(IntConst(0), t))
+    assert parse("a - -b") == Sub(Var("a"), Sub(IntConst(0), b))
+    K, _ = _structure()
+    ctx = {"vars": {"x"}, "field": K}
+    node = parse("x*-t = 0", "full", ctx)
+    assert print_formula(node) == "(x * (0 - t)) = 0"
+
+
+@pytest.mark.parametrize("text", ["\u00b2x = 0", "y + \u00b2 = 0"])
+def test_names_start_with_a_letter_or_underscore(text):
+    with pytest.raises(FormulaError, match="unexpected character '\u00b2'"):
+        parse(text)
+
+
+@pytest.mark.parametrize("text", ["x - 1/0 = 0", "0/0 = x", "t/0", "1/3"])
+def test_constant_division_by_zero_is_a_formula_error(text):
+    ctx = {"vars": {"x"}, "field": make_field("Fp(3;t)")}
+    with pytest.raises(FormulaError, match="division by zero in "):
+        parse(text, "full", ctx)
+
+
+def test_constant_division():
+    K, _ = _structure()
+    ctx = {"vars": {"x"}, "field": K}
+    assert print_term(parse("2/t + x", "full", ctx)) == "((2/t) + x)"
+    with pytest.raises(FormulaError, match="only defined between constants"):
+        parse("x/2", "full", ctx)
+    with pytest.raises(FormulaError, match="only defined between constants"):
+        parse("1/2")
+
+
+_TOKEN = re.compile(r"\s+|\w+|.", re.S)
+_MUTATIONS = ["-", "- -", "*-", "\u00b2", "\u00b2x", "/0", "1/0", "t/0",
+              "0/0", "a/2", "^", "^-1", "(", ")", "=", "&", "|", "!(", ",",
+              ";", "s[g]", "s [g]", "D", "lam(", " "]
+
+
+def _random_term(rng, depth):
+    if depth <= 0 or rng.random() < 0.25:
+        return rng.choice(["x", "y", "z", "t", "a", "u", "0", "1", "2", "3"])
+    a = _random_term(rng, depth - 1)
+    kind = rng.randrange(11)
+    if kind < 3:
+        op = rng.choice([" + ", " - ", "*"])
+        return f"{a}{op}{_random_term(rng, depth - 1)}"
+    if kind == 3:
+        return f"({a})"
+    if kind == 4:
+        return f"{a}^{rng.randrange(4)}"
+    if kind == 5:
+        return f"-{a}"
+    if kind == 6:
+        return (f"{rng.choice(['1', '2', 't', 'a', '(t + 1)'])}/"
+                f"{rng.choice(['2', '3', 't', 'a', '0', '(t - 1)'])}")
+    if kind == 7:
+        return f"{rng.choice(['D', 'l0'])}({a})"
+    if kind == 8:
+        basis = ", ".join(_random_term(rng, depth - 2)
+                          for _ in range(rng.randrange(3)))
+        return f"lam({rng.randrange(1, 3)},{rng.randrange(3)}; {basis}; {a})"
+    if kind == 9:
+        return f"s[{rng.choice(['g', 'h1'])}]({a})"
+    return f"{a} {rng.choice(['+', '-'])} ({_random_term(rng, depth - 1)})"
+
+
+def _random_formula(rng, depth):
+    kind = rng.randrange(6) if depth else 0
+    if kind < 2:
+        right = rng.choice(["0", _random_term(rng, 2)])
+        return f"{_random_term(rng, 3)} = {right}"
+    a, b = _random_formula(rng, depth - 1), _random_formula(rng, depth - 1)
+    if kind == 2:
+        return f"{a} & {b}"
+    if kind == 3:
+        return f"({a}) | {b}"
+    if kind == 4:
+        return f"!({a})"
+    return f"({a} & {b})"
+
+
+def _mutated(rng, text):
+    tokens = _TOKEN.findall(text)
+    for _ in range(rng.randint(1, 3)):
+        i = rng.randrange(len(tokens))
+        kind = rng.randrange(4)
+        if kind == 0 and len(tokens) > 1:
+            del tokens[i]
+        elif kind == 1:
+            tokens.insert(i, tokens[i] + " ")
+        elif kind == 2:
+            ops = [j for j, tok in enumerate(tokens) if tok in "+-*/^=&|"]
+            if ops:
+                tokens[rng.choice(ops)] = rng.choice("+-*/^=&|")
+        else:
+            tokens.insert(i, rng.choice(_MUTATIONS))
+    return "".join(tokens)
+
+
+def _read(reader, text, ctx):
+    try:
+        return "ok", reader(text, "full", ctx)
+    except CharpkError as exc:
+        return "refused", exc
+    except Exception as exc:  # the old reader's crashes
+        return "crash", exc
+
+
+def _has_inner_unary_minus(text):
+    """A minus right after * / + or another minus: a unary minus that
+    the old formula reader refused."""
+    return re.search(r"[*/+-]\s*-", text) is not None
+
+
+def _starts_with_non_decimal_digit(node):
+    names = (formula_variables(node) if isinstance(node, Formula)
+             else term_variables(node))
+    return any(n[0].isalnum() and not n[0].isalpha()
+               and not n[0].isdecimal() for n in names)
+
+
+def test_differential_against_the_old_formula_reader():
+    """Generated and mutated texts, each read with and without a
+    {vars, field} context, by `parse` and by the old reader with its own
+    lexer: identical ASTs wherever the old reader accepts, except names
+    starting with a non-decimal digit, which are now refused; refusals
+    stay refusals except a unary minus inside a product or after a
+    binary minus; and `parse` raises nothing but a CharpkError."""
+    rng = random.Random(15)
+    specs = ["Fp(3;t)", "GF(3,2,a^2+1)", "Fp(2;t,u)"]
+    counts = collections.Counter()
+    texts = 0
+    for n in range(2000):
+        base = (_random_formula(rng, 2) if n % 3 else
+                _random_term(rng, 4))
+        for text in (base, _mutated(rng, base)):
+            texts += 1
+            field = make_field(specs[n % len(specs)])
+            for ctx in (None, {"vars": {"x", "y"}, "field": field}):
+                old, old_value = _read(read_formula, text, ctx)
+                new, new_value = _read(parse, text, ctx)
+                assert new != "crash", (text, new_value)
+                if old == new == "ok":
+                    assert new_value == old_value, text
+                    counts["identical"] += 1
+                elif old == "ok":
+                    assert _starts_with_non_decimal_digit(old_value), text
+                    counts["newly refused"] += 1
+                elif new == "ok":
+                    assert old == "refused"
+                    assert _has_inner_unary_minus(text), text
+                    counts["newly accepted"] += 1
+                else:
+                    counts[f"{old}, still refused"] += 1
+    assert texts == 4000
+    assert counts["identical"] >= 1000, counts
+    assert counts["newly accepted"] and counts["newly refused"], counts
+    assert counts["crash, still refused"], counts

@@ -4,7 +4,7 @@ import pytest
 
 from charpk.errors import CharpkError, PreconditionError
 from charpk.fields import iter_gf_elements, make_field
-from charpk.groups import (FieldAction, FiniteGroup, _embed_into,
+from charpk.groups import (FieldAction, FiniteGroup,
                            alg_strongly_pac_probe, check_galois_data,
                            code_finite_set, finite_set_k_irreducible,
                            galois_group, invariants, is_faithful)
@@ -39,8 +39,8 @@ def test_galois_embeddings_use_the_subfield_modulus():
     F, L = make_field("GF(3,2,a^2+a+2)"), make_field("GF(3,4)")
     a = F.generator()
     _, autos, embed = galois_group(L, F)
-    for image in (embed(a), _embed_into(a, F, L)):
-        assert (image * image + image + 2).is_zero()
+    image = embed(a)
+    assert (image * image + image + 2).is_zero()
     for x in iter_gf_elements(F):
         for s in autos:
             assert s(embed(x)) == embed(x)

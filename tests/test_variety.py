@@ -264,6 +264,23 @@ def test_ppower_without_rational_model():
     assert v.status == "root" and v.value ** 3 == f
 
 
+@pytest.mark.parametrize("spec", ["GF(7,1)", "GF(3,2)"])
+def test_ppower_over_a_perfect_field_without_rational_model(spec):
+    """Over a finite K the ansatz solves sum c_j^p cols_j = rhs directly
+    and takes p-th roots of the solution."""
+    V = _curve(spec, "x^2 + y^2 - 1")
+    assert function_field_model(V) is None
+    p = V.field.p
+    for text, root in [(f"x^{p}", "x"), (f"(x + y)^{p}", "x + y"),
+                       (f"x^{p}*y^{p} + 1", "x*y + 1")]:
+        f = V.function_field_elem(text)
+        v = ppower_test(f)
+        assert v.status == "root"
+        assert v.value == V.function_field_elem(root)
+        assert v.value ** p == f
+    assert ppower_test(V.function_field_elem("x")).status == "absent"
+
+
 def test_ppower_ansatz_caps_the_p_component_rows(monkeypatch):
     """The ansatz over F_3(t) needs 3^1 rows per equation: past a cap of
     2 it refuses before building them."""
