@@ -261,7 +261,7 @@ def _scf_audit(phi, structure, res, V, rows, nsamples):
     import itertools
 
     from .differential import scalar_hom
-    from .formula import eval_formula
+    from .formula import eval_formula, formula_variables
 
     K = structure["field"]
     frozen = _constant_tvars(phi, K)
@@ -303,40 +303,24 @@ def _scf_audit(phi, structure, res, V, rows, nsamples):
                 break
         if not ok_rows:
             continue
-        assignment = {v: values[v] for v in formula_vars(phi)}
+        assignment = {v: values[v] for v in formula_variables(phi)}
         if not eval_formula(phi, structure, assignment):
             raise CharpkError(
                 "reduction audit failed: a p-independent point of the "
                 "locus does not satisfy the formula")
 
 
-def formula_vars(phi):
-    from .formula import formula_variables
-    return formula_variables(phi)
-
-
 def _constant_tvars(phi, K):
     """Transcendentals appearing in the formula's constants; these are
     parameters and must stay fixed under audit substitutions."""
-    from .formula import Atom, Const, _term_children
+    from .formula import Const, _fold
     used = set()
 
-    def walk_term(t):
-        if isinstance(t, Const) and t.value.field.kind == "ratfunc":
-            for poly in t.value.value:
+    def leave(node, values):
+        if isinstance(node, Const) and node.value.field.kind == "ratfunc":
+            for poly in node.value.value:
                 used.update(poly.variables_used())
-        for c in _term_children(t):
-            walk_term(c)
-
-    def walk(f):
-        if isinstance(f, Atom):
-            walk_term(f.term)
-        else:
-            for attr in ("sub", "left", "right"):
-                g = getattr(f, attr, None)
-                if g is not None:
-                    walk(g)
-    walk(phi)
+    _fold(phi, leave)
     return used
 
 

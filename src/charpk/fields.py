@@ -896,14 +896,22 @@ def _parse_gf_modulus(text, p):
 _SPACES = re.compile(r"\s*")
 _WORD = re.compile(r"\w*")
 
+# Deepest parenthesis nesting any reader takes.  Each level costs the
+# recursive descent up to eight stack frames (`lam(` in a formula), so at
+# this depth a reader stays under 550 frames, well inside Python's
+# default recursion limit of 1000.
+MAX_NESTING = 64
+
 
 class _Parser:
     """Recursive descent over + - * / ^, parentheses, integer literals and
     names: the one text grammar of scalars, polynomials, GF(p^k) moduli
     and formula terms.  A leading minus negates the first term of a sum,
-    any other unary minus the factor after it.  Subclasses build the
-    values: `number`, `symbol`, `divide` and `exponent`; `what` and
-    `error` name the input in error messages."""
+    any other unary minus the factor after it; a chain of minuses is
+    read by a loop.  Parentheses nest at most MAX_NESTING deep.
+    Subclasses build the values: `number`, `symbol`, `divide`, `power`
+    and `exponent`; `what` and `error` name the input in error
+    messages."""
 
     what, error = "scalar literal", FieldError
     chained_powers = False
@@ -912,6 +920,7 @@ class _Parser:
         self.text = text
         self.end = len(text)
         self.pos = 0
+        self.depth = 0
         self.target = target
 
     def parse(self):
@@ -972,25 +981,40 @@ class _Parser:
                 return v
 
     def factor(self):
-        if self.peek() == "-":
+        minuses = 0
+        while self.peek() == "-":
             self.pos += 1
-            return -self.factor()
+            minuses += 1
         v = self.atom()
         while self.peek() == "^":
             self.pos += 1
             n = self.exponent()
             if n < 0 and v.is_zero():
                 raise self.error(f"division by zero in {self.text!r}")
-            v = v ** n
+            v = self.power(v, n)
             if not self.chained_powers:
                 break
+        for _ in range(minuses):
+            v = -v
         return v
+
+    def inside(self, read):
+        """read() one parenthesis deeper; nesting past MAX_NESTING is
+        refused."""
+        if self.depth == MAX_NESTING:
+            raise self.error(f"{self.what} nests parentheses deeper than "
+                             f"{MAX_NESTING}")
+        self.depth += 1
+        try:
+            return read()
+        finally:
+            self.depth -= 1
 
     def atom(self):
         ch = self.peek()
         if ch == "(":
             self.pos += 1
-            v = self.expr()
+            v = self.inside(self.expr)
             if self.peek() != ")":
                 raise self.error(f"unbalanced parentheses in {self.text!r}")
             self.pos += 1
@@ -1032,6 +1056,9 @@ class _Parser:
 
     def divide(self, v, d):
         return v / d
+
+    def power(self, v, n):
+        return v ** n
 
     def exponent(self):
         return self.integer(signed=True)

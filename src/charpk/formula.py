@@ -4,11 +4,15 @@ Term constructors: constants, variables, + - *, D(.), l0(.) (the inverse
 of Frobenius extended by zero), lam(i,e; b..; c) (the multivariable
 lambda-functions) and s[g](.) (automorphism application).  A language
 tag restricts the allowed constructors.  Formulas are boolean
-combinations of atoms `term = 0`, held in negation normal form; the
-canonical printer is fully parenthesized and parse(print(x)) == x.
-Terms are read by the grammar that scalars and polynomials share
-(`fields._Parser`), with unsigned exponents and `/` between constants
-only.
+combinations of atoms `term = 0`, held in negation normal form.  Every
+walker folds over one explicit-stack traversal, `_fold`, so the depth of
+a tree never matters.  Terms are read by the grammar that scalars and
+polynomials share (`fields._Parser`), with unsigned exponents and `/`
+between constants only; powers may add at most `polys.MAX_TERM_NODES`
+nodes and parentheses nest at most `fields.MAX_NESTING` deep.  The
+printer is fully parenthesized, and parse(print(x)) evaluates as x when
+print(x) nests no deeper; a constant printed as an expression (`2*t`)
+reads back as that expression.
 
 Two syntactic engines operate on these:
 
@@ -26,11 +30,13 @@ Two syntactic engines operate on these:
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Tuple
 
-from . import fields, lambdafn
-from .errors import FieldError, FormulaError, PreconditionError
+from . import fields, lambdafn, polys
+from .errors import (FieldError, FormulaError, PreconditionError,
+                     ResourceExhausted)
 from .fields import (FieldDescriptor, FieldScalar, is_pth_power, lambda0,
                      pth_root)
 
@@ -175,134 +181,171 @@ LANGUAGES = {
 }
 
 
+# ---------------------------------------------------------------------------
+# the one traversal
+# ---------------------------------------------------------------------------
+
+def _children(node):
+    """The direct subterms and subformulas of a node, left to right."""
+    if isinstance(node, (Add, Sub, Mul, AndF, OrF)):
+        return (node.left, node.right)
+    if isinstance(node, (DOp, Lambda0, Sigma)):
+        return (node.arg,)
+    if isinstance(node, Lam):
+        return node.basis + (node.arg,)
+    if isinstance(node, Atom):
+        return (node.term,)
+    if isinstance(node, NotF):
+        return (node.sub,)
+    return ()
+
+
+def _fold(root, leave, children=_children):
+    """The fold of the tree under `root`: leave(node, values) for every
+    node, children before their parent, `values` holding the children's
+    folds in order.  The stack is explicit, so the depth of the tree
+    never matters.  Entering a node calls children(node), after the
+    node's left siblings are folded, and its items are entered one at a
+    time, left to right, so a lazy iterable may choose later children by
+    what was folded before."""
+    stack = [(root, iter(children(root)), [])]
+    while True:
+        node, kids, values = stack[-1]
+        kid = next(kids, None)
+        if kid is not None:
+            stack.append((kid, iter(children(kid)), []))
+            continue
+        stack.pop()
+        value = leave(node, values)
+        if not stack:
+            return value
+        stack[-1][2].append(value)
+
+
+def _connectives(node):
+    """The children of a connective: walks that stop at atoms."""
+    return () if isinstance(node, Atom) else _children(node)
+
+
 def check_language(node, tag: str):
     allowed = LANGUAGES.get(tag)
     if allowed is None:
         raise FormulaError(f"unknown language tag {tag!r}")
 
-    def walk_term(t):
-        if not isinstance(t, allowed):
-            raise FormulaError(
-                f"constructor {type(t).__name__} is not part of "
-                f"the {tag!r} language")
-        for child in _term_children(t):
-            walk_term(child)
+    def refuse(n):
+        return FormulaError(f"constructor {type(n).__name__} is not part "
+                            f"of the {tag!r} language")
 
-    def walk_formula(f):
-        if isinstance(f, Atom):
-            walk_term(f.term)
-        elif isinstance(f, NotF):
-            walk_formula(f.sub)
-        elif isinstance(f, (AndF, OrF)):
-            walk_formula(f.left)
-            walk_formula(f.right)
-        else:
-            raise FormulaError("not a formula node")
+    def enter(n):
+        kids = _children(n)
+        connective = isinstance(n, (NotF, AndF, OrF))
+        if not (connective or isinstance(n, (Atom,) + allowed)):
+            raise refuse(n)
+        for k in kids:
+            if isinstance(k, Formula) != connective:
+                raise (FormulaError("not a formula node") if connective
+                       else refuse(k))
+        return kids
 
-    if isinstance(node, Formula):
-        walk_formula(node)
-    else:
-        walk_term(node)
+    _fold(node, lambda n, values: None, enter)
     return node
 
 
-def _term_children(t):
-    if isinstance(t, (Add, Sub, Mul)):
-        return (t.left, t.right)
-    if isinstance(t, (DOp, Lambda0, Sigma)):
-        return (t.arg,)
-    if isinstance(t, Lam):
-        return t.basis + (t.arg,)
-    return ()
+def term_variables(node):
+    """The names of the variables in a term or formula."""
+    names = set()
+
+    def leave(n, values):
+        if isinstance(n, Var):
+            names.add(n.name)
+    _fold(node, leave)
+    return names
 
 
-def term_variables(t):
-    out = set()
-
-    def walk(u):
-        if isinstance(u, Var):
-            out.add(u.name)
-        for c in _term_children(u):
-            walk(c)
-    walk(t)
-    return out
+formula_variables = term_variables
 
 
-def formula_variables(f):
-    out = set()
+# ---------------------------------------------------------------------------
+# canonical printing (fully parenthesized)
+# ---------------------------------------------------------------------------
 
-    def walk(g):
-        if isinstance(g, Atom):
-            out.update(term_variables(g.term))
-        elif isinstance(g, NotF):
-            walk(g.sub)
+_FORMATS = {Add: "({} + {})", Sub: "({} - {})", Mul: "({} * {})",
+            DOp: "D({})", Lambda0: "l0({})", Atom: "{} = 0",
+            NotF: "!({})", AndF: "({} & {})", OrF: "({} | {})"}
+
+
+def _layout(node):
+    """node's text as literal strings around its children, left to
+    right."""
+    if isinstance(node, str):
+        return ()
+    fmt = _FORMATS.get(type(node))
+    if fmt is None:
+        if isinstance(node, IntConst):
+            return (str(node.value),)
+        if isinstance(node, Const):
+            return (_const_text(node.value),)
+        if isinstance(node, Var):
+            return (node.name,)
+        if isinstance(node, Lam):
+            fmt = (f"lam({node.index},{node.arity}; "
+                   + ", ".join(["{}"] * len(node.basis)) + "; {})")
+        elif isinstance(node, Sigma):
+            fmt = f"s[{node.element}]({{}})"
         else:
-            walk(g.left)
-            walk(g.right)
-    walk(f)
-    return out
+            raise FormulaError("unknown term node")
+    pieces = fmt.split("{}")
+    return [x for pair in zip(pieces, _children(node)) for x in pair] + [
+        pieces[-1]]
 
 
-# ---------------------------------------------------------------------------
-# canonical printing (fully parenthesized; parse o print = identity)
-# ---------------------------------------------------------------------------
+def _const_text(c):
+    """A constant's value as text that reads back as a term of that
+    value.  Over F_p(t..) a monomial denominator (monic, as every
+    denominator is) is spelt as divisions by names, the one quotient the
+    reader folds into a constant; no text makes any other denominator,
+    and such a constant does not read back."""
+    s = str(c)
+    num, den = c.value if c.field.kind == "ratfunc" else (None, None)
+    if den is not None and not den.is_constant() and len(den.terms) == 1:
+        exps, = den.terms
+        chain = "".join(f"/{name}" * e
+                        for name, e in zip(c.field.tvars, exps))
+        top = fields._ratpoly_str(num, c.field)
+        s = (top + chain if fields._WORD.fullmatch(top)
+             else f"({top})*(1{chain})")
+    return f"({s})" if any(ch in s for ch in "+-*/ ") else s
 
-def print_term(t: Term) -> str:
-    if isinstance(t, IntConst):
-        return str(t.value)
-    if isinstance(t, Const):
-        s = str(t.value)
-        return f"({s})" if any(ch in s for ch in "+-*/ ") else s
-    if isinstance(t, Var):
-        return t.name
-    if isinstance(t, Add):
-        return f"({print_term(t.left)} + {print_term(t.right)})"
-    if isinstance(t, Sub):
-        return f"({print_term(t.left)} - {print_term(t.right)})"
-    if isinstance(t, Mul):
-        return f"({print_term(t.left)} * {print_term(t.right)})"
-    if isinstance(t, DOp):
-        return f"D({print_term(t.arg)})"
-    if isinstance(t, Lambda0):
-        return f"l0({print_term(t.arg)})"
-    if isinstance(t, Lam):
-        bs = ", ".join(print_term(b) for b in t.basis)
-        return f"lam({t.index},{t.arity}; {bs}; {print_term(t.arg)})"
-    if isinstance(t, Sigma):
-        return f"s[{t.element}]({print_term(t.arg)})"
-    raise FormulaError("unknown term node")
+
+def print_term(node) -> str:
+    """The canonical text of a term, or of a formula as it stands."""
+    out = []
+
+    def leave(n, values):
+        if isinstance(n, str):
+            out.append(n)
+    _fold(node, leave, _layout)
+    return "".join(out)
 
 
 def print_formula(f: Formula) -> str:
-    f = to_nnf(f)
-
-    def walk(g):
-        if isinstance(g, Atom):
-            return f"{print_term(g.term)} = 0"
-        if isinstance(g, NotF):
-            return f"!({walk(g.sub)})"
-        if isinstance(g, AndF):
-            return f"({walk(g.left)} & {walk(g.right)})"
-        if isinstance(g, OrF):
-            return f"({walk(g.left)} | {walk(g.right)})"
-        raise FormulaError("unknown formula node")
-    return walk(f)
+    return print_term(to_nnf(f))
 
 
 def to_nnf(f: Formula) -> Formula:
-    def walk(g, neg):
+    """Negations pushed down to the atoms (each atom kept as it is)."""
+    def leave(g, values):
+        """g and its negation, both in negation normal form."""
         if isinstance(g, Atom):
-            return NotF(g) if neg else g
+            return g, NotF(g)
         if isinstance(g, NotF):
-            return walk(g.sub, not neg)
-        if isinstance(g, AndF):
-            cls = OrF if neg else AndF
-            return cls(walk(g.left, neg), walk(g.right, neg))
-        if isinstance(g, OrF):
-            cls = AndF if neg else OrF
-            return cls(walk(g.left, neg), walk(g.right, neg))
+            return values[0][::-1]
+        if isinstance(g, (AndF, OrF)):
+            (lp, ln), (rp, rn) = values
+            dual = OrF if isinstance(g, AndF) else AndF
+            return type(g)(lp, rp), dual(ln, rn)
         raise FormulaError("unknown formula node")
-    return walk(f, False)
+    return _fold(f, leave, _connectives)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -316,6 +359,7 @@ class _Parser(fields._Parser):
     `target` is the context {vars, field}."""
 
     what, error = "formula", FormulaError
+    grown = 0   # term nodes the powers read so far added
 
     def parse(self):
         node = self.formula() if "=" in self.text else self.expr()
@@ -353,14 +397,14 @@ class _Parser(fields._Parser):
         if self.peek() == "(":
             # disambiguate "(formula)" from a parenthesized term by
             # backtracking
-            save = self.pos
+            save = self.pos, self.grown
             try:
                 f = self.argument(self.formula)
                 if self.peek() in ("=", "+", "-", "*", "^"):
                     raise FormulaError("term context")
                 return f
             except FormulaError:
-                self.pos = save
+                self.pos, self.grown = save
         left = self.expr()
         self.eat("=")
         right = self.expr()
@@ -370,7 +414,7 @@ class _Parser(fields._Parser):
 
     def argument(self, read):
         self.eat("(")
-        node = read()
+        node = self.inside(read)
         self.eat(")")
         return node
 
@@ -437,6 +481,18 @@ class _Parser(fields._Parser):
             raise FormulaError(f"division by zero in {self.text!r}")
         return Const(num / den)
 
+    def power(self, v, n):
+        """v ** n, refused before it is built when the powers of the text
+        would add more than polys.MAX_TERM_NODES term nodes."""
+        if n > 1:
+            size = _fold(v, lambda node, sizes: 1 + sum(sizes))
+            self.grown += (n - 1) * (size + 1)
+            if self.grown > polys.MAX_TERM_NODES:
+                raise ResourceExhausted(
+                    f"formula powers expand past {polys.MAX_TERM_NODES} "
+                    "term nodes")
+        return v ** n
+
     def natural(self):
         self.skip()
         return self.integer(
@@ -455,59 +511,71 @@ def parse(text: str, tag: str = "full", context=None):
 # evaluation
 # ---------------------------------------------------------------------------
 
-def eval_term(t: Term, structure, assignment):
+_ARITHMETIC = {Add: operator.add, Sub: operator.sub, Mul: operator.mul}
+
+
+def eval_term(node, structure, assignment):
+    """The value of a term, or the truth of a formula; the right operand
+    of & and | is not evaluated once the left one decides."""
     field = structure["field"]
-    if isinstance(t, IntConst):
-        return field.from_int(t.value)
-    if isinstance(t, Const):
-        if t.value.field != field:
-            raise FieldError("constant from another field")
-        return t.value
-    if isinstance(t, Var):
-        if t.name not in assignment:
-            raise FormulaError(f"unassigned variable {t.name!r}")
-        return assignment[t.name]
-    if isinstance(t, Add):
-        return (eval_term(t.left, structure, assignment)
-                + eval_term(t.right, structure, assignment))
-    if isinstance(t, Sub):
-        return (eval_term(t.left, structure, assignment)
-                - eval_term(t.right, structure, assignment))
-    if isinstance(t, Mul):
-        return (eval_term(t.left, structure, assignment)
-                * eval_term(t.right, structure, assignment))
-    if isinstance(t, DOp):
-        from .differential import derive
-        D = structure.get("derivation")
-        if D is None:
+    D = structure.get("derivation")
+    sigmas = structure.get("sigmas")
+    last = None     # the value folded last
+
+    def operands(g):
+        yield g.left
+        if last == isinstance(g, AndF):
+            yield g.right
+
+    def enter(u):
+        if isinstance(u, (AndF, OrF)):
+            return operands(u)
+        if isinstance(u, DOp) and D is None:
             raise FormulaError("the structure carries no derivation")
-        return derive(eval_term(t.arg, structure, assignment), D)
-    if isinstance(t, Lambda0):
-        return lambda0(eval_term(t.arg, structure, assignment))
-    if isinstance(t, Lam):
-        bs = [eval_term(b, structure, assignment) for b in t.basis]
-        c = eval_term(t.arg, structure, assignment)
-        return lambdafn.lambda_multi(t.index, t.arity, bs, c)
-    if isinstance(t, Sigma):
-        sigmas = structure.get("sigmas")
-        if sigmas is None or t.element not in sigmas:
-            raise FormulaError(f"no automorphism named {t.element!r}")
-        return sigmas[t.element](eval_term(t.arg, structure, assignment))
-    raise FormulaError("unknown term node")
+        if isinstance(u, Sigma) and (sigmas is None
+                                     or u.element not in sigmas):
+            raise FormulaError(f"no automorphism named {u.element!r}")
+        return _children(u)
+
+    def leave(u, values):
+        nonlocal last
+        op = _ARITHMETIC.get(type(u))
+        if op is not None:
+            last = op(*values)
+        elif isinstance(u, IntConst):
+            last = field.from_int(u.value)
+        elif isinstance(u, Const):
+            if u.value.field != field:
+                raise FieldError("constant from another field")
+            last = u.value
+        elif isinstance(u, Var):
+            if u.name not in assignment:
+                raise FormulaError(f"unassigned variable {u.name!r}")
+            last = assignment[u.name]
+        elif isinstance(u, DOp):
+            from .differential import derive
+            last = derive(values[0], D)
+        elif isinstance(u, Lambda0):
+            last = lambda0(values[0])
+        elif isinstance(u, Lam):
+            last = lambdafn.lambda_multi(u.index, u.arity, values[:-1],
+                                         values[-1])
+        elif isinstance(u, Sigma):
+            last = sigmas[u.element](values[0])
+        elif isinstance(u, Atom):
+            last = values[0].is_zero()
+        elif isinstance(u, NotF):
+            last = not values[0]
+        elif isinstance(u, (AndF, OrF)):
+            last = values[-1]
+        else:
+            raise FormulaError("unknown term node")
+        return last
+
+    return _fold(node, leave, enter)
 
 
-def eval_formula(f: Formula, structure, assignment) -> bool:
-    if isinstance(f, Atom):
-        return eval_term(f.term, structure, assignment).is_zero()
-    if isinstance(f, NotF):
-        return not eval_formula(f.sub, structure, assignment)
-    if isinstance(f, AndF):
-        return (eval_formula(f.left, structure, assignment)
-                and eval_formula(f.right, structure, assignment))
-    if isinstance(f, OrF):
-        return (eval_formula(f.left, structure, assignment)
-                or eval_formula(f.right, structure, assignment))
-    raise FormulaError("unknown formula node")
+eval_formula = eval_term
 
 
 # ---------------------------------------------------------------------------
@@ -550,87 +618,72 @@ def unravel_lambda_terms(phi: Formula, structure, witness) -> UnravelResult:
     def value_of(term):
         return eval_term(term, structure, env)
 
-    def rewrite_term(t):
-        if isinstance(t, Lam):
-            basis = [rewrite_term(b) for b in t.basis]
-            arg = rewrite_term(t.arg)
-            bvals = [value_of(b) for b in basis]
-            cval = value_of(arg)
-            sol = lambdafn.lambda_solve(t.arity, bvals, cval)
-            if sol is None:
-                trace.append({"kind": "lam", "case": "degenerate",
-                              "index": t.index, "arity": t.arity})
-                return IntConst(0)
-            counter["lam"] += 1
-            block = counter["lam"]
-            fresh = [f"lm{block}_{j+1}" for j in range(len(sol))]
-            for nm, v in zip(fresh, sol):
-                env[nm] = v
-                names.append(nm)
-            # defining relation: c = sum_j lam_j^p m_j(basis)
-            p = field.p
-            acc = None
-            for j, exps in enumerate(
-                    lambdafn.monomial_exponents(p, t.arity)):
-                piece = Var(fresh[j])
-                for _ in range(p - 1):
-                    piece = Mul(piece, Var(fresh[j]))
-                for b, i in zip(basis, exps):
-                    for _ in range(i):
-                        piece = Mul(piece, b)
-                acc = piece if acc is None else Add(acc, piece)
-            conditions.append(Sub(arg, acc))
-            trace.append({"kind": "lam", "case": "solved",
-                          "index": t.index, "arity": t.arity,
-                          "fresh": fresh})
-            return Var(fresh[t.index - 1])
-        children = _term_children(t)
-        if not children:
-            return t
-        if isinstance(t, (Add, Sub, Mul)):
-            cls = type(t)
-            return cls(rewrite_term(t.left), rewrite_term(t.right))
-        raise FormulaError(
-            f"{type(t).__name__} is outside the lambda language")
+    def enter(g):
+        if isinstance(g, NotF) and not isinstance(g.sub, Atom):
+            raise FormulaError("negation normal form violated")
+        if isinstance(g, (Atom, NotF)):
+            if not eval_formula(g, structure, env):
+                raise FormulaError("the witness does not satisfy the "
+                                   "chosen branch")
+            return (g.term if isinstance(g, Atom) else g.sub.term,)
+        if isinstance(g, OrF):
+            for branch in (g.left, g.right):
+                if eval_formula(branch, structure, env):
+                    trace.append({"kind": "disjunct",
+                                  "chosen": print_formula(branch)})
+                    return (branch,)
+            raise FormulaError("the witness satisfies no disjunct")
+        if not isinstance(g, (AndF, Lam, Add, Sub, Mul)) and _children(g):
+            raise FormulaError(
+                f"{type(g).__name__} is outside the lambda language")
+        return _children(g)
 
-    def handle(f):
-        if isinstance(f, Atom):
-            if not eval_formula(f, structure, env):
-                raise FormulaError("the witness does not satisfy the "
-                                   "chosen branch")
-            conditions.append(rewrite_term(f.term))
-            return
-        if isinstance(f, NotF):
-            inner = f.sub
-            if not isinstance(inner, Atom):
-                raise FormulaError("negation normal form violated")
-            val = eval_term(inner.term, structure, env)
-            if val.is_zero():
-                raise FormulaError("the witness does not satisfy the "
-                                   "chosen branch")
-            t = rewrite_term(inner.term)
+    def leave(g, values):
+        if isinstance(g, (Add, Sub, Mul)):
+            return type(g)(*values)
+        if isinstance(g, Lam):
+            return solve(g, values[:-1], values[-1])
+        if isinstance(g, Atom):
+            conditions.append(values[0])
+        elif isinstance(g, NotF):
+            t = values[0]
             counter["inv"] += 1
             aux = f"inv{counter['inv']}"
             env[aux] = field.one() / value_of(t)
             names.append(aux)
             conditions.append(Sub(Mul(t, Var(aux)), IntConst(1)))
             trace.append({"kind": "negation", "aux": aux})
-            return
-        if isinstance(f, AndF):
-            handle(f.left)
-            handle(f.right)
-            return
-        if isinstance(f, OrF):
-            for branch in (f.left, f.right):
-                if eval_formula(branch, structure, env):
-                    trace.append({"kind": "disjunct",
-                                  "chosen": print_formula(branch)})
-                    handle(branch)
-                    return
-            raise FormulaError("the witness satisfies no disjunct")
-        raise FormulaError("unknown formula node")
+        elif not isinstance(g, (AndF, OrF)):
+            return g
 
-    handle(phi)
+    def solve(t, basis, arg):
+        sol = lambdafn.lambda_solve(t.arity, [value_of(b) for b in basis],
+                                    value_of(arg))
+        if sol is None:
+            trace.append({"kind": "lam", "case": "degenerate",
+                          "index": t.index, "arity": t.arity})
+            return IntConst(0)
+        counter["lam"] += 1
+        fresh = [f"lm{counter['lam']}_{j+1}" for j in range(len(sol))]
+        for nm, v in zip(fresh, sol):
+            env[nm] = v
+            names.append(nm)
+        # defining relation: c = sum_j lam_j^p m_j(basis)
+        acc = None
+        for j, exps in enumerate(
+                lambdafn.monomial_exponents(field.p, t.arity)):
+            piece = Var(fresh[j]) ** field.p
+            for b, i in zip(basis, exps):
+                for _ in range(i):
+                    piece = Mul(piece, b)
+            acc = piece if acc is None else Add(acc, piece)
+        conditions.append(Sub(arg, acc))
+        trace.append({"kind": "lam", "case": "solved",
+                      "index": t.index, "arity": t.arity,
+                      "fresh": fresh})
+        return Var(fresh[t.index - 1])
+
+    _fold(phi, leave, enter)
     # every condition must vanish at the extended witness
     for c in conditions:
         if not eval_term(c, structure, env).is_zero():
@@ -642,44 +695,42 @@ def unravel_lambda_terms(phi: Formula, structure, witness) -> UnravelResult:
 # the lambda0/D correction rewriter
 # ---------------------------------------------------------------------------
 
-def simplify_term(t: Term) -> Term:
-    """Local arithmetic cleanups only; never merges D across sums."""
-    if isinstance(t, (Add, Sub, Mul)):
-        a = simplify_term(t.left)
-        b = simplify_term(t.right)
-        if isinstance(t, Add):
-            if a.is_zero():
-                return b
-            if b.is_zero():
-                return a
-            return Add(a, b)
-        if isinstance(t, Sub):
-            if b.is_zero():
-                return a
-            return Sub(a, b)
+def _simplified(t, values):
+    """t over its already simplified children `values`, with the local
+    arithmetic cleanups at t itself."""
+    if isinstance(t, Add):
+        a, b = values
+        if a.is_zero():
+            return b
+        return a if b.is_zero() else Add(a, b)
+    if isinstance(t, Sub):
+        a, b = values
+        return a if b.is_zero() else Sub(a, b)
+    if isinstance(t, Mul):
+        a, b = values
         if a.is_zero() or b.is_zero():
             return IntConst(0)
         if _is_one_term(a):
             return b
-        if _is_one_term(b):
-            return a
-        return Mul(a, b)
+        return a if _is_one_term(b) else Mul(a, b)
     if isinstance(t, DOp):
-        a = simplify_term(t.arg)
-        if isinstance(a, IntConst):
-            return IntConst(0)
-        if isinstance(a, Const) and a.value.field.kind == "gf":
+        a, = values
+        if isinstance(a, IntConst) or (
+                isinstance(a, Const) and a.value.field.kind == "gf"):
             return IntConst(0)
         return DOp(a)
     if isinstance(t, Lambda0):
-        return Lambda0(simplify_term(t.arg))
+        return Lambda0(*values)
     if isinstance(t, Lam):
-        return Lam(t.index, t.arity,
-                   tuple(simplify_term(b) for b in t.basis),
-                   simplify_term(t.arg))
+        return Lam(t.index, t.arity, tuple(values[:-1]), values[-1])
     if isinstance(t, Sigma):
-        return Sigma(t.element, simplify_term(t.arg))
+        return Sigma(t.element, *values)
     return t
+
+
+def simplify_term(t: Term) -> Term:
+    """Local arithmetic cleanups only; never merges D across sums."""
+    return _fold(t, _simplified)
 
 
 def _is_one_term(t):
@@ -710,8 +761,9 @@ def correct_lambda0_D(phi: Formula, structure=None, witness=None,
     differential field, or an explicit `cases` list assigning, per l0
     occurrence in traversal order (innermost first, left to right), one
     of "power" / "zero" / "nonpower"."""
-    phi = to_nnf(phi)
-    if _contains_negation(phi):
+    phi = check_language(to_nnf(phi), "lambda0_D")
+    if _fold(phi, lambda g, values: isinstance(g, NotF) or any(values),
+             _connectives):
         raise FormulaError("negated equalities must be eliminated before "
                            "the correction")
     if (structure is None or witness is None) and cases is None:
@@ -722,88 +774,59 @@ def correct_lambda0_D(phi: Formula, structure=None, witness=None,
     fixed_terms = []
     trace = []
     fresh = []
-    state = {"count": 0, "occurrence": 0}
+    state = {"occurrence": 0}
     nonzero_args = []
 
-    def decide(term, value):
-        if cases is not None:
-            idx = state["occurrence"]
-            if idx >= len(cases):
-                raise FormulaError("explicit case assignment too short")
-            return cases[idx]
-        if value.is_zero():
-            return "zero"
-        if is_pth_power(value):
-            return "power"
-        return "nonpower"
-
-    def rw(t):
-        children = _term_children(t)
+    def leave(t, values):
         if isinstance(t, Lambda0):
-            arg = rw(t.arg)
-            value = (eval_term(arg, structure, env)
-                     if structure is not None and witness is not None
-                     else None)
-            case = decide(arg, value)
-            state["occurrence"] += 1
-            if case == "power":
-                state["count"] += 1
-                y = f"y{state['count']}"
-                fresh.append(y)
-                p_power = Var(y)
-                # y^p as an explicit product
-                if structure is None:
-                    raise FormulaError(
-                        "explicit-case rewriting needs a structure to fix "
-                        "the characteristic; pass structure= as well")
-                p = structure["field"].p
-                for _ in range(p - 1):
-                    p_power = Mul(p_power, Var(y))
-                defining.append(Atom(Sub(p_power, arg)))
-                nonzero_args.append((arg, y))
-                if value is not None:
-                    env[y] = pth_root(value)
-                trace.append({"occurrence": state["occurrence"],
-                              "argument": print_term(arg),
-                              "case": "nonzero p-th power",
-                              "fresh": y})
-                return Var(y)
-            if case == "zero":
-                trace.append({"occurrence": state["occurrence"],
-                              "argument": print_term(arg),
-                              "case": "argument is zero",
-                              "note": "no fixed term recorded; the "
-                                      "bookkeeping for identically-zero "
-                                      "arguments is flagged, not decided"})
-                return IntConst(0)
-            if case == "nonpower":
-                fixed_terms.append(arg)
-                trace.append({"occurrence": state["occurrence"],
-                              "argument": print_term(arg),
-                              "case": "nonzero non-p-th power",
-                              "fixed_term": print_term(arg)})
-                return IntConst(0)
-            raise FormulaError(f"unknown case label {case!r}")
-        if not children:
-            return t
-        if isinstance(t, (Add, Sub, Mul)):
-            return simplify_term(type(t)(rw(t.left), rw(t.right)))
-        if isinstance(t, DOp):
-            return simplify_term(DOp(rw(t.arg)))
-        raise FormulaError(
-            f"{type(t).__name__} is outside the lambda0-D language")
+            return replace(values[0])
+        if isinstance(t, (Atom, AndF, OrF)):
+            return type(t)(*values)
+        return _simplified(t, values)
 
-    def rw_formula(f):
-        if isinstance(f, Atom):
-            return Atom(simplify_term(rw(f.term)))
-        if isinstance(f, AndF):
-            return AndF(rw_formula(f.left), rw_formula(f.right))
-        if isinstance(f, OrF):
-            return OrF(rw_formula(f.left), rw_formula(f.right))
-        raise FormulaError("unknown formula node")
+    def replace(arg):
+        """The term that takes the place of l0(arg)."""
+        value = (eval_term(arg, structure, env)
+                 if structure is not None and witness is not None
+                 else None)
+        if cases is None:
+            case = ("zero" if value.is_zero() else
+                    "power" if is_pth_power(value) else "nonpower")
+        elif state["occurrence"] < len(cases):
+            case = cases[state["occurrence"]]
+        else:
+            raise FormulaError("explicit case assignment too short")
+        state["occurrence"] += 1
+        entry = {"occurrence": state["occurrence"],
+                 "argument": print_term(arg)}
+        if case == "power":
+            y = f"y{len(fresh) + 1}"
+            fresh.append(y)
+            if structure is None:
+                raise FormulaError(
+                    "explicit-case rewriting needs a structure to fix "
+                    "the characteristic; pass structure= as well")
+            defining.append(Atom(Sub(Var(y) ** structure["field"].p, arg)))
+            nonzero_args.append((arg, y))
+            if value is not None:
+                env[y] = pth_root(value)
+            trace.append({**entry, "case": "nonzero p-th power",
+                          "fresh": y})
+            return Var(y)
+        if case == "zero":
+            trace.append({**entry, "case": "argument is zero",
+                          "note": "no fixed term recorded; the "
+                                  "bookkeeping for identically-zero "
+                                  "arguments is flagged, not decided"})
+            return IntConst(0)
+        if case == "nonpower":
+            fixed_terms.append(arg)
+            trace.append({**entry, "case": "nonzero non-p-th power",
+                          "fixed_term": entry["argument"]})
+            return IntConst(0)
+        raise FormulaError(f"unknown case label {case!r}")
 
-    core = rw_formula(phi)
-    out = core
+    out = _fold(phi, leave)
     for d in reversed(defining):
         out = AndF(d, out)
     _check_assignment_consistency(out, nonzero_args, fixed_terms)
@@ -811,28 +834,16 @@ def correct_lambda0_D(phi: Formula, structure=None, witness=None,
     return CorrectionResult(out, fixed_terms, trace, fresh, extended)
 
 
-def _contains_negation(f):
-    if isinstance(f, Atom):
-        return False
-    if isinstance(f, NotF):
-        return True
-    return _contains_negation(f.left) or _contains_negation(f.right)
-
-
-def _conjunct_atoms(f, out):
-    if isinstance(f, Atom):
-        out.append(f.term)
-    elif isinstance(f, AndF):
-        _conjunct_atoms(f.left, out)
-        _conjunct_atoms(f.right, out)
-
-
 def _check_assignment_consistency(formula, nonzero_args, fixed_terms):
     """An argument assigned a nonzero case cannot be forced to vanish by
     the rewritten formula (the inconsistent-branch detector)."""
-    atoms = []
-    _conjunct_atoms(formula, atoms)
-    atom_set = {print_term(a) for a in atoms}
+    atom_set = set()
+
+    def leave(g, values):
+        if isinstance(g, Atom):
+            atom_set.add(print_term(g.term))
+    _fold(formula, leave,
+          lambda g: _children(g) if isinstance(g, AndF) else ())
     for arg, _ in nonzero_args:
         if print_term(arg) in atom_set:
             raise FormulaError(

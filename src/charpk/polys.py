@@ -39,6 +39,7 @@ MAX_POINT_CANDIDATES = 10 ** 6   # tuples variety.enumerate_points may test
 MAX_AUDIT_CHOICES = 10 ** 4      # substitutions axioms._scf_audit may try
 MAX_P_MONOMIALS = 10 ** 4        # p^m rows per entry variety._semilinear_solve
 MAX_INVARIANT_ELEMENTS = 10 ** 5  # elements of K^G the G-B-DCF search lists
+MAX_TERM_NODES = 10 ** 5         # term nodes formula powers may add
 
 
 # ---------------------------------------------------------------------------
@@ -139,9 +140,6 @@ class PolyRing:
         e = [0] * self.nvars
         e[self._var_index[name]] = 1
         return _mp(self, {tuple(e): self.field._kernel.one})
-
-    def gens(self):
-        return tuple(self.var(v) for v in self.vars)
 
     def from_raw(self, terms):
         """The polynomial with raw coefficients {exponents: value}, zero

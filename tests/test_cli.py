@@ -298,6 +298,54 @@ derivation { over: "Fp(3;t)"; images: {t: "1"} }
     assert main(["axiom", "bop-check", bop]) == 0
 
 
+def test_cli_diff_nabla(tmp_path, capsys):
+    path = _write(tmp_path, "nabla.inst", """
+variety V { vars: [x, y]; over: "Fp(3;t)"; gens: ["y - x^2"] }
+derivation { over: "Fp(3;t)"; images: {t: "1"} }
+point { x: "t"; y: "t^2" }
+""")
+    assert main(["diff", "nabla", path]) == 0
+    assert capsys.readouterr().out == "(t, t^2, 1, 2*t)\n"
+    assert main(["diff", "nabla", path, "--json"]) == 0
+    assert json.loads(capsys.readouterr().out) == {
+        "point": ["t", "t^2", "1", "2*t"]}
+    off = _write(tmp_path, "off.inst", open(path).read().replace(
+        'y: "t^2"', 'y: "t"'))
+    assert main(["diff", "nabla", off]) == 2
+    assert capsys.readouterr().err == \
+        "error: point does not lie on the variety\n"
+
+
+def _formula_file(tmp_path, text):
+    return _write(tmp_path, "deep.inst", f'formula {{ text: "{text}"; '
+                  'language: "lambda0_D"; over: "Fp(2;t)"; vars: [x] }\n'
+                  'derivation { over: "Fp(2;t)"; images: {t: "1"} }\n'
+                  'witness { x: "0" }\n')
+
+
+def test_cli_deep_formulas_keep_the_exit_code_contract(tmp_path, capsys):
+    path = _formula_file(tmp_path, "x^3000 = 0")
+    assert main(["formula", "parse", path]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == "(" * 2999 + "x" + " * x)" * 2999 + " = 0\n"
+    assert captured.err == ""
+    for action in ("eval", "correct", "unravel"):
+        assert main(["formula", action, path, "--json"]) == 0
+        capsys.readouterr()
+    path = _formula_file(tmp_path, "x^10000000 = 0")
+    start = time.perf_counter()
+    assert main(["formula", "parse", path]) == 2
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("unsupported: formula powers expand past "
+                            "100000 term nodes\n")
+    path = _formula_file(tmp_path, "(" * 2000 + "x" + ")" * 2000 + " = 0")
+    assert main(["formula", "parse", path]) == 2
+    assert capsys.readouterr().err == \
+        "error: formula nests parentheses deeper than 64\n"
+
+
 @pytest.mark.parametrize("action, block", [
     ("search-dpac", "bound { value: x2 }"),
     ("validate-dpac", "bound { value: [1] }"),
@@ -533,6 +581,23 @@ formula { text: "lam(1,1; t; x) - s[g](t) + x*(t/2) = 0"; language: "full";
 formula { text: "lam(1,1; t; x) - t = 0 | x*(1/t) = 0"; language: "lambda";
           over: "Fp(2;t)"; vars: [x] }
 witness { x: "t^3 + t^2" }
+"""),
+    # a long exponent, a long sum and deep nesting
+    (["formula", "correct"], """
+formula { text: "D(l0(x^2999)) + x^9999 - 1 = 0"; language: "lambda0_D";
+          over: "Fp(2;t)"; vars: [x] }
+derivation { over: "Fp(2;t)"; images: {t: "1"} }
+witness { x: "1" }
+"""),
+    (["formula", "eval"], f"""
+formula {{ text: "{' + '.join(['x*t'] * 1500)} = 0 & x = 0";
+           language: "ring"; over: "Fp(3;t)"; vars: [x] }}
+witness {{ x: "0" }}
+"""),
+    (["formula", "unravel"], f"""
+formula {{ text: "{'(' * 60}x{' + t)' * 60} = {'-' * 3000}t*60";
+           language: "lambda"; over: "Fp(2;t)"; vars: [x] }}
+witness {{ x: "0" }}
 """),
 ]
 FUZZ_SPECS = ["GF(2,4)", "GF(3,2,a^2+1)", "GF(7,1)", "Fp(5;t)",

@@ -3,17 +3,23 @@
 import collections
 import random
 import re
+import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from charpk import polys
 from charpk.differential import DerivationContext
-from charpk.errors import CharpkError, FormulaError
-from charpk.fields import make_field
-from charpk.formula import (Atom, Formula, IntConst, Mul, Sub, Var,
-                            correct_lambda0_D, eval_formula, eval_term,
-                            formula_variables, parse, print_formula,
-                            print_term, simplify_term, term_variables,
-                            unravel_lambda_terms)
+from charpk.errors import (CharpkError, FieldError, FormulaError,
+                           ResourceExhausted, RingError)
+from charpk.fields import MAX_NESTING, make_field
+from charpk.formula import (Add, AndF, Atom, Const, DOp, Formula, IntConst,
+                            Lambda0, Mul, NotF, OrF, Sub, Var,
+                            check_language, correct_lambda0_D, eval_formula,
+                            eval_term, formula_variables, parse,
+                            print_formula, print_term, simplify_term,
+                            term_variables, to_nnf, unravel_lambda_terms)
+from charpk.polys import PolyRing
 
 from oracles import read_formula
 
@@ -333,3 +339,194 @@ def test_differential_against_the_old_formula_reader():
     assert counts["identical"] >= 1000, counts
     assert counts["newly accepted"] and counts["newly refused"], counts
     assert counts["crash, still refused"], counts
+
+
+# ---------------------------------------------------------------------------
+# depth and size: deep trees, the nesting cap and the term-node cap
+# ---------------------------------------------------------------------------
+
+# text, its printed form, and its truth at x = 1 over F_3(t)
+DEEP = {
+    "x^3000": ("x^3000 = 0",
+               "(" * 2999 + "x" + " * x)" * 2999 + " = 0", False),
+    "3000-term sum": (" + ".join(["x"] * 3000) + " = 0",
+                      "(" * 2999 + "x" + " + x)" * 2999 + " = 0", True),
+    "3000 conjuncts": (" & ".join(["x = 0"] * 3000),
+                       "(" * 2999 + "x = 0" + " & x = 0)" * 2999, False),
+    "5000 unary minuses": ("-" * 5000 + "x = 0",
+                           "(0 - " * 5000 + "x" + ")" * 5000 + " = 0",
+                           False),
+}
+
+
+@pytest.mark.parametrize("name", DEEP)
+def test_deep_trees_go_through_every_walker(name):
+    """Trees thousands of nodes deep are read, printed, checked,
+    evaluated, corrected and unravelled.  Printed text is compared,
+    because dataclass == recurses."""
+    text, printed, at_one = DEEP[name]
+    K, structure = _structure()
+    ctx = {"vars": {"x"}, "field": K}
+    phi = parse(text, "lambda0_D", ctx)
+    assert print_formula(phi) == printed
+    assert check_language(phi, "ring") is phi
+    assert formula_variables(phi) == {"x"}
+    zero = {"x": K.zero()}
+    assert eval_formula(phi, structure, zero)
+    assert eval_formula(phi, structure, {"x": K.one()}) is at_one
+    res = correct_lambda0_D(phi, structure=structure, witness=zero)
+    assert print_formula(res.formula) == printed and res.trace == []
+    unravelled = unravel_lambda_terms(phi, structure, zero)
+    atoms = printed.count(" = 0")
+    assert len(unravelled.conditions) == atoms
+    assert {print_term(c) for c in unravelled.conditions} == {
+        printed[:-len(" = 0")] if atoms == 1 else "x"}
+
+
+def test_eval_formula_short_circuits():
+    """No conjunct or disjunct is evaluated once the answer is known: y
+    is unassigned, and evaluating it would raise."""
+    K, structure = _structure()
+    ctx = {"vars": {"x", "y"}, "field": K}
+    at = {"x": K.zero()}
+    assert eval_formula(parse("x = 0 | y = 0", "full", ctx), structure, at)
+    assert not eval_formula(parse("x = 1 & y = 0", "full", ctx),
+                            structure, at)
+    assert eval_formula(parse("!(x = 1 & D(y) = 0) | y = 0", "full", ctx),
+                        structure, at) is True
+    with pytest.raises(FormulaError, match="unassigned variable 'y'"):
+        eval_formula(parse("x = 0 & y = 0", "full", ctx), structure, at)
+
+
+def _nested(n, opening, inner, closing=")"):
+    return opening * n + inner + closing * n
+
+
+@pytest.mark.parametrize("opening, inner, closing", [
+    ("(", "x", ") = 0"), ("(", "x = 0", ")"), ("!(", "x = 0", ")"),
+    ("D(", "x", ") = 0"), ("lam(1,1; t; ", "x", ") = 0"),
+    ("s[g](", "x", ")"), ("(-", "x", ")"),
+])
+def test_parentheses_nest_at_most_max_nesting(opening, inner, closing):
+    ctx = {"vars": {"x"}, "field": make_field("Fp(3;t)")}
+    n = MAX_NESTING
+    text = opening * n + inner + closing[0] * (n - 1) + closing
+    parse(text, "full", ctx)
+    deeper = opening + text + closing[0]
+    with pytest.raises(FormulaError,
+                       match=f"formula nests parentheses deeper than {n}$"):
+        parse(deeper, "full", ctx)
+
+
+def test_every_reader_refuses_deep_nesting_and_loops_over_minuses():
+    K = make_field("Fp(3;t)")
+    R = PolyRing(K, ("x",))
+    with pytest.raises(FieldError, match="scalar literal nests"):
+        K.parse(_nested(2000, "(", "t"))
+    with pytest.raises(RingError, match="polynomial nests"):
+        R.parse(_nested(2000, "(", "x"))
+    with pytest.raises(FormulaError, match="formula nests"):
+        parse(_nested(2000, "(", "x") + " = 0")
+    assert K.parse("-" * 5000 + "t") == K.parse("t")
+    assert str(R.parse("-" * 5001 + "x^2")) == str(R.parse("-x^2"))
+    assert print_term(parse("--x^2")) == "(0 - (0 - (x * x)))"
+
+
+@pytest.mark.parametrize("text", ["x^10000000 = 0",
+                                  "(((x^40)^40)^40)^40 = 0",
+                                  "x^40000 + x^40000 = 0"])
+def test_powers_past_the_term_node_cap_are_refused_unbuilt(text):
+    start = time.perf_counter()
+    with pytest.raises(ResourceExhausted,
+                       match=f"past {polys.MAX_TERM_NODES} term nodes"):
+        parse(text)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_term_node_cap_counts_each_power_once():
+    """Backtracking over a parenthesized term re-reads its powers; they
+    count once, so the text below, just under the cap, is read."""
+    phi = parse("(((x^50000))) = 0")
+    assert print_formula(phi).count("x") == 50000
+
+
+# ---------------------------------------------------------------------------
+# printing: parse(print(x)) evaluates as x, composite constants included
+# ---------------------------------------------------------------------------
+
+_COMPOSITE = {"Fp(3;t)": ["t^2 + 2*t", "2*t", "1/t^2", "(t + 1)/t^2",
+                          "t^3/t^5", "2/t"],
+              "GF(3,2,a^2+1)": ["a + 1", "2*a", "2*a + 2", "a"]}
+
+
+def _term_strategy(K, constants):
+    leaves = st.one_of(st.sampled_from([Var("x"), Var("y")]),
+                       st.integers(0, 4).map(IntConst),
+                       st.sampled_from(constants).map(
+                           lambda c: Const(K.parse(c))))
+
+    def extend(children):
+        binary = st.tuples(st.sampled_from([Add, Sub, Mul]), children,
+                           children).map(lambda a: a[0](a[1], a[2]))
+        unary = st.tuples(st.sampled_from([DOp, Lambda0]),
+                          children).map(lambda a: a[0](a[1]))
+        return binary | unary
+    return st.recursive(leaves, extend, max_leaves=12)
+
+
+def _formula_strategy(terms):
+    def extend(children):
+        return (st.tuples(st.sampled_from([AndF, OrF]), children, children)
+                .map(lambda a: a[0](a[1], a[2]))
+                | children.map(NotF))
+    return st.recursive(terms.map(Atom), extend, max_leaves=4)
+
+
+@pytest.mark.parametrize("spec", sorted(_COMPOSITE))
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(data=st.data())
+def test_printed_formulas_read_back_to_equal_values(spec, data):
+    K = make_field(spec)
+    images = {t: K.one() for t in K.tvars}
+    structure = {"field": K, "derivation": DerivationContext(K, images)}
+    ctx = {"vars": {"x", "y"}, "field": K}
+    phi = data.draw(_formula_strategy(_term_strategy(K, _COMPOSITE[spec])))
+    text = print_formula(phi)
+    again = parse(text, "full", ctx)
+    # a second round trip is exact
+    assert parse(print_formula(again), "full", ctx) == again
+    values = [K.parse(v) for v in _COMPOSITE[spec]] + [K.zero(), K.one()]
+    for _ in range(4):
+        at = {"x": data.draw(st.sampled_from(values)),
+              "y": data.draw(st.sampled_from(values))}
+        assert eval_formula(again, structure, at) == \
+            eval_formula(phi, structure, at), text
+        for old, new in zip(_atom_terms(phi), _atom_terms(again)):
+            assert eval_term(new, structure, at) == \
+                eval_term(old, structure, at), text
+
+
+def _atom_terms(phi):
+    """The terms of phi's atoms, left to right."""
+    from charpk.formula import _fold
+    terms = []
+
+    def leave(g, values):
+        if isinstance(g, Atom):
+            terms.append(g.term)
+    _fold(to_nnf(phi), leave)
+    return terms
+
+
+def test_composite_constants_print_as_text_that_reads_back():
+    K, _ = _structure()
+    ctx = {"vars": {"x"}, "field": K}
+    for text, printed in [("x*(t/2)", "(x * (2*t))"),
+                          ("x*(1/t/t)", "(x * (1/t/t))"),
+                          ("x*(t/t/t/t)", "(x * (1/t/t))"),
+                          ("x*(2/t)", "(x * (2/t))")]:
+        assert print_term(parse(text, "full", ctx)) == printed
+    two_t = Const(K.parse("(t + 1)/t^2"))
+    assert print_term(two_t) == "((t+1)*(1/t/t))"
+    assert print_term(parse(print_term(two_t), "full", ctx)) == \
+        "((t + 1) * (1/t/t))"
