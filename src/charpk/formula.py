@@ -362,6 +362,9 @@ class _Parser(fields._Parser):
     grown = 0   # term nodes the powers read so far added
 
     def parse(self):
+        # the term read at each "(": (term, end position, term nodes its
+        # powers added), reused when `unit` backtracks to that "("
+        self.read = {}
         node = self.formula() if "=" in self.text else self.expr()
         if self.peek():
             raise FormulaError(
@@ -419,6 +422,20 @@ class _Parser(fields._Parser):
         return node
 
     # -- term hooks ---------------------------------------------------------
+
+    def atom(self):
+        """A parenthesized term, read once per position; a reuse counts
+        its powers' term nodes again, as backtracking took them off."""
+        if self.peek() != "(":
+            return super().atom()
+        start, grown = self.pos, self.grown
+        if start not in self.read:
+            node = super().atom()
+            self.read[start] = node, self.pos, self.grown - grown
+            self.grown = grown
+        node, self.pos, added = self.read[start]
+        self._grow(added)
+        return node
 
     def number(self, n):
         return IntConst(n)
@@ -486,12 +503,15 @@ class _Parser(fields._Parser):
         would add more than polys.MAX_TERM_NODES term nodes."""
         if n > 1:
             size = _fold(v, lambda node, sizes: 1 + sum(sizes))
-            self.grown += (n - 1) * (size + 1)
-            if self.grown > polys.MAX_TERM_NODES:
-                raise ResourceExhausted(
-                    f"formula powers expand past {polys.MAX_TERM_NODES} "
-                    "term nodes")
+            self._grow((n - 1) * (size + 1))
         return v ** n
+
+    def _grow(self, added):
+        self.grown += added
+        if self.grown > polys.MAX_TERM_NODES:
+            raise ResourceExhausted(
+                f"formula powers expand past {polys.MAX_TERM_NODES} "
+                "term nodes")
 
     def natural(self):
         self.skip()

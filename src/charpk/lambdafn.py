@@ -3,17 +3,20 @@
 p-independence over F_p(t1..tm) is decided exactly by a rank: b_1..b_e
 are p-independent iff their differentials db_i are linearly independent,
 i.e. iff the Jacobian J_b = [db_i/dt_j] has rank e (Matsumura,
-Commutative Ring Theory, Thm 26.5).
+Commutative Ring Theory, Thm 26.5).  Row i is D_i^2 db_i for b_i = N_i /
+D_i, with entries N_t D - N D_t in GF(p)[t..], eliminated fraction-free
+(`linalg.fraction_free_echelon`) with no gcd.
 
 The p-monomials of a tuple b = (b_1..b_e) are b^J = b_1^{j_1}...b_e^{j_e}
 with 0 <= j_i <= p-1, enumerated lexicographically on J, so the first is 1.
 `lambda_solve` tells the three cases apart with one elimination on
-[J_b | I_e]:
+[D^2 J_b | diag(D_i^2)]:
 
 * Case 1, b p-dependent: J_b has fewer than e pivots.
 * Case 2, (b, c) p-independent: dc is outside the span of the db_i.
 * Case 3, c = sum_J lambda_J^p b^J.  With P the pivot columns, b and the
-  t_j off P form a p-basis of K, and the right block is J_b[:, P]^{-1}.
+  t_j off P form a p-basis of K, and the right block is delta
+  J_b[:, P]^{-1}, delta the last pivot.
   The derivations D_i = sum_r (J_b[:, P]^{-1})_{ri} d/dt_{P[r]} are dual
   to db_1..db_e and kill the other basis elements, so they act as the
   partials d/db_i: they commute, D_i^p = 0 and they vanish on K^p.  Every
@@ -26,9 +29,9 @@ with 0 <= j_i <= p-1, enumerated lexicographically on J, so the first is 1.
 
 The derivatives are taken of c' = c d^p, d the denominator of c: d^p is
 a unit of K^p that every derivation kills, so c' is a polynomial with
-the same cases as c, and lambda_J = lambda'_J / d.  A Case-3 answer is
-checked against the defining formula c = sum_J lambda_J^p b^J before it
-is returned.
+the same cases as c, its gradient is polynomial, and lambda_J =
+lambda'_J / d.  A Case-3 answer is checked against the defining formula
+c = sum_J lambda_J^p b^J before it is returned.
 """
 
 from __future__ import annotations
@@ -62,6 +65,14 @@ def p_monomials(bs):
     return out
 
 
+def _jacobian_row(x: FieldScalar, tvars):
+    """D^2 dx for x = N / D over F_p(t..): the polynomials N_t D - N D_t."""
+    num, den = x.value
+    if den.is_constant():  # a reduced constant denominator is 1
+        return [num.partial(t) for t in tvars]
+    return [num.partial(t) * den - num * den.partial(t) for t in tvars]
+
+
 def p_independence_verdict(xs, K: FieldDescriptor):
     """(bool, reason) for p-independence of xs over K = F_p(t1..tm).
 
@@ -70,9 +81,9 @@ def p_independence_verdict(xs, K: FieldDescriptor):
     Theory, Thm 26.5), i.e. iff the Jacobian [dx_i/dt_j] has rank e.  A
     perfect K (m = 0), a zero entry and a tuple longer than m all show up
     as a rank below e."""
-    jacobian = [[partial(x, t) for t in K.tvars] for x in xs]
-    r = linalg.rank(jacobian)
-    return r == len(jacobian), f"Jacobian rank {r} of {len(jacobian)}"
+    rows = [_jacobian_row(x, K.tvars) if K.tvars else [] for x in xs]
+    r = len(linalg.fraction_free_echelon(rows, len(K.tvars)))
+    return r == len(rows), f"Jacobian rank {r} of {len(rows)}"
 
 
 def is_p_independent(xs, K: FieldDescriptor) -> bool:
@@ -164,31 +175,37 @@ def lambda_solve(e: int, bs, c: FieldScalar):
         raise FieldError(f"arity mismatch: expected {e} basis entries")
     p, tvars = K.p, K.tvars
     m = len(tvars)
-    zero, one = K.zero(), K.one()
-    # [J_b | I_e] in reduced echelon form: the pivot rows of the left
-    # block span the db_i, and the right block is E = J_b[:, P]^{-1}
-    rows = [[partial(b, t) for t in tvars]
-            + [one if r == i else zero for r in range(e)]
-            for i, b in enumerate(bs)]
-    pivots = linalg.echelon(rows, m)
-    if len(pivots) < e:
-        return None  # Case 1
-    # c' = c d^p for d the denominator of c (module docstring)
-    cc, d = c, None
-    if K.kind != "gf" and not c.value[1].is_constant():
-        d = _scalar(K, K.kernel.frac(c.value[1], K._ring.one()))
-        cc = c * d ** p
-    grad = [partial(cc, t) for t in tvars]
-    for row, j in zip(rows, pivots):
-        f = grad[j]
-        if f:
-            grad = [x - f * y for x, y in zip(grad, row)]
-    if any(grad):
-        return None  # Case 2: dc' is outside the span of the db_i
-    # Case 3: D_i = sum_r E[r][i] d/dt_{P[r]}
+    if e > m:
+        return None  # Case 1: J_b has m columns
+    cc, d, dual, pivots = c, None, [], []
+    if m:
+        ring, frac = K._ring, K.kernel.frac
+        rows = [_jacobian_row(b, tvars) + [b.value[1] ** 2 if r == i
+                                           else ring.zero()
+                                           for r in range(e)]
+                for i, b in enumerate(bs)]
+        pivots = linalg.fraction_free_echelon(rows, m)
+        if len(pivots) < e:
+            return None  # Case 1
+        delta = rows[0][pivots[0]] if e else ring.one()
+        # c' = c d^p = N d^(p-1) for c = N / d
+        num, den = c.value
+        if not den.is_constant():
+            d = _scalar(K, frac(den, ring.one()))
+            num = num * den ** (p - 1)
+            cc = _scalar(K, frac(num, ring.one()))
+        grad = [num.partial(t) for t in tvars]
+        # Case 2: delta dc' - sum_r dc'[P[r]] row_r is nonzero off P
+        for j in set(range(m)) - set(pivots):
+            if (delta * grad[j] - sum((grad[k] * row[j] for row, k
+                                       in zip(rows, pivots)),
+                                      ring.zero())).terms:
+                return None
+        dual = [[_scalar(K, frac(x, delta)) for x in row[m:]]
+                for row in rows]
+    # Case 3: D_i = sum_r dual[r][i] d/dt_{P[r]}
     exps = monomial_exponents(p, e)
-    table = _derivative_table(cc, [row[m:] for row in rows],
-                              [tvars[j] for j in pivots], exps)
+    table = _derivative_table(cc, dual, [tvars[j] for j in pivots], exps)
     table = _taylor_inverse(table, bs, exps)
     sol = []
     for a in exps:
@@ -197,8 +214,8 @@ def lambda_solve(e: int, bs, c: FieldScalar):
             raise FieldError("lambda Taylor coefficient is not a p-th power")
         sol.append(lam if d is None else lam / d)
     # defining-formula round trip (exact self-check)
-    acc = zero
-    for lam, mono in zip(sol, p_monomials(bs) if bs else [one]):
+    acc = K.zero()
+    for lam, mono in zip(sol, p_monomials(bs) if bs else [K.one()]):
         acc = acc + lam ** p * mono
     if acc != c:
         raise FieldError("lambda defining-formula verification failed")

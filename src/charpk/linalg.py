@@ -1,4 +1,5 @@
-"""Exact linear algebra over any field-like element type.
+"""Exact linear algebra over any field-like element type, and
+fraction-free elimination over GF(p)[t..].
 
 Elements must support +, -, *, / and an ``is_zero()`` method; FieldScalar,
 function-field classes and extension-field elements all qualify.  Matrices
@@ -7,20 +8,26 @@ are lists of row lists.  Everything here is small and dense: desk scale.
 
 from __future__ import annotations
 
+from .polys import mp_exact_div
+
+
+def _pivot_steps(rows, ncols):
+    """Yield (r, c) for each pivot column c in turn, after swapping the
+    first row from r on that is nonzero at c into row r."""
+    r = 0
+    for c in range(ncols):
+        for i in range(r, len(rows)):
+            if not rows[i][c].is_zero():
+                rows[r], rows[i] = rows[i], rows[r]
+                yield r, c
+                r += 1
+                break
+
 
 def echelon(rows, ncols):
     """In-place fraction Gaussian elimination; returns list of pivot columns."""
     pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot = None
-        for i in range(r, len(rows)):
-            if not rows[i][c].is_zero():
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
+    for r, c in _pivot_steps(rows, ncols):
         inv = rows[r][c]
         rows[r] = [x / inv for x in rows[r]]
         for i in range(len(rows)):
@@ -28,9 +35,25 @@ def echelon(rows, ncols):
                 f = rows[i][c]
                 rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
         pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
+    return pivots
+
+
+def fraction_free_echelon(rows, ncols):
+    """In-place fraction-free Gauss-Jordan elimination of MultiPoly rows
+    (Bareiss, Math. Comp. 22, 1968); returns the list of pivot columns.
+    The divisions by the previous pivot are exact (`mp_exact_div` raises
+    if not), and the pivot rows end as the last pivot times the reduced
+    echelon form."""
+    pivots, prev = [], None  # None stands for the previous pivot 1
+    for r, c in _pivot_steps(rows, ncols):
+        top = rows[r]
+        for i, row in enumerate(rows):
+            if i != r:
+                row = [top[c] * a - row[c] * b for a, b in zip(row, top)]
+                rows[i] = row if prev is None else [mp_exact_div(a, prev)
+                                                    for a in row]
+        prev = top[c]
+        pivots.append(c)
     return pivots
 
 

@@ -65,7 +65,11 @@ class AffineVariety:
 
     def is_empty(self) -> bool:
         if "empty" not in self._flags:
-            self._flags["empty"] = self.ideal.is_trivial()
+            gens = self.ideal.gens
+            # one nonzero f: (f) = (1) iff f is constant (Nullstellensatz)
+            self._flags["empty"] = (
+                gens[0].is_constant() if len(gens) == 1 and gens[0].terms
+                else self.ideal.is_trivial())
         return self._flags["empty"]
 
     def require_nonempty(self):
@@ -73,9 +77,39 @@ class AffineVariety:
             raise PreconditionError("operation requires a nonempty variety")
 
     def contains_point(self, point) -> bool:
-        values = dict(zip(self.vars, point))
-        return all(g.evaluate(values).is_zero()
-                   for g in self.ideal.gens)
+        """Whether every generator vanishes at point.  Over F_p(t..) a
+        generator is N / d over GF(p)[t.., x..] (`join_coeffs`, once per
+        variety), and N vanishes at x = num / den iff
+        sum_e N_e prod_i num_i^e_i den_i^(D_i - e_i) = 0, D_i the degree
+        of N in x_i: one polynomial over GF(p)[t..], no gcd."""
+        K = self.field
+        if K.kind == "gf" or any(x.field != K for x in point):
+            values = dict(zip(self.vars, point))
+            return all(g.evaluate(values).is_zero()
+                       for g in self.ideal.gens)
+        if "cleared" not in self._flags:
+            joined = joined_ring(self.ring)
+            hs = [split_coeffs(join_coeffs(g, joined)[0], joined.one(),
+                               self.ring) for g in self.ideal.gens]
+            self._flags["cleared"] = [
+                (h, [h.degree_in(v) for v in self.vars]) for h in hs]
+        cleared = self._flags["cleared"]
+        top = [max(ds) for ds in zip(*(degs for _, degs in cleared))]
+        powers = [(_powers(num, n), None if den.is_constant()
+                   else _powers(den, n))
+                  for (num, den), n in zip((x.value for x in point), top)]
+        for h, degs in cleared:
+            acc = K._ring.zero()
+            for e, (c, _) in h.terms.items():
+                for (nums, dens), ei, di in zip(powers, e, degs):
+                    if ei:
+                        c = c * nums[ei]
+                    if dens and di > ei:
+                        c = c * dens[di - ei]
+                acc = acc + c
+            if acc.terms:
+                return False
+        return True
 
     def function_field_elem(self, num, den=None) -> "FunctionFieldElem":
         ring = self.ring
@@ -86,6 +120,14 @@ class AffineVariety:
         elif isinstance(den, str):
             den = ring.parse(den)
         return FunctionFieldElem(self, num, den)
+
+
+def _powers(x, n):
+    """[1, x, .., x^n]."""
+    out = [x.ring.one()]
+    for _ in range(n):
+        out.append(out[-1] * x)
+    return out
 
 
 # ---------------------------------------------------------------------------

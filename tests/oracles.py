@@ -7,8 +7,11 @@ and fixed sets are plain loops, polynomial arithmetic is on dicts of
 FieldScalars (`d_*`), GF(p^k) arithmetic is polynomial-basis
 arithmetic on coefficient tuples, F_p(t..) arithmetic and gcds over
 GF(p) are sympy's (a test-only dependency), lambda values come from
-elimination on p-components, not from derivations, and `scan_reduce`
-finds each leading term by a scan where `polys._reduce` keeps a heap.
+elimination on p-components, not from derivations, Jacobian ranks and
+a second set of lambda values from fraction elimination over K of
+quotient-rule Jacobians, where the library eliminates polynomial rows
+fraction-free, and `scan_reduce` finds each leading term by a scan
+where `polys._reduce` keeps a heap.
 Polynomial text over F_p(t..) is read by `MultiPolyReader`, with one
 F_p(t..) kernel operation per arithmetic step, where the library reads
 pairs over GF(p)[t.., x..]; `embed_by_terms` and `function_by_lift` move
@@ -22,12 +25,14 @@ scalar and polynomial grammar.
 from __future__ import annotations
 
 import itertools
+import math
 import re
 
 from charpk import factor, linalg
 from charpk.errors import FieldError, FormulaError, RingError
 from charpk.fields import (FieldDescriptor, FieldScalar, _Parser,
-                           iter_gf_elements, p_components, parse_scalar)
+                           iter_gf_elements, p_components, parse_scalar,
+                           partial, pth_root)
 from charpk.formula import (Add, AndF, Atom, Const, DOp, IntConst, Lam,
                             Lambda0, Mul, NotF, OrF, Sigma, Sub, Var,
                             check_language)
@@ -45,9 +50,14 @@ def naive_point_scan(gens, field, nvars):
     out = []
     for point in itertools.product(list(iter_gf_elements(field)),
                                    repeat=nvars):
-        if all(_eval_poly(g, point).is_zero() for g in gens):
+        if vanishes_at(gens, point):
             out.append(point)
     return out
+
+
+def vanishes_at(gens, point) -> bool:
+    """Every generator is zero at point, by FieldScalar arithmetic."""
+    return all(_eval_poly(g, point).is_zero() for g in gens)
 
 
 def _eval_poly(g: MultiPoly, point):
@@ -553,6 +563,78 @@ def lambda_by_components(bs, c):
         for (_, d), j in zip(cleared, jj):
             v = v * d ** j
         sol.append(v / dc)
+    return sol
+
+
+# ---------------------------------------------------------------------------
+# p-independence and lambda-functions by fraction elimination over K: the
+# Jacobian entries by the quotient rule, eliminated with a division per
+# pivot, and Taylor's formula summed term by term
+# ---------------------------------------------------------------------------
+
+def jacobian_rank_by_fractions(xs, K):
+    """The rank of [dx_i/dt_j] over K, each entry a reduced fraction."""
+    return linalg.rank([[partial(x, t) for t in K.tvars] for x in xs])
+
+
+def lambda_by_fraction_echelon(bs, c):
+    """The p^e lambda values of c against bs, or None in Cases 1-2.
+
+    [J_b | I_e] is brought to reduced echelon form over K: fewer than e
+    pivots is Case 1; dc outside the span of the pivot rows is Case 2.
+    Otherwise the right block is J_b[:, P]^{-1}, whose columns give the
+    derivations D_i dual to the db_i, and
+    mu_J = sum_K (-b)^K D^{J+K} c / (J! K!) over J + K <= p - 1 is
+    summed directly, with lambda_J the p-th root of mu_J."""
+    K = c.field
+    p, tvars, e = K.p, K.tvars, len(bs)
+    m = len(tvars)
+    zero, one = K.zero(), K.one()
+    rows = [[partial(b, t) for t in tvars]
+            + [one if r == i else zero for r in range(e)]
+            for i, b in enumerate(bs)]
+    pivots = linalg.echelon(rows, m)
+    if len(pivots) < e:
+        return None  # Case 1
+    grad = [partial(c, t) for t in tvars]
+    for row, j in zip(rows, pivots):
+        f = grad[j]
+        grad = [x - f * y for x, y in zip(grad, row)]
+    if any(grad):
+        return None  # Case 2
+
+    derived = {(0,) * e: c}
+
+    def derivative(a):
+        """D^a c, applying D_i for the last nonzero place i of a."""
+        if a not in derived:
+            i = max(k for k, ak in enumerate(a) if ak)
+            x = derivative(a[:i] + (a[i] - 1,) + a[i + 1:])
+            derived[a] = sum((rows[r][m + i] * partial(x, tvars[j])
+                              for r, j in enumerate(pivots)), zero)
+        return derived[a]
+
+    def factorial(a):
+        return math.prod(math.factorial(k) for k in a)
+
+    exps = list(itertools.product(range(p), repeat=e))
+    sol = []
+    for jj in exps:
+        mu = zero
+        for kk in exps:
+            a = tuple(j + k for j, k in zip(jj, kk))
+            if max(a, default=0) >= p:
+                continue
+            weight = (-1) ** sum(kk) * pow(factorial(jj) * factorial(kk),
+                                           -1, p)
+            term = K.from_int(weight) * derivative(a)
+            for b, k in zip(bs, kk):
+                term = term * b ** k
+            mu = mu + term
+        lam = pth_root(mu)
+        if lam is None:
+            raise FieldError("Taylor coefficient is not a p-th power")
+        sol.append(lam)
     return sol
 
 

@@ -8,7 +8,7 @@ from charpk.differential import (DerivationContext, derivation_extends,
                                  derive, equalizer, extension_oracle,
                                  kerprol_check, nabla_point, prolongation,
                                  scalar_hom)
-from charpk.errors import PreconditionError
+from charpk.errors import FieldError, PreconditionError
 from charpk.fields import iter_elements, make_field
 from charpk.variety import AffineVariety
 
@@ -72,6 +72,31 @@ def test_nabla_point_in_extension_via_hom():
     with pytest.raises(Exception):
         nabla_point((s,), prolongation(V, D), derivatives=(L.one(),),
                     lift=lift)
+
+
+def test_nabla_point_embeds_the_base_field_by_names():
+    """Without `lift`, a point over a field that carries K's
+    transcendentals, or over any field of characteristic p for V over
+    GF(p), is read through the canonical embedding; a field without one
+    is refused."""
+    K, D = _ddt("Fp(3;t)")
+    bundle = prolongation(AffineVariety(K, ("x", "y"), ["y - x^2 - t"]), D)
+    L = make_field("Fp(3;t,s)")
+    t, s = L.gen("t"), L.gen("s")
+    pt = nabla_point((s, s * s + t), bundle,
+                     context=DerivationContext(L, {"t": L.one()}))
+    assert [str(c) for c in pt] == ["s", str(s * s + t), "0", "1"]
+    F = make_field("GF(3,1)")
+    over_f = prolongation(AffineVariety(F, ("x", "y"), ["y - x^2 - 1"]),
+                          DerivationContext(F))
+    t = K.gen("t")
+    pt = nabla_point((t, t * t + K.one()), over_f, context=D)
+    assert [str(c) for c in pt] == ["t", str(t * t + K.one()), "1", "2*t"]
+    M = make_field("Fp(3;s)")
+    s = M.gen("s")
+    with pytest.raises(FieldError, match="no canonical embedding"):
+        nabla_point((s, s), bundle,
+                    context=DerivationContext(M, {"s": M.one()}))
 
 
 def test_derivation_extends_examples():

@@ -434,7 +434,8 @@ def test_every_reader_refuses_deep_nesting_and_loops_over_minuses():
 
 @pytest.mark.parametrize("text", ["x^10000000 = 0",
                                   "(((x^40)^40)^40)^40 = 0",
-                                  "x^40000 + x^40000 = 0"])
+                                  "x^40000 + x^40000 = 0",
+                                  "((x^30000)) * x^30000 = 0"])
 def test_powers_past_the_term_node_cap_are_refused_unbuilt(text):
     start = time.perf_counter()
     with pytest.raises(ResourceExhausted,
@@ -448,6 +449,25 @@ def test_term_node_cap_counts_each_power_once():
     count once, so the text below, just under the cap, is read."""
     phi = parse("(((x^50000))) = 0")
     assert print_formula(phi).count("x") == 50000
+
+
+def test_a_parenthesized_term_is_read_once_per_position(monkeypatch):
+    """Backtracking out of each nesting level reuses the term read at
+    that "(": 64 levels build the power as often as one level does."""
+    from charpk.formula import Term
+    calls = []
+    power = Term.__pow__
+
+    def counted(self, n):
+        calls.append(n)
+        return power(self, n)
+    monkeypatch.setattr(Term, "__pow__", counted)
+    one = parse("(x^500) = 0")
+    once = len(calls)
+    calls.clear()
+    deep = parse(_nested(MAX_NESTING, "(", "x^500") + " = 0")
+    assert len(calls) == once
+    assert print_formula(deep) == print_formula(one)
 
 
 # ---------------------------------------------------------------------------

@@ -8,12 +8,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from charpk import linalg
+from charpk import linalg, polys
 from charpk.errors import FieldError
-from charpk.fields import iter_elements, make_field
+from charpk.fields import FieldScalar, iter_elements, make_field
 from charpk.lambdafn import (PBasisContext, is_p_independent, lambda_basis,
                              lambda_multi, lambda_solve, monomial_exponents,
                              p_independence_verdict, p_monomials)
+from charpk.variety import AffineVariety, pindep_function_field
 
 
 @lru_cache(maxsize=None)
@@ -262,3 +263,167 @@ def test_p_basis_context_refuses_non_bases():
         PBasisContext(K, (t1, t2, t1 + t2))
     with pytest.raises(FieldError, match="not p-independent"):
         PBasisContext(K, (t1, t1 + t2 ** 3))
+
+
+# ---------------------------------------------------------------------------
+# the fraction-free path against fraction elimination over K
+# ---------------------------------------------------------------------------
+
+def _fraction_free_pool(K):
+    """Zero, constants, polynomials and rational entries of F_p(t..)."""
+    ts = [K.gen(n) for n in K.tvars]
+    one = K.one()
+    pool = [K.zero(), one, K.from_int(2)]
+    if ts:
+        t, s = ts[0], ts[-1]
+        pool += ts + [t + one, s * t + t, one / t, s / (t + one),
+                      (t + s) / (t * s + one)]
+    else:
+        pool.append(K.generator())
+    return pool
+
+
+def _random_tuple(rng, K, pool, e):
+    """e entries: u^p t_s + v^p for distinct t_s while there are any
+    (p-independent when every u is nonzero), else pool entries."""
+    p, names = K.p, list(K.tvars)
+    rng.shuffle(names)
+    bs = []
+    for i in range(e):
+        if i < len(names) and rng.random() < 0.7:
+            bs.append(rng.choice(pool) ** p * K.gen(names[i])
+                      + rng.choice(pool) ** p)
+        else:
+            bs.append(rng.choice(pool))
+    return bs
+
+
+def _random_argument(rng, K, pool, bs):
+    """A pool entry, a p-th power or sum_J a_J^p b^J with a few a_J."""
+    kind = rng.randrange(3)
+    if kind == 0:
+        return rng.choice(pool)
+    if kind == 1:
+        return rng.choice(pool) ** K.p
+    monos = p_monomials(bs) if bs else [K.one()]
+    c = K.zero()
+    for mono in rng.sample(monos, min(3, len(monos))):
+        c = c + rng.choice(pool) ** K.p * mono
+    return c
+
+
+@pytest.mark.parametrize("spec", ["Fp(2;t1,t2)", "Fp(3;t1,t2,t3)",
+                                  "Fp(5;t)", "GF(3,2)"])
+def test_fraction_free_path_matches_fraction_elimination(spec):
+    """Ranks, verdict texts and all three cases of lambda_solve against
+    the fraction echelon of quotient-rule Jacobians and, where the
+    p-component system is small, against `lambda_by_components`.  Tuples
+    run from e = 0 to e = m + 1 and mix zero, constant, polynomial and
+    rational entries.  The oracle's term-by-term Taylor sum over
+    rational derivatives takes a minute on a 27-monomial Case 3, so
+    Case 3 is compared there only up to p^e = 9 monomials."""
+    K = make_field(spec)
+    m = len(K.tvars)
+    pool = _fraction_free_pool(K)
+    rng = random.Random(K.p * 10 + m)
+    cases = set()
+    for _ in range(40):
+        e = rng.randrange(m + 2)
+        bs = _random_tuple(rng, K, pool, e)
+        r = oracles.jacobian_rank_by_fractions(bs, K)
+        assert p_independence_verdict(bs, K) == (r == e,
+                                                 f"Jacobian rank {r} of {e}")
+        c = _random_argument(rng, K, pool, bs)
+        got = lambda_solve(e, bs, c)
+        if got is None or K.p ** e <= 9:
+            assert got == oracles.lambda_by_fraction_echelon(bs, c)
+        if K.p ** (m + e) <= 81:
+            assert got == oracles.lambda_by_components(bs, c)
+        cases.add(1 if r < e else 2 if got is None else 3)
+    assert cases == ({1, 2, 3} if m else {1, 3})
+
+
+def test_lambdafn_never_reaches_the_fraction_echelon(monkeypatch):
+    """p-independence, all three cases of lambda_solve, a p-basis and the
+    rational-model branch of `pindep_function_field` eliminate
+    fraction-free only."""
+    def refuse(*args):
+        raise AssertionError("lambdafn reached linalg.echelon")
+
+    monkeypatch.setattr(linalg, "echelon", refuse)
+    K = make_field("Fp(3;t1,t2)")
+    t1, t2 = K.gen("t1"), K.gen("t2")
+    one = K.one()
+    b = t2 ** 3 * t1 / (t2 + one) + one
+    assert p_independence_verdict([b, t2], K) == (True, "Jacobian rank 2 of 2")
+    assert p_independence_verdict([b, b ** 3], K) == (False,
+                                                     "Jacobian rank 1 of 2")
+    assert lambda_solve(2, [b, t2 ** 3], t1) is None
+    assert lambda_solve(1, [b], t2 / t1) is None
+    a = [t1 / (t2 + one), t2, one]
+    c = a[0] ** 3 + a[1] ** 3 * b + a[2] ** 3 * b * b
+    assert lambda_solve(1, [b], c) == a
+    assert lambda_basis(2, c, PBasisContext(K, (b, t2))) == K.zero()
+    V = AffineVariety(make_field("Fp(3;t)"), ("x", "y"), ["y - x^2 - t"])
+    fs = [V.function_field_elem("x"), V.function_field_elem("2*x + t^3")]
+    assert pindep_function_field(fs).status == "dependent"
+    assert pindep_function_field(fs[:1]).status == "independent"
+
+
+def test_polynomial_tuples_take_no_gcd(monkeypatch):
+    """Rows of polynomial entries are eliminated with exact divisions
+    only: `is_p_independent` calls `mp_gcd` nowhere."""
+    calls = []
+    gcd = polys.mp_gcd
+
+    def counted(f, g):
+        calls.append(1)
+        return gcd(f, g)
+
+    K = make_field("Fp(2;t1,t2,t3)")
+    bs = [K.parse(s) for s in ("(t1*t2 + t3 + 1)^2*t1 + (t2 + t3^2)^2",
+                               "(t1 + t3)^2*t2 + t1*t3 + t2^3",
+                               "t1*t2*t3 + t1^3*t3")]
+    monkeypatch.setattr(polys, "mp_gcd", counted)
+    assert is_p_independent(bs, K)
+    assert not is_p_independent(bs[:2] + [bs[0] * bs[1] ** 2], K)
+    assert calls == []
+
+
+@pytest.mark.parametrize("spec", ["Fp(2;t1,t2)", "Fp(3;t1,t2)", "Fp(5;t)"])
+def test_fraction_free_echelon_is_the_scaled_reduced_form(spec):
+    """On random polynomial matrices, some with a dependent row, the
+    fraction-free elimination picks the pivots of the fraction echelon
+    over K, its pivot rows are the last pivot times the reduced form and
+    its other rows are zero."""
+    K = make_field(spec)
+    R = K._ring
+    rng = random.Random(len(spec))
+
+    def poly():
+        f = R.zero()
+        for _ in range(rng.randrange(3)):
+            term = R.from_int(rng.randrange(1, K.p))
+            for name in K.tvars:
+                term = term * R.var(name) ** rng.randrange(3)
+            f = f + term
+        return f
+
+    def scalar(f, d=R.one()):
+        return K.zero() if f.is_zero() else FieldScalar(K, (f, d))
+
+    for _ in range(40):
+        nrows, ncols = rng.randrange(1, 5), rng.randrange(1, 6)
+        rows = [[poly() for _ in range(ncols)] for _ in range(nrows)]
+        if nrows > 2:
+            a, b = poly(), poly()
+            rows[-1] = [a * x + b * y for x, y in zip(rows[0], rows[1])]
+        reduced = [[scalar(f) for f in row] for row in rows]
+        pivots = linalg.fraction_free_echelon(rows, ncols)
+        assert pivots == linalg.echelon(reduced, ncols)
+        for i, row in enumerate(rows):
+            if i < len(pivots):
+                delta = rows[0][pivots[0]]
+                assert [scalar(f, delta) for f in row] == reduced[i]
+            else:
+                assert all(f.is_zero() for f in row)

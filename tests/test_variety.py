@@ -15,7 +15,7 @@ from charpk.variety import (AffineVariety, RationalMapData, enumerate_points,
                             projection_dominant)
 
 from oracles import (embed_by_terms, function_by_lift, naive_point_scan,
-                     weil_verdict)
+                     vanishes_at, weil_verdict)
 
 
 def _curve(spec, text, variables=("x", "y")):
@@ -75,6 +75,64 @@ def test_point_enumeration_matches_naive_scan():
         assert got == want
     assert len(list(enumerate_points(_curve("GF(7,1)", "x^2 + y^2 - 1")))) == 8
     assert len(list(enumerate_points(_curve("GF(5,1)", "x^2 + y^2 - 1")))) == 4
+
+
+@pytest.mark.parametrize("spec,gens", [
+    ("Fp(3;t)", ["x*y - t"]),
+    ("Fp(3;t)", ["x^2/t + (t + 1)*y - 1/(t^2 + 1)", "x - y^3/(t + 2)"]),
+    ("Fp(2;t,s)", ["(s + 1)*x^3*y - t/(s*t + 1)", "x + y + s"]),
+    ("Fp(5;t)", ["y - x^9/(t + 1) - t*x^4 + 2*x"])])
+def test_point_membership_over_fpt_matches_evaluation(monkeypatch, spec,
+                                                      gens):
+    """Membership over F_p(t..) on cleared denominators agrees with
+    evaluating each generator in F_p(t..), at points of height <= 1 and
+    at points built on each generator; every generator is joined once
+    per variety, not once per point."""
+    from charpk import variety
+    K = make_field(spec)
+    varieties = [AffineVariety(K, ("x", "y"), [g]) for g in gens]
+    varieties.append(AffineVariety(K, ("x", "y"), gens))
+    joins = []
+    join = variety.join_coeffs
+
+    def counted(f, joined):
+        joins.append(f)
+        return join(f, joined)
+    monkeypatch.setattr(variety, "join_coeffs", counted)
+    coords = list(iter_elements(K, 1))[:12]
+    y = PolyRing(K, ("y",)).var("y")
+    for V in varieties:
+        points = [(a, b) for a in coords for b in coords]
+        for a in coords[1:]:
+            # y solved from the first generator at x = a, when linear
+            f = V.ideal.gens[0].substitute({"x": y.ring.from_scalar(a),
+                                            "y": y})
+            if f.degree_in("y") == 1:
+                points.append((a, -f.coeff((0,)) / f.coeff((1,))))
+        hits = 0
+        for point in points:
+            got = V.contains_point(point)
+            assert got == vanishes_at(V.ideal.gens, point)
+            hits += got
+        assert hits or len(V.ideal.gens) > 1
+    assert len(joins) == 2 * len(gens)
+
+
+def test_hypersurface_nonemptiness_needs_no_groebner_basis(monkeypatch):
+    """(f) = (1) iff f is a nonzero constant: V(x^2 + 1) over GF(3) has no
+    GF(3)-point but is not empty over the algebraic closure."""
+    from charpk import polys
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("is_empty ran Buchberger")
+    monkeypatch.setattr(polys, "buchberger", refuse)
+    assert not AffineVariety(make_field("GF(3,1)"), ("x",),
+                             ["x^2 + 1"]).is_empty()
+    assert not _curve("Fp(3;t)", "x*y - 1").is_empty()
+    constant = AffineVariety(make_field("GF(3,1)"), ("x", "y"), ["2"])
+    assert constant.is_empty()
+    with pytest.raises(PreconditionError):
+        constant.require_nonempty()
 
 
 def test_point_enumeration_ratfunc_needs_bound():
