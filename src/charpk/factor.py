@@ -326,12 +326,13 @@ def factor_poly(F: MultiPoly):
 def _normalize_factor_list(F, facs):
     """Monic-normalize factors, compute the unit, and self-check."""
     ring = F.ring
-    out = []
-    for g, m in facs:
-        out.append((g.monic("grevlex"), m))
-    out.sort(key=lambda gm: (gm[0].total_degree(),
-                             sorted(gm[0].terms),
-                             str(gm[0])))
+    def head(gm):
+        return gm[0].total_degree(), sorted(gm[0].terms)
+    out = sorted(((g.monic("grevlex"), m) for g, m in facs), key=head)
+    # the printed text breaks ties only, so only tied factors print
+    runs = [list(run) for _, run in itertools.groupby(out, head)]
+    out = [gm for run in runs for gm in (
+        sorted(run, key=lambda gm: str(gm[0])) if len(run) > 1 else run)]
     prod = ring.one()
     for g, m in out:
         prod = prod * g ** m

@@ -29,6 +29,7 @@ The m = 0 rational-function field degenerates to the prime field.
 from __future__ import annotations
 
 import itertools
+import operator
 import re
 from functools import lru_cache
 
@@ -893,12 +894,15 @@ def _parse_gf_modulus(text, p):
 
 
 # \s and \w match exactly str.isspace() and (str.isalnum() or "_")
-_SPACES = re.compile(r"\s*")
 _WORD = re.compile(r"\w*")
+# The tokens of the shared grammar: a run of decimal digits, a word that
+# does not start with one, or any other single non-space character.
+_TOKEN = re.compile(r"\d+|[^\W\d]\w*|\S")
 
 # Deepest parenthesis nesting any reader takes.  Each level costs the
-# recursive descent up to eight stack frames (`lam(` in a formula), so at
-# this depth a reader stays under 550 frames, well inside Python's
+# recursive descent over the token list five stack frames, and nine for
+# `lam(` in a formula (found by bisecting sys.setrecursionlimit), so at
+# this depth a reader stays under 600 frames, well inside Python's
 # default recursion limit of 1000.
 MAX_NESTING = 64
 
@@ -906,96 +910,100 @@ MAX_NESTING = 64
 class _Parser:
     """Recursive descent over + - * / ^, parentheses, integer literals and
     names: the one text grammar of scalars, polynomials, GF(p^k) moduli
-    and formula terms.  A leading minus negates the first term of a sum,
-    any other unary minus the factor after it; a chain of minuses is
-    read by a loop.  Parentheses nest at most MAX_NESTING deep.
-    Subclasses build the values: `number`, `symbol`, `divide`, `power`
-    and `exponent`; `what` and `error` name the input in error
-    messages."""
+    and formula terms.  The text is scanned once, by one regex, into
+    `toks` (ending in "", the end of the text), and the descent indexes
+    that list; where token i starts, `offset(i)`, is found by the same
+    regex when a message or an adjacency test first asks.  A leading minus
+    negates the first term of a sum, any other unary minus the factor
+    after it; a chain of minuses is read by a loop.  Parentheses nest at
+    most MAX_NESTING deep.  Subclasses build the values: `number`,
+    `symbol`, `divide`, `power` and `exponent`, and `add`, `sub`, `mul`,
+    `neg` and `is_zero`, which default to the values' own operators;
+    `what` and `error` name the input in error messages."""
 
     what, error = "scalar literal", FieldError
     chained_powers = False
 
     def __init__(self, text, target):
         self.text = text
-        self.end = len(text)
-        self.pos = 0
+        self.toks = _TOKEN.findall(text)
+        self.toks.append("")
+        self.i = 0
         self.depth = 0
         self.target = target
+        self._offsets = None
 
     def parse(self):
         v = self.expr()
-        self.skip()
-        if self.pos != self.end:
+        if self.toks[self.i]:
             raise self.error(f"trailing input in {self.what} {self.text!r}")
         return v
 
-    def skip(self):
-        pos = self.pos
-        if pos < self.end and self.text[pos].isspace():
-            self.pos = _SPACES.match(self.text, pos).end()
+    def offset(self, i=None):
+        """Where token i (by default the next one) starts in the text."""
+        if self._offsets is None:
+            self._offsets = [m.start() for m in _TOKEN.finditer(self.text)]
+            self._offsets.append(len(self.text))
+        return self._offsets[self.i if i is None else i]
 
-    def peek(self):
-        """The next non-space character, or "" at the end."""
-        pos = self.pos
-        if pos < self.end:
-            ch = self.text[pos]
-            if not ch.isspace():
-                return ch
-            pos = self.pos = _SPACES.match(self.text, pos).end()
-            if pos < self.end:
-                return self.text[pos]
-        return ""
+    # by default values combine by their operators (builtins take no self)
+    add, sub, mul, neg = operator.add, operator.sub, operator.mul, operator.neg
+
+    def is_zero(self, v):
+        return v.is_zero()
 
     def expr(self):
-        if self.peek() == "-":
-            self.pos += 1
-            v = -self.term()
+        toks = self.toks
+        if toks[self.i] == "-":
+            self.i += 1
+            v = self.neg(self.term())
         else:
             v = self.term()
         while True:
-            ch = self.peek()
-            if ch == "+":
-                self.pos += 1
-                v = v + self.term()
-            elif ch == "-":
-                self.pos += 1
-                v = v - self.term()
+            tok = toks[self.i]
+            if tok == "+":
+                self.i += 1
+                v = self.add(v, self.term())
+            elif tok == "-":
+                self.i += 1
+                v = self.sub(v, self.term())
             else:
                 return v
 
     def term(self):
         v = self.factor()
+        toks = self.toks
         while True:
-            ch = self.peek()
-            if ch == "*":
-                self.pos += 1
-                v = v * self.factor()
-            elif ch == "/":
-                self.pos += 1
+            tok = toks[self.i]
+            if tok == "*":
+                self.i += 1
+                v = self.mul(v, self.factor())
+            elif tok == "/":
+                self.i += 1
                 d = self.factor()
-                if d.is_zero():
+                if self.is_zero(d):
                     raise self.error(f"division by zero in {self.text!r}")
                 v = self.divide(v, d)
             else:
                 return v
 
     def factor(self):
+        toks = self.toks
         minuses = 0
-        while self.peek() == "-":
-            self.pos += 1
+        while toks[self.i] == "-":
+            self.i += 1
             minuses += 1
         v = self.atom()
-        while self.peek() == "^":
-            self.pos += 1
+        while toks[self.i] == "^":
+            self.i += 1
             n = self.exponent()
-            if n < 0 and v.is_zero():
+            if n < 0 and self.is_zero(v):
                 raise self.error(f"division by zero in {self.text!r}")
             v = self.power(v, n)
             if not self.chained_powers:
                 break
         for _ in range(minuses):
-            v = -v
+            v = self.neg(v)
         return v
 
     def inside(self, read):
@@ -1011,33 +1019,32 @@ class _Parser:
             self.depth -= 1
 
     def atom(self):
-        ch = self.peek()
-        if ch == "(":
-            self.pos += 1
+        tok = self.toks[self.i]
+        self.i += 1
+        if tok == "(":
             v = self.inside(self.expr)
-            if self.peek() != ")":
+            if self.toks[self.i] != ")":
                 raise self.error(f"unbalanced parentheses in {self.text!r}")
-            self.pos += 1
+            self.i += 1
             return v
-        if ch.isdecimal():
-            return self.number(self.integer())
-        if ch.isalpha() or ch == "_":
-            start = self.pos
-            self.pos = _WORD.match(self.text, start).end()
-            return self.symbol(self.text[start:self.pos])
-        raise self.error(f"unexpected character {ch!r} in {self.what}")
+        if tok.isdecimal():
+            return self.number(int(tok))
+        head = tok[:1]
+        if head.isalpha() or head == "_":
+            return self.symbol(tok)
+        raise self.error(f"unexpected character {head!r} in {self.what}")
 
     def integer(self, signed=False, message="expected integer"):
-        self.skip()
-        start = self.pos
-        if signed and self.text.startswith("-", self.pos):
-            self.pos += 1
-        digits = self.pos
-        while self.pos < self.end and self.text[self.pos].isdecimal():
-            self.pos += 1
-        if self.pos == digits:
+        toks, i = self.toks, self.i
+        tok = toks[i]
+        if (signed and tok == "-" and toks[i + 1].isdecimal()
+                and self.offset(i + 1) == self.offset(i) + 1):
+            self.i = i + 2
+            return -int(toks[i + 1])
+        if not tok.isdecimal():
             raise self.error(message)
-        return int(self.text[start:self.pos])
+        self.i = i + 1
+        return int(tok)
 
     # -- scalar literals over the field `target` -----------------------------
 

@@ -31,24 +31,66 @@ Two syntactic engines operate on these:
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
-from typing import Tuple
 
 from . import fields, lambdafn, polys
 from .errors import (FieldError, FormulaError, PreconditionError,
                      ResourceExhausted)
-from .fields import (FieldDescriptor, FieldScalar, is_pth_power, lambda0,
-                     pth_root)
+from .fields import FieldDescriptor, is_pth_power, lambda0, pth_root
 
 
 # ---------------------------------------------------------------------------
 # terms
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Term:
+class _Node:
+    """A frozen node with the fields named in `__slots__`.  Each node class
+    gets, when it is created, the methods dataclasses would write for it:
+    `__init__` taking the fields by position or name, and `==` and `hash`
+    by class and fields (a class may keep its own `__hash__`).  Nodes
+    print as `Var(name='x')`, refuse assignment and copy by rebuilding."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        names = cls.__slots__
+        mine, theirs = ("".join(f"{who}.{n}, " for n in names)
+                        for who in ("self", "other"))
+        code = (f"def __init__(self, {', '.join(names)}):\n"
+                + "".join(f" _set(self, {n!r}, {n})\n" for n in names)
+                + " pass\n"
+                "def __eq__(self, other):\n"
+                " if other.__class__ is not self.__class__:\n"
+                "  return NotImplemented\n"
+                f" return ({mine}) == ({theirs})\n"
+                f"def __hash__(self):\n return hash(({mine}))\n"
+                f"def _fields(self):\n return ({mine})\n")
+        # generated, as dataclasses does: a loop over the fields made
+        # nodes 4-10x slower to build, compare and hash
+        made = {"_set": object.__setattr__}
+        exec(code, made)
+        for name in ("__init__", "__eq__", "__hash__", "_fields"):
+            if name not in cls.__dict__:
+                made[name].__qualname__ = f"{cls.__qualname__}.{name}"
+                setattr(cls, name, made[name])
+
+    def __repr__(self):
+        fields = (f"{n}={getattr(self, n)!r}" for n in self.__slots__)
+        return f"{type(self).__qualname__}({', '.join(fields)})"
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return type(self), self._fields()
+
+
+class Term(_Node):
     """+ - * and unary - build Add, Sub and Mul nodes: -a is 0 - a and
     a ** n the left-nested product a * a * .. * a, with a ** 0 = 1."""
+
+    __slots__ = ()
 
     def __add__(self, other):
         return Add(self, other)
@@ -74,17 +116,17 @@ class Term:
         return False
 
 
-@dataclass(frozen=True)
 class IntConst(Term):
-    value: int
+    __slots__ = ("value",)
 
     def is_zero(self):
         return self.value == 0
 
 
-@dataclass(frozen=True)
 class Const(Term):
-    value: FieldScalar
+    """A field constant: `value` is a FieldScalar."""
+
+    __slots__ = ("value",)
 
     def __hash__(self):
         return hash(("Const", self.value))
@@ -93,80 +135,60 @@ class Const(Term):
         return self.value.is_zero()
 
 
-@dataclass(frozen=True)
 class Var(Term):
-    name: str
+    __slots__ = ("name",)
 
 
-@dataclass(frozen=True)
 class Add(Term):
-    left: Term
-    right: Term
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True)
 class Sub(Term):
-    left: Term
-    right: Term
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True)
 class Mul(Term):
-    left: Term
-    right: Term
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True)
 class DOp(Term):
-    arg: Term
+    __slots__ = ("arg",)
 
 
-@dataclass(frozen=True)
 class Lambda0(Term):
-    arg: Term
+    __slots__ = ("arg",)
 
 
-@dataclass(frozen=True)
 class Lam(Term):
-    index: int
-    arity: int
-    basis: Tuple[Term, ...]
-    arg: Term
+    """lam(index, arity; basis..; arg), the basis a tuple of terms."""
+
+    __slots__ = ("index", "arity", "basis", "arg")
 
 
-@dataclass(frozen=True)
 class Sigma(Term):
-    element: str
-    arg: Term
+    __slots__ = ("element", "arg")
 
 
 # formulas -------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Formula:
-    pass
+class Formula(_Node):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Atom(Formula):
-    term: Term
+    __slots__ = ("term",)
 
 
-@dataclass(frozen=True)
 class NotF(Formula):
-    sub: Formula
+    __slots__ = ("sub",)
 
 
-@dataclass(frozen=True)
 class AndF(Formula):
-    left: Formula
-    right: Formula
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True)
 class OrF(Formula):
-    left: Formula
-    right: Formula
+    __slots__ = ("left", "right")
 
 
 # language tags --------------------------------------------------------------
@@ -362,52 +384,54 @@ class _Parser(fields._Parser):
     grown = 0   # term nodes the powers read so far added
 
     def parse(self):
-        # the term read at each "(": (term, end position, term nodes its
-        # powers added), reused when `unit` backtracks to that "("
+        # the term read at each "(" by token index: (term, index after
+        # it, term nodes its powers added), reused when `unit`
+        # backtracks to that "("
         self.read = {}
         node = self.formula() if "=" in self.text else self.expr()
-        if self.peek():
-            raise FormulaError(
-                f"trailing input at position {self.pos} in {self.text!r}")
+        if self.toks[self.i]:
+            raise FormulaError(f"trailing input at position {self.offset()} "
+                               f"in {self.text!r}")
         return node
 
-    def eat(self, ch):
-        if self.peek() != ch:
-            raise FormulaError(
-                f"expected {ch!r} at position {self.pos} in {self.text!r}")
-        self.pos += 1
+    def eat(self, tok):
+        if self.toks[self.i] != tok:
+            raise FormulaError(f"expected {tok!r} at position "
+                               f"{self.offset()} in {self.text!r}")
+        self.i += 1
 
     # -- formulas -----------------------------------------------------------
 
     def formula(self):
         left = self.conj()
-        while self.peek() == "|":
-            self.pos += 1
+        while self.toks[self.i] == "|":
+            self.i += 1
             left = OrF(left, self.conj())
         return left
 
     def conj(self):
         left = self.unit()
-        while self.peek() == "&":
-            self.pos += 1
+        while self.toks[self.i] == "&":
+            self.i += 1
             left = AndF(left, self.unit())
         return left
 
     def unit(self):
-        if self.peek() == "!":
-            self.pos += 1
+        tok = self.toks[self.i]
+        if tok == "!":
+            self.i += 1
             return NotF(self.argument(self.formula))
-        if self.peek() == "(":
+        if tok == "(":
             # disambiguate "(formula)" from a parenthesized term by
             # backtracking
-            save = self.pos, self.grown
+            save = self.i, self.grown
             try:
                 f = self.argument(self.formula)
-                if self.peek() in ("=", "+", "-", "*", "^"):
+                if self.toks[self.i] in ("=", "+", "-", "*", "^"):
                     raise FormulaError("term context")
                 return f
             except FormulaError:
-                self.pos, self.grown = save
+                self.i, self.grown = save
         left = self.expr()
         self.eat("=")
         right = self.expr()
@@ -426,14 +450,14 @@ class _Parser(fields._Parser):
     def atom(self):
         """A parenthesized term, read once per position; a reuse counts
         its powers' term nodes again, as backtracking took them off."""
-        if self.peek() != "(":
+        if self.toks[self.i] != "(":
             return super().atom()
-        start, grown = self.pos, self.grown
+        start, grown = self.i, self.grown
         if start not in self.read:
             node = super().atom()
-            self.read[start] = node, self.pos, self.grown - grown
+            self.read[start] = node, self.i, self.grown - grown
             self.grown = grown
-        node, self.pos, added = self.read[start]
+        node, self.i, added = self.read[start]
         self._grow(added)
         return node
 
@@ -441,17 +465,19 @@ class _Parser(fields._Parser):
         return IntConst(n)
 
     def symbol(self, name):
-        if name == "s" and self.text.startswith("[", self.pos):
-            self.pos += 1
-            self.skip()
-            start = self.pos
-            self.pos = fields._WORD.match(self.text, start).end()
-            if self.pos == start:
+        toks, i = self.toks, self.i
+        if (name == "s" and toks[i] == "["
+                and self.offset(i) == self.offset(i - 1) + 1):
+            # the element is one \w run, digits and letters alike
+            start = self.offset(i + 1)
+            end = fields._WORD.match(self.text, start).end()
+            if end == start:
                 raise FormulaError(f"expected a name at position {start}")
-            element = self.text[start:self.pos]
+            while self.offset() < end:
+                self.i += 1
             self.eat("]")
-            return Sigma(element, self.argument(self.expr))
-        if self.peek() == "(":
+            return Sigma(self.text[start:end], self.argument(self.expr))
+        if toks[i] == "(":
             if name == "D":
                 return DOp(self.argument(self.expr))
             if name == "l0":
@@ -476,10 +502,10 @@ class _Parser(fields._Parser):
         e = self.natural()
         self.eat(";")
         basis = []
-        if self.peek() != ";":
+        if self.toks[self.i] != ";":
             basis.append(self.expr())
-            while self.peek() == ",":
-                self.pos += 1
+            while self.toks[self.i] == ",":
+                self.i += 1
                 basis.append(self.expr())
         self.eat(";")
         return Lam(i, e, tuple(basis), self.expr())
@@ -514,9 +540,10 @@ class _Parser(fields._Parser):
                 "term nodes")
 
     def natural(self):
-        self.skip()
-        return self.integer(
-            message=f"expected a number at position {self.pos}")
+        if not self.toks[self.i].isdecimal():
+            raise FormulaError(
+                f"expected a number at position {self.offset()}")
+        return self.integer()
 
     exponent = natural
 

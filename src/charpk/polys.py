@@ -30,8 +30,8 @@ import itertools
 from operator import add as _eadd, neg as _neg
 
 from .errors import CharpkError, FieldError, RingError, ResourceExhausted
-from .fields import (FieldDescriptor, FieldScalar, _Parser, _scalar,
-                     parse_scalar, u_gcd, u_trim)
+from .fields import (FieldDescriptor, FieldScalar, _Parser, _scalar, u_gcd,
+                     u_trim)
 
 MAX_BASIS = 400
 MAX_DEGREE = 120
@@ -503,105 +503,153 @@ def _mul_terms(a, b, K):
 # ---------------------------------------------------------------------------
 
 class _PolyParser(_Parser):
-    """`3*x^2*y + t*x - 1` with ring variables and base-field literals."""
+    """`3*x^2*y + t*x - 1` with ring variables and base-field literals.
+    A value is a monomial [c, e_1, .., e_n] (raw coefficient, exponents)
+    or a raw term dict, and is fresh, so the hooks change it in place: a
+    sum adds each term into one dict, a product or power of monomials is
+    a monomial, and only a factor of two or more terms takes
+    `_mul_terms` or `MultiPoly.__pow__`."""
 
     what, error = "polynomial", RingError
     chained_powers = True
 
+    def __init__(self, text, ring):
+        super().__init__(text, ring)
+        self.ring, self.K = ring, ring.field.kernel
+        self.zeros = [0] * ring.nvars
+
+    def parse(self):
+        return _mp(self.ring, self._terms(super().parse()))
+
+    def _terms(self, v):
+        if v.__class__ is dict:
+            return v
+        return {tuple(v[1:]): v[0]} if v[0] else {}
+
+    def _mono(self, v):
+        """The term dict v as a monomial, or None for two or more terms."""
+        for e, c in v.items():
+            return [c, *e] if len(v) == 1 else None
+        return self.number(0)
+
+    def is_zero(self, v):
+        return not (v[0] if v.__class__ is list else v)
+
     def number(self, n):
-        return self.target.from_int(n)
+        return [self.K.from_int(n)] + self.zeros
 
     def symbol(self, name):
-        ring = self.target
-        if name in ring._var_index:
-            return ring.var(name)
-        return ring.from_scalar(parse_scalar(name, ring.field))
+        i = self.ring._var_index.get(name)
+        if i is not None:
+            v = [self.K.one] + self.zeros
+            v[i + 1] = 1
+            return v
+        field = self.target.field
+        if name != field.gen_name:
+            kind = "generator" if field.kind == "gf" else "transcendental"
+            raise FieldError(f"unknown {kind} {name!r}")
+        return [field.generator().value] + self.zeros
+
+    def add(self, a, b):
+        acc, add = self._terms(a), self.K.add
+        for e, c in (((tuple(b[1:]), b[0]),) if b.__class__ is list
+                     else b.items()):
+            old = acc.get(e)
+            c = c if old is None else add(old, c)
+            if c:
+                acc[e] = c
+            elif old is not None:
+                del acc[e]
+        return acc
+
+    def sub(self, a, b):
+        return self.add(a, self.neg(b))
+
+    def neg(self, v):
+        return self.mul(v, self.number(-1))
+
+    def mul(self, a, b):
+        m = a if a.__class__ is list else self._mono(a)
+        n = b if b.__class__ is list else self._mono(b)
+        if m is None or n is None:
+            return _mul_terms(self._terms(a), self._terms(b), self.K)
+        m[0] = self.K.mul(m[0], n[0])
+        for i in range(1, len(m)):
+            m[i] += n[i]
+        return m
+
+    def power(self, v, n):
+        m = v if v.__class__ is list else self._mono(v)
+        if m is None:
+            return (_mp(self.ring, v) ** n).terms
+        m[0] = self.K.pow(m[0], n)
+        for i in range(1, len(m)):
+            m[i] *= n
+        return m
 
     def divide(self, v, d):
-        if not d.is_constant():
+        d = d if d.__class__ is list else self._mono(d)
+        if d is None or any(d[1:]):
             raise RingError("division only by base-field constants")
-        return v.scale(d.constant_value().inverse())
+        return self.mul(v, [self.K.inv(d[0])] + self.zeros)
 
     def exponent(self):
         return self.integer(message="expected integer exponent")
 
 
-class _Pair:
-    """N / d while reading a polynomial over F_p(t..): N and d in
-    GF(p)[t.., x..], d free of x.. and None for 1."""
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num, den=None):
-        self.num, self.den = num, den
-
-    def is_zero(self):
-        return not self.num.terms
-
-    def __add__(self, other):
-        if self.den == other.den:
-            return _Pair(self.num + other.num, self.den)
-        return _Pair(_times(self.num, other.den) + _times(other.num, self.den),
-                     _times(self.den, other.den))
-
-    def __neg__(self):
-        return _Pair(-self.num, self.den)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        return _Pair(self.num * other.num, _times(self.den, other.den))
-
-    def __pow__(self, n):
-        return _Pair(self.num ** n, None if self.den is None
-                     else self.den ** n)
-
-
-def _times(a, b):
-    """a * b for polynomials or None, which stands for 1."""
-    if a is None:
-        return b
-    return a if b is None else a * b
-
-
 class _FracParser(_PolyParser):
-    """The polynomial DSL over F_p(t..), read in GF(p)[t.., x..] as a
-    pair N / d: `+ - * ^` act on pairs without gcds, `/` only by a value
-    whose N has no ring variable, and one `split_coeffs` at the end
-    reduces each coefficient once."""
+    """The polynomial DSL over F_p(t..), read by `_PolyParser` in
+    GF(p)[t.., x..]; `/` (only by a value free of ring variables) makes
+    a pair (N, d) of MultiPolys there.  Pairs take no gcds, a sum keeps
+    the denominator that the other divides, and one `split_coeffs` at
+    the end reduces each coefficient once."""
 
     def __init__(self, text, ring):
-        super().__init__(text, ring)
-        self.joined = joined_ring(ring)
+        super().__init__(text, joined_ring(ring))
+        self.target, self.one = ring, self.ring.one()
 
     def parse(self):
-        v = super().parse()
-        den = self.joined.one() if v.den is None else v.den
-        return split_coeffs(v.num, den, self.target)
+        return split_coeffs(*self._pair(_Parser.parse(self)), self.target)
 
-    def number(self, n):
-        n %= self.target.field.p
-        joined = self.joined
-        return _Pair(_mp(joined, {(0,) * joined.nvars: n} if n else {}))
+    def _pair(self, v):
+        if v.__class__ is tuple:
+            return v
+        return _mp(self.ring, self._terms(v)), self.one
 
-    def symbol(self, name):
-        ring, tvars = self.target, self.target.field.tvars
-        if name in ring._var_index:
-            i = len(tvars) + ring._var_index[name]
-        elif name in tvars:
-            i = tvars.index(name)
-        else:
-            raise FieldError(f"unknown transcendental {name!r}")
-        e = [0] * self.joined.nvars
-        e[i] = 1
-        return _Pair(_mp(self.joined, {tuple(e): 1}))
+    def is_zero(self, v):
+        return not v[0].terms if v.__class__ is tuple else super().is_zero(v)
+
+    def add(self, a, b):
+        if a.__class__ is not tuple and b.__class__ is not tuple:
+            return super().add(a, b)
+        (an, ad), (bn, bd) = self._pair(a), self._pair(b)
+        if ad == bd:
+            return an + bn, ad
+        q, r = mp_divmod_single(bd, ad)
+        if not r.terms:
+            return an * q + bn, bd
+        q, r = mp_divmod_single(ad, bd)
+        if not r.terms:
+            return an + bn * q, ad
+        return an * bd + bn * ad, ad * bd
+
+    def mul(self, a, b):
+        if a.__class__ is not tuple and b.__class__ is not tuple:
+            return super().mul(a, b)
+        (an, ad), (bn, bd) = self._pair(a), self._pair(b)
+        return an * bn, ad * bd
+
+    def power(self, v, n):
+        if v.__class__ is not tuple:
+            return super().power(v, n)
+        return v[0] ** n, v[1] ** n
 
     def divide(self, v, d):
+        (vn, vd), (dn, dd) = self._pair(v), self._pair(d)
         m = len(self.target.field.tvars)
-        if any(any(e[m:]) for e in d.num.terms):
+        if any(any(e[m:]) for e in dn.terms):
             raise RingError("division only by base-field constants")
-        return _Pair(_times(v.num, d.den), _times(v.den, d.num))
+        return vn * dd, vd * dn
 
 
 # ---------------------------------------------------------------------------

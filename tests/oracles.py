@@ -12,11 +12,15 @@ a second set of lambda values from fraction elimination over K of
 quotient-rule Jacobians, where the library eliminates polynomial rows
 fraction-free, and `scan_reduce` finds each leading term by a scan
 where `polys._reduce` keeps a heap.
-Polynomial text over F_p(t..) is read by `MultiPolyReader`, with one
-F_p(t..) kernel operation per arithmetic step, where the library reads
-pairs over GF(p)[t.., x..]; `embed_by_terms` and `function_by_lift` move
-functions into and out of a rational model K(V) = F_p(t.., free) by
-FieldScalar arithmetic, where the library joins coefficients.  Formula
+Scalar and polynomial text is read by the character-level reader
+(`read_scalar`, `read_poly`: peek and skip per character, MultiPoly
+arithmetic per term, pairs that multiply their denominators), where the
+library scans tokens once and builds raw terms, and by `MultiPolyReader`,
+with one F_p(t..) kernel operation per arithmetic step, where the
+library reads pairs over GF(p)[t.., x..]; `embed_by_terms` and
+`function_by_lift` move functions into and out of a rational model
+K(V) = F_p(t.., free) by FieldScalar arithmetic, where the library
+joins coefficients.  Formula
 text is read by `read_formula`, a recursive descent with its own lexer
 and precedence levels, where the library reads terms with the shared
 scalar and polynomial grammar.
@@ -30,14 +34,13 @@ import re
 
 from charpk import factor, linalg
 from charpk.errors import FieldError, FormulaError, RingError
-from charpk.fields import (FieldDescriptor, FieldScalar, _Parser,
-                           iter_gf_elements, p_components, parse_scalar,
-                           partial, pth_root)
+from charpk.fields import (FieldDescriptor, FieldScalar, iter_gf_elements,
+                           p_components, partial, pth_root)
 from charpk.formula import (Add, AndF, Atom, Const, DOp, IntConst, Lam,
                             Lambda0, Mul, NotF, OrF, Sigma, Sub, Var,
                             check_language)
-from charpk.polys import (MultiPoly, PolyRing, buchberger, normal_form,
-                          order_key)
+from charpk.polys import (MultiPoly, PolyRing, _mp, buchberger,
+                          joined_ring, normal_form, order_key, split_coeffs)
 from charpk.variety import FunctionFieldElem, peel_graph
 
 
@@ -66,12 +69,305 @@ def _eval_poly(g: MultiPoly, point):
 
 
 # ---------------------------------------------------------------------------
+# the character-level text reader: peek/skip per character, MultiPoly
+# arithmetic per term, and N/d pairs over GF(p)[t.., x..] that multiply
+# their denominators; the differential oracle for the token reader of
+# `fields._Parser` and `polys.PolyRing.parse`
+# ---------------------------------------------------------------------------
+
+# \s and \w match exactly str.isspace() and (str.isalnum() or "_")
+_SPACES = re.compile(r"\s*")
+_WORD = re.compile(r"\w*")
+
+# Deepest parenthesis nesting any reader takes.  Each level costs the
+# recursive descent up to eight stack frames (`lam(` in a formula), so at
+# this depth a reader stays under 550 frames, well inside Python's
+# default recursion limit of 1000.
+MAX_NESTING = 64
+
+
+class _Parser:
+    """Recursive descent over + - * / ^, parentheses, integer literals and
+    names: the one text grammar of scalars, polynomials, GF(p^k) moduli
+    and formula terms.  A leading minus negates the first term of a sum,
+    any other unary minus the factor after it; a chain of minuses is
+    read by a loop.  Parentheses nest at most MAX_NESTING deep.
+    Subclasses build the values: `number`, `symbol`, `divide`, `power`
+    and `exponent`; `what` and `error` name the input in error
+    messages."""
+
+    what, error = "scalar literal", FieldError
+    chained_powers = False
+
+    def __init__(self, text, target):
+        self.text = text
+        self.end = len(text)
+        self.pos = 0
+        self.depth = 0
+        self.target = target
+
+    def parse(self):
+        v = self.expr()
+        self.skip()
+        if self.pos != self.end:
+            raise self.error(f"trailing input in {self.what} {self.text!r}")
+        return v
+
+    def skip(self):
+        pos = self.pos
+        if pos < self.end and self.text[pos].isspace():
+            self.pos = _SPACES.match(self.text, pos).end()
+
+    def peek(self):
+        """The next non-space character, or "" at the end."""
+        pos = self.pos
+        if pos < self.end:
+            ch = self.text[pos]
+            if not ch.isspace():
+                return ch
+            pos = self.pos = _SPACES.match(self.text, pos).end()
+            if pos < self.end:
+                return self.text[pos]
+        return ""
+
+    def expr(self):
+        if self.peek() == "-":
+            self.pos += 1
+            v = -self.term()
+        else:
+            v = self.term()
+        while True:
+            ch = self.peek()
+            if ch == "+":
+                self.pos += 1
+                v = v + self.term()
+            elif ch == "-":
+                self.pos += 1
+                v = v - self.term()
+            else:
+                return v
+
+    def term(self):
+        v = self.factor()
+        while True:
+            ch = self.peek()
+            if ch == "*":
+                self.pos += 1
+                v = v * self.factor()
+            elif ch == "/":
+                self.pos += 1
+                d = self.factor()
+                if d.is_zero():
+                    raise self.error(f"division by zero in {self.text!r}")
+                v = self.divide(v, d)
+            else:
+                return v
+
+    def factor(self):
+        minuses = 0
+        while self.peek() == "-":
+            self.pos += 1
+            minuses += 1
+        v = self.atom()
+        while self.peek() == "^":
+            self.pos += 1
+            n = self.exponent()
+            if n < 0 and v.is_zero():
+                raise self.error(f"division by zero in {self.text!r}")
+            v = self.power(v, n)
+            if not self.chained_powers:
+                break
+        for _ in range(minuses):
+            v = -v
+        return v
+
+    def inside(self, read):
+        """read() one parenthesis deeper; nesting past MAX_NESTING is
+        refused."""
+        if self.depth == MAX_NESTING:
+            raise self.error(f"{self.what} nests parentheses deeper than "
+                             f"{MAX_NESTING}")
+        self.depth += 1
+        try:
+            return read()
+        finally:
+            self.depth -= 1
+
+    def atom(self):
+        ch = self.peek()
+        if ch == "(":
+            self.pos += 1
+            v = self.inside(self.expr)
+            if self.peek() != ")":
+                raise self.error(f"unbalanced parentheses in {self.text!r}")
+            self.pos += 1
+            return v
+        if ch.isdecimal():
+            return self.number(self.integer())
+        if ch.isalpha() or ch == "_":
+            start = self.pos
+            self.pos = _WORD.match(self.text, start).end()
+            return self.symbol(self.text[start:self.pos])
+        raise self.error(f"unexpected character {ch!r} in {self.what}")
+
+    def integer(self, signed=False, message="expected integer"):
+        self.skip()
+        start = self.pos
+        if signed and self.text.startswith("-", self.pos):
+            self.pos += 1
+        digits = self.pos
+        while self.pos < self.end and self.text[self.pos].isdecimal():
+            self.pos += 1
+        if self.pos == digits:
+            raise self.error(message)
+        return int(self.text[start:self.pos])
+
+    # -- scalar literals over the field `target` -----------------------------
+
+    def number(self, n):
+        return self.target.from_int(n)
+
+    def symbol(self, name):
+        field = self.target
+        if field.kind == "gf":
+            if name != field.gen_name:
+                raise FieldError(f"unknown generator {name!r}")
+            return field.generator()
+        if name not in field.tvars:
+            raise FieldError(f"unknown transcendental {name!r}")
+        return field.gen(name)
+
+    def divide(self, v, d):
+        return v / d
+
+    def power(self, v, n):
+        return v ** n
+
+    def exponent(self):
+        return self.integer(signed=True)
+
+
+class _PolyParser(_Parser):
+    """`3*x^2*y + t*x - 1` with ring variables and base-field literals."""
+
+    what, error = "polynomial", RingError
+    chained_powers = True
+
+    def number(self, n):
+        return self.target.from_int(n)
+
+    def symbol(self, name):
+        ring = self.target
+        if name in ring._var_index:
+            return ring.var(name)
+        return ring.from_scalar(read_scalar(name, ring.field))
+
+    def divide(self, v, d):
+        if not d.is_constant():
+            raise RingError("division only by base-field constants")
+        return v.scale(d.constant_value().inverse())
+
+    def exponent(self):
+        return self.integer(message="expected integer exponent")
+
+
+class _Pair:
+    """N / d while reading a polynomial over F_p(t..): N and d in
+    GF(p)[t.., x..], d free of x.. and None for 1."""
+
+    __slots__ = ("num", "den")
+
+    def __init__(self, num, den=None):
+        self.num, self.den = num, den
+
+    def is_zero(self):
+        return not self.num.terms
+
+    def __add__(self, other):
+        if self.den == other.den:
+            return _Pair(self.num + other.num, self.den)
+        return _Pair(_times(self.num, other.den) + _times(other.num, self.den),
+                     _times(self.den, other.den))
+
+    def __neg__(self):
+        return _Pair(-self.num, self.den)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        return _Pair(self.num * other.num, _times(self.den, other.den))
+
+    def __pow__(self, n):
+        return _Pair(self.num ** n, None if self.den is None
+                     else self.den ** n)
+
+
+def _times(a, b):
+    """a * b for polynomials or None, which stands for 1."""
+    if a is None:
+        return b
+    return a if b is None else a * b
+
+
+class _FracParser(_PolyParser):
+    """The polynomial DSL over F_p(t..), read in GF(p)[t.., x..] as a
+    pair N / d: `+ - * ^` act on pairs without gcds, `/` only by a value
+    whose N has no ring variable, and one `split_coeffs` at the end
+    reduces each coefficient once."""
+
+    def __init__(self, text, ring):
+        super().__init__(text, ring)
+        self.joined = joined_ring(ring)
+
+    def parse(self):
+        v = super().parse()
+        den = self.joined.one() if v.den is None else v.den
+        return split_coeffs(v.num, den, self.target)
+
+    def number(self, n):
+        n %= self.target.field.p
+        joined = self.joined
+        return _Pair(_mp(joined, {(0,) * joined.nvars: n} if n else {}))
+
+    def symbol(self, name):
+        ring, tvars = self.target, self.target.field.tvars
+        if name in ring._var_index:
+            i = len(tvars) + ring._var_index[name]
+        elif name in tvars:
+            i = tvars.index(name)
+        else:
+            raise FieldError(f"unknown transcendental {name!r}")
+        e = [0] * self.joined.nvars
+        e[i] = 1
+        return _Pair(_mp(self.joined, {tuple(e): 1}))
+
+    def divide(self, v, d):
+        m = len(self.target.field.tvars)
+        if any(any(e[m:]) for e in d.num.terms):
+            raise RingError("division only by base-field constants")
+        return _Pair(_times(v.num, d.den), _times(v.den, d.num))
+
+
+def read_scalar(text, field):
+    """`text` as a scalar of `field`, by the character-level reader."""
+    return _Parser(text, field).parse()
+
+
+def read_poly(text, ring):
+    """`text` as a polynomial of `ring`, by the character-level reader."""
+    if ring.field.kind == "ratfunc":
+        return _FracParser(text, ring).parse()
+    return _PolyParser(text, ring).parse()
+
+
+# ---------------------------------------------------------------------------
 # polynomial text by MultiPoly arithmetic, and rational models term by term
 # ---------------------------------------------------------------------------
 
 class MultiPolyReader(_Parser):
-    """`3*x^2*y + t*x - 1` in a PolyRing, every step a MultiPoly
-    operation: `MultiPolyReader(text, ring).parse()`."""
+    """`3*x^2*y + t*x - 1` in a PolyRing by the character-level reader,
+    every step a MultiPoly operation: `MultiPolyReader(text, ring).parse()`."""
 
     what, error = "polynomial", RingError
     chained_powers = True
@@ -83,7 +379,7 @@ class MultiPolyReader(_Parser):
         ring = self.target
         if name in ring.vars:
             return ring.var(name)
-        return ring.from_scalar(parse_scalar(name, ring.field))
+        return ring.from_scalar(read_scalar(name, ring.field))
 
     def divide(self, v, d):
         if not d.is_constant():

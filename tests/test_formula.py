@@ -1,6 +1,8 @@
 """Quantifier-free formulas: parsing, printing, evaluation, rewriting."""
 
 import collections
+import copy
+import pickle
 import random
 import re
 import time
@@ -14,7 +16,7 @@ from charpk.errors import (CharpkError, FieldError, FormulaError,
                            ResourceExhausted, RingError)
 from charpk.fields import MAX_NESTING, make_field
 from charpk.formula import (Add, AndF, Atom, Const, DOp, Formula, IntConst,
-                            Lambda0, Mul, NotF, OrF, Sub, Var,
+                            Lam, Lambda0, Mul, NotF, OrF, Sub, Var,
                             check_language, correct_lambda0_D, eval_formula,
                             eval_term, formula_variables, parse,
                             print_formula, print_term, simplify_term,
@@ -28,6 +30,32 @@ def _structure(spec="Fp(3;t)"):
     K = make_field(spec)
     D = DerivationContext(K, {"t": K.one()})
     return K, {"field": K, "derivation": D}
+
+
+def test_nodes_build_compare_hash_print_and_refuse_assignment():
+    """Nodes take their fields by position or name, compare and hash by
+    class and fields (a Const by its value), print as `Var(name='x')`,
+    refuse assignment and deletion, and copy and pickle."""
+    K = make_field("Fp(3;t)")
+    x = Var("x")
+    assert x == Var(name="x") and x != Var("y") and x != IntConst(0)
+    assert Add(x, IntConst(1)) != Sub(x, IntConst(1))
+    assert hash(Add(x, x)) == hash((x, x)) and hash(x) == hash(("x",))
+    assert hash(Const(K.gen("t"))) == hash(("Const", K.gen("t")))
+    assert {Mul(x, x), Mul(x, x), Formula()} == {Mul(x, x), Formula()}
+    assert repr(Atom(Sub(x, IntConst(2)))) == \
+        "Atom(term=Sub(left=Var(name='x'), right=IntConst(value=2)))"
+    assert repr(Formula()) == "Formula()"
+    with pytest.raises(AttributeError, match="cannot assign to field 'name'"):
+        x.name = "y"
+    with pytest.raises(AttributeError, match="field 'left'"):
+        del Add(x, x).left
+    node = Lam(1, 1, (IntConst(2),), Mul(x, x))
+    assert copy.deepcopy(node) == node == pickle.loads(pickle.dumps(node))
+    for bad in [lambda: Var(), lambda: Var("x", "y"),
+                lambda: Add(x, left=x), lambda: Var(nom="x")]:
+        with pytest.raises(TypeError):
+            bad()
 
 
 def test_parse_print_round_trip_fixed_examples():
@@ -363,7 +391,7 @@ DEEP = {
 def test_deep_trees_go_through_every_walker(name):
     """Trees thousands of nodes deep are read, printed, checked,
     evaluated, corrected and unravelled.  Printed text is compared,
-    because dataclass == recurses."""
+    because node == recurses."""
     text, printed, at_one = DEEP[name]
     K, structure = _structure()
     ctx = {"vars": {"x"}, "field": K}
