@@ -189,7 +189,7 @@ def cmd_variety(args):
         block = inst.require("function")
         f = V.function_field_elem(str(block.require("num")),
                                   str(block.get("den", "1")))
-        v = vmod.ppower_test(f, bound=args.bound or 2)
+        v = vmod.ppower_test(f)
         payload = {"status": v.status, "reason": v.reason}
         if v.value is not None:
             payload["root"] = f"{v.value.num}/{v.value.den}"
@@ -494,9 +494,7 @@ def build_parser():
                                       "locus", "ppower", "pindep"])
     p.add_argument("file")
     p.add_argument("--bound", type=int, default=None,
-                   help="points: coordinate height bound over F_p(t..); "
-                   "ppower: degree bound of the search for the root "
-                   "printed when V has no rational model (default 2)")
+                   help="points: coordinate height bound over F_p(t..)")
     p.set_defaults(handler=cmd_variety)
 
     p = add_parser("diff", help="derivations and prolongations")

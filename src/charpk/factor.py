@@ -52,7 +52,7 @@ from .fields import (FieldDescriptor, FieldScalar, _code_to_vec,
                      u_divmod, u_gcd, u_monic, u_mul, u_powmod, u_scale,
                      u_sub, u_trim)
 from .polys import (MultiPoly, PolyRing, _content, _mp, mp_divmod_single,
-                    mp_exact_div, mp_gcd, u_from_mp, u_to_mp)
+                    mp_exact_div, mp_gcd, mp_pth_root, u_from_mp, u_to_mp)
 
 # ---------------------------------------------------------------------------
 # dense univariate helpers on raw lists
@@ -367,15 +367,11 @@ def _fb(F, xv, yv):
     if not cont.is_constant():
         return _merge_mp([_fb(cont, xv, yv),
                           _fb(mp_exact_div(F, cont), xv, yv)])
+    G = mp_pth_root(F)
+    if G is not None:
+        # F = G^p: every exponent divisible by p
+        return [(g, m * field.p) for g, m in _fb(G, xv, yv)]
     Fx, Fy = F.partial(xv), F.partial(yv)
-    if Fx.is_zero() and Fy.is_zero():
-        # every exponent divisible by p; perfect coefficients descend
-        p = field.p
-        root = p ** (field.k - 1)
-        pw = field.kernel.pow
-        G = _mp(ring, {tuple(e // p for e in ex): pw(c, root)
-                       for ex, c in F.terms.items()})
-        return [(g, m * p) for g, m in _fb(G, xv, yv)]
     if not Fy.is_zero():
         # a good specialization proves gcd(F, dF/dy) = 1 (module docstring)
         x0 = _good_specialization(F, xv, yv)

@@ -556,6 +556,17 @@ class FieldDescriptor:
     def __repr__(self):
         return f"FieldDescriptor({self._spec})"
 
+    # immutable: a copy is the descriptor itself, a pickle its spec (a copy
+    # slot by slot would call `_LazyKernel.__getattr__` on an unset slot)
+    def __copy__(self):
+        return self
+
+    def __deepcopy__(self, memo):
+        return self
+
+    def __reduce__(self):
+        return make_field, (self._spec,)
+
     @property
     def spec(self):
         return self._spec
@@ -1097,14 +1108,8 @@ def pth_root(x: FieldScalar):
     if field.kind == "gf":
         # Frobenius has order k; its inverse is the (k-1)-st power.
         return x ** (p ** (field.k - 1)) if field.k > 1 else x
-    if any(e % p for poly in x.value for exps in poly.terms for e in exps):
-        return None
-    roots = [field._ring.from_raw({tuple(e // p for e in exps): c
-                                   for exps, c in poly.terms.items()})
-             for poly in x.value]
-    # t -> t^p keeps coprimality and the lex-leading term, so the pair
-    # of roots is in normal form
-    return _scalar(field, type(x.value)(roots))
+    root = field.kernel.pth_root(x.value)
+    return None if root is None else _scalar(field, root)
 
 
 def lambda0(x: FieldScalar) -> FieldScalar:

@@ -37,7 +37,6 @@ MAX_BASIS = 400
 MAX_DEGREE = 120
 MAX_POINT_CANDIDATES = 10 ** 6   # tuples variety.enumerate_points may test
 MAX_AUDIT_CHOICES = 10 ** 4      # substitutions axioms._scf_audit may try
-MAX_P_MONOMIALS = 10 ** 4        # p^m rows per entry variety._semilinear_solve
 MAX_INVARIANT_ELEMENTS = 10 ** 5  # elements of K^G the G-B-DCF search lists
 MAX_TERM_NODES = 10 ** 5         # term nodes formula powers may add
 
@@ -849,9 +848,11 @@ def _monomial_content(f: MultiPoly):
     return tuple(map(min, zip(*f.terms)))
 
 
-def _prem(f: MultiPoly, g: MultiPoly, var: str):
+def _prem(f: MultiPoly, g: MultiPoly, var: str, count=0):
     """Pseudo-remainder of f by g with respect to var, on the coefficients
-    of f and g in var: r <- lc(g) r - lc(r) var^(deg r - deg g) g."""
+    of f and g in var: r <- lc(g) r - lc(r) var^(deg r - deg g) g, once
+    per step.  A count of at least deg f - deg g + 1 makes it the
+    remainder of lc(g)^count f, so that remainders can share one power."""
     ring = f.ring
     K = ring.field.kernel
     gc = g.coeffs_in(var)
@@ -861,6 +862,7 @@ def _prem(f: MultiPoly, g: MultiPoly, var: str):
     neg_g = {d: {e: K.neg(c) for e, c in t.terms.items()}
              for d, t in gc.items() if d < dg}
     while r and max(r) >= dg:
+        count -= 1
         dr = max(r)
         lcr = r.pop(dr)
         out = {d: _mul_terms(lcg, t, K) for d, t in r.items()}
@@ -873,12 +875,29 @@ def _prem(f: MultiPoly, g: MultiPoly, var: str):
             else:
                 out.pop(d, None)
         r = {d: t for d, t in out.items() if t}
+    for _ in range(count):
+        r = {d: _mul_terms(lcg, t, K) for d, t in r.items()}
     i = ring._var_index[var]
     terms = {}
     for d, t in r.items():
         for e, c in t.items():
             terms[e[:i] + (d,) + e[i + 1:]] = c
     return _mp(ring, terms)
+
+
+def mp_pth_root(F: MultiPoly):
+    """H with H^p = F over GF(p^k), or None when F is no p-th power: F is
+    one iff every exponent is divisible by p, and H takes the coefficients
+    through the inverse of Frobenius, its (k-1)-st power."""
+    field = F.ring.field
+    p = field.p
+    if any(e % p for exps in F.terms for e in exps):
+        return None
+    terms = {tuple(e // p for e in exps): c for exps, c in F.terms.items()}
+    if field.k > 1:
+        root, pw = p ** (field.k - 1), field.kernel.pow
+        terms = {e: pw(c, root) for e, c in terms.items()}
+    return _mp(F.ring, terms)
 
 
 def u_from_mp(f: MultiPoly, var: str):
@@ -1072,6 +1091,14 @@ class _RatFuncKernel:
     def pow(self, a, e):
         # a power of a lex-monic denominator is lex-monic
         return _Frac((a[0] ** e, a[1] ** e))
+
+    def pth_root(self, a):
+        """The value r with r^p = a, or None when a is no p-th power; t ->
+        t^p keeps coprimality and the lex-leading term, so the pair of
+        roots is in normal form."""
+        num = mp_pth_root(a[0])
+        den = None if num is None else mp_pth_root(a[1])
+        return None if den is None else _Frac((num, den))
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,10 @@ for an explicit instance class (hypersurfaces in at most two essential
 variables, zero-dimensional triangular systems, graph presentations,
 loci), enumerates rational points, tests dominance of rational maps by
 elimination, and carries the characteristic-p structure of function
-fields: p-th-power tests and p-independence, decided exactly by the rank
-of differentials (on the rational model when V has one).
+fields, decided exactly: p-th roots over the basis 1, s^p, .. of K(V)
+over a rational subfield where V peels to at most one equation,
+p-independence on the rational model where it peels to none, and both by
+the rank of differentials otherwise.
 
 A plane curve over GF(q) is first tried on its Newton polygon: with no
 monomial factor and an integrally indecomposable polygon it is
@@ -25,9 +27,10 @@ from . import lambdafn, linalg, polys
 from .errors import (CharpkError, FieldError, PreconditionError,
                      ResourceExhausted, RingError, UnsupportedInstance)
 from .fields import (FieldDescriptor, FieldScalar, _scalar, iter_elements,
-                     make_field, p_components, partial, pth_root)
-from .polys import (Ideal, MultiPoly, PolyRing, join_coeffs, joined_ring,
-                    mp_gcd, normal_form, split_coeffs)
+                     make_field, partial)
+from .polys import (Ideal, MultiPoly, PolyRing, _prem, join_coeffs,
+                    joined_ring, mp_exact_div, mp_gcd, mp_pth_root,
+                    normal_form, split_coeffs)
 
 
 class AffineVariety:
@@ -181,75 +184,81 @@ def peel_graph(V: AffineVariety) -> PeeledPresentation:
 
 
 # ---------------------------------------------------------------------------
+# crossing into A = GF(q)[t.., x..] (`polys.joined_ring`): every function
+# f = a / b on V with a, b in A and the peeled variables put in
+# ---------------------------------------------------------------------------
+
+def _peeled(V: AffineVariety):
+    """(peel_graph(V), A, images), kept in V._flags: images maps each
+    peeled variable v to (P, q) in A with x_v = P / q."""
+    if "peeled" not in V._flags:
+        peel = peel_graph(V)
+        joined = joined_ring(V.ring)
+        V._flags["peeled"] = (peel, joined, {
+            v: join_coeffs(expr, joined) for v, expr in peel.subst.items()})
+    return V._flags["peeled"]
+
+
+def _join(f: MultiPoly, joined, images):
+    """(N, d) in joined with f = N / d on V: f joined (see
+    `polys.join_coeffs`), then each x_v = P / q put in by Horner's rule on
+    the homogenized N = sum_k N_k x_v^k, as sum_k N_k P^k q^(D-k) with D
+    the x_v-degree, and d multiplied by q^D.  The coefficients are
+    reduced once per crossing."""
+    N, d = join_coeffs(f, joined)
+    for v, (P, q) in images.items():
+        parts = N.coeffs_in(v)
+        top = max(parts, default=0)
+        if not top:
+            continue
+        # q is constant only as 1: P / q has polynomial coefficients
+        unit = q.is_constant()
+        acc, qpow = parts[top], None
+        for k in range(top - 1, -1, -1):
+            acc = acc * P
+            if not unit:
+                qpow = q if qpow is None else qpow * q
+            if k in parts:
+                acc = acc + (parts[k] if unit else parts[k] * qpow)
+        N = acc
+        if not unit:
+            d = d * qpow
+    return N, d
+
+
+def _cross(f: "FunctionFieldElem"):
+    """(a, b) in A with f = a / b on V, free of the peeled variables."""
+    _, joined, images = _peeled(f.variety)
+    (nn, nd), (dn, dd) = (_join(g, joined, images) for g in (f.num, f.den))
+    if not dn.terms:
+        raise FieldError("denominator vanishes identically on V")
+    return nn * dd, dn * nd
+
+
+# ---------------------------------------------------------------------------
 # exact function-field model: if V peels to an affine space and K has a
 # prime-field presentation, K(V) is the rational function field over F_p in
 # the transcendentals of K plus the free coordinates
 # ---------------------------------------------------------------------------
 
 class FunctionFieldModel:
-    """K(V) as F_p(t.., free coordinates): exact p-structure.  Functions
-    cross into the big field through GF(p)[t.., x..], `joined` (see
-    `polys.join_coeffs`), where the graph substitution runs too, so the
-    coefficients are reduced once per crossing."""
+    """K(V) as the field `big` = F_p(t.., free coordinates)."""
 
-    __slots__ = ("variety", "big", "joined", "images")
+    __slots__ = ("variety", "big")
 
-    def __init__(self, variety, peel, big):
+    def __init__(self, variety, big):
         self.variety = variety
         self.big = big
-        self.joined = joined_ring(variety.ring)
-        # x_v = P / q for each peeled variable v, with P and q in joined
-        self.images = {v: join_coeffs(expr, self.joined)
-                       for v, expr in peel.subst.items()}
-
-    def _join(self, f: MultiPoly):
-        """(N, d) in the big field's ring with f = N / d on V: f joined,
-        then each x_v = P / q put in by Horner's rule on the homogenized
-        N = sum_k N_k x_v^k, as sum_k N_k P^k q^(D-k) with D the x_v-degree,
-        and d multiplied by q^D."""
-        N, d = join_coeffs(f, self.joined)
-        for v, (P, q) in self.images.items():
-            parts = N.coeffs_in(v)
-            top = max(parts, default=0)
-            if not top:
-                continue
-            # q is constant only as 1: P / q has polynomial coefficients
-            unit = q.is_constant()
-            acc, qpow = parts[top], None
-            for k in range(top - 1, -1, -1):
-                acc = acc * P
-                if not unit:
-                    qpow = q if qpow is None else qpow * q
-                if k in parts:
-                    acc = acc + (parts[k] if unit else parts[k] * qpow)
-            N = acc
-            if not unit:
-                d = d * qpow
-        return self._move(N, self.big._ring), self._move(d, self.big._ring)
-
-    def _move(self, N: MultiPoly, target: PolyRing):
-        """N moved between `joined` and the big field's ring, which both
-        begin with the transcendentals of K (renamed in `joined` where V
-        has a variable of the same name)."""
-        m = len(self.variety.field.tvars)
-        return N.rename(target, dict(zip(N.ring.vars[:m], target.vars[:m])))
 
     def embed(self, f: "FunctionFieldElem") -> FieldScalar:
-        """f in the big field: its numerator and denominator joined, then
-        one reduction."""
-        (nn, nd), (dn, dd) = self._join(f.num), self._join(f.den)
-        if not dn.terms:
-            raise FieldError("denominator vanishes identically on V")
-        big = self.big
-        return _scalar(big, big.kernel.frac(nn * dd, dn * nd))
-
-    def to_function(self, x: FieldScalar) -> "FunctionFieldElem":
-        """The big-field scalar x on V: transcendentals of K go into the
-        coefficients, free coordinates into exponents."""
-        ring, joined = self.variety.ring, self.joined
-        num, den = (split_coeffs(self._move(f, joined), joined.one(), ring)
-                    for f in x.value)
-        return FunctionFieldElem(self.variety, num, den)
+        """f in the big field: crossed into A, whose variables begin with
+        the transcendentals of K as big's do (renamed in A where V has a
+        variable of the same name), then one reduction."""
+        big, (a, b) = self.big, _cross(f)
+        m = len(self.variety.field.tvars)
+        ren = dict(zip(a.ring.vars[:m], big._ring.vars[:m]))
+        return _scalar(big, big.kernel.frac(
+            *(x.rename(big._ring, ren) for x in (a, b))))
 
 
 def function_field_model(V: AffineVariety):
@@ -258,7 +267,7 @@ def function_field_model(V: AffineVariety):
     if "ffmodel" in V._flags:
         return V._flags["ffmodel"]
     model = None
-    peel = peel_graph(V)
+    peel = _peeled(V)[0]
     K = V.field
     prime_based = (K.kind == "ratfunc"
                    or (K.kind == "gf" and K.k == 1))
@@ -267,7 +276,7 @@ def function_field_model(V: AffineVariety):
         names = tuple(tvars) + tuple(peel.free_vars)
         if len(set(names)) == len(names):
             big = make_field(f"Fp({K.p};{','.join(names)})")
-            model = FunctionFieldModel(V, peel, big)
+            model = FunctionFieldModel(V, big)
     V._flags["ffmodel"] = model
     return model
 
@@ -365,15 +374,9 @@ class FunctionFieldElem:
         return self._coerce(other) / self
 
     def __pow__(self, n: int):
-        out = FunctionFieldElem(self.variety, self.variety.ring.one(),
-                                self.variety.ring.one())
-        base = self
-        if n < 0:
-            base = 1 / base
-            n = -n
-        for _ in range(n):
-            out = out * base
-        return out
+        base = self if n >= 0 else 1 / self
+        return FunctionFieldElem(self.variety, base.num ** abs(n),
+                                 base.den ** abs(n))
 
     def is_zero(self) -> bool:
         return self.variety.ideal.contains(self.num)
@@ -474,21 +477,12 @@ def _locus_ratfunc(elems, K, variables, L):
     if K.p != L.p:
         raise FieldError("characteristic mismatch")
     aux = tuple(f"{t}_aux" for t in L.tvars)
-    inv = "inv_aux"
-    work = PolyRing(K, aux + variables + (inv,))
-    values = {t: work.var(a) for t, a in zip(L.tvars, aux)}
 
-    def lift(c):
-        return work.from_int(c.value)
-    gens = []
-    dens = work.one()
-    for v, a in zip(variables, elems):
-        num, den = (f.evaluate(values, lift) for f in a.value)
-        gens.append(work.var(v) * den - num)
-        dens = dens * den
-    gens.append(work.var(inv) * dens - work.one())
-    ideal = Ideal(work, gens).eliminate(aux + (inv,))
-    return AffineVariety(K, variables, ideal, known_irreducible=True)
+    def mover(work):
+        values = {t: work.var(a) for t, a in zip(L.tvars, aux)}
+        return lambda g: g.evaluate(values, lambda c: work.from_int(c.value))
+    return _eliminate_locus(K, aux, variables, mover,
+                            [a.value for a in elems])
 
 
 def _locus_gf(elems, K, variables, L):
@@ -536,14 +530,24 @@ def _locus_function_field(elems, K, variables):
     if W.field != K:
         raise UnsupportedInstance("locus base field must match the variety")
     aux = tuple(f"{v}_aux" for v in W.vars)
+    ren = dict(zip(W.vars, aux))
+    return _eliminate_locus(K, aux, variables,
+                            lambda work: lambda g: g.rename(work, ren),
+                            [(f.num, f.den) for f in elems], W.ideal.gens)
+
+
+def _eliminate_locus(K, aux, variables, mover, pairs, gens=()):
+    """The locus over K of the quotients num_i / den_i of polynomials
+    over K[aux] / (gens): all of them moved into the work ring
+    K[aux, variables, inv_aux] by mover(work), then the generators
+    v_i den_i - num_i and inv_aux prod den_i - 1 added, and aux and
+    inv_aux eliminated."""
     inv = "inv_aux"
     work = PolyRing(K, aux + variables + (inv,))
-    ren = dict(zip(W.vars, aux))
-    gens = [g.rename(work, ren) for g in W.ideal.gens]
-    dens = work.one()
-    for v, f in zip(variables, elems):
-        num = f.num.rename(work, ren)
-        den = f.den.rename(work, ren)
+    move = mover(work)
+    gens, dens = [move(g) for g in gens], work.one()
+    for v, (num, den) in zip(variables, pairs):
+        num, den = move(num), move(den)
         gens.append(work.var(v) * den - num)
         dens = dens * den
     gens.append(work.var(inv) * dens - work.one())
@@ -805,7 +809,7 @@ def enumerate_points(V: AffineVariety, bound=None):
 class PStructureVerdict:
     """Outcome of a p-th-power or p-independence test in K(V): `reason`
     names the exact procedure that decided it; a "root" carries a verified
-    p-th root in `value` when one was found."""
+    p-th root in `value` unless V peels to several generators."""
 
     __slots__ = ("status", "value", "reason")
 
@@ -842,129 +846,88 @@ def _differential_ranks(V: AffineVariety, fs):
     return linalg.rank(rows[:ngens]), linalg.rank(rows)
 
 
-def ppower_test(f: FunctionFieldElem, bound: int = 2) -> PStructureVerdict:
+def ppower_test(f: FunctionFieldElem) -> PStructureVerdict:
     """Is f a p-th power in K(V)?  status "root" or "absent", exactly.
 
-    With a rational model K(V) = F_p(..) the root is extracted there.
-    Otherwise f is a p-th power iff df = 0 in Omega_{K(V)/F_p} (Matsumura,
-    Commutative Ring Theory, Thm 26.5), read off as a rank that df does
-    not raise; the presented ideal of V is assumed prime.  A "root" then
-    carries g with g^p = f, re-verified, when the ansatz of degree
-    <= bound finds one, and value None otherwise."""
+    When V peels (`peel_graph`) to at most one generator G, f = a / b is
+    crossed into A = GF(q)[t.., x..] (`_cross`) and written
+    f = sum_k (r_k / delta) m_k^p, where r_k and delta lie in a
+    polynomial ring A0 and both the m_k and the m_k^p are bases of K(V)
+    over L0 = Frac(A0): without G, L0 = K(V) = Frac(A), m_0 = 1 and
+    f = a / b; with G, see `_coordinates`.  f is then a p-th power iff
+    every r_k / delta is one in L0, that is, with h the gcd of delta and
+    the r_k, iff delta / h and every r_k / h are p-th powers in A0 (A0 is
+    factorial).  The root sum_k (r_k / h)^(1/p) m_k / (delta / h)^(1/p)
+    is in lowest terms; it is re-verified.
+
+    With more generators, f is a p-th power iff df = 0 in
+    Omega_{K(V)/F_p} (Matsumura, Commutative Ring Theory, Thm 26.5),
+    read off as a rank that df does not raise, and a "root" carries no
+    value.  The presented ideal of V is assumed prime."""
     V = f.variety
-    model = function_field_model(V)
-    if model is not None:
-        x = model.embed(f)
-        r = pth_root(x)
-        if r is None:
-            return PStructureVerdict(
-                "absent", reason="exact: K(V) is a rational function "
-                "field and f has no p-th root there")
-        g = model.to_function(r)
-        _verify_root(f, g)
-        return PStructureVerdict("root", value=g, reason="exact root")
-    r0, r1 = _differential_ranks(V, [f])
-    reason = f"exact: differential rank {r1} with df, {r0} without"
-    if r1 > r0:
-        return PStructureVerdict("absent", reason=reason)
-    g = _ppower_ansatz(f, bound)
-    if g is not None:
-        _verify_root(f, g)
-    return PStructureVerdict("root", value=g, reason=reason)
+    peel, A, _ = _peeled(V)
+    if len(peel.gens) > 1:
+        r0, r1 = _differential_ranks(V, [f])
+        return PStructureVerdict(
+            "absent" if r1 > r0 else "root",
+            reason=f"exact: differential rank {r1} with df, {r0} without")
+    a, b = _cross(f)
+    if peel.gens:
+        delta, coords, where = _coordinates(a, b, peel.gens[0], A)
+    else:
+        delta, coords, where = (b, [(a, A.one())],
+                                "K(V) is a rational function field")
+    h = delta
+    for r, _ in coords:
+        h = mp_gcd(h, r)
+    den, *roots = [mp_pth_root(x if h.is_constant() else mp_exact_div(x, h))
+                   for x in [delta] + [r for r, _ in coords]]
+    if den is None or any(r is None for r in roots):
+        return PStructureVerdict(
+            "absent", reason=f"exact: {where} and f has no p-th root there")
+    inv = A.field.kernel.inv(den._lead()[1])
+    num = sum((r * m for r, (_, m) in zip(roots, coords)), A.zero())
+    g = FunctionFieldElem(V, *(split_coeffs(x._scale(inv), A.one(), V.ring)
+                               for x in (num, den)))
+    _verify_root(f, g)
+    return PStructureVerdict("root", value=g, reason="exact root")
+
+
+def _coordinates(a: MultiPoly, b: MultiPoly, G: MultiPoly, A: PolyRing):
+    """(delta, [(r_k, s^k)..], where) with a / b = sum_k (r_k / delta)
+    s^(pk) in K(V) = Frac(A / (G)), r_k and delta free of the variable s
+    below; `where` describes K(V).
+
+    H = G made monic and joined is primitive over GF(p)[t..], so prime
+    in A.  Some variable s of A has dH/ds != 0 (else H would be a p-th
+    power); one with the least d = deg_s H is taken, a coordinate before
+    a transcendental.  The other variables are then independent, so
+    L0 = Frac(A without s) is rational and K(V) = L0[s]/(H) is separable
+    of degree d: K(V) = L0(s^p), with L0-basis 1, s^p, .., s^(p(d-1))
+    (Mac Lane; Lang, Algebra, VIII 4).  The coordinates f_k of
+    f = a / b = sum_k f_k s^(pk) solve sum_k f_k b s^(pk) = a, one system
+    over A on pseudo-remainders modulo H, all taken with the same power
+    of lc_s(H); fraction-free elimination leaves f_k = r_k / delta."""
+    H = join_coeffs(G.monic(), A)[0]
+    m = len(A.vars) - len(G.ring.vars)
+    s = min((v for v in A.vars[m:] + A.vars[:m] if H.partial(v).terms),
+            key=H.degree_in)
+    d, p = H.degree_in(s), A.field.p
+    count = max(b.degree_in(s) + p * (d - 1), a.degree_in(s)) - d + 1
+    cols = [_prem(F, H, s, count).coeffs_in(s)
+            for F in [b * A.var(s) ** (p * k) for k in range(d)] + [a]]
+    rows = [[col.get(j, A.zero()) for col in cols] for j in range(d)]
+    if len(linalg.fraction_free_echelon(rows, d)) < d:
+        raise CharpkError("the p-th powers of s are dependent modulo G")
+    where = f"K(V) = L0({s}^{p}) of degree {d} over a rational L0"
+    return rows[0][0], [(row[d], A.var(s) ** k)
+                        for k, row in enumerate(rows)], where
 
 
 def _verify_root(f, g):
     p = f.variety.field.p
     if not (g ** p - f).is_zero():
         raise CharpkError("p-th root verification failed")
-
-
-def _monomials_to_degree(ring, names, bound):
-    out = []
-    idx = [ring._var_index[v] for v in names]
-    for combo in itertools.product(range(bound + 1), repeat=len(names)):
-        if sum(combo) > bound:
-            continue
-        e = [0] * ring.nvars
-        for i, d in zip(idx, combo):
-            e[i] = d
-        out.append(tuple(e))
-    out.sort(key=lambda e: (sum(e), e))
-    return out
-
-
-def _semilinear_solve(cols, rhs, K):
-    """Solve sum_j c_j^p cols[j] = rhs for c_j in K, where cols/rhs are
-    K-vectors; exact via p-components (imperfect K) or direct substitution
-    (perfect K).  Returns a solution list or None."""
-    if K.is_perfect:
-        sol = linalg.solve([list(r) for r in _transpose(cols)], rhs)
-        if sol is None:
-            return None
-        return [pth_root(v) for v in sol]
-    # imperfect: comp_a(sum c_j^p x) = sum c_j comp_a(x) is K-linear
-    cap = polys.MAX_P_MONOMIALS
-    if K.p ** K.imperfection_exponent > cap:
-        raise ResourceExhausted(
-            f"p-component system past {cap} rows per equation")
-    row_index = lambdafn.monomial_exponents(K.p, K.imperfection_exponent)
-    matrix = []
-    vec = []
-    ncols = len(cols)
-    comp_cols = []
-    for col in cols:
-        comp_cols.append([p_components(x) for x in col])
-    comp_rhs = [p_components(x) for x in rhs]
-    nrows = len(cols[0]) if cols else 0
-    for i in range(nrows):
-        for a in row_index:
-            matrix.append([comp_cols[j][i].get(a, K.zero())
-                           for j in range(ncols)])
-            vec.append(comp_rhs[i].get(a, K.zero()))
-    return linalg.solve(matrix, vec)
-
-
-def _transpose(cols):
-    return [[col[i] for col in cols] for i in range(len(cols[0]))]
-
-
-def _nf_coeff_vector(poly, gb, standard, ring):
-    r = normal_form(poly, gb) if gb else poly
-    vec = {}
-    for e, c in r.items():
-        vec[e] = c
-    for e in vec:
-        if e not in standard:
-            standard.append(e)
-    return vec
-
-
-def _ppower_ansatz(f, bound):
-    """Search g = h / den-power with h of degree <= bound: needs
-    num * den^(p-1) = h^p mod I(V), a semilinear system over K."""
-    V = f.variety
-    K = V.field
-    p = K.p
-    ring = V.ring
-    gb = list(V.ideal.groebner())
-    target = f.num * f.den ** (p - 1)
-    monos = _monomials_to_degree(ring, V.vars, bound)
-    standard = []
-    cols_raw = []
-    for e in monos:
-        mp = MultiPoly(ring, {e: K.one()}) ** p
-        cols_raw.append(_nf_coeff_vector(mp, gb, standard, ring))
-    rhs_raw = _nf_coeff_vector(target, gb, standard, ring)
-    cols = [[col.get(e, K.zero()) for e in standard] for col in cols_raw]
-    rhs = [rhs_raw.get(e, K.zero()) for e in standard]
-    sol = _semilinear_solve(cols, rhs, K)
-    if sol is None:
-        return None
-    h = ring.zero()
-    for e, c in zip(monos, sol):
-        if not c.is_zero():
-            h = h + MultiPoly(ring, {e: c})
-    return FunctionFieldElem(V, h, f.den)
 
 
 def pindep_function_field(fs) -> PStructureVerdict:

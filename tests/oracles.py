@@ -20,7 +20,10 @@ with one F_p(t..) kernel operation per arithmetic step, where the
 library reads pairs over GF(p)[t.., x..]; `embed_by_terms` and
 `function_by_lift` move functions into and out of a rational model
 K(V) = F_p(t.., free) by FieldScalar arithmetic, where the library
-joins coefficients.  Formula
+joins coefficients.  `ppower_ansatz` looks for p-th roots in K(V) of
+bounded degree by a semilinear system on normal forms modulo I(V),
+where the library solves over the basis 1, s^p, .. of K(V) over a
+rational subfield.  Formula
 text is read by `read_formula`, a recursive descent with its own lexer
 and precedence levels, where the library reads terms with the shared
 scalar and polynomial grammar.
@@ -39,6 +42,7 @@ from charpk.fields import (FieldDescriptor, FieldScalar, iter_gf_elements,
 from charpk.formula import (Add, AndF, Atom, Const, DOp, IntConst, Lam,
                             Lambda0, Mul, NotF, OrF, Sigma, Sub, Var,
                             check_language)
+from charpk.lambdafn import monomial_exponents
 from charpk.polys import (MultiPoly, PolyRing, _mp, buchberger,
                           joined_ring, normal_form, order_key, split_coeffs)
 from charpk.variety import FunctionFieldElem, peel_graph
@@ -427,6 +431,96 @@ def function_by_lift(x, V):
         return ring.from_int(c.value)
     num, den = (g.evaluate(values, lift) for g in x.value)
     return FunctionFieldElem(V, num, den)
+
+
+# ---------------------------------------------------------------------------
+# p-th roots in K(V) by a degree ansatz: g = h / den with h of bounded
+# degree, a semilinear system over K on normal forms modulo I(V); it may
+# miss a root that exists
+# ---------------------------------------------------------------------------
+
+def _monomials_to_degree(ring, names, bound):
+    out = []
+    idx = [ring._var_index[v] for v in names]
+    for combo in itertools.product(range(bound + 1), repeat=len(names)):
+        if sum(combo) > bound:
+            continue
+        e = [0] * ring.nvars
+        for i, d in zip(idx, combo):
+            e[i] = d
+        out.append(tuple(e))
+    out.sort(key=lambda e: (sum(e), e))
+    return out
+
+
+def _semilinear_solve(cols, rhs, K):
+    """Solve sum_j c_j^p cols[j] = rhs for c_j in K, where cols/rhs are
+    K-vectors; exact via p-components (imperfect K) or direct substitution
+    (perfect K).  Returns a solution list or None."""
+    if K.is_perfect:
+        sol = linalg.solve([list(r) for r in _transpose(cols)], rhs)
+        if sol is None:
+            return None
+        return [pth_root(v) for v in sol]
+    # imperfect: comp_a(sum c_j^p x) = sum c_j comp_a(x) is K-linear
+    row_index = monomial_exponents(K.p, K.imperfection_exponent)
+    matrix = []
+    vec = []
+    ncols = len(cols)
+    comp_cols = []
+    for col in cols:
+        comp_cols.append([p_components(x) for x in col])
+    comp_rhs = [p_components(x) for x in rhs]
+    nrows = len(cols[0]) if cols else 0
+    for i in range(nrows):
+        for a in row_index:
+            matrix.append([comp_cols[j][i].get(a, K.zero())
+                           for j in range(ncols)])
+            vec.append(comp_rhs[i].get(a, K.zero()))
+    return linalg.solve(matrix, vec)
+
+
+def _transpose(cols):
+    return [[col[i] for col in cols] for i in range(len(cols[0]))]
+
+
+def _nf_coeff_vector(poly, gb, standard, ring):
+    r = normal_form(poly, gb) if gb else poly
+    vec = {}
+    for e, c in r.items():
+        vec[e] = c
+    for e in vec:
+        if e not in standard:
+            standard.append(e)
+    return vec
+
+
+def ppower_ansatz(f, bound=2):
+    """Search g = h / den-power with h of degree <= bound: needs
+    num * den^(p-1) = h^p mod I(V), a semilinear system over K."""
+    V = f.variety
+    K = V.field
+    p = K.p
+    ring = V.ring
+    gb = list(V.ideal.groebner())
+    target = f.num * f.den ** (p - 1)
+    monos = _monomials_to_degree(ring, V.vars, bound)
+    standard = []
+    cols_raw = []
+    for e in monos:
+        mp = MultiPoly(ring, {e: K.one()}) ** p
+        cols_raw.append(_nf_coeff_vector(mp, gb, standard, ring))
+    rhs_raw = _nf_coeff_vector(target, gb, standard, ring)
+    cols = [[col.get(e, K.zero()) for e in standard] for col in cols_raw]
+    rhs = [rhs_raw.get(e, K.zero()) for e in standard]
+    sol = _semilinear_solve(cols, rhs, K)
+    if sol is None:
+        return None
+    h = ring.zero()
+    for e, c in zip(monos, sol):
+        if not c.is_zero():
+            h = h + MultiPoly(ring, {e: c})
+    return FunctionFieldElem(V, h, f.den)
 
 
 # ---------------------------------------------------------------------------

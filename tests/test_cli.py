@@ -377,7 +377,8 @@ function { num: "x" }
 function { num: "y" }
 """)
     assert main(["variety", "ppower", nomodel, "--json"]) == 1  # y = (z/x)^2
-    assert json.loads(capsys.readouterr().out)["status"] == "root"
+    payload = json.loads(capsys.readouterr().out)
+    assert (payload["status"], payload["root"]) == ("root", "z/x")
 
 
 def test_cli_pindep_without_rational_model(tmp_path, capsys):

@@ -1,5 +1,7 @@
 """Field cores: construction, canonical forms, Frobenius structure."""
 
+import copy
+import pickle
 import random
 
 import pytest
@@ -61,6 +63,22 @@ def test_make_field_interns_descriptors(spec):
     K = make_field(spec)
     assert make_field(spec) is K
     assert make_field(spec).one() == K.one()
+
+
+@pytest.mark.parametrize("spec, text", [
+    ("GF(5,1)", "3"), ("GF(3,2)", "g + 1"), ("GF(2,3)", "g^2"),
+    ("Fp(3;t)", "(t^2 + 1)/(t + 2)"), ("Fp(2;t,u)", "t/u + 1")])
+def test_scalars_copy_and_pickle(spec, text):
+    """A descriptor copies as itself and pickles as its spec, so scalars
+    copy and pickle, over a GF field also before its first arithmetic."""
+    K = make_field(spec)
+    for L in [K, fields.FieldDescriptor("gf", K.p, K.k + 1)]:
+        assert copy.copy(L) is L and copy.deepcopy(L) is L
+        assert pickle.loads(pickle.dumps(L)) == L
+    x = K.parse(text)
+    for y in [copy.copy(x), copy.deepcopy(x), pickle.loads(pickle.dumps(x))]:
+        assert y.field == K and y == x and str(y) == str(x)
+        assert y * x == x * x
 
 
 def test_gf_field_axioms_exhaustive():

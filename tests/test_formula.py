@@ -50,7 +50,7 @@ def test_nodes_build_compare_hash_print_and_refuse_assignment():
         x.name = "y"
     with pytest.raises(AttributeError, match="field 'left'"):
         del Add(x, x).left
-    node = Lam(1, 1, (IntConst(2),), Mul(x, x))
+    node = Lam(1, 1, (Const(K.gen("t")),), Mul(x, Const(K.from_int(2))))
     assert copy.deepcopy(node) == node == pickle.loads(pickle.dumps(node))
     for bad in [lambda: Var(), lambda: Var("x", "y"),
                 lambda: Add(x, left=x), lambda: Var(nom="x")]:

@@ -1,21 +1,24 @@
 """Affine varieties: irreducibility, dominance, points, p-structure."""
 
 import collections
+import random
 
 import pytest
 
-from charpk.errors import PreconditionError, ResourceExhausted
+from charpk.errors import (FieldError, PreconditionError, ResourceExhausted,
+                           UnsupportedInstance)
 from charpk.factor import gf_embedding
 from charpk.fields import iter_elements, make_field
 from charpk.polys import MultiPoly, PolyRing
 from charpk.variety import (AffineVariety, RationalMapData, enumerate_points,
                             function_field_model, is_absolutely_irreducible,
                             is_dominant, is_irreducible, locus,
+                            _differential_ranks, peel_graph,
                             pindep_function_field, ppower_test,
                             projection_dominant)
 
 from oracles import (embed_by_terms, function_by_lift, naive_point_scan,
-                     vanishes_at, weil_verdict)
+                     ppower_ansatz, vanishes_at, weil_verdict)
 
 
 def _curve(spec, text, variables=("x", "y")):
@@ -312,20 +315,21 @@ def test_ppower_without_rational_model():
     V = _curve("Fp(2;t)", "x^2*y + z^2", ("x", "y", "z"))
     v = ppower_test(V.function_field_elem("y"))
     assert v.status == "root"
-    assert v.value is None or v.value ** 2 == V.function_field_elem("y")
+    assert (str(v.value.num), str(v.value.den)) == ("z", "x")
+    assert ppower_ansatz(V.function_field_elem("y")) is None
     # over F_3(t), dg = dt + x^3 dy leaves dy outside the span of dg
     W = _curve("Fp(3;t)", "x^3*y + z^3 + t", ("x", "y", "z"))
     assert ppower_test(W.function_field_elem("y")).status == "absent"
-    # -z^3 = x^3*y + t on W: a root the degree ansatz finds
+    # -z^3 = x^3*y + t on W
     f = W.function_field_elem("x^3*y + t")
     v = ppower_test(f)
-    assert v.status == "root" and v.value ** 3 == f
+    assert v.status == "root" and v.value == W.function_field_elem("-z")
 
 
 @pytest.mark.parametrize("spec", ["GF(7,1)", "GF(3,2)"])
 def test_ppower_over_a_perfect_field_without_rational_model(spec):
-    """Over a finite K the ansatz solves sum c_j^p cols_j = rhs directly
-    and takes p-th roots of the solution."""
+    """Over a finite K the circle is separable of degree 2 in x over
+    GF(q)(y), and the root comes from the coefficients of f at 1, x^p."""
     V = _curve(spec, "x^2 + y^2 - 1")
     assert function_field_model(V) is None
     p = V.field.p
@@ -339,19 +343,117 @@ def test_ppower_over_a_perfect_field_without_rational_model(spec):
     assert ppower_test(V.function_field_elem("x")).status == "absent"
 
 
-def test_ppower_ansatz_caps_the_p_component_rows(monkeypatch):
-    """The ansatz over F_3(t) needs 3^1 rows per equation: past a cap of
-    2 it refuses before building them."""
-    from charpk import polys, variety
-    monkeypatch.setattr(polys, "MAX_P_MONOMIALS", 2)
-    built = []
-    monkeypatch.setattr(variety.lambdafn, "monomial_exponents",
-                        lambda *args: built.append(args))
-    W = _curve("Fp(3;t)", "x^3*y + z^3 + t", ("x", "y", "z"))
-    with pytest.raises(ResourceExhausted,
-                       match="p-component system past 2 rows"):
-        ppower_test(W.function_field_elem("x^3*y + t"))
-    assert built == []
+def _coefficient_texts(K):
+    if K.kind == "gf" and K.k > 1:
+        return ["1", K.gen_name, f"{K.gen_name} + 1"]
+    if K.kind == "gf":
+        return [str(c) for c in range(1, K.p)]
+    t = K.tvars
+    return ["1", t[0], f"{t[-1]} + 1", f"1/{t[-1]}", f"{t[0]}*{t[-1]}"]
+
+
+def _poly_text(rng, K, names, deg, nterms):
+    coeffs = _coefficient_texts(K)
+    terms = []
+    for _ in range(nterms):
+        mono = [rng.choice(names) for _ in range(rng.randint(0, deg))]
+        terms.append("*".join([f"({rng.choice(coeffs)})"] + mono))
+    return " + ".join(terms)
+
+
+def _ppower_inputs(seed):
+    """(V, f) on hypersurfaces V: random curves over GF(q); A*y + B,
+    also with A and B p-th powers; x^p - h with h in the transcendentals
+    (y over GF(q)), inseparable over K then; and functions that are p-th
+    powers, the coordinate y, random, or a p-th power times x."""
+    rng = random.Random(seed)
+    for spec in ["GF(2,1)", "GF(3,1)", "GF(5,1)", "GF(2,2)", "GF(3,2)",
+                 "Fp(2;t)", "Fp(3;t)", "Fp(5;t)", "Fp(2;t1,t2)",
+                 "Fp(3;t1,t2)"]:
+        K = make_field(spec)
+        p = K.p
+        names = ("x", "y") + (("z",) if K.kind == "ratfunc" else ())
+        free = names[:1] + names[2:]
+        shapes = ["linear", "powers", "radical"] + (
+            ["curve"] * 2 if K.kind == "gf" else [])
+        made = 0
+        while made < 6:
+            shape = rng.choice(shapes)
+            if shape == "curve":
+                G = _poly_text(rng, K, ("x", "y"), 3, 4)
+            elif shape == "linear":
+                G = (f"({_poly_text(rng, K, free, 2, 2)})*y + "
+                     f"{_poly_text(rng, K, free, 2, 2)}")
+            elif shape == "powers":
+                G = (f"({_poly_text(rng, K, free, 1, 2)})^{p}*y + "
+                     f"({_poly_text(rng, K, free, 1, 2)})^{p}")
+            else:
+                h = (_poly_text(rng, K, K.tvars, 1, 2) if K.tvars
+                     else _poly_text(rng, K, ("y",), 3, 2))
+                G = f"x^{p} - ({h})"
+            V = AffineVariety(K, names, [G])
+            try:
+                V.function_field_elem("1")
+            except (PreconditionError, UnsupportedInstance):
+                continue
+            made += 1
+            u, v, w = (_poly_text(rng, K, names, 2, 3) for _ in range(3))
+            for num, den in [(f"({u})^{p}", f"({v})^{p}"), ("y", "1"),
+                             (u, v), (f"x*({w})^{p}", "1"),
+                             (f"({u} + {w})^{p}", "1")]:
+                try:
+                    yield V, V.function_field_elem(num, den)
+                except FieldError:
+                    continue
+    # x^3 = t: t is a cube, the coordinate x its root
+    V = AffineVariety(make_field("Fp(3;t)"), ("x",), ["x^3 - t"])
+    yield V, V.function_field_elem("t")
+
+
+def test_ppower_matches_differential_ranks_and_the_ansatz():
+    """On seeded hypersurfaces over GF(p), GF(p^k), F_p(t) and
+    F_p(t1,t2), the verdict is the differential-rank verdict, every root
+    is there and verified, and it equals any root the degree ansatz
+    finds."""
+    counts, by_ansatz = collections.Counter(), 0
+    for V, f in _ppower_inputs(20):
+        v = ppower_test(f)
+        r0, r1 = _differential_ranks(V, [f])
+        assert v.status == ("absent" if r1 > r0 else "root"), (V, f)
+        counts[v.status, len(peel_graph(V).gens)] += 1
+        if v.status == "root":
+            assert v.value is not None and v.value ** V.field.p == f
+            h = ppower_ansatz(f)
+            by_ansatz += h is not None
+            assert h is None or h == v.value
+    assert sum(counts.values()) >= 200 and min(counts.values()) >= 20
+    assert len(counts) == 4
+    assert counts["root", 0] + counts["root", 1] > by_ansatz
+    V = AffineVariety(make_field("Fp(3;t)"), ("x",), ["x^3 - t"])
+    v = ppower_test(V.function_field_elem("t"))
+    assert v.value == V.function_field_elem("x")
+
+
+def test_ppower_on_at_most_one_generator_takes_no_differential_rank(
+        monkeypatch):
+    from charpk import variety
+
+    def refuse(*args):
+        raise AssertionError("differential ranks reached")
+    monkeypatch.setattr(variety, "_differential_ranks", refuse)
+    for spec, gens, variables, f in [
+            ("Fp(2;t)", ["x^2*y + z^2"], ("x", "y", "z"), "y"),
+            ("Fp(3;t)", ["x^3 - t"], ("x",), "t"),
+            ("GF(3,2)", ["x^2 + y^2 - 1"], ("x", "y"), "x"),
+            ("GF(5,1)", ["x^2 + y^2 - 1", "z - x*y"], ("x", "y", "z"), "z"),
+            ("Fp(5;t)", ["y - x^2 - t"], ("x", "y"), "y^5")]:
+        V = AffineVariety(make_field(spec), variables, gens)
+        ppower_test(V.function_field_elem(f))
+    # two generators after peeling: the rank decides
+    V = AffineVariety(make_field("GF(5,1)"), ("x", "y", "z"),
+                      ["x^2 + y^2 - 1", "x*z - y^2"])
+    with pytest.raises(AssertionError, match="differential ranks"):
+        ppower_test(V.function_field_elem("z"))
 
 
 GRAPHS = [
@@ -370,8 +472,8 @@ GRAPHS = [
 
 @pytest.mark.parametrize("spec, variables, gens", GRAPHS)
 def test_rational_model_round_trip(spec, variables, gens):
-    """embed and to_function agree with term-by-term scalar arithmetic
-    and invert each other."""
+    """embed agrees with term-by-term scalar arithmetic, and evaluating
+    its image on V gives back the function."""
     V = AffineVariety(make_field(spec), variables, gens)
     model = function_field_model(V)
     t = next((t for t in V.field.tvars if t not in variables), "2")
@@ -381,9 +483,8 @@ def test_rational_model_round_trip(spec, variables, gens):
         f = V.function_field_elem(num, den)
         big = model.embed(f)
         assert big == embed_by_terms(f, model.big)
-        g, h = model.to_function(big), function_by_lift(big, V)
-        assert (g.num, g.den) == (h.num, h.den)
-        assert g == f and model.embed(g) == big
+        h = function_by_lift(big, V)
+        assert h == f and model.embed(h) == big
 
 
 def test_polynomial_coefficients_cross_without_fraction_arithmetic(
