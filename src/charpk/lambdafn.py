@@ -65,12 +65,13 @@ def p_monomials(bs):
     return out
 
 
-def _jacobian_row(x: FieldScalar, tvars):
-    """D^2 dx for x = N / D over F_p(t..): the polynomials N_t D - N D_t."""
-    num, den = x.value
-    if den.is_constant():  # a reduced constant denominator is 1
-        return [num.partial(t) for t in tvars]
-    return [num.partial(t) * den - num * den.partial(t) for t in tvars]
+def _jacobian_row(pair, names):
+    """D^2 dx for x = N / D, pair = (N, D): the N_v D - N D_v for v in
+    names; D dx = dN for a constant D (1 for a reduced fraction)."""
+    num, den = pair
+    if den.is_constant():
+        return [num.partial(v) for v in names]
+    return [num.partial(v) * den - num * den.partial(v) for v in names]
 
 
 def p_independence_verdict(xs, K: FieldDescriptor):
@@ -81,7 +82,7 @@ def p_independence_verdict(xs, K: FieldDescriptor):
     Theory, Thm 26.5), i.e. iff the Jacobian [dx_i/dt_j] has rank e.  A
     perfect K (m = 0), a zero entry and a tuple longer than m all show up
     as a rank below e."""
-    rows = [_jacobian_row(x, K.tvars) if K.tvars else [] for x in xs]
+    rows = [_jacobian_row(x.value, K.tvars) if K.tvars else [] for x in xs]
     r = len(linalg.fraction_free_echelon(rows, len(K.tvars)))
     return r == len(rows), f"Jacobian rank {r} of {len(rows)}"
 
@@ -180,9 +181,9 @@ def lambda_solve(e: int, bs, c: FieldScalar):
     cc, d, dual, pivots = c, None, [], []
     if m:
         ring, frac = K._ring, K.kernel.frac
-        rows = [_jacobian_row(b, tvars) + [b.value[1] ** 2 if r == i
-                                           else ring.zero()
-                                           for r in range(e)]
+        rows = [_jacobian_row(b.value, tvars)
+                + [b.value[1] ** 2 if r == i else ring.zero()
+                   for r in range(e)]
                 for i, b in enumerate(bs)]
         pivots = linalg.fraction_free_echelon(rows, m)
         if len(pivots) < e:

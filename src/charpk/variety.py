@@ -6,16 +6,17 @@ for an explicit instance class (hypersurfaces in at most two essential
 variables, zero-dimensional triangular systems, graph presentations,
 loci), enumerates rational points, tests dominance of rational maps by
 elimination, and carries the characteristic-p structure of function
-fields, decided exactly: p-th roots over the basis 1, s^p, .. of K(V)
-over a rational subfield where V peels to at most one equation,
-p-independence on the rational model where it peels to none, and both by
-the rank of differentials otherwise.
+fields, decided exactly.  Where V peels to at most one equation G, every
+function crosses once into A = GF(q)[t.., x..] (`_cross`): p-th roots
+come from the basis 1, s^p, .. of K(V) over a rational subfield, and
+p-independence from the rank of the Jacobian rows over A, modulo G when
+there is one.  Otherwise both are decided by the rank of differentials.
 
-A plane curve over GF(q) is first tried on its Newton polygon: with no
-monomial factor and an integrally indecomposable polygon it is
-absolutely irreducible (Ostrowski; Gao, J. Algebra 237, 2001).  The
-check only ever proves irreducibility; when it fails, factoring over
-GF(q) and GF(q^s) decides.
+A plane curve is first tried on its Newton polygon: with no monomial
+factor and an integrally indecomposable polygon it is absolutely
+irreducible over every K (Ostrowski; Gao, J. Algebra 237, 2001).  The
+check only ever proves irreducibility; when it fails over GF(q),
+factoring over GF(q) and GF(q^s) decides.
 """
 
 from __future__ import annotations
@@ -26,8 +27,7 @@ import math
 from . import lambdafn, linalg, polys
 from .errors import (CharpkError, FieldError, PreconditionError,
                      ResourceExhausted, RingError, UnsupportedInstance)
-from .fields import (FieldDescriptor, FieldScalar, _scalar, iter_elements,
-                     make_field, partial)
+from .fields import FieldDescriptor, FieldScalar, iter_elements, partial
 from .polys import (Ideal, MultiPoly, PolyRing, _prem, join_coeffs,
                     joined_ring, mp_exact_div, mp_gcd, mp_pth_root,
                     normal_form, split_coeffs)
@@ -233,52 +233,6 @@ def _cross(f: "FunctionFieldElem"):
     if not dn.terms:
         raise FieldError("denominator vanishes identically on V")
     return nn * dd, dn * nd
-
-
-# ---------------------------------------------------------------------------
-# exact function-field model: if V peels to an affine space and K has a
-# prime-field presentation, K(V) is the rational function field over F_p in
-# the transcendentals of K plus the free coordinates
-# ---------------------------------------------------------------------------
-
-class FunctionFieldModel:
-    """K(V) as the field `big` = F_p(t.., free coordinates)."""
-
-    __slots__ = ("variety", "big")
-
-    def __init__(self, variety, big):
-        self.variety = variety
-        self.big = big
-
-    def embed(self, f: "FunctionFieldElem") -> FieldScalar:
-        """f in the big field: crossed into A, whose variables begin with
-        the transcendentals of K as big's do (renamed in A where V has a
-        variable of the same name), then one reduction."""
-        big, (a, b) = self.big, _cross(f)
-        m = len(self.variety.field.tvars)
-        ren = dict(zip(a.ring.vars[:m], big._ring.vars[:m]))
-        return _scalar(big, big.kernel.frac(
-            *(x.rename(big._ring, ren) for x in (a, b))))
-
-
-def function_field_model(V: AffineVariety):
-    """The exact model, or None when V is not a peelable affine space or K
-    has no prime-field presentation."""
-    if "ffmodel" in V._flags:
-        return V._flags["ffmodel"]
-    model = None
-    peel = _peeled(V)[0]
-    K = V.field
-    prime_based = (K.kind == "ratfunc"
-                   or (K.kind == "gf" and K.k == 1))
-    if not peel.gens and prime_based:
-        tvars = K.tvars if K.kind == "ratfunc" else ()
-        names = tuple(tvars) + tuple(peel.free_vars)
-        if len(set(names)) == len(names):
-            big = make_field(f"Fp({K.p};{','.join(names)})")
-            model = FunctionFieldModel(V, big)
-    V._flags["ffmodel"] = model
-    return model
 
 
 # ---------------------------------------------------------------------------
@@ -678,12 +632,12 @@ def _poly_irreducible(V: AffineVariety, f: MultiPoly, absolute: bool) -> bool:
     # factor loads on first use, so a process that never factors (point
     # listing, p-independence) does not compile it
     from . import factor
-    field = f.ring.field
-    if field.kind == "gf":
-        if len(used) == 2 and factor._polygon_indecomposable(f):
-            # absolutely irreducible, so irreducible of multiplicity 1
-            V._flags["factors"] = [(f, 1)]
-            return True
+    if len(used) == 2 and factor._polygon_indecomposable(f):
+        # absolutely irreducible over every K, so irreducible of
+        # multiplicity 1
+        V._flags["factors"] = [(f, 1)]
+        return True
+    if f.ring.field.kind == "gf":
         if absolute:
             if len(used) == 2:
                 facs = _factors(V, f)
@@ -699,7 +653,7 @@ def _poly_irreducible(V: AffineVariety, f: MultiPoly, absolute: bool) -> bool:
     # rational-function coefficients
     raise UnsupportedInstance(
         "hypersurface irreducibility over F_p(t..) beyond the linear-in-a-"
-        "variable class is unsupported")
+        "variable and Newton-polygon classes is unsupported")
 
 
 def _poly_irreducible_zero_dim(V: AffineVariety, f: MultiPoly, var: str,
@@ -889,29 +843,37 @@ def ppower_test(f: FunctionFieldElem) -> PStructureVerdict:
     num = sum((r * m for r, (_, m) in zip(roots, coords)), A.zero())
     g = FunctionFieldElem(V, *(split_coeffs(x._scale(inv), A.one(), V.ring)
                                for x in (num, den)))
-    _verify_root(f, g)
+    if not (g ** V.field.p - f).is_zero():
+        raise CharpkError("p-th root verification failed")
     return PStructureVerdict("root", value=g, reason="exact root")
 
 
-def _coordinates(a: MultiPoly, b: MultiPoly, G: MultiPoly, A: PolyRing):
-    """(delta, [(r_k, s^k)..], where) with a / b = sum_k (r_k / delta)
-    s^(pk) in K(V) = Frac(A / (G)), r_k and delta free of the variable s
-    below; `where` describes K(V).
-
-    H = G made monic and joined is primitive over GF(p)[t..], so prime
-    in A.  Some variable s of A has dH/ds != 0 (else H would be a p-th
-    power); one with the least d = deg_s H is taken, a coordinate before
-    a transcendental.  The other variables are then independent, so
-    L0 = Frac(A without s) is rational and K(V) = L0[s]/(H) is separable
-    of degree d: K(V) = L0(s^p), with L0-basis 1, s^p, .., s^(p(d-1))
-    (Mac Lane; Lang, Algebra, VIII 4).  The coordinates f_k of
-    f = a / b = sum_k f_k s^(pk) solve sum_k f_k b s^(pk) = a, one system
-    over A on pseudo-remainders modulo H, all taken with the same power
-    of lc_s(H); fraction-free elimination leaves f_k = r_k / delta."""
+def _generator(G: MultiPoly, A: PolyRing):
+    """(H, s): H = G made monic and joined into A, primitive over
+    GF(p)[t..] and so prime in A, and a variable s of A with dH/ds != 0
+    (else H would be a p-th power) and the least d = deg_s H, coordinates
+    first.  The other variables are then independent, so
+    K(V) = L0[s]/(H) is separable of degree d over L0 = Frac(A without s),
+    a rational field."""
     H = join_coeffs(G.monic(), A)[0]
     m = len(A.vars) - len(G.ring.vars)
     s = min((v for v in A.vars[m:] + A.vars[:m] if H.partial(v).terms),
             key=H.degree_in)
+    return H, s
+
+
+def _coordinates(a: MultiPoly, b: MultiPoly, G: MultiPoly, A: PolyRing):
+    """(delta, [(r_k, s^k)..], where) with a / b = sum_k (r_k / delta)
+    s^(pk) in K(V) = Frac(A / (H)), r_k and delta free of s, for
+    (H, s) = `_generator(G, A)`; `where` describes K(V).
+
+    K(V) = L0[s]/(H) separable of degree d gives K(V) = L0(s^p), with
+    L0-basis 1, s^p, .., s^(p(d-1)) (Mac Lane; Lang, Algebra, VIII 4).
+    The coordinates f_k of f = a / b = sum_k f_k s^(pk) solve
+    sum_k f_k b s^(pk) = a, one system over A on pseudo-remainders modulo
+    H, all taken with the same power of lc_s(H); fraction-free
+    elimination leaves f_k = r_k / delta."""
+    H, s = _generator(G, A)
     d, p = H.degree_in(s), A.field.p
     count = max(b.degree_in(s) + p * (d - 1), a.degree_in(s)) - d + 1
     cols = [_prem(F, H, s, count).coeffs_in(s)
@@ -924,32 +886,61 @@ def _coordinates(a: MultiPoly, b: MultiPoly, G: MultiPoly, A: PolyRing):
                         for k, row in enumerate(rows)], where
 
 
-def _verify_root(f, g):
-    p = f.variety.field.p
-    if not (g ** p - f).is_zero():
-        raise CharpkError("p-th root verification failed")
+def _rank_modulo(rows, H: MultiPoly, s: str) -> int:
+    """The rank over K(V) = Frac(A / (H)) of rows over A, (H, s) from
+    `_generator`, by cross-multiplication.  Each row is reduced by `_prem`
+    modulo H in s with one count, so scaled by a power of lc_s(H), a unit
+    of K(V); a reduced entry has s-degree below deg_s H, so it is zero in
+    K(V) iff it is the zero polynomial."""
+    d = H.degree_in(s)
+
+    def reduce(row):
+        count = max(x.degree_in(s) for x in row) - d + 1
+        return [_prem(x, H, s, count) for x in row]
+    rows = [reduce(row) for row in rows]
+    rank = 0
+    for r, c in linalg._pivot_steps(rows, len(rows[0])):
+        top = rows[r]
+        for i in range(r + 1, len(rows)):
+            if rows[i][c].terms:
+                rows[i] = reduce([top[c] * x - rows[i][c] * y
+                                  for x, y in zip(rows[i], top)])
+        rank += 1
+    return rank
 
 
 def pindep_function_field(fs) -> PStructureVerdict:
     """p-independence of fs in K(V): status "independent" or "dependent",
-    exactly.  With a rational model K(V) = F_p(..) this is the Jacobian
-    rank of lambdafn.p_independence_verdict there; otherwise fs is
-    p-independent iff df_1..df_s are linearly independent in
-    Omega_{K(V)/F_p}, i.e. iff they raise the rank of the dg by s.  The
-    presented ideal of V is assumed prime."""
+    exactly: fs is p-independent iff the df_i are linearly independent in
+    Omega_{K(V)/F_p} (Matsumura, Commutative Ring Theory, Thm 26.5).
+
+    Where V peels to at most one generator G, each f = a / b is crossed
+    into A (`_cross`), whose Omega is free on the dv (Omega of GF(q) is
+    0), and gives the row b^2 df = (a_v b - a b_v) over the variables v
+    of A.  Without G these are ranked in K(V) = Frac(A); with G, in
+    K(V) = Frac(A / (H)) together with dH (`_rank_modulo`).  With more
+    generators the rank comes from the presented ideal, assumed prime."""
     fs = list(fs)
     if not fs:
         return PStructureVerdict("independent", reason="empty tuple")
     V = fs[0].variety
     if any(f.variety is not V for f in fs):
         raise RingError("functions on different varieties")
-    model = function_field_model(V)
-    if model is not None:
-        xs = [model.embed(f) for f in fs]
-        ok, why = lambdafn.p_independence_verdict(xs, model.big)
-    else:
+    peel, A, _ = _peeled(V)
+    if len(peel.gens) > 1:
         r0, r1 = _differential_ranks(V, fs)
         ok = r1 - r0 == len(fs)
         why = f"differential rank {r1} with the df, {r0} without"
+    else:
+        rows = [lambdafn._jacobian_row(_cross(f), A.vars) for f in fs]
+        if peel.gens:
+            H, s = _generator(peel.gens[0], A)
+            r = _rank_modulo([[H.partial(v) for v in A.vars]] + rows, H, s)
+            ok = r == len(fs) + 1
+            why = f"Jacobian rank {r} of {len(fs)} + 1 modulo G"
+        else:
+            r = len(linalg.fraction_free_echelon(rows, len(A.vars)))
+            ok = r == len(fs)
+            why = f"Jacobian rank {r} of {len(fs)}"
     return PStructureVerdict("independent" if ok else "dependent",
                              reason="exact: " + why)

@@ -17,16 +17,16 @@ Scalar and polynomial text is read by the character-level reader
 arithmetic per term, pairs that multiply their denominators), where the
 library scans tokens once and builds raw terms, and by `MultiPolyReader`,
 with one F_p(t..) kernel operation per arithmetic step, where the
-library reads pairs over GF(p)[t.., x..]; `embed_by_terms` and
-`function_by_lift` move functions into and out of a rational model
-K(V) = F_p(t.., free) by FieldScalar arithmetic, where the library
-joins coefficients.  `ppower_ansatz` looks for p-th roots in K(V) of
-bounded degree by a semilinear system on normal forms modulo I(V),
-where the library solves over the basis 1, s^p, .. of K(V) over a
-rational subfield.  Formula
-text is read by `read_formula`, a recursive descent with its own lexer
-and precedence levels, where the library reads terms with the shared
-scalar and polynomial grammar.
+library reads pairs over GF(p)[t.., x..]; `embed_by_terms` sums a
+function on a graph variety term by term in FieldScalars of the
+rational field K(V) = F_p(t.., free), where the library crosses it
+into GF(p)[t.., x..] by joining coefficients.  `ppower_ansatz` looks
+for p-th roots in K(V) of bounded degree by a semilinear system on
+normal forms modulo I(V), where the library solves over the basis
+1, s^p, .. of K(V) over a rational subfield.  Formula text is read by
+`read_formula`, a recursive descent with its own lexer and precedence
+levels, where the library reads terms with the shared scalar and
+polynomial grammar.
 """
 
 from __future__ import annotations
@@ -366,7 +366,8 @@ def read_poly(text, ring):
 
 
 # ---------------------------------------------------------------------------
-# polynomial text by MultiPoly arithmetic, and rational models term by term
+# polynomial text by MultiPoly arithmetic, and functions on graphs term by
+# term in a rational field
 # ---------------------------------------------------------------------------
 
 class MultiPolyReader(_Parser):
@@ -402,8 +403,9 @@ def _big_scalar(c, big):
 
 
 def embed_by_terms(f, big):
-    """The function f on a graph variety V in its model big: the graph
-    substituted, then summed term by term in big's scalars."""
+    """The function f on a graph variety V in big = F_p(t.., free
+    coordinates), its function field: the graph substituted, then summed
+    term by term in big's scalars."""
     subst = peel_graph(f.variety).subst
 
     def poly(g):
@@ -417,20 +419,6 @@ def embed_by_terms(f, big):
             acc = acc + term
         return acc
     return poly(f.num) / poly(f.den)
-
-
-def function_by_lift(x, V):
-    """The big-field scalar x on V, by evaluating its numerator and
-    denominator at the transcendentals and coordinates of V."""
-    K, ring = V.field, V.ring
-    values = {name: (ring.from_scalar(K.gen(name)) if name in K.tvars
-                     else ring.var(name))
-              for name in x.field.tvars}
-
-    def lift(c):
-        return ring.from_int(c.value)
-    num, den = (g.evaluate(values, lift) for g in x.value)
-    return FunctionFieldElem(V, num, den)
 
 
 # ---------------------------------------------------------------------------

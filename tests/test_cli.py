@@ -39,8 +39,9 @@ variety W { vars: [x, u]; over: "Fp(2;t)"; gens: ["u*u - x"] }
 derivation { over: "Fp(2;t)"; images: {t: "1"} }
 """
 
-# V(x^2*y + z^2) does not peel to an affine space: no rational model
-NO_MODEL = """
+# V(x^2*y + z^2) peels to one generator, so K(V) is no rational function
+# field: functions are ranked and rooted modulo the generator
+ONE_GEN = """
 variety { vars: [x, y, z]; over: "Fp(2;t)"; gens: ["x^2*y + z^2"] }
 """
 
@@ -373,10 +374,10 @@ function { num: "x" }
 """)
     assert main(["variety", "ppower", lin]) == 0  # no p-th root
     capsys.readouterr()
-    nomodel = _write(tmp_path, "nomodel.inst", NO_MODEL + """
+    onegen = _write(tmp_path, "onegen.inst", ONE_GEN + """
 function { num: "y" }
 """)
-    assert main(["variety", "ppower", nomodel, "--json"]) == 1  # y = (z/x)^2
+    assert main(["variety", "ppower", onegen, "--json"]) == 1  # y = (z/x)^2
     payload = json.loads(capsys.readouterr().out)
     assert (payload["status"], payload["root"]) == ("root", "z/x")
 
@@ -384,11 +385,33 @@ function { num: "y" }
 def test_cli_pindep_without_rational_model(tmp_path, capsys):
     for items, status, code in [('["x", "z", "t"]', "independent", 0),
                                 ('["x", "y"]', "dependent", 1)]:
-        path = _write(tmp_path, "pindep.inst", NO_MODEL + f"""
+        path = _write(tmp_path, "pindep.inst", ONE_GEN + f"""
 functions {{ items: {items} }}
 """)
         assert main(["variety", "pindep", path]) == code
         assert capsys.readouterr().out.startswith(f"{status}: exact: ")
+
+
+def test_cli_pstructure_on_a_cubic_over_ratfunc(tmp_path, capsys):
+    """V(y^2 - x^3 - t) over F_3(t) is absolutely irreducible by its
+    Newton polygon, and both p-structure jobs decide it modulo G."""
+    cubic = """
+variety { vars: [x, y]; over: "Fp(3;t)"; gens: ["y^2 - x^3 - t"] }
+"""
+    for items, status, rank, code in [('["x", "y"]', "independent", 3, 0),
+                                      ('["y", "t"]', "dependent", 2, 1)]:
+        path = _write(tmp_path, "pindep.inst", cubic + f"""
+functions {{ items: {items} }}
+""")
+        assert main(["variety", "pindep", path]) == code
+        assert capsys.readouterr().out == (
+            f"{status}: exact: Jacobian rank {rank} of 2 + 1 modulo G\n")
+    path = _write(tmp_path, "ppower.inst", cubic + """
+function { num: "y^3" }
+""")
+    assert main(["variety", "ppower", path, "--json"]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert (payload["status"], payload["root"]) == ("root", "y/1")
 
 
 def test_cli_jobs_do_not_import_sympy(tmp_path):

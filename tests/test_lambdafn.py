@@ -344,8 +344,8 @@ def test_fraction_free_path_matches_fraction_elimination(spec):
 
 
 def test_lambdafn_never_reaches_the_fraction_echelon(monkeypatch):
-    """p-independence, all three cases of lambda_solve, a p-basis and the
-    rational-model branch of `pindep_function_field` eliminate
+    """p-independence, all three cases of lambda_solve, a p-basis and
+    `pindep_function_field` on a V that peels to an affine space eliminate
     fraction-free only."""
     def refuse(*args):
         raise AssertionError("lambdafn reached linalg.echelon")

@@ -8,17 +8,17 @@ import pytest
 from charpk.errors import (FieldError, PreconditionError, ResourceExhausted,
                            UnsupportedInstance)
 from charpk.factor import gf_embedding
-from charpk.fields import iter_elements, make_field
-from charpk.polys import MultiPoly, PolyRing
-from charpk.variety import (AffineVariety, RationalMapData, enumerate_points,
-                            function_field_model, is_absolutely_irreducible,
-                            is_dominant, is_irreducible, locus,
-                            _differential_ranks, peel_graph,
+from charpk.fields import FieldScalar, iter_elements, make_field
+from charpk.polys import MultiPoly, PolyRing, split_coeffs
+from charpk.variety import (AffineVariety, FunctionFieldElem, RationalMapData,
+                            enumerate_points, is_absolutely_irreducible,
+                            is_dominant, is_irreducible, locus, _cross,
+                            _differential_ranks, _peeled, peel_graph,
                             pindep_function_field, ppower_test,
                             projection_dominant)
 
-from oracles import (embed_by_terms, function_by_lift, naive_point_scan,
-                     ppower_ansatz, vanishes_at, weil_verdict)
+from oracles import (embed_by_terms, naive_point_scan, ppower_ansatz,
+                     vanishes_at, weil_verdict)
 
 
 def _curve(spec, text, variables=("x", "y")):
@@ -62,11 +62,13 @@ def test_absirr_over_ratfunc_base():
     # graphs (linear in one variable) are handled over F_p(t)
     G = AffineVariety(make_field("Fp(3;t)"), ("x", "u"), ["u - x^2"])
     assert is_absolutely_irreducible(G)
-    # a general plane cubic over F_p(t) is outside the decidable class
-    from charpk.errors import UnsupportedInstance
+    # an integrally indecomposable Newton polygon proves it over F_p(t)
     C = AffineVariety(make_field("Fp(3;t)"), ("x", "y"), ["y^2 - x^3 - t"])
+    assert is_absolutely_irreducible(C)
+    # a decomposable polygon, linear in no variable: outside the class
+    D = AffineVariety(make_field("Fp(3;t)"), ("x", "y"), ["x^2 + y^2 - t"])
     with pytest.raises(UnsupportedInstance):
-        is_absolutely_irreducible(C)
+        is_absolutely_irreducible(D)
 
 
 def test_point_enumeration_matches_naive_scan():
@@ -331,7 +333,7 @@ def test_ppower_over_a_perfect_field_without_rational_model(spec):
     """Over a finite K the circle is separable of degree 2 in x over
     GF(q)(y), and the root comes from the coefficients of f at 1, x^p."""
     V = _curve(spec, "x^2 + y^2 - 1")
-    assert function_field_model(V) is None
+    assert len(peel_graph(V).gens) == 1
     p = V.field.p
     for text, root in [(f"x^{p}", "x"), (f"(x + y)^{p}", "x + y"),
                        (f"x^{p}*y^{p} + 1", "x*y + 1")]:
@@ -434,6 +436,40 @@ def test_ppower_matches_differential_ranks_and_the_ansatz():
     assert v.value == V.function_field_elem("x")
 
 
+def test_pindep_matches_differential_ranks():
+    """On the seeded hypersurfaces of `_ppower_inputs`, over GF(p),
+    GF(p^k) and F_p(t..), with no generator and with one after peeling,
+    p-independence is the differential-rank verdict.  The tuples are every
+    function alone; over GF(q) also each with the next and with x; over
+    F_p(t..) also the coordinate y with x and with t, since pairs of the
+    random rational functions there cost the rank oracle up to seconds
+    each."""
+    by_variety = {}
+    for V, f in _ppower_inputs(20):
+        by_variety.setdefault(V, []).append(f)
+    cells = collections.Counter()
+    for V, fs in by_variety.items():
+        K = V.field
+        x = V.function_field_elem("x")
+        tuples = [[f] for f in fs]
+        if K.kind == "gf":
+            tuples += [[f, g] for f, g in zip(fs, fs[1:])]
+            tuples += [[f, x] for f in fs]
+        elif "y" in V.vars:
+            y = V.function_field_elem("y")
+            tuples += [[y, x], [y, V.function_field_elem(K.tvars[0])]]
+        kind = "ratfunc" if K.kind == "ratfunc" else f"GF(p^{min(K.k, 2)})"
+        ngens = len(_peeled(V)[0].gens)
+        for items in tuples:
+            v = pindep_function_field(items)
+            r0, r1 = _differential_ranks(V, items)
+            assert v.status == ("independent" if r1 - r0 == len(items)
+                                else "dependent"), (V, items)
+            cells[v.status, ngens, kind] += 1
+    assert sum(cells.values()) >= 200
+    assert len(cells) == 12 and min(cells.values()) >= 8
+
+
 def test_ppower_on_at_most_one_generator_takes_no_differential_rank(
         monkeypatch):
     from charpk import variety
@@ -449,11 +485,35 @@ def test_ppower_on_at_most_one_generator_takes_no_differential_rank(
             ("Fp(5;t)", ["y - x^2 - t"], ("x", "y"), "y^5")]:
         V = AffineVariety(make_field(spec), variables, gens)
         ppower_test(V.function_field_elem(f))
+    for spec, gens, variables, items, status, reason in [
+            ("GF(3,2)", [], ("x", "y"), ["x", "y"], "independent",
+             "Jacobian rank 2 of 2"),
+            ("GF(3,2)", ["x^2 + y^2 - 1"], ("x", "y"), ["x"], "independent",
+             "Jacobian rank 2 of 1 + 1 modulo G"),
+            ("GF(3,2)", ["x^2 + y^2 - 1"], ("x", "y"), ["x", "y"],
+             "dependent", "Jacobian rank 2 of 2 + 1 modulo G"),
+            # the coordinate t shadows the transcendental in text
+            ("Fp(3;t)", [], ("t", "y"), ["t", "y"], "independent",
+             "Jacobian rank 2 of 2"),
+            ("Fp(3;t)", [], ("t", "y"), ["t^3"], "dependent",
+             "Jacobian rank 0 of 1"),
+            ("Fp(2;t)", ["x^2*y + z^2"], ("x", "y", "z"), ["x", "z", "t"],
+             "independent", "Jacobian rank 4 of 3 + 1 modulo G")]:
+        V = AffineVariety(make_field(spec), variables, gens)
+        v = pindep_function_field([V.function_field_elem(f) for f in items])
+        assert (v.status, v.reason) == (status, "exact: " + reason)
     # two generators after peeling: the rank decides
     V = AffineVariety(make_field("GF(5,1)"), ("x", "y", "z"),
                       ["x^2 + y^2 - 1", "x*z - y^2"])
+    fs = [V.function_field_elem("z")]
     with pytest.raises(AssertionError, match="differential ranks"):
-        ppower_test(V.function_field_elem("z"))
+        ppower_test(fs[0])
+    with pytest.raises(AssertionError, match="differential ranks"):
+        pindep_function_field(fs)
+    monkeypatch.undo()
+    v = pindep_function_field(fs)
+    assert (v.status, v.reason) == (
+        "independent", "exact: differential rank 3 with the df, 2 without")
 
 
 GRAPHS = [
@@ -472,26 +532,32 @@ GRAPHS = [
 
 @pytest.mark.parametrize("spec, variables, gens", GRAPHS)
 def test_rational_model_round_trip(spec, variables, gens):
-    """embed agrees with term-by-term scalar arithmetic, and evaluating
-    its image on V gives back the function."""
+    """The crossing (a, b) of f, reduced in the rational function field
+    F_p(t.., free coordinates) of K(V), agrees with term-by-term scalar
+    arithmetic there, and split_coeffs of (a, b) gives f back in K(V)."""
     V = AffineVariety(make_field(spec), variables, gens)
-    model = function_field_model(V)
-    t = next((t for t in V.field.tvars if t not in variables), "2")
+    K = V.field
+    names = K.tvars + peel_graph(V).free_vars
+    big = make_field(f"Fp({K.p};{','.join(names)})")
+    t = next((t for t in K.tvars if t not in variables), "2")
     x, y = variables[:2]
     for num, den in [(f"{x}*{y} + {t}", "1"), (f"{y}^2 + {t}*{x}", f"{x} + 1"),
                      (f"({t} + 1)*{x}^3 - {y}/{t}", y)]:
         f = V.function_field_elem(num, den)
-        big = model.embed(f)
-        assert big == embed_by_terms(f, model.big)
-        h = function_by_lift(big, V)
-        assert h == f and model.embed(h) == big
+        a, b = _cross(f)
+        A = a.ring
+        ren = dict(zip(A.vars, K.tvars))
+        assert FieldScalar(big, [g.rename(big._ring, ren) for g in (a, b)]) \
+            == embed_by_terms(f, big)
+        assert FunctionFieldElem(V, *(split_coeffs(g, A.one(), V.ring)
+                                      for g in (a, b))) == f
 
 
 def test_polynomial_coefficients_cross_without_fraction_arithmetic(
         monkeypatch):
-    """Reading texts with polynomial coefficients over F_p(t..) and
-    embedding such functions into the rational model take no F_p(t..)
-    sum, product or gcd."""
+    """Reading texts with polynomial coefficients over F_p(t..), crossing
+    such functions into GF(p)[t.., x..] and deciding their
+    p-independence take no F_p(t..) sum, product or gcd."""
     from charpk import polys
     cases = []
     # h has a constant x^2 coefficient, so normal forms on V(y - h) keep
@@ -504,8 +570,8 @@ def test_polynomial_coefficients_cross_without_fraction_arithmetic(
              ["(t1*y + x)^2*x + (t2 + y)^2", "t1*t2*x*y - (x + t1)^3"])]:
         K = make_field(spec)
         V = AffineVariety(K, ("x", "y"), [f"y - ({h})"])
-        cases.append((V, funcs, function_field_model(V),
-                      [V.function_field_elem(f) for f in funcs]))
+        _peeled(V)  # the peel itself is taken once per variety
+        cases.append((V, funcs, [V.function_field_elem(f) for f in funcs]))
     calls = collections.Counter()
 
     def counted(name, fn):
@@ -517,12 +583,17 @@ def test_polynomial_coefficients_cross_without_fraction_arithmetic(
         monkeypatch.setattr(polys._RatFuncKernel, name,
                             counted(name, getattr(polys._RatFuncKernel, name)))
     monkeypatch.setattr(polys, "mp_gcd", counted("mp_gcd", polys.mp_gcd))
-    for V, funcs, model, elems in cases:
+    verdicts = []
+    for V, funcs, elems in cases:
         for text in funcs:
             V.ring.parse(text)
         for f in elems:
-            model.embed(f)
+            _cross(f)
+        for fs in (elems[:1], elems[:2], elems):
+            verdicts.append(pindep_function_field(fs).status)
     assert calls == {}
+    assert verdicts == ["independent", "dependent", "dependent",
+                        "independent", "independent", "independent"]
 
 
 def test_pindep_without_rational_model():
