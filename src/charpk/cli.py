@@ -192,7 +192,7 @@ def cmd_variety(args):
         v = vmod.ppower_test(f)
         payload = {"status": v.status, "reason": v.reason}
         if v.value is not None:
-            payload["root"] = f"{v.value.num}/{v.value.den}"
+            payload["root"] = str(v.value)
         code = {"absent": 0, "root": 1}[v.status]
         return code, payload, [f"{v.status}: {v.reason}"]
     if args.action == "pindep":

@@ -6,11 +6,14 @@ for an explicit instance class (hypersurfaces in at most two essential
 variables, zero-dimensional triangular systems, graph presentations,
 loci), enumerates rational points, tests dominance of rational maps by
 elimination, and carries the characteristic-p structure of function
-fields, decided exactly.  Where V peels to at most one equation G, every
-function crosses once into A = GF(q)[t.., x..] (`_cross`): p-th roots
-come from the basis 1, s^p, .. of K(V) over a rational subfield, and
-p-independence from the rank of the Jacobian rows over A, modulo G when
-there is one.  Otherwise both are decided by the rank of differentials.
+fields, decided exactly.  A presented V is peeled once (`peel_graph`)
+into free coordinates, each removed one a quotient P / Q of polynomials
+in them, and residual equations.  Where at most one equation G is left,
+every function crosses once into A = GF(q)[t.., x..] (`_cross`): p-th
+roots come from the basis 1, s^p, .. of K(V) over a rational subfield,
+and p-independence from the rank of the Jacobian rows over A, modulo G
+when there is one.  Otherwise both are decided by the rank of
+differentials.
 
 A plane curve is first tried on its Newton polygon: with no monomial
 factor and an integrally indecomposable polygon it is absolutely
@@ -23,6 +26,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from typing import NamedTuple
 
 from . import lambdafn, linalg, polys
 from .errors import (CharpkError, FieldError, PreconditionError,
@@ -134,53 +138,103 @@ def _powers(x, n):
 
 
 # ---------------------------------------------------------------------------
-# graph peeling: x_i = expr(other vars) generators define isomorphisms with
-# a variety in fewer variables; full peeling exhibits V as an affine space
+# graph peeling: a generator A*v + B that is a graph over the other
+# variables removes v; full peeling exhibits V as open in an affine space
 # ---------------------------------------------------------------------------
 
-class PeeledPresentation:
-    """V rewritten over free variables: every removed variable carries a
-    polynomial expression in the free ones; `gens` are the residual
-    equations among the free variables (empty = V is an affine space)."""
+class PeeledPresentation(NamedTuple):
+    """V rewritten over free variables: every removed variable v carries a
+    pair (P, Q) of polynomials in the free ones with x_v = P / Q; `gens`
+    are the residual equations among the free variables (empty = V is
+    open in an affine space)."""
 
-    __slots__ = ("variety", "free_vars", "gens", "subst")
-
-    def __init__(self, variety, free_vars, gens, subst):
-        self.variety = variety
-        self.free_vars = tuple(free_vars)
-        self.gens = list(gens)
-        self.subst = dict(subst)
+    variety: AffineVariety
+    free_vars: tuple
+    gens: list
+    subst: dict
 
 
 def peel_graph(V: AffineVariety) -> PeeledPresentation:
+    """V peeled one generator g = A*v + B (B free of v) at a time, once per
+    variety (kept in V._flags).  A constant A is tried first: x_v = -B / A
+    goes into the other generators.  Otherwise g peels when v is in no
+    other generator and (others, A, B) is the unit ideal: then A has no
+    zero on V, K[V] = K[others][1/A], and the closure of V's image is
+    V(others : A^inf) (Cox, Little and O'Shea, Ideals, Varieties, and
+    Algorithms, ch. 4 sec. 4), so the others give way to generators of
+    that saturation and x_v = -B / A.  Each x_v is put into the earlier
+    pairs (`_put_in`)."""
+    if "peel" in V._flags:
+        return V._flags["peel"]
     ring = V.ring
     gens = [g for g in V.ideal.gens if not g.is_zero()]
-    free = list(V.vars)
     subst = {}
-    changed = True
-    while changed:
-        changed = False
-        for gi, g in enumerate(gens):
-            for v in list(free):
-                if g.degree_in(v) != 1:
-                    continue
+    while (step := _peel_step(ring, gens)) is not None:
+        gi, v, A, B = step
+        others = gens[:gi] + gens[gi + 1:]
+        if A.is_constant():
+            P, Q = B.scale(-A.constant_value().inverse()), ring.one()
+            others = [h.substitute({v: P}) for h in others]
+        else:
+            P, Q = -B, A
+            if others:
+                others = _inverted(others, A, "sat_aux").eliminate(
+                    ("sat_aux",)).gens
+        for w, (R, S) in subst.items():
+            (R, rq), (S, sq) = _put_in(R, v, P, Q), _put_in(S, v, P, Q)
+            subst[w] = (R * sq, S * rq)
+        subst[v] = (P, Q)
+        gens = [h for h in others if not h.is_zero()]
+    V._flags["peel"] = PeeledPresentation(
+        V, tuple(v for v in V.vars if v not in subst), gens, subst)
+    return V._flags["peel"]
+
+
+def _peel_step(ring, gens):
+    """(index, v, A, B) of the first generator A*v + B that peels, or None:
+    every constant A before any other.  A peeled v is in no generator."""
+    later = []
+    for gi, g in enumerate(gens):
+        for v in ring.vars:
+            if g.degree_in(v) == 1:
                 parts = g.coeffs_in(v)
                 A, B = parts[1], parts.get(0, ring.zero())
-                if not A.is_constant():
-                    continue
-                expr = B.scale(-A.constant_value().inverse())
-                free.remove(v)
-                rep = {v: expr}
-                gens = [h.substitute(rep) for j, h in enumerate(gens)
-                        if j != gi]
-                gens = [h for h in gens if not h.is_zero()]
-                subst = {w: t.substitute(rep) for w, t in subst.items()}
-                subst[v] = expr
-                changed = True
-                break
-            if changed:
-                break
-    return PeeledPresentation(V, free, gens, subst)
+                if A.is_constant():
+                    return gi, v, A, B
+                later.append((gi, v, A, B))
+    for gi, v, A, B in later:
+        others = gens[:gi] + gens[gi + 1:]
+        if not any(h.degree_in(v) for h in others) and \
+                Ideal(ring, others + [A, B]).is_trivial():
+            return gi, v, A, B
+    return None
+
+
+def _inverted(gens, f: MultiPoly, aux: str) -> Ideal:
+    """The ideal (gens, aux*f - 1) in the ring of f with aux added."""
+    ring = f.ring
+    work = PolyRing(ring.field, ring.vars + (aux,))
+    return Ideal(work, [g.rename(work) for g in gens]
+                 + [work.var(aux) * f.rename(work) - work.one()])
+
+
+def _put_in(N: MultiPoly, v: str, P: MultiPoly, q: MultiPoly):
+    """(M, q^D) with N = M / q^D once x_v = P / q, D the x_v-degree of N:
+    Horner's rule on the homogenized N = sum_k N_k x_v^k, as
+    sum_k N_k P^k q^(D-k)."""
+    parts = N.coeffs_in(v)
+    top = max(parts, default=0)
+    if not top:
+        return N, q.ring.one()
+    unit = q == q.ring.one()
+    acc, qpow = parts[top], None
+    for k in range(top - 1, -1, -1):
+        acc = acc * P
+        if not unit:
+            qpow = q if qpow is None else qpow * q
+        if k in parts:
+            acc = acc + (parts[k] if unit else parts[k] * qpow)
+    return acc, q if unit else qpow
 
 
 # ---------------------------------------------------------------------------
@@ -190,39 +244,26 @@ def peel_graph(V: AffineVariety) -> PeeledPresentation:
 
 def _peeled(V: AffineVariety):
     """(peel_graph(V), A, images), kept in V._flags: images maps each
-    peeled variable v to (P, q) in A with x_v = P / q."""
+    peeled variable v to its pair joined into A, (P, q) with x_v = P / q."""
     if "peeled" not in V._flags:
         peel = peel_graph(V)
         joined = joined_ring(V.ring)
-        V._flags["peeled"] = (peel, joined, {
-            v: join_coeffs(expr, joined) for v, expr in peel.subst.items()})
+        images = {}
+        for v, (P, Q) in peel.subst.items():
+            (P, d), (Q, e) = (join_coeffs(x, joined) for x in (P, Q))
+            images[v] = (P * e, d * Q)
+        V._flags["peeled"] = (peel, joined, images)
     return V._flags["peeled"]
 
 
 def _join(f: MultiPoly, joined, images):
     """(N, d) in joined with f = N / d on V: f joined (see
-    `polys.join_coeffs`), then each x_v = P / q put in by Horner's rule on
-    the homogenized N = sum_k N_k x_v^k, as sum_k N_k P^k q^(D-k) with D
-    the x_v-degree, and d multiplied by q^D.  The coefficients are
-    reduced once per crossing."""
+    `polys.join_coeffs`), then each x_v = P / q put in (`_put_in`), d
+    multiplied by q^D.  The coefficients are reduced once per crossing."""
     N, d = join_coeffs(f, joined)
     for v, (P, q) in images.items():
-        parts = N.coeffs_in(v)
-        top = max(parts, default=0)
-        if not top:
-            continue
-        # q is constant only as 1: P / q has polynomial coefficients
-        unit = q.is_constant()
-        acc, qpow = parts[top], None
-        for k in range(top - 1, -1, -1):
-            acc = acc * P
-            if not unit:
-                qpow = q if qpow is None else qpow * q
-            if k in parts:
-                acc = acc + (parts[k] if unit else parts[k] * qpow)
-        N = acc
-        if not unit:
-            d = d * qpow
+        N, qpow = _put_in(N, v, P, q)
+        d = d * qpow
     return N, d
 
 
@@ -517,14 +558,10 @@ def _linear_in_var_primitive(f: MultiPoly):
     """True if f = A*v + B with B free of v and gcd(A, B) = 1: then f is
     irreducible, and absolutely so (gcds persist under field extension)."""
     for v in sorted(f.variables_used()):
-        if f.degree_in(v) != 1:
-            continue
-        parts = f.coeffs_in(v)
-        A, B = parts[1], parts.get(0, f.ring.zero())
-        if A.is_constant():
-            return True
-        if mp_gcd(A, B).is_constant():
-            return True
+        if f.degree_in(v) == 1:
+            parts = f.coeffs_in(v)
+            if mp_gcd(parts[1], parts.get(0, f.ring.zero())).is_constant():
+                return True
     return False
 
 
@@ -576,49 +613,16 @@ def is_absolutely_irreducible(V: AffineVariety) -> bool:
 
 
 def _decide_irreducible(V: AffineVariety, absolute: bool) -> bool:
-    peel = peel_graph(V)
-    gens = peel.gens
+    gens = peel_graph(V).gens
     if not gens:
-        return True  # affine space
+        return True  # open in an affine space
     if len(gens) == 1:
         return _poly_irreducible(V, gens[0], absolute)
-    red = _rational_graph_reduction(V, gens)
-    if red is not None:
-        result = _decide_irreducible(red, absolute)
-        # K[V] = K[red][v] / (A v + B) with (A, B) the unit ideal of
-        # K[red], so V's presentation is prime iff red's is
-        if "factors" in red._flags:
-            V._flags["factors"] = red._flags["factors"]
-        return result
     if not absolute and V._flags.get("irreducible"):
         return True
     raise UnsupportedInstance(
         "irreducibility decided only for hypersurfaces, zero-dimensional "
         "triangular systems, and graph/locus presentations")
-
-
-def _rational_graph_reduction(V: AffineVariety, gens):
-    """If some generator reads A*v + B with v absent from all other
-    generators and A, B without a common zero on them, V is (the closure
-    of) a graph over the variety of the remaining generators: recurse
-    there.  Returns the reduced variety or None."""
-    ring = V.ring
-    for gi, g in enumerate(gens):
-        for v in sorted(g.variables_used()):
-            if g.degree_in(v) != 1:
-                continue
-            others = [h for j, h in enumerate(gens) if j != gi]
-            if any(h.degree_in(v) for h in others):
-                continue
-            parts = g.coeffs_in(v)
-            A, B = parts[1], parts.get(0, ring.zero())
-            if not Ideal(ring, others + [A, B]).is_trivial():
-                continue
-            new_vars = tuple(w for w in V.vars if w != v)
-            sub = PolyRing(V.field, new_vars)
-            return AffineVariety(V.field, new_vars,
-                                 [h.rename(sub) for h in others])
-    return None
 
 
 def _poly_irreducible(V: AffineVariety, f: MultiPoly, absolute: bool) -> bool:
@@ -677,12 +681,7 @@ def _radical_contains(ideal: Ideal, f: MultiPoly) -> bool:
         return True
     if ideal.contains(f):
         return True
-    ring = ideal.ring
-    aux = "rad_aux"
-    work = PolyRing(ring.field, ring.vars + (aux,))
-    gens = [g.rename(work) for g in ideal.gens]
-    gens.append(work.var(aux) * f.rename(work) - work.one())
-    return Ideal(work, gens).is_trivial()
+    return _inverted(ideal.gens, f, "rad_aux").is_trivial()
 
 
 def is_dominant(m: RationalMapData) -> bool:

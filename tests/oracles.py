@@ -404,20 +404,22 @@ def _big_scalar(c, big):
 
 def embed_by_terms(f, big):
     """The function f on a graph variety V in big = F_p(t.., free
-    coordinates), its function field: the graph substituted, then summed
-    term by term in big's scalars."""
-    subst = peel_graph(f.variety).subst
+    coordinates), its function field: each peeled coordinate the quotient
+    P / Q of its pair in the peel's `subst`, every polynomial summed term
+    by term in big's scalars."""
+    peel = peel_graph(f.variety)
+    values = {v: big.gen(v) for v in peel.free_vars}
 
     def poly(g):
-        g = g.substitute(subst) if subst else g
         acc = big.zero()
         for e, c in g.items():
             term = _big_scalar(c, big)
             for v, d in zip(g.ring.vars, e):
                 if d:
-                    term = term * big.gen(v) ** d
+                    term = term * values[v] ** d
             acc = acc + term
         return acc
+    values.update({v: poly(P) / poly(Q) for v, (P, Q) in peel.subst.items()})
     return poly(f.num) / poly(f.den)
 
 

@@ -379,7 +379,7 @@ function { num: "y" }
 """)
     assert main(["variety", "ppower", onegen, "--json"]) == 1  # y = (z/x)^2
     payload = json.loads(capsys.readouterr().out)
-    assert (payload["status"], payload["root"]) == ("root", "z/x")
+    assert (payload["status"], payload["root"]) == ("root", "(z)/(x)")
 
 
 def test_cli_pindep_without_rational_model(tmp_path, capsys):
@@ -411,7 +411,7 @@ function { num: "y^3" }
 """)
     assert main(["variety", "ppower", path, "--json"]) == 1
     payload = json.loads(capsys.readouterr().out)
-    assert (payload["status"], payload["root"]) == ("root", "y/1")
+    assert (payload["status"], payload["root"]) == ("root", "y")
 
 
 def test_cli_jobs_do_not_import_sympy(tmp_path):

@@ -230,6 +230,47 @@ def test_prime_presentation_survives_the_graph_reduction(variables, gens):
     assert 1 / W.function_field_elem("x") == W.function_field_elem("y")
 
 
+@pytest.mark.parametrize("spec", ["GF(5,1)", "Fp(3;t)"])
+@pytest.mark.parametrize("gens", [["x*v - 1", "x*y"], ["x*v - 1", "x^2*y"]])
+def test_graph_verdicts_do_not_depend_on_generator_order(spec, gens):
+    """V = {y = 0, v = 1/x} is the multiplicative group in either order:
+    x*v - 1 peels v = 1/x, and what is left is saturated by x, which
+    x^2*y needs to give a prime presentation."""
+    K = make_field(spec)
+    reasons = set()
+    for order in (gens, gens[::-1]):
+        V = AffineVariety(K, ("x", "y", "v"), order)
+        assert is_irreducible(V) and is_absolutely_irreducible(V)
+        v = V.function_field_elem("v")
+        assert v * V.function_field_elem("x") == 1
+        reasons.add(tuple(ppower_test(f).reason for f in (v, v ** K.p)))
+    assert len(reasons) == 1
+    for order in (["x*v - 1", "x*y*(y - 1)"], ["x*y*(y - 1)", "x*v - 1"]):
+        assert not is_irreducible(AffineVariety(K, ("x", "y", "v"), order))
+    # the saturation of y^2 by x keeps y nilpotent
+    for order in (["x*v - 1", "y^2"], ["y^2", "x*v - 1"]):
+        V = AffineVariety(K, ("x", "y", "v"), order)
+        with pytest.raises(PreconditionError, match="prime presentation"):
+            V.function_field_elem("y")
+
+
+def test_the_graph_is_peeled_once_per_variety(monkeypatch):
+    """is_irreducible, behind every function-field element, peels V; the
+    crossing and both p-structure tests read that peel."""
+    from charpk import variety
+    V = AffineVariety(make_field("Fp(3;t)"), ("x", "y"),
+                      ["y - (2*t*x + x + t^2 + x^2)"])
+    f = V.function_field_elem("x*y + t")
+    peel = peel_graph(V)
+
+    def refuse(*args):
+        raise AssertionError("peeled twice")
+    monkeypatch.setattr(variety, "_peel_step", refuse)
+    assert _peeled(V)[0] is peel
+    ppower_test(f)
+    pindep_function_field([f, V.function_field_elem("x")])
+
+
 def test_dominance_projection_and_rational_map():
     K = make_field("Fp(3;t)")
     # W = V(u - 1) inside the (x, u)-plane over V = the x-line
@@ -437,16 +478,26 @@ def test_ppower_matches_differential_ranks_and_the_ansatz():
 
 
 def test_pindep_matches_differential_ranks():
-    """On the seeded hypersurfaces of `_ppower_inputs`, over GF(p),
-    GF(p^k) and F_p(t..), with no generator and with one after peeling,
-    p-independence is the differential-rank verdict.  The tuples are every
-    function alone; over GF(q) also each with the next and with x; over
-    F_p(t..) also the coordinate y with x and with t, since pairs of the
-    random rational functions there cost the rank oracle up to seconds
-    each."""
+    """On the seeded hypersurfaces of `_ppower_inputs` and on plane curves
+    over GF(p^2), over GF(p), GF(p^k) and F_p(t..), with no generator and
+    with one after peeling, p-independence is the differential-rank
+    verdict.  The tuples are every function alone; over GF(q) also each
+    with the next and with x; over F_p(t..) also the coordinate y with x
+    and with t, since pairs of the random rational functions there cost
+    the rank oracle up to seconds each."""
     by_variety = {}
     for V, f in _ppower_inputs(20):
         by_variety.setdefault(V, []).append(f)
+    # the linear and powers shapes peel to no generator over GF(q); these
+    # curves keep one, and fill the cells of one generator over GF(p^2)
+    for spec, G in [("GF(2,2)", "y^2 + y + x^3"),
+                    ("GF(2,2)", "y^3 + x^2 + x*y + g"),
+                    ("GF(3,2)", "x^2 + y^2 - 1"),
+                    ("GF(3,2)", "y^2 - x^3 - g*x")]:
+        V = _curve(spec, G)
+        p = V.field.p
+        by_variety[V] = [V.function_field_elem(f) for f in
+                         ["y", "x*y + 1", "x + g*y", f"y^{p}", f"x^{p}*y"]]
     cells = collections.Counter()
     for V, fs in by_variety.items():
         K = V.field
@@ -482,6 +533,8 @@ def test_ppower_on_at_most_one_generator_takes_no_differential_rank(
             ("Fp(3;t)", ["x^3 - t"], ("x",), "t"),
             ("GF(3,2)", ["x^2 + y^2 - 1"], ("x", "y"), "x"),
             ("GF(5,1)", ["x^2 + y^2 - 1", "z - x*y"], ("x", "y", "z"), "z"),
+            # z = y^2 / x on the circle
+            ("GF(5,1)", ["x^2 + y^2 - 1", "x*z - y^2"], ("x", "y", "z"), "z"),
             ("Fp(5;t)", ["y - x^2 - t"], ("x", "y"), "y^5")]:
         V = AffineVariety(make_field(spec), variables, gens)
         ppower_test(V.function_field_elem(f))
@@ -502,18 +555,22 @@ def test_ppower_on_at_most_one_generator_takes_no_differential_rank(
         V = AffineVariety(make_field(spec), variables, gens)
         v = pindep_function_field([V.function_field_elem(f) for f in items])
         assert (v.status, v.reason) == (status, "exact: " + reason)
-    # two generators after peeling: the rank decides
+    # the monomial curve (s^3, s^4, s^5) keeps three generators: the rank
+    # decides
     V = AffineVariety(make_field("GF(5,1)"), ("x", "y", "z"),
-                      ["x^2 + y^2 - 1", "x*z - y^2"])
-    fs = [V.function_field_elem("z")]
+                      ["y^2 - x*z", "x^3 - y*z", "z^2 - x^2*y"],
+                      known_irreducible=True)
+    assert len(peel_graph(V).gens) == 3
+    x, y = V.function_field_elem("x"), V.function_field_elem("y")
     with pytest.raises(AssertionError, match="differential ranks"):
-        ppower_test(fs[0])
+        ppower_test(x)
     with pytest.raises(AssertionError, match="differential ranks"):
-        pindep_function_field(fs)
+        pindep_function_field([x])
     monkeypatch.undo()
-    v = pindep_function_field(fs)
-    assert (v.status, v.reason) == (
-        "independent", "exact: differential rank 3 with the df, 2 without")
+    for fs, status in [([x], "independent"), ([x, y], "dependent")]:
+        v = pindep_function_field(fs)
+        assert (v.status, v.reason) == (
+            status, "exact: differential rank 3 with the df, 2 without")
 
 
 GRAPHS = [
@@ -527,6 +584,11 @@ GRAPHS = [
      ["y - x/(t1 + t2)", "z - y^2 - x/t1 + t2/(t1 + 1)"]),
     # a coordinate named like the transcendental, which it shadows in text
     ("Fp(3;t)", ("x", "t"), ["t - x^2 - x"]),
+    # rational graphs: y = (x + 1) / (t*x); z = y^2 / x on the circle
+    ("Fp(5;t)", ("x", "y"), ["t*x*y - x - 1"]),
+    ("GF(5,1)", ("x", "y", "z"), ["x^2 + y^2 - 1", "x*z - y^2"]),
+    # x = 2 / y peels first, then y = 3 / z goes into its pair
+    ("GF(5,1)", ("x", "y", "z"), ["x*y - 2", "y*z - 3"]),
 ]
 
 
@@ -570,7 +632,6 @@ def test_polynomial_coefficients_cross_without_fraction_arithmetic(
              ["(t1*y + x)^2*x + (t2 + y)^2", "t1*t2*x*y - (x + t1)^3"])]:
         K = make_field(spec)
         V = AffineVariety(K, ("x", "y"), [f"y - ({h})"])
-        _peeled(V)  # the peel itself is taken once per variety
         cases.append((V, funcs, [V.function_field_elem(f) for f in funcs]))
     calls = collections.Counter()
 
