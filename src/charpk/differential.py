@@ -17,7 +17,8 @@ from .errors import FieldError, PreconditionError, RingError
 from .fields import (FieldDescriptor, FieldScalar, _scalar, evaluate_scalar,
                      partial)
 from .polys import Ideal, MultiPoly, PolyRing
-from .variety import AffineVariety, is_irreducible, projection_dominant
+from .variety import (AffineVariety, _require_prime_presentation,
+                      is_irreducible, projection_dominant)
 
 
 class DerivationContext:
@@ -259,22 +260,23 @@ def extension_oracle(V: AffineVariety, W: AffineVariety,
     """Independent decision: a derivation D' on K(W) with D'(x_i) = u_i
     extending D exists iff the chain-rule system
         sum_i dg/dx_i * u_i + sum_j dg/du_j * xi_j + g^D = 0   (g in I(W))
-    is solvable for xi_j in K(W)."""
+    is solvable for xi_j in K(W), that is, iff the matrix [dg/du_j] has
+    the rank over K(W) of the matrix extended by the column of constants
+    (`linalg.rank_modulo`, modulo the Groebner basis of I(W)).  The
+    presented ideal of W must be prime."""
     require_doubled_space(V, W)
     if not is_irreducible(W):
         raise PreconditionError("the oracle needs a K-irreducible W")
+    _require_prime_presentation(W)
     n = len(V.vars)
     ring = W.ring
     xvars, uvars = W.vars[:n], W.vars[n:]
     rows = []
-    rhs = []
     for g in W.ideal.gens:
         const = derive(g, D)
         for xv, uv in zip(xvars, uvars):
             const = const + g.partial(xv) * ring.var(uv)
-        rows.append([W.function_field_elem(g.partial(uv)) for uv in uvars])
-        rhs.append(-W.function_field_elem(const))
-    if not rows:
-        return True
-    sol = linalg.solve(rows, rhs)
-    return sol is not None
+        rows.append([g.partial(uv) for uv in uvars] + [const])
+    basis = W.ideal.groebner()
+    return (linalg.rank_modulo([row[:-1] for row in rows], basis)
+            == linalg.rank_modulo(rows, basis))

@@ -48,7 +48,7 @@ from functools import lru_cache
 from . import linalg
 from .errors import CharpkError, FieldError, UnsupportedInstance
 from .fields import (FieldDescriptor, FieldScalar, _code_to_vec,
-                     _prime_factors, _scalar, u_add, u_deg, u_deriv,
+                     _prime_factors, _scalar, u_add, u_bezout, u_deg, u_deriv,
                      u_divmod, u_gcd, u_monic, u_mul, u_powmod, u_scale,
                      u_sub, u_trim)
 from .polys import (MultiPoly, PolyRing, _content, _mp, mp_divmod_single,
@@ -519,20 +519,6 @@ def _factor_by_ascent(F, xv, yv):
 
 # -- Hensel lifting ---------------------------------------------------------
 
-def _bezout_uni(g, h, K):
-    """s, t with s g + t h = 1 for coprime univariate g, h."""
-    r0, r1 = list(g), list(h)
-    s0, s1 = [K.one], []
-    t0, t1 = [], [K.one]
-    while r1:
-        q, r = u_divmod(r0, r1, K)
-        r0, r1 = r1, r
-        s0, s1 = s1, u_sub(s0, u_mul(q, s1, K), K)
-        t0, t1 = t1, u_sub(t0, u_mul(q, t1, K), K)
-    inv = K.inv(r0[-1])
-    return u_scale(s0, inv, K), u_scale(t0, inv, K)
-
-
 def _hensel_factor(F, xv, yv):
     """F monic in yv, F(0, y) squarefree of full degree: lift its
     factorization and recombine."""
@@ -580,7 +566,7 @@ def _b_coeff_of_product(g, h, k, K):
 
 
 def _hensel_pair(fb, g0, h0, N, K):
-    s, t = _bezout_uni(g0, h0, K)
+    s, t = u_bezout(g0, h0, K)
     g = [list(g0)]
     h = [list(h0)]
     for k in range(1, N):

@@ -155,6 +155,20 @@ def u_gcd(f, g, K):
     return u_monic(f, K)
 
 
+def u_bezout(g, h, K):
+    """s, t with s g + t h = 1 for coprime g, h: extended Euclid."""
+    r0, r1 = list(g), list(h)
+    s0, s1 = [K.one], []
+    t0, t1 = [], [K.one]
+    while r1:
+        q, r = u_divmod(r0, r1, K)
+        r0, r1 = r1, r
+        s0, s1 = s1, u_sub(s0, u_mul(q, s1, K), K)
+        t0, t1 = t1, u_sub(t0, u_mul(q, t1, K), K)
+    inv = K.inv(r0[-1])
+    return u_scale(s0, inv, K), u_scale(t0, inv, K)
+
+
 def u_deriv(f, K):
     mul, from_int = K.mul, K.from_int
     return u_trim([mul(f[i], from_int(i)) for i in range(1, len(f))])
@@ -366,15 +380,8 @@ class _PolyKernel(_PrimeKernel):
         return _vec_to_code(u_divmod(prod, self.modulus, fp)[1], self.p)
 
     def inv(self, a):
-        # extended Euclid in F_p[x]
-        fp = self.fp
-        r0, r1 = self.modulus, self._vec(a)
-        s0, s1 = [], [1]
-        while r1:
-            q, r = u_divmod(r0, r1, fp)
-            r0, r1 = r1, r
-            s0, s1 = s1, u_sub(s0, u_mul(q, s1, fp), fp)
-        return _vec_to_code(u_scale(s0, fp.inv(r0[-1]), fp), self.p)
+        return _vec_to_code(u_bezout(self._vec(a), self.modulus, self.fp)[0],
+                            self.p)
 
     def pow(self, a, e):
         result = 1

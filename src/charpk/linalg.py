@@ -1,14 +1,16 @@
-"""Exact linear algebra over any field-like element type, and
-fraction-free elimination over GF(p)[t..].
+"""Exact linear algebra: fraction elimination over a field, fraction-free
+elimination over GF(p)[t..], and ranks over the function field of a
+prime ideal.
 
-Elements must support +, -, *, / and an ``is_zero()`` method; FieldScalar,
-function-field classes and extension-field elements all qualify.  Matrices
-are lists of row lists.  Everything here is small and dense: desk scale.
+`echelon` and `solve` take any element type with +, -, *, / and an
+``is_zero()`` method (FieldScalar and extension-field elements qualify);
+the other two take MultiPoly rows.  Matrices are lists of row lists.
+Everything here is small and dense: desk scale.
 """
 
 from __future__ import annotations
 
-from .polys import mp_exact_div
+from .polys import mp_exact_div, normal_form
 
 
 def _pivot_steps(rows, ncols):
@@ -57,11 +59,22 @@ def fraction_free_echelon(rows, ncols):
     return pivots
 
 
-def rank(matrix) -> int:
-    if not matrix:
-        return 0
-    rows = [list(r) for r in matrix]
-    return len(echelon(rows, len(rows[0])))
+def rank_modulo(rows, basis) -> int:
+    """The rank over Frac(R / I) of MultiPoly rows over R, for a prime
+    ideal I with Groebner basis `basis`.  Every entry is kept in normal
+    form modulo the basis, so it is zero in R / I iff it is the zero
+    polynomial; below each pivot the rows are cross-multiplied by the
+    pivot, a unit of Frac(R / I), which keeps the rank."""
+    rows = [[normal_form(x, basis) for x in row] for row in rows]
+    rank = 0
+    for r, c in _pivot_steps(rows, len(rows[0]) if rows else 0):
+        top = rows[r]
+        for i in range(r + 1, len(rows)):
+            if rows[i][c].terms:
+                rows[i] = [normal_form(top[c] * x - rows[i][c] * y, basis)
+                           for x, y in zip(rows[i], top)]
+        rank += 1
+    return rank
 
 
 def solve(matrix, rhs):

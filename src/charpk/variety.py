@@ -12,8 +12,10 @@ in them, and residual equations.  Where at most one equation G is left,
 every function crosses once into A = GF(q)[t.., x..] (`_cross`): p-th
 roots come from the basis 1, s^p, .. of K(V) over a rational subfield,
 and p-independence from the rank of the Jacobian rows over A, modulo G
-when there is one.  Otherwise both are decided by the rank of
-differentials.
+when there is one.  Otherwise both are decided by the rank of the
+differentials, polynomial rows over K[x..] modulo the Groebner basis of
+the presented ideal.  Every rank modulo an ideal is
+`linalg.rank_modulo`.
 
 A plane curve is first tried on its Newton polygon: with no monomial
 factor and an integrally indecomposable polygon it is absolutely
@@ -34,7 +36,7 @@ from .errors import (CharpkError, FieldError, PreconditionError,
 from .fields import FieldDescriptor, FieldScalar, iter_elements, partial
 from .polys import (Ideal, MultiPoly, PolyRing, _prem, join_coeffs,
                     joined_ring, mp_exact_div, mp_gcd, mp_pth_root,
-                    normal_form, split_coeffs)
+                    normal_form, split_coeffs, u_to_mp)
 
 
 class AffineVariety:
@@ -280,6 +282,15 @@ def _cross(f: "FunctionFieldElem"):
 # function-field elements and rational maps
 # ---------------------------------------------------------------------------
 
+def _require_prime_presentation(V: AffineVariety):
+    """Refuse a K-irreducible V whose one generator after peeling has a
+    repeated factor: its presented ideal is then not prime."""
+    if any(m > 1 for _, m in V._flags.get("factors", ())):
+        raise PreconditionError(
+            "function-field elements need a prime presentation: the "
+            "generator has a repeated factor")
+
+
 class FunctionFieldElem:
     """num/den in K(V); equality is cross-multiplied ideal membership."""
 
@@ -290,10 +301,7 @@ class FunctionFieldElem:
         if not is_irreducible(variety):
             raise PreconditionError(
                 "function-field elements need a K-irreducible variety")
-        if any(m > 1 for _, m in variety._flags.get("factors", ())):
-            raise PreconditionError(
-                "function-field elements need a prime presentation: the "
-                "generator has a repeated factor")
+        _require_prime_presentation(variety)
         gb = list(variety.ideal.groebner())
         if gb:
             num = normal_form(num, gb)
@@ -481,25 +489,20 @@ def _locus_ratfunc(elems, K, variables, L):
 
 
 def _locus_gf(elems, K, variables, L):
+    """Elements of GF(q^k) over K = GF(q): each a_i = sum_d c_d gamma^d is
+    the class of a_i(gen) in K[gen] / (minimal polynomial of gamma)."""
     if L.k % K.k != 0 or K.p != L.p:
         raise FieldError("not a subfield")
-    minpoly = _minpoly_over_subfield(L, K)
-    gname = "gen_aux"
-    work = PolyRing(K, (gname,) + variables)
-    g = work.var(gname)
-    gens = []
-    acc = work.zero()
-    for d, c in enumerate(minpoly):
-        acc = acc + work.from_scalar(c) * g ** d
-    gens.append(acc)
-    for v, a in zip(variables, elems):
-        expr = work.zero()
-        for d, c in enumerate(a.rep):
-            if c:
-                expr = expr + work.from_scalar(K.from_int(c)) * g ** d
-        gens.append(work.var(v) - expr)
-    ideal = Ideal(work, gens).eliminate((gname,))
-    return AffineVariety(K, variables, ideal, known_irreducible=True)
+    aux = ("gen_aux",)
+    ring = PolyRing(K, aux)
+    lift = K.kernel.from_int
+    minpoly = u_to_mp([c.value for c in _minpoly_over_subfield(L, K)],
+                      ring, aux[0])
+    pairs = [(u_to_mp([lift(c) for c in a.rep], ring, aux[0]), ring.one())
+             for a in elems]
+    return _eliminate_locus(K, aux, variables,
+                            lambda work: lambda g: g.rename(work), pairs,
+                            [minpoly])
 
 
 def _minpoly_over_subfield(L, K):
@@ -780,23 +783,25 @@ def _differential_ranks(V: AffineVariety, fs):
 
     Omega_{K(V)/F_p} is spanned over K(V) by dt_1..dt_m (the
     transcendentals of K) and dx_1..dx_n, subject to dg = 0 for each
-    presented generator g of I(V); this presentation assumes the ideal is
-    prime, as every FunctionFieldElem operation does."""
+    presented generator g of I(V).  The rows dg and den^2 df are
+    polynomials over V.ring, ranked modulo the Groebner basis of I(V)
+    (`linalg.rank_modulo`); this presentation assumes the ideal is prime,
+    as every FunctionFieldElem operation does."""
     K = V.field
 
     def d(poly):
         return ([poly.map_coeffs(lambda c, t=t: partial(c, t))
                  for t in K.tvars] + [poly.partial(v) for v in V.vars])
 
-    relations = [d(g) for g in V.ideal.gens]
+    rows = [d(g) for g in V.ideal.gens]
     for f in fs:
         # den^2 df: scaling a row keeps the rank
-        relations.append([f.den * a - f.num * b
-                          for a, b in zip(d(f.num), d(f.den))])
-    one = V.ring.one()
-    rows = [[FunctionFieldElem(V, e, one) for e in row] for row in relations]
+        rows.append([f.den * a - f.num * b
+                     for a, b in zip(d(f.num), d(f.den))])
+    basis = V.ideal.groebner()
     ngens = len(V.ideal.gens)
-    return linalg.rank(rows[:ngens]), linalg.rank(rows)
+    return (linalg.rank_modulo(rows[:ngens], basis),
+            linalg.rank_modulo(rows, basis))
 
 
 def ppower_test(f: FunctionFieldElem) -> PStructureVerdict:
@@ -885,29 +890,6 @@ def _coordinates(a: MultiPoly, b: MultiPoly, G: MultiPoly, A: PolyRing):
                         for k, row in enumerate(rows)], where
 
 
-def _rank_modulo(rows, H: MultiPoly, s: str) -> int:
-    """The rank over K(V) = Frac(A / (H)) of rows over A, (H, s) from
-    `_generator`, by cross-multiplication.  Each row is reduced by `_prem`
-    modulo H in s with one count, so scaled by a power of lc_s(H), a unit
-    of K(V); a reduced entry has s-degree below deg_s H, so it is zero in
-    K(V) iff it is the zero polynomial."""
-    d = H.degree_in(s)
-
-    def reduce(row):
-        count = max(x.degree_in(s) for x in row) - d + 1
-        return [_prem(x, H, s, count) for x in row]
-    rows = [reduce(row) for row in rows]
-    rank = 0
-    for r, c in linalg._pivot_steps(rows, len(rows[0])):
-        top = rows[r]
-        for i in range(r + 1, len(rows)):
-            if rows[i][c].terms:
-                rows[i] = reduce([top[c] * x - rows[i][c] * y
-                                  for x, y in zip(rows[i], top)])
-        rank += 1
-    return rank
-
-
 def pindep_function_field(fs) -> PStructureVerdict:
     """p-independence of fs in K(V): status "independent" or "dependent",
     exactly: fs is p-independent iff the df_i are linearly independent in
@@ -917,8 +899,9 @@ def pindep_function_field(fs) -> PStructureVerdict:
     into A (`_cross`), whose Omega is free on the dv (Omega of GF(q) is
     0), and gives the row b^2 df = (a_v b - a b_v) over the variables v
     of A.  Without G these are ranked in K(V) = Frac(A); with G, in
-    K(V) = Frac(A / (H)) together with dH (`_rank_modulo`).  With more
-    generators the rank comes from the presented ideal, assumed prime."""
+    K(V) = Frac(A / (H)) together with dH (`linalg.rank_modulo`).  With
+    more generators the rank comes from the presented ideal, assumed
+    prime."""
     fs = list(fs)
     if not fs:
         return PStructureVerdict("independent", reason="empty tuple")
@@ -933,8 +916,10 @@ def pindep_function_field(fs) -> PStructureVerdict:
     else:
         rows = [lambdafn._jacobian_row(_cross(f), A.vars) for f in fs]
         if peel.gens:
-            H, s = _generator(peel.gens[0], A)
-            r = _rank_modulo([[H.partial(v) for v in A.vars]] + rows, H, s)
+            # (H) is prime in A, and {H} a Groebner basis of it
+            H = _generator(peel.gens[0], A)[0]
+            r = linalg.rank_modulo([[H.partial(v) for v in A.vars]] + rows,
+                                   [H])
             ok = r == len(fs) + 1
             why = f"Jacobian rank {r} of {len(fs)} + 1 modulo G"
         else:

@@ -952,9 +952,36 @@ def lambda_by_components(bs, c):
 # pivot, and Taylor's formula summed term by term
 # ---------------------------------------------------------------------------
 
+def _fraction_rank(rows):
+    """The rank of a matrix over a field, by fraction elimination."""
+    rows = [list(r) for r in rows]
+    return len(linalg.echelon(rows, len(rows[0]))) if rows else 0
+
+
 def jacobian_rank_by_fractions(xs, K):
     """The rank of [dx_i/dt_j] over K, each entry a reduced fraction."""
-    return linalg.rank([[partial(x, t) for t in K.tvars] for x in xs])
+    return _fraction_rank([[partial(x, t) for t in K.tvars] for x in xs])
+
+
+def differential_ranks(V, fs):
+    """(rank of the dg, rank of the dg and the df) in Omega_{K(V)/F_p},
+    for the presented generators g of I(V), assumed prime: the rows dg
+    and den^2 df over dt_1..dt_m, dx_1..dx_n, every entry a
+    FunctionFieldElem, by fraction elimination over K(V)."""
+    K = V.field
+
+    def d(poly):
+        return ([poly.map_coeffs(lambda c, t=t: partial(c, t))
+                 for t in K.tvars] + [poly.partial(v) for v in V.vars])
+
+    relations = [d(g) for g in V.ideal.gens]
+    for f in fs:
+        relations.append([f.den * a - f.num * b
+                          for a, b in zip(d(f.num), d(f.den))])
+    one = V.ring.one()
+    rows = [[FunctionFieldElem(V, e, one) for e in row] for row in relations]
+    ngens = len(V.ideal.gens)
+    return _fraction_rank(rows[:ngens]), _fraction_rank(rows)
 
 
 def lambda_by_fraction_echelon(bs, c):

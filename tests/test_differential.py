@@ -145,6 +145,13 @@ def test_kerprol_matches_extension_oracle():
     for w_text in ["u - x", "u - t", "u - x^2", "u"]:
         W3 = AffineVariety(K3, ("x", "u"), [w_text])
         assert kerprol_check(V3, W3, D3) == extension_oracle(V3, W3, D3)
+    # over GF(5), K(W) = GF(25) is perfect: its only derivation is 0, not
+    # x -> u = 1 / x
+    K5 = make_field("GF(5,1)")
+    D5 = DerivationContext(K5)
+    V5 = AffineVariety(K5, ("x",), [])
+    W5 = AffineVariety(K5, ("x", "u"), ["x^2 - 2", "x*u - 1"])
+    assert kerprol_check(V5, W5, D5) == extension_oracle(V5, W5, D5) == False
 
 
 def test_scalar_hom_is_fp_homomorphism():
@@ -160,3 +167,18 @@ def test_scalar_hom_is_fp_homomorphism():
         hb = scalar_hom(b, images, L)
         assert scalar_hom(a + b, images, L) == ha + hb
         assert scalar_hom(a * b, images, L) == ha * hb
+
+
+@pytest.mark.parametrize("gens, message", [
+    # u = 1 / x peels, and what is left has the repeated factor x^2 - 2
+    (["(x^2 - 2)^2", "x*u - 1"], "prime presentation"),
+    (["(u - x)^2"], "prime presentation"),
+    (["u^2 - x^2"], "K-irreducible W"),
+])
+def test_extension_oracle_needs_a_prime_presentation(gens, message):
+    K = make_field("GF(5,1)")
+    D = DerivationContext(K)
+    V = AffineVariety(K, ("x",), [])
+    W = AffineVariety(K, ("x", "u"), gens)
+    with pytest.raises(PreconditionError, match=message):
+        extension_oracle(V, W, D)

@@ -17,8 +17,8 @@ from charpk.variety import (AffineVariety, FunctionFieldElem, RationalMapData,
                             pindep_function_field, ppower_test,
                             projection_dominant)
 
-from oracles import (embed_by_terms, naive_point_scan, ppower_ansatz,
-                     vanishes_at, weil_verdict)
+from oracles import (differential_ranks, embed_by_terms, naive_point_scan,
+                     ppower_ansatz, vanishes_at, weil_verdict)
 
 
 def _curve(spec, text, variables=("x", "y")):
@@ -441,6 +441,11 @@ def _ppower_inputs(seed):
                 continue
             made += 1
             u, v, w = (_poly_text(rng, K, names, 2, 3) for _ in range(3))
+            if not V.ideal.gens:
+                # the terms of G cancel: V is the whole space, no
+                # hypersurface; drawing u, v, w first keeps the later
+                # inputs of the seed as they were
+                continue
             for num, den in [(f"({u})^{p}", f"({v})^{p}"), ("y", "1"),
                              (u, v), (f"x*({w})^{p}", "1"),
                              (f"({u} + {w})^{p}", "1")]:
@@ -461,7 +466,8 @@ def test_ppower_matches_differential_ranks_and_the_ansatz():
     counts, by_ansatz = collections.Counter(), 0
     for V, f in _ppower_inputs(20):
         v = ppower_test(f)
-        r0, r1 = _differential_ranks(V, [f])
+        r0, r1 = differential_ranks(V, [f])
+        assert _differential_ranks(V, [f]) == (r0, r1), (V, f)
         assert v.status == ("absent" if r1 > r0 else "root"), (V, f)
         counts[v.status, len(peel_graph(V).gens)] += 1
         if v.status == "root":
@@ -513,12 +519,107 @@ def test_pindep_matches_differential_ranks():
         ngens = len(_peeled(V)[0].gens)
         for items in tuples:
             v = pindep_function_field(items)
-            r0, r1 = _differential_ranks(V, items)
+            r0, r1 = differential_ranks(V, items)
+            assert _differential_ranks(V, items) == (r0, r1), (V, items)
             assert v.status == ("independent" if r1 - r0 == len(items)
                                 else "dependent"), (V, items)
             cells[v.status, ngens, kind] += 1
     assert sum(cells.values()) >= 200
     assert len(cells) == 12 and min(cells.values()) >= 8
+
+
+def _monomial_curves(seed):
+    """(V, fs) on monomial curves (s^a, s^b, s^c) that peel to two or
+    more generators: the locus of the triple over GF(p), and its ideal,
+    prime over every field, over GF(p^2) and F_p(t) too.  The functions
+    are the coordinates, a p-th power, random polynomials and a random
+    quotient."""
+    rng = random.Random(seed)
+    names = ("x", "y", "z")
+    for p in (2, 3, 5):
+        s = make_field(f"Fp({p};s)").gen("s")
+        made = 0
+        while made < 2:
+            exps = sorted(rng.sample(range(2, 9), 3))
+            C = locus([s ** e for e in exps], make_field(f"GF({p},1)"),
+                      names)
+            if len(peel_graph(C).gens) < 2:
+                continue
+            made += 1
+            for spec in (f"GF({p},1)", f"GF({p},2)", f"Fp({p};t)"):
+                K = make_field(spec)
+                V = C if K == C.field else AffineVariety(
+                    K, names, [str(g) for g in C.ideal.gens],
+                    known_irreducible=True)
+                u, v, w = (_poly_text(rng, K, names + K.tvars, 2, 2)
+                           for _ in range(3))
+                texts = [("x", "1"), ("y", "z"), (f"({u})^{p}", "1"),
+                         (u, "1"), (v, w)] + [(t, "1") for t in K.tvars]
+                fs = []
+                for num, den in texts:
+                    try:
+                        fs.append(V.function_field_elem(num, den))
+                    except FieldError:
+                        continue
+                yield V, fs
+
+
+def test_several_generators_match_the_fraction_rank():
+    """On monomial curves that peel to two or more generators, over
+    GF(p), GF(p^2) and F_p(t), the ranks modulo the Groebner basis are
+    those of fraction elimination over K(V), and ppower_test and
+    pindep_function_field give their verdicts."""
+    statuses = collections.Counter()
+    for V, fs in _monomial_curves(24):
+        tuples = [[f] for f in fs] + [[f, g] for f, g in zip(fs, fs[1:])]
+        for items in tuples:
+            ranks = differential_ranks(V, items)
+            assert _differential_ranks(V, items) == ranks, (V, items)
+            r0, r1 = ranks
+            v = pindep_function_field(items)
+            assert v.status == ("independent" if r1 - r0 == len(items)
+                                else "dependent"), (V, items)
+            statuses[v.status] += 1
+            if len(items) == 1:
+                v = ppower_test(items[0])
+                assert v.status == ("absent" if r1 > r0 else "root"), \
+                    (V, items)
+                statuses[v.status] += 1
+    assert len(statuses) == 4 and min(statuses.values()) >= 8
+
+
+def test_rank_modulo_is_the_rank_in_the_function_field():
+    """On the monomial curve (s^3, s^4, s^5), y^2 - x*z is zero in K(V),
+    also as a first entry, and so is the determinant of
+    [[x, y], [y, z]]."""
+    from charpk import linalg
+    V = AffineVariety(make_field("GF(5,1)"), ("x", "y", "z"),
+                      ["y^2 - x*z", "x^3 - y*z", "z^2 - x^2*y"])
+    basis = V.ideal.groebner()
+    g, x, y, z = (V.ring.parse(t) for t in ("y^2 - x*z", "x", "y", "z"))
+    zero = V.ring.zero()
+    for rows, rank in [([[g, x * g]], 0), ([[g, x], [zero, y]], 1),
+                       ([[x, y], [y, z]], 1), ([[x, y], [z, x]], 2),
+                       ([], 0)]:
+        assert linalg.rank_modulo(rows, basis) == rank, rows
+
+
+def test_differential_ranks_build_no_fraction(monkeypatch):
+    """A pair whose ranks by fraction elimination over K(V) take seconds:
+    modulo the Groebner basis they come with no fraction elimination and
+    no function-field element built."""
+    from charpk import linalg, variety
+    V = AffineVariety(make_field("Fp(3;t1,t2)"), ("x", "y", "z"),
+                      ["t1*t2*x*y + y*z/t2 + (t2 + 1)*z + t2 + 1"])
+    fs = [V.function_field_elem("y + 2",
+                                "(t2 + 1)*y + ((t1*t2^2 + 1)/t2)*z"),
+          V.function_field_elem("t1")]
+
+    def refuse(*args):
+        raise AssertionError("fraction arithmetic reached")
+    monkeypatch.setattr(linalg, "echelon", refuse)
+    monkeypatch.setattr(variety.FunctionFieldElem, "__init__", refuse)
+    assert _differential_ranks(V, fs) == (1, 3)
 
 
 def test_ppower_on_at_most_one_generator_takes_no_differential_rank(
