@@ -177,6 +177,11 @@ def cmd_variety(args):
                       for c in block.require("coords")]
             m = vmod.RationalMapData(V, target, coords)
         else:
+            unknown = [v for v in target.vars if v not in V.vars]
+            if unknown:
+                raise InstanceFileError(
+                    "without a map block the target's variables must be "
+                    f"the variety's; unknown: {', '.join(unknown)}")
             m = vmod.projection_map(V, target, target.vars)
         ok = vmod.is_dominant(m)
         return (0 if ok else 1), {"dominant": ok}, [f"dominant: {ok}"]
@@ -284,12 +289,12 @@ def cmd_action(args):
         payload = {"algebraic_separable": report.algebraic_separable,
                    "normal": report.normal,
                    "iso_with_group": report.iso_with_group,
-                   "invariant_field": str(report.invariant_field),
+                   "invariant_field": report.invariant_field.spec,
                    "pass": ok}
         lines = [f"algebraic/separable: {report.algebraic_separable}",
                  f"normal: {report.normal}",
                  f"isomorphic to the given group: {report.iso_with_group}",
-                 f"invariant field: {report.invariant_field}"]
+                 f"invariant field: {report.invariant_field.spec}"]
         return (0 if ok else 1), payload, lines
     raise InstanceFileError(f"unknown action subcommand {args.action}")
 
@@ -404,8 +409,7 @@ def cmd_axiom(args):
                              audit_bound=args.bound)
         payload = {"vars": list(V.vars),
                    "generators": [str(g) for g in V.ideal.gens],
-                   "rows": [[f"{f.num}/{f.den}" for f in row]
-                            for row in rows]}
+                   "rows": [[str(f) for f in row] for row in rows]}
         lines = (["locus generators:"]
                  + ["  " + str(g) for g in V.ideal.gens]
                  + [f"matrix rows: {len(rows)}"])

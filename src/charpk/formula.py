@@ -9,7 +9,9 @@ walker folds over one explicit-stack traversal, `_fold`, so the depth of
 a tree never matters.  Terms are read by the grammar that scalars and
 polynomials share (`fields._Parser`), with unsigned exponents and `/`
 between constants only; powers may add at most `polys.MAX_TERM_NODES`
-nodes and parentheses nest at most `fields.MAX_NESTING` deep.  The
+nodes and parentheses nest at most `fields.MAX_NESTING` deep.  Each `(`
+is decided once, by the token after its matching `)`: one of
+`= + - * / ^` (or no match) makes it a term, anything else a formula.  The
 printer is fully parenthesized, and parse(print(x)) evaluates as x when
 print(x) nests no deeper; a constant printed as an expression (`2*t`)
 reads back as that expression.
@@ -376,18 +378,22 @@ def to_nnf(f: Formula) -> Formula:
 
 class _Parser(fields._Parser):
     """Formulas over the term grammar of `fields._Parser`: `|`, `&`,
-    `!(..)` and atoms `term = term`, where a parenthesized formula is
-    tried before a parenthesized term.  The hooks build term nodes and
-    `target` is the context {vars, field}."""
+    `!(..)` and atoms `term = term`.  `parse` first pairs the
+    parentheses, and `unit` reads a formula at a `(` unless the token
+    after its `)` continues a term, so no text is read twice.  The hooks
+    build term nodes and `target` is the context {vars, field}."""
 
     what, error = "formula", FormulaError
     grown = 0   # term nodes the powers read so far added
 
     def parse(self):
-        # the term read at each "(" by token index: (term, index after
-        # it, term nodes its powers added), reused when `unit`
-        # backtracks to that "("
-        self.read = {}
+        # for each "(" by token index, the token after its matching ")"
+        self.after, opened = {}, []
+        for i, tok in enumerate(self.toks):
+            if tok == "(":
+                opened.append(i)
+            elif tok == ")" and opened:
+                self.after[opened.pop()] = self.toks[i + 1]
         node = self.formula() if "=" in self.text else self.expr()
         if self.toks[self.i]:
             raise FormulaError(f"trailing input at position {self.offset()} "
@@ -421,17 +427,10 @@ class _Parser(fields._Parser):
         if tok == "!":
             self.i += 1
             return NotF(self.argument(self.formula))
-        if tok == "(":
-            # disambiguate "(formula)" from a parenthesized term by
-            # backtracking
-            save = self.i, self.grown
-            try:
-                f = self.argument(self.formula)
-                if self.toks[self.i] in ("=", "+", "-", "*", "^"):
-                    raise FormulaError("term context")
-                return f
-            except FormulaError:
-                self.i, self.grown = save
+        # an unmatched "(" reads as a term, which reports it unbalanced
+        if tok == "(" and self.after.get(self.i, "=") not in (
+                "=", "+", "-", "*", "/", "^"):
+            return self.argument(self.formula)
         left = self.expr()
         self.eat("=")
         right = self.expr()
@@ -446,20 +445,6 @@ class _Parser(fields._Parser):
         return node
 
     # -- term hooks ---------------------------------------------------------
-
-    def atom(self):
-        """A parenthesized term, read once per position; a reuse counts
-        its powers' term nodes again, as backtracking took them off."""
-        if self.toks[self.i] != "(":
-            return super().atom()
-        start, grown = self.i, self.grown
-        if start not in self.read:
-            node = super().atom()
-            self.read[start] = node, self.i, self.grown - grown
-            self.grown = grown
-        node, self.i, added = self.read[start]
-        self._grow(added)
-        return node
 
     def number(self, n):
         return IntConst(n)
@@ -488,11 +473,9 @@ class _Parser(fields._Parser):
         if declared is None or name in declared:
             return Var(name)
         field = self.target.get("field")
-        if field is not None:
-            try:
-                return Const(field.parse(name))
-            except FieldError:
-                pass
+        if field is not None and (name == field.gen_name
+                                  or name in field.tvars):
+            return Const(field.parse(name))
         return Var(name)
 
     def lam(self):

@@ -18,7 +18,7 @@ file loads no variety, derivation or group code.
 from __future__ import annotations
 
 from .errors import InstanceFileError
-from .fields import FieldDescriptor, make_field
+from .fields import MAX_NESTING, FieldDescriptor, make_field
 from .polys import Ideal, PolyRing
 
 
@@ -114,15 +114,20 @@ class _Scanner:
             self.pos += 1
         return self.text[start:self.pos].strip()
 
-    def value(self, stops=";}"):
+    def value(self, stops=";}", depth=0):
+        """The value at pos, inside `depth` lists and maps; nesting them
+        deeper than MAX_NESTING is refused."""
         ch = self.peek()
         if ch == '"':
             return self.string()
+        if ch in ("[", "{") and depth == MAX_NESTING:
+            raise InstanceFileError(f"lists and maps nest deeper than "
+                                    f"{MAX_NESTING} at position {self.pos}")
         if ch == "[":
             self.expect("[")
             items = []
             while self.peek() != "]":
-                items.append(self.value(stops=",]"))
+                items.append(self.value(",]", depth + 1))
                 if self.peek() == ",":
                     self.expect(",")
             self.expect("]")
@@ -133,7 +138,7 @@ class _Scanner:
             while self.peek() != "}":
                 key = self.word()
                 self.expect(":")
-                out[key] = self.value(stops=",}")
+                out[key] = self.value(",}", depth + 1)
                 if self.peek() == ",":
                     self.expect(",")
             self.expect("}")

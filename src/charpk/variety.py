@@ -621,8 +621,6 @@ def _decide_irreducible(V: AffineVariety, absolute: bool) -> bool:
         return True  # open in an affine space
     if len(gens) == 1:
         return _poly_irreducible(V, gens[0], absolute)
-    if not absolute and V._flags.get("irreducible"):
-        return True
     raise UnsupportedInstance(
         "irreducibility decided only for hypersurfaces, zero-dimensional "
         "triangular systems, and graph/locus presentations")
@@ -813,10 +811,12 @@ def ppower_test(f: FunctionFieldElem) -> PStructureVerdict:
     polynomial ring A0 and both the m_k and the m_k^p are bases of K(V)
     over L0 = Frac(A0): without G, L0 = K(V) = Frac(A), m_0 = 1 and
     f = a / b; with G, see `_coordinates`.  f is then a p-th power iff
-    every r_k / delta is one in L0, that is, with h the gcd of delta and
-    the r_k, iff delta / h and every r_k / h are p-th powers in A0 (A0 is
-    factorial).  The root sum_k (r_k / h)^(1/p) m_k / (delta / h)^(1/p)
-    is in lowest terms; it is re-verified.
+    every r_k / delta is one in L0, that is, iff every r_k delta^(p-1) is
+    one in A0 (A0 is factorial), which "absent" answers without a gcd.
+    Then also, with h the gcd of delta and the r_k, delta / h and every
+    r_k / h are p-th powers in A0, and the root
+    sum_k (r_k / h)^(1/p) m_k / (delta / h)^(1/p) is in lowest terms; it
+    is re-verified.
 
     With more generators, f is a p-th power iff df = 0 in
     Omega_{K(V)/F_p} (Matsumura, Commutative Ring Theory, Thm 26.5),
@@ -835,14 +835,15 @@ def ppower_test(f: FunctionFieldElem) -> PStructureVerdict:
     else:
         delta, coords, where = (b, [(a, A.one())],
                                 "K(V) is a rational function field")
+    lift = delta ** (V.field.p - 1)
+    if any(mp_pth_root(r * lift) is None for r, _ in coords):
+        return PStructureVerdict(
+            "absent", reason=f"exact: {where} and f has no p-th root there")
     h = delta
     for r, _ in coords:
         h = mp_gcd(h, r)
     den, *roots = [mp_pth_root(x if h.is_constant() else mp_exact_div(x, h))
                    for x in [delta] + [r for r, _ in coords]]
-    if den is None or any(r is None for r in roots):
-        return PStructureVerdict(
-            "absent", reason=f"exact: {where} and f has no p-th root there")
     inv = A.field.kernel.inv(den._lead()[1])
     num = sum((r * m for r, (_, m) in zip(roots, coords)), A.zero())
     g = FunctionFieldElem(V, *(split_coeffs(x._scale(inv), A.one(), V.ring)

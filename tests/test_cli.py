@@ -75,6 +75,30 @@ def test_instancefile_rejects_malformed_input():
             InstanceFile.parse(bad)
 
 
+def test_instancefile_refuses_lists_and_maps_nested_too_deep(tmp_path,
+                                                             capsys):
+    from charpk.fields import MAX_NESTING
+    n = MAX_NESTING
+    inst = InstanceFile.parse("b { v: " + "[" * n + "x" + "]" * n + " }")
+    value = inst.require("b").require("v")
+    for _ in range(n):
+        value, = value
+    assert value == "x"
+    mixed = "{k: [" * (n // 2)
+    assert InstanceFile.parse("b { v: " + mixed + "x" + "]}" * (n // 2)
+                              + " }")
+    deeper = "b { v: " + "[" * (n + 1) + "x" + "]" * (n + 1) + " }"
+    with pytest.raises(InstanceFileError,
+                       match=f"nest deeper than {n} at position {7 + n}$"):
+        InstanceFile.parse(deeper)
+    path = _write(tmp_path, "deep.inst", "variety { vars: " + "[" * 3000)
+    assert main(["variety", "irr", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert "nest deeper" in captured.err
+
+
 def test_cli_validate_and_search_dpac(tmp_path, capsys):
     path = _write(tmp_path, "good.inst", DPAC3)
     assert main(["axiom", "validate-dpac", path]) == 0
@@ -258,6 +282,81 @@ witness { x: "t" }
     assert payload["formula"] == ("(((y1 * y1) - D(x)) = 0 & "
                                   "(D(y1) + x) = 0)")
     assert payload["fixed_terms"] == ["x"]
+
+
+PARABOLA7 = 'variety { vars: [x, y]; over: "GF(7,1)"; gens: ["y - x^2"] }\n'
+DIFF3 = """
+variety V { vars: [x]; over: "Fp(3;t)"; gens: [] }
+variety W { vars: [x, u]; over: "Fp(3;t)"; gens: ["u - 1"] }
+derivation { over: "Fp(3;t)"; images: {t: "1"} }
+"""
+FROBENIUS9 = ('action { group: cyclic(2); field: "GF(3,2)"; '
+              'generator_image: "frobenius" }\n')
+
+
+@pytest.mark.parametrize("argv, text, code, payload", [
+    (["variety", "irr"],
+     'variety { vars: [x, y]; over: "GF(7,1)"; gens: ["x^2 + y^2"] }',
+     0, {"irreducible": True}),
+    (["variety", "absirr"],
+     'variety { vars: [x, y]; over: "GF(7,1)"; gens: ["x^2 + y^2"] }',
+     1, {"absolutely_irreducible": False}),
+    (["variety", "dominant"],
+     PARABOLA7 + 'variety target { vars: [x]; over: "GF(7,1)"; gens: [] }',
+     0, {"dominant": True}),
+    (["variety", "dominant"],
+     PARABOLA7 + 'variety target { vars: [u, v]; over: "GF(7,1)"; '
+     'gens: ["v - u^2"] }\nmap { coords: ["x + 1", "y + 2*x + 1"] }',
+     0, {"dominant": True}),
+    (["variety", "dominant"],
+     PARABOLA7 + 'variety target { vars: [u]; over: "GF(7,1)"; gens: [] }'
+     '\nmap { coords: ["y - x^2"] }',
+     1, {"dominant": False}),
+    (["diff", "extends"], DIFF3, 0, {"extends": True}),
+    (["diff", "equalizer"], DIFF3, 0,
+     {"generators": ["u + 2", "ut", "2*u + xt"],
+      "vars": ["x", "u", "xt", "ut"]}),
+    (["diff", "kerprol"], DIFF3, 0, {"dominant": True}),
+    (["action", "kirred"],
+     'set { field: "GF(2,2)"; base: "GF(2,1)"; items: ["g", "g+1"] }',
+     0, {"k_irreducible": True}),
+    (["action", "faithful"], FROBENIUS9, 0, {"faithful": True}),
+    (["action", "faithful"], FROBENIUS9.replace("cyclic(2)", "cyclic(4)"),
+     1, {"faithful": False}),
+    (["action", "check210"], FROBENIUS9, 0,
+     {"algebraic_separable": True, "invariant_field": "GF(3,1,g)",
+      "iso_with_group": True, "normal": True, "pass": True}),
+    (["axiom", "scf-reduce"], """
+formula { text: "lam(1,1; t; x) = t"; language: "lambda"; over: "Fp(2;t)";
+          vars: [x] }
+witness { x: "t^3 + t^2" }
+rows { items: [["x", "lm1_2"], ["lm1_1^2"]] }
+""", 0, {"generators": ["lm1_1 + lm1_2", "lm1_2^3 + lm1_2^2 + x"],
+         "rows": [["x", "lm1_2"], ["lm1_2^2"]],
+         "vars": ["x", "lm1_1", "lm1_2"]}),
+])
+def test_cli_handlers_exit_codes_and_payloads(tmp_path, capsys, argv, text,
+                                              code, payload):
+    path = _write(tmp_path, "job.inst", text)
+    assert main([*argv, path, "--json"]) == code
+    captured = capsys.readouterr()
+    assert (json.loads(captured.out), captured.err) == (payload, "")
+
+
+def test_cli_check210_prints_the_invariant_field_spec(tmp_path, capsys):
+    assert main(["action", "check210",
+                 _write(tmp_path, "act.inst", FROBENIUS9)]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == \
+        "invariant field: GF(3,1,g)"
+
+
+def test_cli_projection_to_unknown_variables_exits_2(tmp_path, capsys):
+    path = _write(tmp_path, "dom.inst", PARABOLA7 + (
+        'variety target { vars: [u]; over: "GF(7,1)"; gens: [] }'))
+    assert main(["variety", "dominant", path]) == 2
+    assert capsys.readouterr().err == (
+        "error: without a map block the target's variables must be the "
+        "variety's; unknown: u\n")
 
 
 def test_cli_scf_reduce_without_witness_coordinates(tmp_path, capsys):

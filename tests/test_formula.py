@@ -149,6 +149,39 @@ def test_unravel_produces_verified_conditions():
     assert not V.is_empty()
 
 
+@pytest.mark.parametrize("text", ["x = 0 | x = t^3 + t^2",
+                                  "x = t^3 + t^2 | x = 0"])
+def test_unravel_keeps_the_disjunct_the_witness_satisfies(text):
+    K, structure = _structure("Fp(2;t)")
+    witness = {"x": K.parse("t^3 + t^2")}
+    res = unravel_lambda_terms(parse(text, "full", {"vars": {"x"},
+                                                    "field": K}),
+                               structure, witness)
+    kept = "(x - (((t * t) * t) + (t * t)))"
+    assert res.names == ("x",)
+    assert [print_term(c) for c in res.conditions] == [kept]
+    assert res.trace == [{"kind": "disjunct", "chosen": kept + " = 0"}]
+
+
+def test_unravel_removes_a_negation_by_an_inverse_and_a_degenerate_lam():
+    K, structure = _structure("Fp(2;t)")
+    x = K.parse("t^3 + t^2")
+    ctx = {"vars": {"x"}, "field": K}
+    res = unravel_lambda_terms(parse("!(x = 0) & x = t^3 + t^2", "full",
+                                     ctx), structure, {"x": x})
+    assert res.names == ("x", "inv1")
+    assert res.values["inv1"] == K.one() / x
+    assert print_term(res.conditions[0]) == "((x * inv1) - 1)"
+    assert res.trace == [{"kind": "negation", "aux": "inv1"}]
+    # t^2 is a square, so the basis is p-dependent and lam is 0
+    res = unravel_lambda_terms(parse("lam(1,1; t^2; x) = 0", "full", ctx),
+                               structure, {"x": x})
+    assert res.names == ("x",)
+    assert [print_term(c) for c in res.conditions] == ["0"]
+    assert res.trace == [{"kind": "lam", "case": "degenerate", "index": 1,
+                          "arity": 1}]
+
+
 def test_correction_nonpower_case_freezes_argument():
     # D(l0(x)) + D(x) = 0 with x declared a non-p-th-power: the l0 term
     # collapses to 0 and x is recorded as a fixed term
@@ -473,15 +506,15 @@ def test_powers_past_the_term_node_cap_are_refused_unbuilt(text):
 
 
 def test_term_node_cap_counts_each_power_once():
-    """Backtracking over a parenthesized term re-reads its powers; they
-    count once, so the text below, just under the cap, is read."""
+    """Each parenthesis is read once, so its powers count once and the
+    text below, just under the cap, is read."""
     phi = parse("(((x^50000))) = 0")
     assert print_formula(phi).count("x") == 50000
 
 
 def test_a_parenthesized_term_is_read_once_per_position(monkeypatch):
-    """Backtracking out of each nesting level reuses the term read at
-    that "(": 64 levels build the power as often as one level does."""
+    """Each "(" is decided once, by the token after its ")", before it
+    is read: 64 levels build the power as often as one level does."""
     from charpk.formula import Term
     calls = []
     power = Term.__pow__
@@ -496,6 +529,29 @@ def test_a_parenthesized_term_is_read_once_per_position(monkeypatch):
     deep = parse(_nested(MAX_NESTING, "(", "x^500") + " = 0")
     assert len(calls) == once
     assert print_formula(deep) == print_formula(one)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("(x = )", "unexpected character ')' in formula"),
+    ("((x =/0))", "unexpected character '/' in formula"),
+    ("(x) & y = 0", "expected '=' at position 2 in '(x) & y = 0'"),
+])
+def test_a_formula_parenthesis_reports_its_own_error(text, message):
+    """A "(" whose ")" is not followed by = + - * / ^ holds a formula, so
+    an error inside it is reported where it is, not as a term's
+    unbalanced parentheses."""
+    with pytest.raises(FormulaError) as info:
+        parse(text)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("op, rest", [("=", " x"), ("+", " x = 0"),
+                                      ("-", " x = 0"), ("*", " x = 0"),
+                                      ("/", "t = x"), ("^", "2 = x")])
+def test_each_term_operator_after_a_parenthesis_makes_it_a_term(op, rest):
+    ctx = {"vars": {"x"}, "field": make_field("Fp(3;t)")}
+    assert print_formula(parse(f"(t) {op}{rest}", "full", ctx)) == \
+        print_formula(parse(f"t {op}{rest}", "full", ctx))
 
 
 # ---------------------------------------------------------------------------

@@ -35,6 +35,23 @@ def test_irreducible_examples():
     assert is_irreducible(AffineVariety(K, ("x", "y"), []))
 
 
+def test_irreducibility_past_one_generator_is_refused():
+    """The monomial curve (s^3, s^4, s^5) peels to three generators:
+    neither verdict is decided, and `known_irreducible` answers only
+    K-irreducibility."""
+    K = make_field("GF(5,1)")
+    gens = ["y^2 - x*z", "x^3 - y*z", "z^2 - x^2*y"]
+    V = AffineVariety(K, ("x", "y", "z"), gens)
+    assert len(peel_graph(V).gens) == 3
+    for verdict in (is_irreducible, is_absolutely_irreducible):
+        with pytest.raises(UnsupportedInstance, match="decided only for"):
+            verdict(V)
+    W = AffineVariety(K, ("x", "y", "z"), gens, known_irreducible=True)
+    assert is_irreducible(W) is True
+    with pytest.raises(UnsupportedInstance, match="decided only for"):
+        is_absolutely_irreducible(W)
+
+
 def test_absolute_irreducibility_matches_point_count_oracle():
     # x^2 + y^2 over F_7: K-irreducible but splits into two conjugate lines
     V = _curve("GF(7,1)", "x^2 + y^2")
@@ -384,6 +401,26 @@ def test_ppower_over_a_perfect_field_without_rational_model(spec):
         assert v.value == V.function_field_elem(root)
         assert v.value ** p == f
     assert ppower_test(V.function_field_elem("x")).status == "absent"
+
+
+def test_ppower_answers_absent_without_a_gcd(monkeypatch):
+    """r / delta is a p-th power in L0 iff r delta^(p-1) is one in A0, so
+    "absent" takes no gcd, which on this input is slow; counted, not
+    timed."""
+    from charpk import variety
+    V = _curve("Fp(3;t)", "x^3 + 2*t^2 + t", ("x", "y", "z"))
+    f = V.function_field_elem("(t + 1)*x*y + t^2 + t", "y*z + t*x + 1")
+    calls = []
+
+    def refuse(*args):
+        calls.append(args)
+        raise AssertionError("gcd taken")
+    monkeypatch.setattr(variety, "mp_gcd", refuse)
+    v = ppower_test(f)
+    assert calls == []
+    assert (v.status, v.reason) == (
+        "absent", "exact: K(V) = L0(t^3) of degree 2 over a rational L0 "
+        "and f has no p-th root there")
 
 
 def _coefficient_texts(K):
