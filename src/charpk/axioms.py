@@ -404,17 +404,14 @@ class BAlgebra:
         raise PreconditionError("augmentation kernel is not nilpotent")
 
 
-def b_operator_check(maps, B: BAlgebra, generators, products=None) -> bool:
+def b_operator_check(maps, B: BAlgebra, generators) -> bool:
     """maps = (d_0 .. d_d) given as callables on ring/field elements;
     verifies that r -> sum_i d_i(r) b_i is a k-algebra homomorphism on
     the listed generators: d_0 acts as the identity and multiplication
-    is respected against the structure constants.  Optional `products`
-    supplies extra pairs to test."""
+    is respected against the structure constants on every pair."""
     if len(maps) != B.dim:
         raise PreconditionError("number of maps must match the basis size")
     pairs = [(r, s) for r in generators for s in generators]
-    if products:
-        pairs.extend(products)
     for r in generators:
         if maps[0](r) != r:
             return False

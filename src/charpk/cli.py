@@ -87,8 +87,8 @@ def _int(block, key):
             f"not {value!r}") from None
 
 
-def _assignment(inst, field, kind="witness"):
-    block = inst.find(kind)
+def _assignment(inst, field):
+    block = inst.find("witness")
     if block is None:
         return None
     return {k: field.parse(str(v)) for k, v in block.fields.items()}

@@ -17,8 +17,8 @@ from .errors import FieldError, PreconditionError, RingError
 from .fields import (FieldDescriptor, FieldScalar, _scalar, evaluate_scalar,
                      partial)
 from .polys import Ideal, MultiPoly, PolyRing
-from .variety import (AffineVariety, _require_prime_presentation,
-                      is_irreducible, projection_dominant)
+from .variety import (AffineVariety, _require_prime, is_irreducible,
+                      projection_dominant)
 
 
 class DerivationContext:
@@ -114,12 +114,11 @@ def prolongation(V: AffineVariety, D: DerivationContext,
     ring = PolyRing(V.field, xvars + uvars)
     gens = []
     provenance = []
+    images = {xv: ring.var(uv) for xv, uv in zip(xvars, uvars)}
     for g in V.ideal.gens:
         gg = g.rename(ring)
         gens.append(gg)
-        lin = derive(gg, D)
-        for xv, uv in zip(xvars, uvars):
-            lin = lin + gg.partial(xv) * ring.var(uv)
+        lin = derive(gg, D, images)
         provenance.append((gg, lin))
         if not lin.is_zero():
             gens.append(lin)
@@ -262,21 +261,16 @@ def extension_oracle(V: AffineVariety, W: AffineVariety,
         sum_i dg/dx_i * u_i + sum_j dg/du_j * xi_j + g^D = 0   (g in I(W))
     is solvable for xi_j in K(W), that is, iff the matrix [dg/du_j] has
     the rank over K(W) of the matrix extended by the column of constants
-    (`linalg.rank_modulo`, modulo the Groebner basis of I(W)).  The
-    presented ideal of W must be prime."""
+    (`linalg.rank_modulo`, modulo the Groebner basis of I(W)).  That the
+    presented ideal of W is prime is checked by the gate into K(W)."""
     require_doubled_space(V, W)
-    if not is_irreducible(W):
-        raise PreconditionError("the oracle needs a K-irreducible W")
-    _require_prime_presentation(W)
+    _require_prime(W)
     n = len(V.vars)
     ring = W.ring
     xvars, uvars = W.vars[:n], W.vars[n:]
-    rows = []
-    for g in W.ideal.gens:
-        const = derive(g, D)
-        for xv, uv in zip(xvars, uvars):
-            const = const + g.partial(xv) * ring.var(uv)
-        rows.append([g.partial(uv) for uv in uvars] + [const])
+    images = {xv: ring.var(uv) for xv, uv in zip(xvars, uvars)}
+    rows = [[g.partial(uv) for uv in uvars] + [derive(g, D, images)]
+            for g in W.ideal.gens]
     basis = W.ideal.groebner()
     return (linalg.rank_modulo([row[:-1] for row in rows], basis)
             == linalg.rank_modulo(rows, basis))

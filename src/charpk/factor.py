@@ -45,8 +45,9 @@ import math
 import random
 from functools import lru_cache
 
-from . import linalg
-from .errors import CharpkError, FieldError, UnsupportedInstance
+from . import linalg, polys
+from .errors import (CharpkError, FieldError, ResourceExhausted,
+                     UnsupportedInstance)
 from .fields import (FieldDescriptor, FieldScalar, _code_to_vec,
                      _prime_factors, _scalar, u_add, u_bezout, u_deg, u_deriv,
                      u_divmod, u_gcd, u_monic, u_mul, u_powmod, u_scale,
@@ -595,7 +596,11 @@ def _hensel_multi(fb, parts, N, K):
 
 
 def _recombine(F, lifted, N, xv, yv):
+    """The factors of F from its lifted local factors: subsets by size
+    (Zassenhaus), each product a trial divisor.  Trying more than
+    `polys.MAX_RECOMBINATION_SUBSETS` subsets raises ResourceExhausted."""
     K = F.ring.field.kernel
+    cap, tried = polys.MAX_RECOMBINATION_SUBSETS, itertools.count(1)
     remaining = list(range(len(lifted)))
     out = []
     target = F
@@ -603,6 +608,9 @@ def _recombine(F, lifted, N, xv, yv):
         for subset in itertools.chain.from_iterable(
                 itertools.combinations(remaining, size)
                 for size in range(1, len(remaining) + 1)):
+            if next(tried) > cap:
+                raise ResourceExhausted(
+                    f"factor recombination past {cap} subsets")
             cand_b = lifted[subset[0]]
             for i in subset[1:]:
                 cand_b = _b_mul_trunc(cand_b, lifted[i], N, K)

@@ -211,14 +211,12 @@ def build_field(spec) -> FieldDescriptor:
     return make_field(spec)
 
 
-def build_ideal(block: Block, field=None) -> Ideal:
-    """The ideal of the block's `gens` in K[vars], K its `over` field
-    unless `field` is given."""
-    if field is None:
-        over = block.get("over")
-        if over is None:
-            raise InstanceFileError("variety block needs an 'over' field")
-        field = build_field(over)
+def build_ideal(block: Block) -> Ideal:
+    """The ideal of the block's `gens` in K[vars], K its `over` field."""
+    over = block.get("over")
+    if over is None:
+        raise InstanceFileError("variety block needs an 'over' field")
+    field = build_field(over)
     vars_ = block.require("vars")
     if isinstance(vars_, str):
         vars_ = [vars_]
@@ -226,9 +224,9 @@ def build_ideal(block: Block, field=None) -> Ideal:
     return Ideal(ring, [ring.parse(g) for g in block.get("gens", [])])
 
 
-def build_variety(block: Block, field=None) -> "AffineVariety":
+def build_variety(block: Block) -> "AffineVariety":
     from .variety import AffineVariety
-    ideal = build_ideal(block, field)
+    ideal = build_ideal(block)
     return AffineVariety(ideal.ring.field, ideal.ring.vars, ideal)
 
 

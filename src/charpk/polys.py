@@ -39,6 +39,7 @@ MAX_POINT_CANDIDATES = 10 ** 6   # tuples variety.enumerate_points may test
 MAX_AUDIT_CHOICES = 10 ** 4      # substitutions axioms._scf_audit may try
 MAX_INVARIANT_ELEMENTS = 10 ** 5  # elements of K^G the G-B-DCF search lists
 MAX_TERM_NODES = 10 ** 5         # term nodes formula powers may add
+MAX_RECOMBINATION_SUBSETS = 2 ** 12  # subsets factor._recombine may try
 
 
 # ---------------------------------------------------------------------------
@@ -736,9 +737,10 @@ def _s_poly(f, g, order):
                                   _mul_terms(mg, g.terms, K), K.add))
 
 
-def buchberger(gens, order="grevlex",
-               max_basis=MAX_BASIS, max_degree=MAX_DEGREE):
-    """Reduced Groebner basis of the given generators."""
+def buchberger(gens, order="grevlex"):
+    """Reduced Groebner basis of the given generators.  A basis element of
+    total degree past `MAX_DEGREE`, or more than `MAX_BASIS` of them,
+    raises ResourceExhausted."""
     basis = [g.monic(order) for g in gens if not g.is_zero()]
     if not basis:
         return []
@@ -770,15 +772,15 @@ def buchberger(gens, order="grevlex",
         s = normal_form(_s_poly(basis[i], basis[j], order), basis, order)
         if s.is_zero():
             continue
-        if s.total_degree() > max_degree:
+        if s.total_degree() > MAX_DEGREE:
             raise ResourceExhausted(
-                f"degree cap {max_degree} exceeded during Buchberger")
+                f"degree cap {MAX_DEGREE} exceeded during Buchberger")
         s = s.monic(order)
         basis.append(s)
         leads.append(s._lead(order)[0])
-        if len(basis) > max_basis:
+        if len(basis) > MAX_BASIS:
             raise ResourceExhausted(
-                f"basis size cap {max_basis} exceeded during Buchberger")
+                f"basis size cap {MAX_BASIS} exceeded during Buchberger")
         new = len(basis) - 1
         pairs.update((new, k) for k in range(new))
     return _interreduce(basis, order)
@@ -817,10 +819,10 @@ def _interreduce(basis, order):
 # multivariate gcd (primitive PRS) and exact division
 # ---------------------------------------------------------------------------
 
-def mp_divmod_single(f: MultiPoly, g: MultiPoly, order="grevlex"):
-    """Division of f by a single nonzero g: f = q g + r."""
+def mp_divmod_single(f: MultiPoly, g: MultiPoly):
+    """Division of f by a single nonzero g: f = q g + r, in grevlex."""
     quotient = {}
-    remainder = _reduce(f, [g], order, quotient)
+    remainder = _reduce(f, [g], "grevlex", quotient)
     return _mp(f.ring, quotient), _mp(f.ring, remainder)
 
 

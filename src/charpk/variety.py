@@ -2,17 +2,18 @@
 
 Varieties are presented by generators of an ideal in a fixed variable
 list.  The module decides K-irreducibility and absolute irreducibility
-for an explicit instance class (hypersurfaces in at most two essential
-variables, zero-dimensional triangular systems, graph presentations,
-loci), enumerates rational points, tests dominance of rational maps by
-elimination, and carries the characteristic-p structure of function
-fields, decided exactly.  A presented V is peeled once (`peel_graph`)
-into free coordinates, each removed one a quotient P / Q of polynomials
-in them, and residual equations.  Where at most one equation G is left,
-every function crosses once into A = GF(q)[t.., x..] (`_cross`): p-th
-roots come from the basis 1, s^p, .. of K(V) over a rational subfield,
-and p-independence from the rank of the Jacobian rows over A, modulo G
-when there is one.  Otherwise both are decided by the rank of the
+for an explicit instance class (presentations that peel to at most one
+generator, loci), enumerates rational points, tests dominance of
+rational maps by elimination, and carries the characteristic-p structure
+of function fields, decided exactly.  K(V) is entered only through one
+gate (`_require_prime`), which needs a recorded fact that the presented
+ideal is prime.  A presented V is peeled once (`peel_graph`) into free
+coordinates, each removed one a quotient P / Q of polynomials in them,
+and residual equations.  Where at most one equation G is left, every
+function crosses once into A = GF(q)[t.., x..] (`_cross`): p-th roots
+come from the basis 1, s^p, .. of K(V) over a rational subfield, and
+p-independence from the rank of the Jacobian rows over A, modulo G when
+there is one.  Otherwise both are decided by the rank of the
 differentials, polynomial rows over K[x..] modulo the Groebner basis of
 the presented ideal.  Every rank modulo an ideal is
 `linalg.rank_modulo`.
@@ -44,8 +45,7 @@ class AffineVariety:
 
     __slots__ = ("field", "vars", "ideal", "_flags")
 
-    def __init__(self, field: FieldDescriptor, variables, gens,
-                 known_irreducible=False):
+    def __init__(self, field: FieldDescriptor, variables, gens):
         self.field = field
         self.vars = tuple(variables)
         if isinstance(gens, Ideal):
@@ -61,8 +61,6 @@ class AffineVariety:
                 out.append(g)
             self.ideal = Ideal(ring, out)
         self._flags = {}
-        if known_irreducible:
-            self._flags["irreducible"] = True
 
     @property
     def ring(self) -> PolyRing:
@@ -282,31 +280,31 @@ def _cross(f: "FunctionFieldElem"):
 # function-field elements and rational maps
 # ---------------------------------------------------------------------------
 
-def _require_prime_presentation(V: AffineVariety):
-    """Refuse a K-irreducible V whose one generator after peeling has a
-    repeated factor: its presented ideal is then not prime."""
-    if any(m > 1 for _, m in V._flags.get("factors", ())):
+def _require_prime(V: AffineVariety):
+    """The one gate into K(V): the presented ideal of V must be prime, as
+    only `locus` and `_decide_irreducible` record."""
+    if not is_irreducible(V):
+        raise PreconditionError(
+            "function-field elements need a K-irreducible variety")
+    if not V._flags.get("prime"):
         raise PreconditionError(
             "function-field elements need a prime presentation: the "
             "generator has a repeated factor")
 
 
 class FunctionFieldElem:
-    """num/den in K(V); equality is cross-multiplied ideal membership."""
+    """num/den in K(V), both in normal form modulo the Groebner basis of
+    the prime ideal of V, so that zero in K(V) is the zero polynomial;
+    equality is cross-multiplied ideal membership."""
 
     __slots__ = ("variety", "num", "den")
 
     def __init__(self, variety: AffineVariety, num: MultiPoly,
                  den: MultiPoly):
-        if not is_irreducible(variety):
-            raise PreconditionError(
-                "function-field elements need a K-irreducible variety")
-        _require_prime_presentation(variety)
-        gb = list(variety.ideal.groebner())
-        if gb:
-            num = normal_form(num, gb)
-            den = normal_form(den, gb)
-        if den.is_zero() or variety.ideal.contains(den):
+        _require_prime(variety)
+        gb = variety.ideal.groebner()
+        num, den = normal_form(num, gb), normal_form(den, gb)
+        if not den.terms:
             raise FieldError("denominator vanishes on the variety")
         self.variety = variety
         self.num = num
@@ -324,13 +322,11 @@ class FunctionFieldElem:
                 raise RingError("function-field elements on different varieties")
             return other
         ring = self.variety.ring
+        if isinstance(other, int):
+            other = self.variety.field.from_int(other)
         if isinstance(other, FieldScalar):
             return FunctionFieldElem(self.variety, ring.from_scalar(other),
                                      ring.one())
-        if isinstance(other, int):
-            return FunctionFieldElem(
-                self.variety, ring.from_scalar(self.variety.field.from_int(other)),
-                ring.one())
         return NotImplemented
 
     def __add__(self, other):
@@ -382,7 +378,7 @@ class FunctionFieldElem:
                                  base.den ** abs(n))
 
     def is_zero(self) -> bool:
-        return self.variety.ideal.contains(self.num)
+        return not self.num.terms
 
     def __eq__(self, other):
         o = self._coerce(other)
@@ -451,7 +447,7 @@ def locus(elems, K: FieldDescriptor, variables=None) -> AffineVariety:
     if len(variables) != n:
         raise RingError("variable count mismatch")
     if n == 0:
-        return AffineVariety(K, (), [], known_irreducible=True)
+        return AffineVariety(K, (), [])
     if all(isinstance(a, FunctionFieldElem) for a in elems):
         return _locus_function_field(elems, K, variables)
     if not all(isinstance(a, FieldScalar) for a in elems):
@@ -464,7 +460,7 @@ def locus(elems, K: FieldDescriptor, variables=None) -> AffineVariety:
         ring = PolyRing(K, variables)
         gens = [ring.var(v) - ring.from_scalar(a)
                 for v, a in zip(variables, elems)]
-        return AffineVariety(K, variables, gens, known_irreducible=True)
+        return AffineVariety(K, variables, gens)
     if L.kind == "ratfunc":
         return _locus_ratfunc(elems, K, variables, L)
     if L.kind == "gf" and K.kind == "gf":
@@ -474,9 +470,6 @@ def locus(elems, K: FieldDescriptor, variables=None) -> AffineVariety:
 
 def _locus_ratfunc(elems, K, variables, L):
     """Tuple of rational functions over the prime field of K."""
-    if K.kind == "gf" and K.k != 1:
-        raise UnsupportedInstance(
-            "locus of transcendentals over a proper finite extension")
     if K.p != L.p:
         raise FieldError("characteristic mismatch")
     aux = tuple(f"{t}_aux" for t in L.tvars)
@@ -549,8 +542,10 @@ def _eliminate_locus(K, aux, variables, mover, pairs, gens=()):
         gens.append(work.var(v) * den - num)
         dens = dens * den
     gens.append(work.var(inv) * dens - work.one())
-    ideal = Ideal(work, gens).eliminate(aux + (inv,))
-    return AffineVariety(K, variables, ideal, known_irreducible=True)
+    V = AffineVariety(K, variables, Ideal(work, gens).eliminate(aux + (inv,)))
+    # the kernel of a map into a field is prime
+    V._flags.update(irreducible=True, prime=True)
+    return V
 
 
 # ---------------------------------------------------------------------------
@@ -570,11 +565,11 @@ def _linear_in_var_primitive(f: MultiPoly):
 
 def _factors(V: AffineVariety, f: MultiPoly):
     """The distinct irreducible factors of V's one generator f after
-    peeling, with multiplicities; kept in V._flags for the
-    prime-presentation check of FunctionFieldElem."""
+    peeling, with multiplicities; the presented ideal is prime iff there
+    is one, of multiplicity 1 (recorded in V._flags)."""
     from . import factor
     facs = factor.factor_poly(f)[1]
-    V._flags["factors"] = facs
+    V._flags["prime"] = len(facs) == 1 and facs[0][1] == 1
     return facs
 
 
@@ -596,12 +591,10 @@ def _single_geometric_root(h: MultiPoly, var: str) -> bool:
 
 
 def is_irreducible(V: AffineVariety) -> bool:
-    if "irreducible" in V._flags:
-        return V._flags["irreducible"]
-    V.require_nonempty()
-    result = _decide_irreducible(V, absolute=False)
-    V._flags["irreducible"] = result
-    return result
+    if "irreducible" not in V._flags:
+        V.require_nonempty()
+        V._flags["irreducible"] = _decide_irreducible(V, absolute=False)
+    return V._flags["irreducible"]
 
 
 def is_absolutely_irreducible(V: AffineVariety) -> bool:
@@ -616,14 +609,19 @@ def is_absolutely_irreducible(V: AffineVariety) -> bool:
 
 
 def _decide_irreducible(V: AffineVariety, absolute: bool) -> bool:
+    """The verdict on V; whether its presented ideal is prime goes into
+    V._flags: it is with no generator left after peeling, with one that is
+    primitive linear or certified by its polygon, or `_factors` says."""
     gens = peel_graph(V).gens
     if not gens:
+        V._flags["prime"] = True
         return True  # open in an affine space
     if len(gens) == 1:
         return _poly_irreducible(V, gens[0], absolute)
     raise UnsupportedInstance(
-        "irreducibility decided only for hypersurfaces, zero-dimensional "
-        "triangular systems, and graph/locus presentations")
+        "irreducibility is decided only where V peels to at most one "
+        f"generator or is built as a locus; {len(gens)} generators remain "
+        "after peeling")
 
 
 def _poly_irreducible(V: AffineVariety, f: MultiPoly, absolute: bool) -> bool:
@@ -633,6 +631,7 @@ def _poly_irreducible(V: AffineVariety, f: MultiPoly, absolute: bool) -> bool:
     if len(used) == 1:
         return _poly_irreducible_zero_dim(V, f, used[0], absolute)
     if _linear_in_var_primitive(f):
+        V._flags["prime"] = True
         return True
     # factor loads on first use, so a process that never factors (point
     # listing, p-independence) does not compile it
@@ -640,7 +639,7 @@ def _poly_irreducible(V: AffineVariety, f: MultiPoly, absolute: bool) -> bool:
     if len(used) == 2 and factor._polygon_indecomposable(f):
         # absolutely irreducible over every K, so irreducible of
         # multiplicity 1
-        V._flags["factors"] = [(f, 1)]
+        V._flags["prime"] = True
         return True
     if f.ring.field.kind == "gf":
         if absolute:
@@ -663,7 +662,7 @@ def _poly_irreducible(V: AffineVariety, f: MultiPoly, absolute: bool) -> bool:
 
 def _poly_irreducible_zero_dim(V: AffineVariety, f: MultiPoly, var: str,
                                absolute: bool) -> bool:
-    """V(f) in the affine line (or a triangular system over it)."""
+    """V(f) in the affine line of var, possibly with graph coordinates."""
     facs = _factors(V, f)
     if len(facs) != 1:
         return False
@@ -783,8 +782,8 @@ def _differential_ranks(V: AffineVariety, fs):
     transcendentals of K) and dx_1..dx_n, subject to dg = 0 for each
     presented generator g of I(V).  The rows dg and den^2 df are
     polynomials over V.ring, ranked modulo the Groebner basis of I(V)
-    (`linalg.rank_modulo`); this presentation assumes the ideal is prime,
-    as every FunctionFieldElem operation does."""
+    (`linalg.rank_modulo`); that the ideal is prime is checked by the
+    gate into K(V) (`_require_prime`), as for every FunctionFieldElem."""
     K = V.field
 
     def d(poly):
@@ -821,7 +820,8 @@ def ppower_test(f: FunctionFieldElem) -> PStructureVerdict:
     With more generators, f is a p-th power iff df = 0 in
     Omega_{K(V)/F_p} (Matsumura, Commutative Ring Theory, Thm 26.5),
     read off as a rank that df does not raise, and a "root" carries no
-    value.  The presented ideal of V is assumed prime."""
+    value.  That the presented ideal of V is prime is checked by the gate
+    into K(V) (`_require_prime`)."""
     V = f.variety
     peel, A, _ = _peeled(V)
     if len(peel.gens) > 1:
@@ -901,8 +901,8 @@ def pindep_function_field(fs) -> PStructureVerdict:
     0), and gives the row b^2 df = (a_v b - a b_v) over the variables v
     of A.  Without G these are ranked in K(V) = Frac(A); with G, in
     K(V) = Frac(A / (H)) together with dH (`linalg.rank_modulo`).  With
-    more generators the rank comes from the presented ideal, assumed
-    prime."""
+    more generators the rank comes from the presented ideal, whose
+    primality is checked by the gate into K(V) (`_require_prime`)."""
     fs = list(fs)
     if not fs:
         return PStructureVerdict("independent", reason="empty tuple")

@@ -669,6 +669,28 @@ def test_cli_point_enumeration_cap_exits_2(tmp_path, monkeypatch, capsys):
         "unsupported: point enumeration past 1000000 candidates\n")
 
 
+def test_cli_recombination_cap_exits_2(tmp_path, monkeypatch, capsys):
+    """y^32 + y + x^3 over GF(32) takes 17 local factors at x = 1 (one
+    line and 16 quadratics): the recombination of the product stops at
+    the cap of tried subsets, not after the 2^16 subsets of the
+    quadratics."""
+    from charpk import factor, polys
+    tried = []
+    build = factor._b_to_mp
+
+    def counted(*args):
+        tried.append(args)
+        return build(*args)
+    monkeypatch.setattr(factor, "_b_to_mp", counted)
+    path = _write(tmp_path, "as.inst", 'variety { vars: [x, y]; over: '
+                  '"GF(2,5)"; gens: ["(y^32 + y + x^3)*(x + y)"] }\n')
+    assert main(["variety", "irr", path]) == 2
+    cap = polys.MAX_RECOMBINATION_SUBSETS
+    assert capsys.readouterr().err == (
+        f"unsupported: factor recombination past {cap} subsets\n")
+    assert len(tried) == cap
+
+
 # ---------------------------------------------------------------------------
 # the exit-code contract under mutated input
 # ---------------------------------------------------------------------------

@@ -173,7 +173,7 @@ def test_scalar_hom_is_fp_homomorphism():
     # u = 1 / x peels, and what is left has the repeated factor x^2 - 2
     (["(x^2 - 2)^2", "x*u - 1"], "prime presentation"),
     (["(u - x)^2"], "prime presentation"),
-    (["u^2 - x^2"], "K-irreducible W"),
+    (["u^2 - x^2"], "K-irreducible variety"),
 ])
 def test_extension_oracle_needs_a_prime_presentation(gens, message):
     K = make_field("GF(5,1)")

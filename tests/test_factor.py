@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from charpk import factor
-from charpk.errors import FieldError, UnsupportedInstance
+from charpk.errors import (FieldError, ResourceExhausted,
+                           UnsupportedInstance)
 from charpk.factor import (extend_gf, factor_poly, gf_embedding, mp_gcd,
                            project_to_subfield, uni_factor,
                            uni_is_irreducible, uni_roots)
@@ -91,6 +92,39 @@ def test_bivariate_factor_examples():
     H = R.parse("x^2 + 2*x*y + y^2")
     _, hfacs = factor_poly(H)
     assert len(hfacs) == 1 and hfacs[0][1] == 2
+
+
+def _counted_trial_divisors(monkeypatch):
+    """A list that grows by one for each subset `_recombine` tries."""
+    tried = []
+    build = factor._b_to_mp
+
+    def counted(*args):
+        tried.append(args)
+        return build(*args)
+    monkeypatch.setattr(factor, "_b_to_mp", counted)
+    return tried
+
+
+def test_recombination_stops_at_its_subset_cap(monkeypatch):
+    """(y^2 - x - 1)(y^2 - x - 4) over GF(5) has four local factors at
+    x = 0 and is split after ten subsets: a cap of ten keeps the answer,
+    a cap of nine raises on the tenth subset, before it is built."""
+    from charpk import polys
+    F = PolyRing(make_field("GF(5,1)"), ("x", "y")).parse(
+        "(y^2 - x - 1)*(y^2 - x - 4)")
+    tried = _counted_trial_divisors(monkeypatch)
+    want = [(g, 1) for g in (F.ring.parse("y^2 + 4*x + 1"),
+                             F.ring.parse("y^2 + 4*x + 4"))]
+    monkeypatch.setattr(polys, "MAX_RECOMBINATION_SUBSETS", 10)
+    assert factor_poly(F)[1] == want
+    assert len(tried) == 10
+    tried.clear()
+    monkeypatch.setattr(polys, "MAX_RECOMBINATION_SUBSETS", 9)
+    with pytest.raises(ResourceExhausted,
+                       match="factor recombination past 9 subsets"):
+        factor_poly(F)
+    assert len(tried) == 9
 
 
 def test_factor_determinism():
@@ -338,7 +372,7 @@ def test_polygon_check_decides_eisenstein_without_factoring(monkeypatch,
     assert is_absolutely_irreducible(V) is True
     W = AffineVariety(K, ("x", "y"), [F])
     assert is_irreducible(W) is True
-    assert W._flags["factors"] == [(F, 1)]
+    assert W._flags["prime"] is True
     assert W.function_field_elem("x") != W.function_field_elem("y")
 
 

@@ -155,6 +155,127 @@ def test_the_check_sees_an_unreferenced_private():
                                                ("a.py", "_orphan")]
 
 
+def _calls(tree):
+    """(name, positional count, starred, keywords) for each call in tree,
+    by the name of its callee.  `cls(...)` goes by the enclosing class,
+    `super().__init__(...)` by each base of it; a `**` argument is the
+    keyword None."""
+    out = []
+
+    def visit(node, home):
+        if isinstance(node, ast.ClassDef):
+            home = node
+        if isinstance(node, ast.Call):
+            names = _callee_names(node.func, home)
+            starred = any(isinstance(a, ast.Starred) for a in node.args)
+            keywords = {k.arg for k in node.keywords}
+            out.extend((name, len(node.args), starred, keywords)
+                       for name in names)
+        for child in ast.iter_child_nodes(node):
+            visit(child, home)
+    visit(tree, None)
+    return out
+
+
+def _callee_names(func, home):
+    """The names a call of func inside class home (or None) goes by."""
+    if isinstance(func, ast.Name):
+        return [home.name if func.id == "cls" and home else func.id]
+    if not isinstance(func, ast.Attribute):
+        return []
+    inner = getattr(func.value, "func", None)
+    if func.attr == "__init__" and getattr(inner, "id", None) == "super":
+        return [base.id for base in getattr(home, "bases", ())
+                if isinstance(base, ast.Name)]
+    return [func.attr]
+
+
+def _defaulted_parameters(tree):
+    """(callee, function, parameter, slot) for each defaulted parameter of
+    a function or method in tree, dunders other than `__init__` left out:
+    `__init__` of class C goes by the callee C, and `slot` is the index
+    of the positional argument that passes the parameter at a call (None
+    for a keyword-only one; `self` and `cls` take no slot)."""
+    def visit(node, home):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                yield from visit(child, child)
+                continue
+            if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield from visit(child, home)
+                continue
+            name, args = child.name, child.args
+            if name == "__init__" or not name.startswith("__"):
+                params = args.posonlyargs + args.args
+                bound = home is not None and not any(
+                    getattr(d, "id", None) == "staticmethod"
+                    for d in child.decorator_list)
+                callee = home.name if name == "__init__" else name
+                first = len(params) - len(args.defaults)
+                for i in range(first, len(params)):
+                    yield callee, name, params[i].arg, i - bound
+                for param, default in zip(args.kwonlyargs, args.kw_defaults):
+                    if default is not None:
+                        yield callee, name, param.arg, None
+            yield from visit(child, None)
+    yield from visit(tree, None)
+
+
+def _defaults_without_a_caller(definitions, callers):
+    """(module, function, parameter) for each defaulted parameter of a
+    function in `definitions` (module names to text) that no call in
+    `callers` (texts) passes, by keyword or by position.  Calls are
+    matched by the callee's name only, which is lenient."""
+    calls = [call for text in callers for call in _calls(ast.parse(text))]
+    return sorted(
+        (module, function, param)
+        for module, text in definitions.items()
+        for callee, function, param, slot in _defaulted_parameters(
+            ast.parse(text))
+        if not any(name == callee and (
+            param in keywords or None in keywords
+            or (slot is not None and (count > slot or starred)))
+            for name, count, starred, keywords in calls))
+
+
+def test_every_defaulted_parameter_has_a_caller():
+    """A default that no caller in src/, tests/ or bench/ overrides is a
+    knob nothing turns: the parameter should be a constant."""
+    root = os.path.dirname(os.path.dirname(SRC))
+    callers = []
+    for top in ("src", "tests", "bench"):
+        for folder, _, names in os.walk(os.path.join(root, top)):
+            for name in sorted(names):
+                if name.endswith(".py"):
+                    with open(os.path.join(folder, name)) as fh:
+                        callers.append(fh.read())
+    definitions = {}
+    for module in MODULES + ["__init__.py"]:
+        with open(os.path.join(SRC, module)) as fh:
+            definitions[module] = fh.read()
+    assert _defaults_without_a_caller(definitions, callers) == []
+
+
+def test_the_check_sees_an_unused_default():
+    definitions = {"a.py": (
+        "def f(x, y=1, *, z=2): pass\n"
+        "def g(x, y=1): pass\n"
+        "def h(x=1): pass\n"
+        "class C:\n"
+        "    def __init__(self, a, b=0, c=0): pass\n"
+        "    def m(self, d=0): pass\n"
+        "    def __eq__(self, other=None): pass\n"
+        "    @classmethod\n"
+        "    def make(cls): return cls(1, 2)\n"
+        "class D(C):\n"
+        "    def __init__(self, e=0):\n"
+        "        super().__init__(1, c=e)\n")}
+    callers = [definitions["a.py"],
+               "f(1, 2)\ng(1, **kw)\nh(*args)\nobj.m(3)\n"]
+    assert _defaults_without_a_caller(definitions, callers) == [
+        ("a.py", "__init__", "e"), ("a.py", "f", "z")]
+
+
 # the names `charpk` has exported since its eager `__init__`
 PUBLIC_API = """
 AffineVariety BAlgebra CharpkError CheckReport CorrectionResult

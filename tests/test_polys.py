@@ -5,6 +5,7 @@ import random
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from charpk import polys
 from charpk.errors import CharpkError, ResourceExhausted, RingError
 from charpk.fields import FieldDescriptor, iter_gf_elements, make_field
 from charpk.polys import (Ideal, MultiPoly, PolyRing, buchberger,
@@ -194,11 +195,25 @@ def test_is_constant():
     assert not R.parse("x*y + 1").is_constant()
 
 
-def test_buchberger_resource_caps():
+def test_buchberger_resource_caps(monkeypatch):
     R = _ring("GF(2,1)", ("x", "y"))
-    with pytest.raises(ResourceExhausted):
+    monkeypatch.setattr(polys, "MAX_DEGREE", 2)
+    with pytest.raises(ResourceExhausted, match="degree cap 2"):
         buchberger([R.parse("x^3*y + y"), R.parse("x*y^3 + x + 1")],
-                   order="lex", max_degree=2)
+                   order="lex")
+
+
+def test_buchberger_basis_cap(monkeypatch):
+    """The basis cap is read when Buchberger runs: these two generators
+    reach a basis of eight before it is reduced to two, so a cap of seven
+    raises and a cap of eight does not."""
+    R = _ring("GF(2,1)", ("x", "y"))
+    gens = [R.parse("x^3*y + y"), R.parse("x*y^3 + x + 1")]
+    monkeypatch.setattr(polys, "MAX_BASIS", 8)
+    assert len(buchberger(gens, order="lex")) == 2
+    monkeypatch.setattr(polys, "MAX_BASIS", 7)
+    with pytest.raises(ResourceExhausted, match="basis size cap 7"):
+        buchberger(gens, order="lex")
 
 
 def test_ratfunc_coefficients_supported():

@@ -35,21 +35,54 @@ def test_irreducible_examples():
     assert is_irreducible(AffineVariety(K, ("x", "y"), []))
 
 
+def _monomial_curve(spec):
+    """The locus of (s^3, s^4, s^5) over spec, and the same generators
+    typed in."""
+    K = make_field(spec)
+    s = make_field("Fp(5;s)").gen("s")
+    C = locus([s ** 3, s ** 4, s ** 5], K, ("x", "y", "z"))
+    return C, AffineVariety(K, C.vars, [str(g) for g in C.ideal.gens])
+
+
 def test_irreducibility_past_one_generator_is_refused():
     """The monomial curve (s^3, s^4, s^5) peels to three generators:
-    neither verdict is decided, and `known_irreducible` answers only
-    K-irreducibility."""
-    K = make_field("GF(5,1)")
-    gens = ["y^2 - x*z", "x^3 - y*z", "z^2 - x^2*y"]
-    V = AffineVariety(K, ("x", "y", "z"), gens)
+    neither verdict is decided on typed generators, and as a locus it is
+    K-irreducible by construction, its absolute irreducibility still
+    undecided."""
+    W, V = _monomial_curve("GF(5,1)")
     assert len(peel_graph(V).gens) == 3
     for verdict in (is_irreducible, is_absolutely_irreducible):
-        with pytest.raises(UnsupportedInstance, match="decided only for"):
+        with pytest.raises(UnsupportedInstance,
+                           match="at most one generator or is built as a "
+                                 "locus; 3 generators remain"):
             verdict(V)
-    W = AffineVariety(K, ("x", "y", "z"), gens, known_irreducible=True)
     assert is_irreducible(W) is True
-    with pytest.raises(UnsupportedInstance, match="decided only for"):
+    with pytest.raises(UnsupportedInstance, match="at most one generator"):
         is_absolutely_irreducible(W)
+
+
+@pytest.mark.parametrize("spec", ["GF(5,1)", "GF(5,2)"])
+def test_only_the_locus_of_the_monomial_curve_enters_k_of_v(spec):
+    """Typed in, the generators of the monomial curve are refused at the
+    gate into K(V); the locus, whose ideal is the kernel of a map into
+    K(s), is accepted, base-changed to GF(25) too."""
+    C, V = _monomial_curve(spec)
+    with pytest.raises(UnsupportedInstance, match="3 generators remain"):
+        V.function_field_elem("x")
+    x, y, z = (C.function_field_elem(v) for v in C.vars)
+    assert y * y == x * z and not (x * y - z).is_zero()
+    assert ppower_test(x).status == "absent"
+    assert ppower_test(x ** 5).status == "root"
+
+
+@pytest.mark.parametrize("gens", [["x^2", "y"], ["y", "x^2"]])
+def test_a_nilpotent_presentation_is_refused_at_the_gate(gens):
+    """V(x^2, y) is a point as a set, but x is nilpotent in K[x, y] / I:
+    the gate refuses it however the generators are ordered."""
+    V = AffineVariety(make_field("GF(5,1)"), ("x", "y"), gens)
+    with pytest.raises(PreconditionError, match="prime presentation"):
+        V.function_field_elem("x")
+    assert is_irreducible(V)
 
 
 def test_absolute_irreducibility_matches_point_count_oracle():
@@ -567,8 +600,8 @@ def test_pindep_matches_differential_ranks():
 
 def _monomial_curves(seed):
     """(V, fs) on monomial curves (s^a, s^b, s^c) that peel to two or
-    more generators: the locus of the triple over GF(p), and its ideal,
-    prime over every field, over GF(p^2) and F_p(t) too.  The functions
+    more generators: the locus of the triple over GF(p), GF(p^2) and
+    F_p(t), with the same generators over each.  The functions
     are the coordinates, a p-th power, random polynomials and a random
     quotient."""
     rng = random.Random(seed)
@@ -585,9 +618,10 @@ def _monomial_curves(seed):
             made += 1
             for spec in (f"GF({p},1)", f"GF({p},2)", f"Fp({p};t)"):
                 K = make_field(spec)
-                V = C if K == C.field else AffineVariety(
-                    K, names, [str(g) for g in C.ideal.gens],
-                    known_irreducible=True)
+                V = C if K == C.field else locus(
+                    [s ** e for e in exps], K, names)
+                assert [str(g) for g in V.ideal.gens] == \
+                    [str(g) for g in C.ideal.gens]
                 u, v, w = (_poly_text(rng, K, names + K.tvars, 2, 2)
                            for _ in range(3))
                 texts = [("x", "1"), ("y", "z"), (f"({u})^{p}", "1"),
@@ -695,9 +729,7 @@ def test_ppower_on_at_most_one_generator_takes_no_differential_rank(
         assert (v.status, v.reason) == (status, "exact: " + reason)
     # the monomial curve (s^3, s^4, s^5) keeps three generators: the rank
     # decides
-    V = AffineVariety(make_field("GF(5,1)"), ("x", "y", "z"),
-                      ["y^2 - x*z", "x^3 - y*z", "z^2 - x^2*y"],
-                      known_irreducible=True)
+    V = _monomial_curve("GF(5,1)")[0]
     assert len(peel_graph(V).gens) == 3
     x, y = V.function_field_elem("x"), V.function_field_elem("y")
     with pytest.raises(AssertionError, match="differential ranks"):
