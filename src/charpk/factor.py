@@ -6,8 +6,9 @@
 * bivariate over GF(p^k): content/primitive split, p-th-power descent,
   squarefree reduction, then Hensel lifting from a squarefree
   specialization with subset recombination; when the base field is too
-  small to host a good specialization, ascend to GF(p^{k r}), factor
-  there and descend by grouping Frobenius orbits of the factors;
+  small to host a good specialization, ascend to the least GF(p^{k r}),
+  r >= 2, that hosts one, factor there and descend by grouping
+  Frobenius orbits of the factors;
 * univariate over F_p(t): clear the denominators of the (numer, denom)
   coefficient pairs and reduce to the bivariate case (Gauss lemma).
 
@@ -20,7 +21,10 @@ y-derivative; a common factor in K[x] alone would divide the y-content,
 which is 1.  So the search for x0, which Hensel lifting needs anyway,
 comes first, and the bivariate gcd is taken only when dF/dy = 0 or no x0
 in K is good (von zur Gathen and Gerhard, Modern Computer Algebra,
-sec. 15.6).
+sec. 15.6).  The variable specialised is the one of larger degree (the
+first by name on a tie), so F(x0, y) has the smaller degree and fewer
+local factors (Musser, J. ACM 22, 1975): y^32 + y + x^3 over GF(32)
+specialises to x^3 + c, at most 3 of them, not to y^32 + y + c.
 
 The multivariate gcd and exact division (`mp_gcd`, `mp_exact_div`,
 `_content`) and the conversions between a univariate `MultiPoly` and a
@@ -319,7 +323,8 @@ def factor_poly(F: MultiPoly):
         return (_scalar(field, unit),
                 [(u_to_mp(g, F.ring, used[0]), m) for g, m in facs])
     if len(used) == 2:
-        return _normalize_factor_list(F, _fb(F, used[0], used[1]))
+        xv, yv = sorted(used, key=F.degree_in, reverse=True)
+        return _normalize_factor_list(F, _fb(F, xv, yv))
     raise UnsupportedInstance(
         "factorization with three or more variables is not supported")
 
@@ -395,7 +400,8 @@ def _fb(F, xv, yv):
 def _factor_sqfree(F, xv, yv, x0):
     """Irreducible factors (mult 1) of a squarefree primitive bivariate
     polynomial, separable in yv, given a raw x0 with F(x0, y) squarefree
-    of full degree in yv, or None when no x0 in the base field is one."""
+    of full degree in yv, or None when no x0 in the base field is one.
+    xv, specialised and lifted in, is of no smaller degree unless dF/dy = 0."""
     ring = F.ring
     K = ring.field.kernel
     dy = F.degree_in(yv)
@@ -475,18 +481,19 @@ def _specialize_x(F, xv, yv, x0):
 
 
 def _factor_by_ascent(F, xv, yv):
-    """No good specialization in the base field: factor over GF(p^{k r})
-    and descend by Frobenius orbits."""
+    """No good specialization in the base field: factor over the least
+    GF(p^{k r}), r >= 2, with one (or with p^{k r} >= 2 deg^2 + 2) and
+    descend by Frobenius orbits, which is exact for every r."""
     field = F.ring.field
     q = field.p ** field.k
     need = 2 * (F.total_degree() ** 2) + 2
-    r = 2
-    while q ** r < need:
-        r += 1
-    L, embed = extend_gf(field, r)
-    FL = _embed_raw(F, L, embed)
+    for r in itertools.count(2):
+        L, embed = extend_gf(field, r)
+        FL = _embed_raw(F, L, embed)
+        x0 = _good_specialization(FL, xv, yv)
+        if x0 is not None or q ** r >= need:
+            break
     ringL = FL.ring
-    x0 = _good_specialization(FL, xv, yv)
     facsL = [g.monic("grevlex") for g in _factor_sqfree(FL, xv, yv, x0)]
     pw = L.kernel.pow
 

@@ -689,7 +689,7 @@ def is_dominant(m: RationalMapData) -> bool:
     locus ideal must be contained in the radical of I(V)."""
     if not is_irreducible(m.source):
         raise PreconditionError("dominance needs a K-irreducible source")
-    J = _locus_function_field(m.coords, m.source.field, m.target.vars)
+    J = locus(m.coords, m.source.field, m.target.vars)
     for g in J.ideal.gens:
         if not _radical_contains(m.target.ideal,
                                  g.rename(m.target.ring)):

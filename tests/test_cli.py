@@ -669,12 +669,9 @@ def test_cli_point_enumeration_cap_exits_2(tmp_path, monkeypatch, capsys):
         "unsupported: point enumeration past 1000000 candidates\n")
 
 
-def test_cli_recombination_cap_exits_2(tmp_path, monkeypatch, capsys):
-    """y^32 + y + x^3 over GF(32) takes 17 local factors at x = 1 (one
-    line and 16 quadratics): the recombination of the product stops at
-    the cap of tried subsets, not after the 2^16 subsets of the
-    quadratics."""
-    from charpk import factor, polys
+def _counted_trial_divisors(monkeypatch):
+    """A list that grows by one for each subset `_recombine` tries."""
+    from charpk import factor
     tried = []
     build = factor._b_to_mp
 
@@ -682,13 +679,39 @@ def test_cli_recombination_cap_exits_2(tmp_path, monkeypatch, capsys):
         tried.append(args)
         return build(*args)
     monkeypatch.setattr(factor, "_b_to_mp", counted)
+    return tried
+
+
+def test_cli_recombination_cap_exits_2(tmp_path, monkeypatch, capsys):
+    """(y^32 + y + x^3)(x^32 + x + y^3) over GF(32) has degree 33 in both
+    variables and no good x0 in GF(32); at the least good x0 in GF(1024)
+    it takes 19 local factors (three lines and 16 quadratics): the
+    recombination stops at the cap of tried subsets, not after the 2^16
+    subsets of the quadratics."""
+    from charpk import polys
+    tried = _counted_trial_divisors(monkeypatch)
     path = _write(tmp_path, "as.inst", 'variety { vars: [x, y]; over: '
-                  '"GF(2,5)"; gens: ["(y^32 + y + x^3)*(x + y)"] }\n')
+                  '"GF(2,5)"; gens: ["(y^32 + y + x^3)*(x^32 + x + y^3)"] '
+                  '}\n')
     assert main(["variety", "irr", path]) == 2
     cap = polys.MAX_RECOMBINATION_SUBSETS
     assert capsys.readouterr().err == (
         f"unsupported: factor recombination past {cap} subsets\n")
     assert len(tried) == cap
+
+
+def test_cli_artin_schreier_times_a_line_is_reducible(tmp_path, monkeypatch,
+                                                      capsys):
+    """(y^32 + y + x^3)(x + y) over GF(32) is specialised in y, its
+    variable of larger degree: at the least good y0 in GF(1024) the
+    product takes four local factors, x^3 + c and x + y0, so eight
+    subsets answer where the specialisation in x met 2^16."""
+    tried = _counted_trial_divisors(monkeypatch)
+    path = _write(tmp_path, "as.inst", 'variety { vars: [x, y]; over: '
+                  '"GF(2,5)"; gens: ["(y^32 + y + x^3)*(x + y)"] }\n')
+    assert main(["variety", "irr", path]) == 1
+    assert capsys.readouterr().out == "irreducible: False\n"
+    assert len(tried) == 8
 
 
 # ---------------------------------------------------------------------------

@@ -107,15 +107,16 @@ def _counted_trial_divisors(monkeypatch):
 
 
 def test_recombination_stops_at_its_subset_cap(monkeypatch):
-    """(y^2 - x - 1)(y^2 - x - 4) over GF(5) has four local factors at
-    x = 0 and is split after ten subsets: a cap of ten keeps the answer,
-    a cap of nine raises on the tenth subset, before it is built."""
+    """(y^2 - x^2 - 1)(y^2 - x^2 - 4) over GF(5), of degree 4 in both
+    variables, is specialised at x = 0, has four local factors there and
+    is split after ten subsets: a cap of ten keeps the answer, a cap of
+    nine raises on the tenth subset, before it is built."""
     from charpk import polys
     F = PolyRing(make_field("GF(5,1)"), ("x", "y")).parse(
-        "(y^2 - x - 1)*(y^2 - x - 4)")
+        "(y^2 - x^2 - 1)*(y^2 - x^2 - 4)")
     tried = _counted_trial_divisors(monkeypatch)
-    want = [(g, 1) for g in (F.ring.parse("y^2 + 4*x + 1"),
-                             F.ring.parse("y^2 + 4*x + 4"))]
+    want = [(g, 1) for g in (F.ring.parse("x^2 + 4*y^2 + 1"),
+                             F.ring.parse("x^2 + 4*y^2 + 4"))]
     monkeypatch.setattr(polys, "MAX_RECOMBINATION_SUBSETS", 10)
     assert factor_poly(F)[1] == want
     assert len(tried) == 10
@@ -125,6 +126,91 @@ def test_recombination_stops_at_its_subset_cap(monkeypatch):
                        match="factor recombination past 9 subsets"):
         factor_poly(F)
     assert len(tried) == 9
+
+
+def test_artin_schreier_curve_is_specialised_in_its_variable_of_larger_degree(
+        monkeypatch):
+    """y^16 + y + x^3 over GF(16) is specialised in y: x^3 + c has at most
+    three local factors, where y^16 + y + c at x = 0 has sixteen.  At the
+    least good y0 x^3 + c stays irreducible, so the curve is its own
+    factor list with no subset tried."""
+    F = PolyRing(make_field("GF(2,4)"), ("x", "y")).parse("y^16 + y + x^3")
+    tried = _counted_trial_divisors(monkeypatch)
+    assert factor_poly(F)[1] == [(F, 1)]
+    assert tried == []
+
+
+def _swap(F):
+    return F.rename(F.ring, {"x": "y", "y": "x"})
+
+
+def _wide_eisenstein(rng, K, R, d, e):
+    """y^d + x a(x, y) of x-degree e, with a(0, 0) != 0 and deg_y a < d:
+    Eisenstein at x, so irreducible over K."""
+    els = list(iter_gf_elements(K))
+    x, y = R.var("x"), R.var("y")
+    F = y ** d + x * R.from_scalar(rng.choice(els[1:]))
+    for j in range(d):
+        for i in range(2 if j == 0 else 1, e + 1):
+            c = rng.choice(els[1:] if (i, j) == (e, 0) else els)
+            F = F + x ** i * y ** j * R.from_scalar(c)
+    return F
+
+
+@pytest.mark.parametrize("spec", ["GF(2,1)", "GF(3,1)", "GF(2,2)", "GF(5,1)",
+                                  "GF(3,2)"])
+def test_factoring_commutes_with_swapping_the_variables(spec):
+    """Products of irreducible curves of unequal x- and y-degree, each
+    possibly with x and y swapped: F and F with its variables swapped
+    factor to the same list swapped back, and both to the construction."""
+    K = make_field(spec)
+    R = PolyRing(K, ("x", "y"))
+    rng = random.Random(spec)
+    for _ in range(4):
+        want = {}
+        while len(want) < rng.choice((2, 3)):
+            d = rng.randrange(1, 4)
+            e = rng.choice([n for n in range(1, 5) if n != d])
+            G = _wide_eisenstein(rng, K, R, d, e)
+            G = (_swap(G) if rng.random() < 0.5 else G).monic("grevlex")
+            want.setdefault(G, rng.choice((1, 1, 1, 2)))
+        F = R.one()
+        for G, m in want.items():
+            F = F * G ** m
+        facs = _as_factor_set(factor_poly(F)[1])
+        back = _as_factor_set((_swap(g), m)
+                              for g, m in factor_poly(_swap(F))[1])
+        assert facs == back == set(want.items())
+
+
+def test_ascent_stops_at_the_least_extension_with_a_good_specialization(
+        monkeypatch):
+    """F = (y + x^2)(y + x^4 + x^2 + x) over GF(2): F(x0, y) is the square
+    (y + x0^2)^2 for every x0 in GF(4), where x0^4 = x0, and every x0 of
+    GF(8) outside GF(2) is good.  The ascent stops at GF(8); refused every
+    good x0 below 2 deg^2 + 2 = 74 elements, it climbs to GF(128) and
+    descends to the same factor list."""
+    R = PolyRing(make_field("GF(2,1)"), ("x", "y"))
+    F, want = _construction(R, [("y + x^2", 1), ("y + x^4 + x^2 + x", 1)])
+    degrees = []
+    extend = factor.extend_gf
+
+    def counted(K, s):
+        degrees.append(s)
+        return extend(K, s)
+    monkeypatch.setattr(factor, "extend_gf", counted)
+    facs = factor_poly(F)[1]
+    assert degrees == [2, 3]
+    assert _as_factor_set(facs) == want
+    search = factor._good_specialization
+
+    def refused_below_74(G, xv, yv):
+        field = G.ring.field
+        return search(G, xv, yv) if field.p ** field.k >= 74 else None
+    monkeypatch.setattr(factor, "_good_specialization", refused_below_74)
+    degrees.clear()
+    assert factor_poly(F)[1] == facs
+    assert degrees == [2, 3, 4, 5, 6, 7]
 
 
 def test_factor_determinism():
@@ -446,9 +532,10 @@ def test_good_specialization_replaces_the_bivariate_gcd(monkeypatch, spec,
     # no squarefree specialization: the gcd splits off the square
     ("GF(5,1)", [("y^2 + x", 2), ("y + x + 1", 1)], "mp_gcd"),
     ("GF(3,1)", [("y^2 + x", 2), ("y + x + 1", 1)], "mp_gcd"),
-    # in K[x, y^p]: dF/dy = 0, so the gcd with dF/dx
+    # in K[x, y^p], y not of larger degree: dF/dy = 0, so the gcd with
+    # dF/dx
     ("GF(3,1)", [("x + y^3", 2), ("x^2 + y^3 + 1", 1)], "mp_gcd"),
-    ("GF(2,1)", [("x*y^2 + x + y^2", 1)], "mp_gcd"),
+    ("GF(2,1)", [("x^2*y^2 + x + y^2", 1)], "mp_gcd"),
     # F(0, y) = F(1, y) = (y + 1)^2: no good x0 in GF(2)
     ("GF(2,1)", [("y^2 + x^2*y + x*y + x^3 + x + 1", 1)],
      "_factor_by_ascent")])

@@ -341,6 +341,13 @@ def test_dominance_projection_and_rational_map():
     assert not is_dominant(const)
 
 
+def test_every_map_into_the_point_is_dominant():
+    """A^0 has no coordinates: the empty tuple's locus is A^0 itself."""
+    K = make_field("GF(5,1)")
+    W = AffineVariety(K, ("x",), [])
+    assert is_dominant(RationalMapData(W, AffineVariety(K, (), []), []))
+
+
 def test_dominance_requires_irreducible_source():
     K = make_field("GF(5,1)")
     V = AffineVariety(K, ("x", "y"), ["x^2 - y^2"])
