@@ -49,7 +49,7 @@ import math
 import random
 from functools import lru_cache
 
-from . import linalg, polys
+from . import polys
 from .errors import (CharpkError, FieldError, ResourceExhausted,
                      UnsupportedInstance)
 from .fields import (FieldDescriptor, FieldScalar, _code_to_vec,
@@ -267,17 +267,43 @@ def gf_embedding(K: FieldDescriptor, L: FieldDescriptor):
     return embed
 
 
-def project_to_subfield(x: FieldScalar, K: FieldDescriptor, L, embed):
-    """Pull x in L back to K when x is in the image of the embedding, else
-    None: an F_p-linear solve on the images of K's power basis."""
-    Fp = FieldDescriptor("gf", K.p, 1)
-    gen = K.generator()
-    cols = [embed(gen ** i).rep for i in range(K.k)]
-    matrix = [[Fp.from_int(col[r]) for col in cols] for r in range(L.k)]
-    sol = linalg.solve(matrix, [Fp.from_int(c) for c in x.rep])
-    if sol is None:
+@lru_cache(maxsize=None)
+def _trace_dual_basis(K: FieldDescriptor, L: FieldDescriptor):
+    """Rows (d_i^(p^j) for j < k) in L for the trace-dual basis d_0..d_(k-1)
+    of 1, b, .., b^(k-1), b the image of K's generator under
+    `gf_embedding`: d_i = c_i / m'(b), where m is K's defining polynomial
+    and m(X)/(X - b) = sum c_i X^i (Euler's formula; Lidl and
+    Niederreiter, Finite Fields, Def. 2.30)."""
+    b = gf_embedding(K, L)(K.generator())
+    c = [L.one()]
+    for m in reversed(K.modulus[1:-1]):
+        c.append(L.from_int(m) + b * c[-1])
+    c.reverse()
+    dm = L.zero()  # m'(b) = (m(X)/(X - b)) at X = b
+    for ci in reversed(c):
+        dm = dm * b + ci
+    rows = []
+    for ci in c:
+        d = [ci / dm]
+        for _ in range(K.k - 1):
+            d.append(d[-1] ** K.p)
+        rows.append(tuple(d))
+    return tuple(rows)
+
+
+def project_to_subfield(x: FieldScalar, K: FieldDescriptor):
+    """Pull x in L = x.field back along `gf_embedding(K, L)`, or None when
+    x is not in the image: x is in it iff x^(p^k) = x, and then its i-th
+    digit over K's power basis is Tr_{K/F_p}(x d_i), d_0..d_(k-1) the
+    trace-dual basis (`_trace_dual_basis`)."""
+    dual = _trace_dual_basis(K, x.field)
+    conj = [x]
+    for _ in range(K.k):
+        conj.append(conj[-1] ** K.p)
+    if conj.pop() != x:
         return None
-    return FieldScalar(K, tuple(c.value for c in sol))
+    return FieldScalar(K, tuple(sum(a * d for a, d in zip(conj, row)).value
+                                for row in dual))
 
 
 def _map_raw(F: MultiPoly, ring: PolyRing, fn):
@@ -517,7 +543,7 @@ def _factor_by_ascent(F, xv, yv):
             prod = prod * G
         down = {}
         for e, c in prod.terms.items():
-            pc = project_to_subfield(_scalar(L, c), field, L, embed)
+            pc = project_to_subfield(_scalar(L, c), field)
             if pc is None:
                 raise CharpkError("orbit product not defined over the base")
             down[e] = pc.value
@@ -604,17 +630,19 @@ def _hensel_multi(fb, parts, N, K):
 
 def _recombine(F, lifted, N, xv, yv):
     """The factors of F from its lifted local factors: subsets by size
-    (Zassenhaus), each product a trial divisor.  Trying more than
+    (Zassenhaus), each product a trial divisor.  A split of the remaining
+    factors has a side of at most half of them, so when no such subset
+    divides, what remains is irreducible.  Trying more than
     `polys.MAX_RECOMBINATION_SUBSETS` subsets raises ResourceExhausted."""
     K = F.ring.field.kernel
     cap, tried = polys.MAX_RECOMBINATION_SUBSETS, itertools.count(1)
     remaining = list(range(len(lifted)))
     out = []
     target = F
-    while len(remaining) > 1:
+    while True:
         for subset in itertools.chain.from_iterable(
                 itertools.combinations(remaining, size)
-                for size in range(1, len(remaining) + 1)):
+                for size in range(1, len(remaining) // 2 + 1)):
             if next(tried) > cap:
                 raise ResourceExhausted(
                     f"factor recombination past {cap} subsets")
@@ -629,8 +657,7 @@ def _recombine(F, lifted, N, xv, yv):
                 remaining = [i for i in remaining if i not in subset]
                 break
         else:
-            raise CharpkError("Hensel recombination failed")
-    return out + [target] if remaining else out
+            return out + [target]
 
 
 def _b_mul_trunc(a, b, N, K):

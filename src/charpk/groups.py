@@ -1,12 +1,14 @@
 """Finite group actions on finite fields by automorphisms.
 
-Automorphisms of GF(p^k) are determined by the image of the polynomial
-generator, which must be a root of the defining polynomial; the group
-law is composition.  The module computes automorphism groups of
-extensions, fixed subfields, the Galois-correspondence report, codes of
-finite sets (vanishing-polynomial coefficients), K-irreducibility of
-finite Galois-stable sets (orbit transitivity), and the strongly-PAC
-probe over a family of zero-dimensional defining polynomials.
+Every automorphism of GF(p^k) is a power x -> x^(p^j) of Frobenius
+(Lidl and Niederreiter, Finite Fields, Thm 2.21), so it is kept as its
+exponent j mod k: applying it is one power, composing adds exponents,
+and an explicit generator image is read as the j with gen^(p^j) equal
+to it.  The module computes automorphism groups of extensions, fixed
+subfields, the Galois-correspondence report, codes of finite sets
+(vanishing-polynomial coefficients), K-irreducibility of finite
+Galois-stable sets (orbit transitivity), and the strongly-PAC probe over
+a family of zero-dimensional defining polynomials.
 """
 
 from __future__ import annotations
@@ -65,63 +67,55 @@ class FiniteGroup:
 
 
 class _Automorphism:
-    """Field map of GF(p^k) fixed by the image of the generator."""
+    """x -> x^(p^j) on GF(p^k), kept as its Frobenius exponent j mod k."""
 
-    __slots__ = ("field", "gen_image", "_powers")
+    __slots__ = ("field", "exponent")
 
-    def __init__(self, field: FieldDescriptor, gen_image: FieldScalar):
+    def __init__(self, field: FieldDescriptor, exponent: int):
         if field.kind != "gf":
             raise UnsupportedInstance(
                 "automorphism actions are supported on finite fields")
-        if gen_image.field != field:
-            raise FieldError("generator image outside the field")
-        if field.k == 1:
-            # the prime field has only the identity map; normalize the
-            # (unused) generator image to the root of the modulus
-            gen_image = field.zero()
-        # the image must be a root of the defining polynomial
-        acc = field.zero()
-        for c in reversed(field.modulus):
-            acc = acc * gen_image + field.from_int(c)
-        if not acc.is_zero():
-            raise FieldError(
-                "generator image is not a root of the defining polynomial")
         self.field = field
-        self.gen_image = gen_image
-        self._powers = None
+        self.exponent = exponent % field.k
 
     def __call__(self, x: FieldScalar) -> FieldScalar:
-        if self._powers is None:
-            pw = [self.field.one()]
-            for _ in range(self.field.k - 1):
-                pw.append(pw[-1] * self.gen_image)
-            self._powers = pw
-        acc = self.field.zero()
-        for c, pw in zip(x.rep, self._powers):
-            if c:
-                acc = acc + pw * self.field.from_int(c)
-        return acc
+        return x ** (self.field.p ** self.exponent)
 
     def compose(self, other: "_Automorphism") -> "_Automorphism":
-        return _Automorphism(self.field, self(other.gen_image))
+        return _Automorphism(self.field, self.exponent + other.exponent)
 
     def __eq__(self, other):
         return (isinstance(other, _Automorphism)
                 and self.field == other.field
-                and self.gen_image == other.gen_image)
+                and self.exponent == other.exponent)
 
     def __hash__(self):
-        return hash((self.field, self.gen_image))
+        return hash((self.field, self.exponent))
+
+
+def _sending_generator_to(field: FieldDescriptor,
+                          image: FieldScalar) -> _Automorphism:
+    """The automorphism that sends the generator to `image`: the roots of
+    the defining polynomial are exactly gen^(p^j), j < k.  On GF(p) every
+    image gives the identity."""
+    if not isinstance(image, FieldScalar) or image.field != field:
+        raise FieldError("generator image outside the field")
+    if field.k == 1:
+        return identity_automorphism(field)
+    roots = [field.generator() ** (field.p ** j) for j in range(field.k)]
+    if image not in roots:
+        raise FieldError(
+            "generator image is not a root of the defining polynomial")
+    return _Automorphism(field, roots.index(image))
 
 
 def frobenius_automorphism(field: FieldDescriptor,
                            power: int = 1) -> _Automorphism:
-    return _Automorphism(field,
-                         field.generator() ** (field.p ** (power % field.k)))
+    return _Automorphism(field, power)
 
 
 def identity_automorphism(field: FieldDescriptor) -> _Automorphism:
-    return _Automorphism(field, field.generator())
+    return _Automorphism(field, 0)
 
 
 class FieldAction:
@@ -150,7 +144,11 @@ class FieldAction:
         """Z/n acting with the generator mapped to a named automorphism
         ("frobenius", "frobenius^j") or an explicit generator image."""
         group = FiniteGroup.cyclic(n)
-        if isinstance(generator_image, str):
+        if isinstance(generator_image, _Automorphism):
+            if generator_image.field != field:
+                raise FieldError("the automorphism acts on another field")
+            sigma = generator_image
+        elif isinstance(generator_image, str):
             text = generator_image.strip()
             if text == "frobenius":
                 sigma = frobenius_automorphism(field)
@@ -162,14 +160,10 @@ class FieldAction:
                         f"bad Frobenius power in {text!r}") from exc
                 sigma = frobenius_automorphism(field, power)
             else:
-                sigma = _Automorphism(field, field.parse(text))
-        elif isinstance(generator_image, _Automorphism):
-            sigma = generator_image
+                sigma = _sending_generator_to(field, field.parse(text))
         else:
-            sigma = _Automorphism(field, generator_image)
-        sigmas = [identity_automorphism(field)]
-        for _ in range(n - 1):
-            sigmas.append(sigma.compose(sigmas[-1]))
+            sigma = _sending_generator_to(field, generator_image)
+        sigmas = [_Automorphism(field, i * sigma.exponent) for i in range(n)]
         return cls(group, field, sigmas)
 
 
@@ -177,50 +171,28 @@ class FieldAction:
 # Galois groups and invariants
 # ---------------------------------------------------------------------------
 
-def subfield_descriptor(L: FieldDescriptor, d: int):
-    """GF(p^d) with its canonical embedding into L."""
-    K = FieldDescriptor("gf", L.p, d)
-    return K, factor.gf_embedding(K, L)
-
-
 def galois_group(L: FieldDescriptor, F: FieldDescriptor):
     """(group, automorphisms, embedding of F) for a finite extension of
-    finite fields: automorphisms send the generator to the roots in L of
-    its minimal polynomial over F."""
+    finite fields: Gal(L/F) is cyclic of order n = [L:F], generated by
+    x -> x^(p^[F:F_p])."""
     if L.kind != "gf" or F.kind != "gf" or L.p != F.p or L.k % F.k != 0:
         raise UnsupportedInstance("galois_group needs finite fields F <= L")
-    embed = factor.gf_embedding(F, L)
-    # minimal polynomial of the generator over the copy of F: for finite
-    # fields the automorphisms are exactly the powers of Frobenius^[F:F_p]
-    autos = [identity_automorphism(L)]
-    step = frobenius_automorphism(L, F.k)
-    current = step
-    while current != autos[0]:
-        autos.append(current)
-        current = step.compose(current)
-    n = len(autos)
-    index = {a.gen_image: i for i, a in enumerate(autos)}
-    table = [[index[autos[i](autos[j].gen_image)] for j in range(n)]
-             for i in range(n)]
-    labels = ["id"] + [f"frob^{F.k * i}" if i > 1 else f"frob^{F.k}"
-                       for i in range(1, n)]
+    n = L.k // F.k
+    autos = [frobenius_automorphism(L, F.k * i) for i in range(n)]
+    labels = ["id"] + [f"frob^{F.k * i}" for i in range(1, n)]
     if F.k == 1 and n > 1:
-        labels = ["id", "frob"] + [f"frob^{i}" for i in range(2, n)]
-    group = FiniteGroup(labels, table, 0)
-    return group, autos, embed
+        labels[1] = "frob"
+    group = FiniteGroup(labels, FiniteGroup.cyclic(n).table, 0)
+    return group, autos, factor.gf_embedding(F, L)
 
 
 def invariants(act: FieldAction):
-    """(descriptor of K^G, embedding into K) for the field K acted on.
-    Every automorphism of GF(p^k) is a Frobenius power x -> x^(p^j), and
-    the fixed field of the powers j_g is GF(p^d), d = gcd(k, j_g over all
-    g) (Lidl-Niederreiter, Finite Fields, ch. 2)."""
+    """(descriptor of K^G, embedding into K) for the field K acted on:
+    the fixed field of the Frobenius powers j_g is GF(p^d),
+    d = gcd(k, j_g over all g) (Lidl-Niederreiter, Finite Fields, ch. 2)."""
     L = act.field
-    frobs = [frobenius_automorphism(L, j) for j in range(L.k)]
-    d = L.k
-    for s in act.sigmas:
-        d = gcd(d, frobs.index(s))
-    K, embed = subfield_descriptor(L, d)
+    K = FieldDescriptor("gf", L.p, gcd(L.k, *(s.exponent for s in act.sigmas)))
+    embed = factor.gf_embedding(K, L)
     gamma = embed(K.generator())
     if any(s(gamma) != gamma for s in act.sigmas):
         raise CharpkError("computed subfield is not fixed")
@@ -228,8 +200,7 @@ def invariants(act: FieldAction):
 
 
 def is_faithful(act: FieldAction) -> bool:
-    images = {s.gen_image for s in act.sigmas}
-    return len(images) == len(act.group)
+    return len({s.exponent for s in act.sigmas}) == len(act.group)
 
 
 class GaloisDataReport:
@@ -279,15 +250,15 @@ def check_galois_data(act: FieldAction) -> GaloisDataReport:
             normal = False
     # (3) Aut(L/F) is isomorphic to G via g -> sigma_g
     group_auto, autos, _ = galois_group(L, F)
-    auto_index = {a.gen_image: i for i, a in enumerate(autos)}
+    auto_index = {a.exponent: i for i, a in enumerate(autos)}
     iso = {}
     iso_ok = len(act.group) == len(autos)
     if iso_ok:
         for g, s in enumerate(act.sigmas):
-            if s.gen_image not in auto_index:
+            if s.exponent not in auto_index:
                 iso_ok = False
                 break
-            iso[g] = auto_index[s.gen_image]
+            iso[g] = auto_index[s.exponent]
         if iso_ok and len(set(iso.values())) != len(iso):
             iso_ok = False
         if iso_ok:

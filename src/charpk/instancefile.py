@@ -250,6 +250,7 @@ def build_action(block: Block) -> "FieldAction":
     except ValueError as exc:
         raise InstanceFileError(f"bad group order in {group!r}") from exc
     image = block.require("generator_image")
-    if isinstance(image, str) and not image.startswith("frobenius"):
-        image = field.parse(image)
+    if not isinstance(image, str):
+        raise InstanceFileError(
+            f"generator image must be a string, not {image!r}")
     return FieldAction.cyclic_action(n, field, image)

@@ -1,10 +1,8 @@
-"""Exact linear algebra: fraction elimination over a field, fraction-free
-elimination over GF(p)[t..], and ranks over the function field of a
-prime ideal.
+"""Exact linear algebra on MultiPoly rows: fraction-free elimination
+over GF(p)[t..] and ranks over the function field of a prime ideal.
 
-`echelon` and `solve` take any element type with +, -, *, / and an
-``is_zero()`` method (FieldScalar and extension-field elements qualify);
-the other two take MultiPoly rows.  Matrices are lists of row lists.
+Both eliminate along `_pivot_steps` and cross-multiply rows by the
+pivot rather than divide them by it.  Matrices are lists of row lists.
 Everything here is small and dense: desk scale.
 """
 
@@ -24,20 +22,6 @@ def _pivot_steps(rows, ncols):
                 yield r, c
                 r += 1
                 break
-
-
-def echelon(rows, ncols):
-    """In-place fraction Gaussian elimination; returns list of pivot columns."""
-    pivots = []
-    for r, c in _pivot_steps(rows, ncols):
-        inv = rows[r][c]
-        rows[r] = [x / inv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and not rows[i][c].is_zero():
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-    return pivots
 
 
 def fraction_free_echelon(rows, ncols):
@@ -75,33 +59,3 @@ def rank_modulo(rows, basis) -> int:
                            for x, y in zip(rows[i], top)]
         rank += 1
     return rank
-
-
-def solve(matrix, rhs):
-    """One solution of A x = b, or None if inconsistent.
-
-    Free variables are set to zero (of the coefficient field).
-    """
-    if not matrix:
-        return []
-    ncols = len(matrix[0])
-    rows = [list(r) + [b] for r, b in zip(matrix, rhs)]
-    pivots = echelon(rows, ncols)
-    zero = None
-    for row in matrix:
-        for x in row:
-            zero = x - x
-            break
-        if zero is not None:
-            break
-    if zero is None:
-        zero = rhs[0] - rhs[0]
-    # inconsistency: a row 0 ... 0 | nonzero
-    for i in range(len(pivots), len(rows)):
-        if not rows[i][ncols].is_zero():
-            return None
-    sol = [zero] * ncols
-    for r, c in enumerate(pivots):
-        sol[c] = rows[r][ncols]
-    return sol
-

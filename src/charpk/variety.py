@@ -501,14 +501,13 @@ def _locus_gf(elems, K, variables, L):
 def _minpoly_over_subfield(L, K):
     """Monic minimal polynomial over K of the generator gamma of L: the
     product of (x - gamma^(q^j)) for j < [L:K], q = |K|, with each
-    coefficient pulled back through `factor.gf_embedding`."""
+    coefficient pulled back to K by `factor.project_to_subfield`."""
     from . import factor
     q = K.p ** K.k
     gamma = L.generator()
     prod = factor.vanishing_poly([gamma ** (q ** j)
                                   for j in range(L.k // K.k)], L)
-    embed = factor.gf_embedding(K, L)
-    coeffs = [factor.project_to_subfield(c, K, L, embed) for c in prod]
+    coeffs = [factor.project_to_subfield(c, K) for c in prod]
     if any(c is None for c in coeffs):
         raise CharpkError("minimal polynomial not defined over the subfield")
     return coeffs

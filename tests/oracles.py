@@ -26,7 +26,12 @@ normal forms modulo I(V), where the library solves over the basis
 1, s^p, .. of K(V) over a rational subfield.  Formula text is read by
 `read_formula`, a recursive descent with its own lexer and precedence
 levels, where the library reads terms with the shared scalar and
-polynomial grammar.
+polynomial grammar.  The fraction elimination is `echelon` (and `solve`
+on it), which divides by each pivot; `project_by_elimination` pulls an
+element back to a subfield by a linear solve, where the library takes
+traces against a dual basis; `automorphism_by_root` applies a field map
+by evaluating the coefficient vector at the generator's image, where the
+library raises to a power of p.
 """
 
 from __future__ import annotations
@@ -35,7 +40,7 @@ import itertools
 import math
 import re
 
-from charpk import factor, linalg
+from charpk import factor
 from charpk.errors import FieldError, FormulaError, RingError
 from charpk.fields import (FieldDescriptor, FieldScalar, iter_gf_elements,
                            p_components, partial, pth_root)
@@ -46,6 +51,68 @@ from charpk.lambdafn import monomial_exponents
 from charpk.polys import (MultiPoly, PolyRing, _mp, buchberger,
                           joined_ring, normal_form, order_key, split_coeffs)
 from charpk.variety import FunctionFieldElem, peel_graph
+
+
+# ---------------------------------------------------------------------------
+# Gauss-Jordan elimination over a field, with a division per pivot
+# ---------------------------------------------------------------------------
+
+def echelon(rows, ncols):
+    """In-place reduced row echelon form of rows whose entries have +, -,
+    *, / and is_zero(); returns the list of pivot columns."""
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        i = next((i for i in range(r, len(rows)) if not rows[i][c].is_zero()),
+                 None)
+        if i is None:
+            continue
+        rows[r], rows[i] = rows[i], rows[r]
+        inv = rows[r][c]
+        rows[r] = [x / inv for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and not rows[i][c].is_zero():
+                f = rows[i][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+    return pivots
+
+
+def solve(matrix, rhs):
+    """One solution of A x = b, free variables zero, or None if the
+    system is inconsistent."""
+    if not matrix:
+        return []
+    ncols = len(matrix[0])
+    rows = [list(r) + [b] for r, b in zip(matrix, rhs)]
+    pivots = echelon(rows, ncols)
+    if any(not row[ncols].is_zero() for row in rows[len(pivots):]):
+        return None
+    sol = [rhs[0] - rhs[0]] * ncols
+    for r, c in enumerate(pivots):
+        sol[c] = rows[r][ncols]
+    return sol
+
+
+def project_by_elimination(x, K):
+    """x in L = x.field pulled back along `factor.gf_embedding(K, L)`, or
+    None: an F_p-linear solve on the images of K's power basis."""
+    L = x.field
+    Fp = FieldDescriptor("gf", K.p, 1)
+    embed = factor.gf_embedding(K, L)
+    cols = [embed(K.generator() ** i).rep for i in range(K.k)]
+    matrix = [[Fp.from_int(col[r]) for col in cols] for r in range(L.k)]
+    sol = solve(matrix, [Fp.from_int(c) for c in x.rep])
+    return None if sol is None else FieldScalar(K, [c.value for c in sol])
+
+
+def automorphism_by_root(x, root):
+    """The image of x under the automorphism of x.field that sends its
+    generator to `root`: x.rep evaluated at root by Horner's rule."""
+    acc = root.field.zero()
+    for c in reversed(x.rep):
+        acc = acc * root + c
+    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -448,7 +515,7 @@ def _semilinear_solve(cols, rhs, K):
     K-vectors; exact via p-components (imperfect K) or direct substitution
     (perfect K).  Returns a solution list or None."""
     if K.is_perfect:
-        sol = linalg.solve([list(r) for r in _transpose(cols)], rhs)
+        sol = solve([list(r) for r in _transpose(cols)], rhs)
         if sol is None:
             return None
         return [pth_root(v) for v in sol]
@@ -467,7 +534,7 @@ def _semilinear_solve(cols, rhs, K):
             matrix.append([comp_cols[j][i].get(a, K.zero())
                            for j in range(ncols)])
             vec.append(comp_rhs[i].get(a, K.zero()))
-    return linalg.solve(matrix, vec)
+    return solve(matrix, vec)
 
 
 def _transpose(cols):
@@ -932,7 +999,7 @@ def lambda_by_components(bs, c):
     rows = [[col.get(a, K.zero()) for col in cols]
             for a in itertools.product(range(p),
                                        repeat=K.imperfection_exponent)]
-    pivots = linalg.echelon(rows, len(exps))
+    pivots = echelon(rows, len(exps))
     if len(pivots) < len(exps):
         return None  # Case 1
     if any(row[-1] for row in rows[len(exps):]):
@@ -955,7 +1022,7 @@ def lambda_by_components(bs, c):
 def _fraction_rank(rows):
     """The rank of a matrix over a field, by fraction elimination."""
     rows = [list(r) for r in rows]
-    return len(linalg.echelon(rows, len(rows[0]))) if rows else 0
+    return len(echelon(rows, len(rows[0]))) if rows else 0
 
 
 def jacobian_rank_by_fractions(xs, K):
@@ -1000,7 +1067,7 @@ def lambda_by_fraction_echelon(bs, c):
     rows = [[partial(b, t) for t in tvars]
             + [one if r == i else zero for r in range(e)]
             for i, b in enumerate(bs)]
-    pivots = linalg.echelon(rows, m)
+    pivots = echelon(rows, m)
     if len(pivots) < e:
         return None  # Case 1
     grad = [partial(c, t) for t in tvars]

@@ -550,6 +550,20 @@ formula { text: "lam(1,1; t; x) - t = 0"; language: "lambda";
           over: "Fp(2;t)"; vars: [x] }
 witness { x: "t^3 + t^2" }
 """)
+    actions = _write(tmp_path, "actions.inst", """
+probe { subfield: "GF(2,1)"; field: "GF(2,2)"; thetas: ["x^3+x+1"] }
+action { group: cyclic(2); field: "GF(3,2)"; generator_image: "g^3" }
+""")
+    action_script = f"""
+import sys
+from charpk.cli import main
+assert main(['action', 'galois', {galois!r}]) == 0
+for action in ('probe', 'invariants', 'faithful', 'check210'):
+    assert main(['action', action, {actions!r}]) in (0, 1)
+loaded = {{m[len('charpk.'):] for m in sys.modules if m.startswith('charpk.')}}
+assert not loaded & {{'linalg', 'lambdafn', 'variety', 'differential',
+                      'formula', 'axioms'}}, ('action', loaded)
+"""
     script = f"""
 import sys
 import time
@@ -584,9 +598,20 @@ assert 'formula' in loaded(), 'scf-reduce'
 """
     src = os.path.dirname(os.path.dirname(os.path.abspath(charpk.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.run([sys.executable, "-c", script], env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
+    for code in (script, action_script):
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+
+
+def test_cli_integer_generator_image_exits_2(tmp_path, capsys):
+    path = _write(tmp_path, "int.inst", 'action { group: cyclic(2); field: '
+                  '"GF(3,2)"; generator_image: 2 }\n')
+    assert main(["action", "faithful", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: generator image must be a string, "
+                            "not 2\n")
 
 
 def test_gbdcf_action_on_another_field_exits_2(tmp_path, capsys):
@@ -704,14 +729,14 @@ def test_cli_artin_schreier_times_a_line_is_reducible(tmp_path, monkeypatch,
                                                       capsys):
     """(y^32 + y + x^3)(x + y) over GF(32) is specialised in y, its
     variable of larger degree: at the least good y0 in GF(1024) the
-    product takes four local factors, x^3 + c and x + y0, so eight
-    subsets answer where the specialisation in x met 2^16."""
+    product takes four local factors, x^3 + c and x + y0, so the four
+    singletons answer where the specialisation in x met 2^16."""
     tried = _counted_trial_divisors(monkeypatch)
     path = _write(tmp_path, "as.inst", 'variety { vars: [x, y]; over: '
                   '"GF(2,5)"; gens: ["(y^32 + y + x^3)*(x + y)"] }\n')
     assert main(["variety", "irr", path]) == 1
     assert capsys.readouterr().out == "irreducible: False\n"
-    assert len(tried) == 8
+    assert len(tried) == 4
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,8 @@ from charpk.factor import (extend_gf, factor_poly, gf_embedding, mp_gcd,
                            uni_is_irreducible, uni_roots)
 from charpk.fields import iter_gf_elements, make_field
 from charpk.polys import PolyRing
-from oracles import d_divmod, d_mul, minkowski_decomposable
+from oracles import (d_divmod, d_mul, minkowski_decomposable,
+                     project_by_elimination)
 
 
 def _udict(coeffs):
@@ -108,24 +109,36 @@ def _counted_trial_divisors(monkeypatch):
 
 def test_recombination_stops_at_its_subset_cap(monkeypatch):
     """(y^2 - x^2 - 1)(y^2 - x^2 - 4) over GF(5), of degree 4 in both
-    variables, is specialised at x = 0, has four local factors there and
-    is split after ten subsets: a cap of ten keeps the answer, a cap of
-    nine raises on the tenth subset, before it is built."""
+    variables, is specialised at x = 0 and has four local factors there:
+    a pair divides at the seventh subset, and the two left are tried one
+    at a time, so the answer takes nine subsets.  A cap of nine keeps it,
+    a cap of eight raises on the ninth subset, before it is built."""
     from charpk import polys
     F = PolyRing(make_field("GF(5,1)"), ("x", "y")).parse(
         "(y^2 - x^2 - 1)*(y^2 - x^2 - 4)")
     tried = _counted_trial_divisors(monkeypatch)
     want = [(g, 1) for g in (F.ring.parse("x^2 + 4*y^2 + 1"),
                              F.ring.parse("x^2 + 4*y^2 + 4"))]
-    monkeypatch.setattr(polys, "MAX_RECOMBINATION_SUBSETS", 10)
-    assert factor_poly(F)[1] == want
-    assert len(tried) == 10
-    tried.clear()
     monkeypatch.setattr(polys, "MAX_RECOMBINATION_SUBSETS", 9)
-    with pytest.raises(ResourceExhausted,
-                       match="factor recombination past 9 subsets"):
-        factor_poly(F)
+    assert factor_poly(F)[1] == want
     assert len(tried) == 9
+    tried.clear()
+    monkeypatch.setattr(polys, "MAX_RECOMBINATION_SUBSETS", 8)
+    with pytest.raises(ResourceExhausted,
+                       match="factor recombination past 8 subsets"):
+        factor_poly(F)
+    assert len(tried) == 8
+
+
+def test_recombination_tries_at_most_half_of_the_local_factors(monkeypatch):
+    """y^4 + x^4 + x*y + 4 over GF(5) is irreducible with four linear local
+    factors at x = 0: the four singletons and six pairs decide it, in ten
+    trial divisions, where every nonempty subset would be fifteen."""
+    F = PolyRing(make_field("GF(5,1)"), ("x", "y")).parse(
+        "y^4 + x^4 + x*y + 4")
+    tried = _counted_trial_divisors(monkeypatch)
+    assert factor_poly(F)[1] == [(F, 1)]
+    assert len(tried) == 10
 
 
 def test_artin_schreier_curve_is_specialised_in_its_variable_of_larger_degree(
@@ -301,8 +314,23 @@ def test_extend_gf_embedding_is_homomorphism():
             assert embed(a + b) == embed(a) + embed(b)
     # projection inverts the embedding on the image
     for a in els:
-        assert project_to_subfield(embed(a), K, L, embed) == a
-    assert project_to_subfield(L.generator(), K, L, embed) is None
+        assert project_to_subfield(embed(a), K) == a
+    assert project_to_subfield(L.generator(), K) is None
+
+
+@pytest.mark.parametrize("sub, big", [("GF(2,4)", "GF(2,8)"),
+                                      ("GF(3,2)", "GF(3,6)"),
+                                      ("GF(3,2,a^2+a+2)", "GF(3,4)"),
+                                      ("GF(2,3,b^3+b^2+1)", "GF(2,6)"),
+                                      ("GF(5,1)", "GF(5,2)")])
+def test_projection_matches_the_linear_solve_on_every_element(sub, big):
+    K, L = make_field(sub), make_field(big)
+    found = 0
+    for x in iter_gf_elements(L):
+        want = project_by_elimination(x, K)
+        assert project_to_subfield(x, K) == want, x
+        found += want is not None
+    assert found == K.size
 
 
 @pytest.mark.parametrize("sub, big", [("GF(3,2,a^2+a+2)", "GF(3,4)"),
@@ -339,14 +367,14 @@ def _norm_curve(K, r, conjugate_factor):
     by construction a K-polynomial with r conjugate absolute components
     (when C is absolutely irreducible and not defined over a smaller
     field), given in K[x, y]."""
-    L, embed = extend_gf(K, r)
+    L, _ = extend_gf(K, r)
     q = K.p ** K.k
     a = L.generator()
     prod = {(0, 0): L.one()}
     for j in range(r):
         prod = d_mul(prod, conjugate_factor(L, a ** (q ** j)))
     R = PolyRing(K, ("x", "y"))
-    terms = {e: project_to_subfield(c, K, L, embed) for e, c in prod.items()}
+    terms = {e: project_to_subfield(c, K) for e, c in prod.items()}
     assert None not in terms.values()
     return R, terms
 

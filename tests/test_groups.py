@@ -2,15 +2,16 @@
 
 import pytest
 
-from charpk.errors import CharpkError, PreconditionError
+from charpk.errors import CharpkError, FieldError, PreconditionError
 from charpk.fields import iter_gf_elements, make_field
 from charpk.groups import (FieldAction, FiniteGroup,
                            alg_strongly_pac_probe, check_galois_data,
                            code_finite_set, finite_set_k_irreducible,
-                           galois_group, invariants, is_faithful)
+                           frobenius_automorphism, galois_group, invariants,
+                           is_faithful)
 from charpk.polys import PolyRing
 
-from oracles import fixed_set
+from oracles import automorphism_by_root, fixed_set
 
 
 def test_galois_group_orders():
@@ -77,6 +78,37 @@ def test_invariants_match_the_fixed_set_scan(spec, n, j):
     act = FieldAction.cyclic_action(n, make_field(spec), f"frobenius^{j}")
     K, embed = invariants(act)
     assert {embed(x) for x in iter_gf_elements(K)} == fixed_set(act)
+
+
+@pytest.mark.parametrize("spec", ["GF(2,4)", "GF(3,3)", "GF(3,2,a^2+a+2)"])
+def test_generator_images_act_as_the_map_they_name(spec):
+    """Each root of the modulus, found by a scan, named as the generator's
+    image (as a scalar or as text) gives an action whose generator maps
+    every element as the coefficient vector evaluated at that root; an
+    image that is no root, or no scalar of the field, is refused."""
+    L = make_field(spec)
+    els = list(iter_gf_elements(L))
+    roots = [r for r in els
+             if sum((c * r ** i for i, c in enumerate(L.modulus)),
+                    L.zero()).is_zero()]
+    assert len(roots) == L.k
+    for r in roots:
+        for image in (r, str(r)):
+            sigma = FieldAction.cyclic_action(L.k, L, image).sigmas[1]
+            assert all(sigma(x) == automorphism_by_root(x, r) for x in els)
+    for x in els:
+        if x not in roots:
+            with pytest.raises(FieldError, match="not a root"):
+                FieldAction.cyclic_action(L.k, L, x)
+    with pytest.raises(FieldError, match="outside the field"):
+        FieldAction.cyclic_action(L.k, L, 2)
+
+
+def test_an_automorphism_of_another_field_is_refused():
+    for other, spec in [("GF(2,2)", "GF(2,4)"), ("GF(3,2)", "GF(3,2,a^2+a+2)")]:
+        sigma = frobenius_automorphism(make_field(other))
+        with pytest.raises(FieldError, match="another field"):
+            FieldAction.cyclic_action(2, make_field(spec), sigma)
 
 
 def test_faithfulness():

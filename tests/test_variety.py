@@ -695,7 +695,7 @@ def test_differential_ranks_build_no_fraction(monkeypatch):
 
     def refuse(*args):
         raise AssertionError("fraction arithmetic reached")
-    monkeypatch.setattr(linalg, "echelon", refuse)
+    assert not {"echelon", "solve"} & set(vars(linalg))
     monkeypatch.setattr(variety.FunctionFieldElem, "__init__", refuse)
     assert _differential_ranks(V, fs) == (1, 3)
 
