@@ -39,7 +39,8 @@ take and return FieldScalar lists.  Factor lists are sorted by the
 coefficient tuples `FieldScalar.rep`, not by codes.
 
 Everything self-checks: the product of the returned factors is compared
-with the input.
+with the input.  Bivariate lists are checked in `_factor_list`, before
+the canonical order that the irreducibility decisions skip.
 """
 
 from __future__ import annotations
@@ -327,7 +328,8 @@ def factor_poly(F: MultiPoly):
 
     Complete for polynomials over GF(p^k) in at most two variables and for
     univariate polynomials over F_p(t) (one transcendental); raises
-    UnsupportedInstance otherwise.
+    UnsupportedInstance otherwise.  In two variables: the checked
+    `_factor_list(F)` in the order of `_normalize_factor_list`.
     """
     field = F.ring.field
     used = sorted(F.variables_used())
@@ -349,15 +351,29 @@ def factor_poly(F: MultiPoly):
         return (_scalar(field, unit),
                 [(u_to_mp(g, F.ring, used[0]), m) for g, m in facs])
     if len(used) == 2:
-        xv, yv = sorted(used, key=F.degree_in, reverse=True)
-        return _normalize_factor_list(F, _fb(F, xv, yv))
+        return _normalize_factor_list(F, _factor_list(F))
     raise UnsupportedInstance(
         "factorization with three or more variables is not supported")
 
 
+def _factor_list(F: MultiPoly):
+    """`factor_poly(F)[1]` up to the order and scaling of the factors: for
+    F over GF(q) in two variables, `_fb`'s list after the self-check, not
+    put in the canonical order (`_normalize_factor_list`)."""
+    used = sorted(F.variables_used())
+    if F.ring.field.kind != "gf" or len(used) != 2:
+        return factor_poly(F)[1]
+    xv, yv = sorted(used, key=F.degree_in, reverse=True)
+    facs = _fb(F, xv, yv)
+    prod = math.prod((g ** m for g, m in facs), start=F.ring.one())
+    if prod.scale(F.leading()[1] / prod.leading()[1]) != F:
+        raise CharpkError("bivariate factorization self-check failed")
+    return facs
+
+
 def _normalize_factor_list(F, facs):
-    """Monic-normalize factors, compute the unit, and self-check."""
-    ring = F.ring
+    """(unit, factors) in canonical order from a checked factor list: made
+    monic, sorted by degree and exponents, ties broken by printed text."""
     def head(gm):
         return gm[0].total_degree(), sorted(gm[0].terms)
     out = sorted(((g.monic("grevlex"), m) for g, m in facs), key=head)
@@ -365,13 +381,7 @@ def _normalize_factor_list(F, facs):
     runs = [list(run) for _, run in itertools.groupby(out, head)]
     out = [gm for run in runs for gm in (
         sorted(run, key=lambda gm: str(gm[0])) if len(run) > 1 else run)]
-    prod = ring.one()
-    for g, m in out:
-        prod = prod * g ** m
-    unit = F.leading()[1] / prod.leading()[1]
-    if prod.scale(unit) != F:
-        raise CharpkError("bivariate factorization self-check failed")
-    return unit, out
+    return F.leading()[1], out
 
 
 def _merge_mp(fac_lists):
@@ -460,6 +470,8 @@ def _factor_sqfree(F, xv, yv, x0):
 def _shift(F, var, c):
     """F with var -> var + c (raw c): a Taylor shift, by Horner's rule, of
     each coefficient of F in the other variables."""
+    if not c:
+        return F
     ring = F.ring
     K = ring.field.kernel
     i = ring._var_index[var]
@@ -538,9 +550,7 @@ def _factor_by_ascent(F, xv, yv):
             remaining.remove(h)
             orbit.append(h)
             h = frob(h)
-        prod = ringL.one()
-        for G in orbit:
-            prod = prod * G
+        prod = math.prod(orbit, start=ringL.one())
         down = {}
         for e, c in prod.terms.items():
             pc = project_to_subfield(_scalar(L, c), field)
@@ -630,9 +640,11 @@ def _hensel_multi(fb, parts, N, K):
 
 def _recombine(F, lifted, N, xv, yv):
     """The factors of F from its lifted local factors: subsets by size
-    (Zassenhaus), each product a trial divisor.  A split of the remaining
+    (Zassenhaus), each product a trial divisor.  A split of the r remaining
     factors has a side of at most half of them, so when no such subset
-    divides, what remains is irreducible.  Trying more than
+    divides, what remains is irreducible.  A half divides iff its
+    complement does, so only the halves holding the first index, which
+    come first, are tried.  Trying more than
     `polys.MAX_RECOMBINATION_SUBSETS` subsets raises ResourceExhausted."""
     K = F.ring.field.kernel
     cap, tried = polys.MAX_RECOMBINATION_SUBSETS, itertools.count(1)
@@ -640,9 +652,12 @@ def _recombine(F, lifted, N, xv, yv):
     out = []
     target = F
     while True:
+        r = len(remaining)
         for subset in itertools.chain.from_iterable(
-                itertools.combinations(remaining, size)
-                for size in range(1, len(remaining) // 2 + 1)):
+                itertools.islice(itertools.combinations(remaining, size),
+                                 math.comb(r - 1, size - 1)
+                                 if 2 * size == r else None)
+                for size in range(1, r // 2 + 1)):
             if next(tried) > cap:
                 raise ResourceExhausted(
                     f"factor recombination past {cap} subsets")
@@ -650,8 +665,8 @@ def _recombine(F, lifted, N, xv, yv):
             for i in subset[1:]:
                 cand_b = _b_mul_trunc(cand_b, lifted[i], N, K)
             cand = _b_to_mp(cand_b, F.ring, xv, yv)
-            q, r = mp_divmod_single(target, cand)
-            if r.is_zero():
+            q, rem = mp_divmod_single(target, cand)
+            if rem.is_zero():
                 out.append(cand)
                 target = q
                 remaining = [i for i in remaining if i not in subset]
@@ -688,9 +703,7 @@ def _ratfunc_factor(coeffs, field):
     tname = field.tvars[0]
     ring2 = PolyRing(field._ring.field, (tname, "_X"))
     # clear denominators
-    den = field._ring.one()
-    for _, d in coeffs:
-        den = den * d
+    den = math.prod((d for _, d in coeffs), start=field._ring.one())
     terms = {}
     for d, (num, cden) in enumerate(coeffs):
         for (et,), c in (num * mp_exact_div(den, cden)).terms.items():
@@ -746,7 +759,7 @@ def is_absolutely_irreducible_poly(F: MultiPoly) -> bool:
         return len(facs) == 1 and u_deg(facs[0][0]) == 1
     if len(used) == 2 and _polygon_indecomposable(F):
         return True
-    facs = factor_poly(F)[1]
+    facs = _factor_list(F)
     return len(facs) == 1 and _stays_irreducible(facs[0][0])
 
 
@@ -755,7 +768,7 @@ def _stays_irreducible(G: MultiPoly) -> bool:
     prime s dividing deg G, that is, G is absolutely irreducible."""
     for s in _prime_factors(G.total_degree()):
         L, embed = extend_gf(G.ring.field, s)
-        if len(factor_poly(_embed_raw(G, L, embed))[1]) > 1:
+        if len(_factor_list(_embed_raw(G, L, embed))) > 1:
             return False
     return True
 

@@ -33,23 +33,19 @@ class FiniteGroup:
         self.identity = identity
         if len(self.table) != n or any(len(r) != n for r in self.table):
             raise CharpkError("multiplication table shape mismatch")
-        e = identity
-        for i in range(n):
-            if self.table[e][i] != i or self.table[i][e] != i:
-                raise CharpkError("identity law fails")
-        for i in range(n):
-            if not any(self.table[i][j] == e for j in range(n)):
-                raise CharpkError("missing inverse")
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    if (self.table[self.table[i][j]][k]
-                            != self.table[i][self.table[j][k]]):
-                        raise CharpkError("associativity fails")
+        t, e, r = self.table, identity, range(n)
+        if any(t[e][i] != i or t[i][e] != i for i in r):
+            raise CharpkError("identity law fails")
+        if any(e not in row for row in t):
+            raise CharpkError("missing inverse")
+        if any(t[t[i][j]][k] != t[i][t[j][k]]
+               for i in r for j in r for k in r):
+            raise CharpkError("associativity fails")
 
     @classmethod
-    def cyclic(cls, n: int) -> "FiniteGroup":
-        labels = ["e"] + [f"g^{i}" if i > 1 else "g" for i in range(1, n)]
+    def cyclic(cls, n: int, labels=None) -> "FiniteGroup":
+        labels = labels or ["e"] + [f"g^{i}" if i > 1 else "g"
+                                    for i in range(1, n)]
         table = [[(i + j) % n for j in range(n)] for i in range(n)]
         return cls(labels, table, 0)
 
@@ -127,11 +123,10 @@ class FieldAction:
         sigmas = list(sigmas)
         if len(sigmas) != len(group):
             raise CharpkError("one automorphism per group element required")
-        for i in range(len(group)):
-            for j in range(len(group)):
-                if sigmas[i].compose(sigmas[j]) != sigmas[group.op(i, j)]:
-                    raise CharpkError(
-                        "the assignment is not a group homomorphism")
+        r = range(len(group))
+        if any(sigmas[i].compose(sigmas[j]) != sigmas[group.op(i, j)]
+               for i in r for j in r):
+            raise CharpkError("the assignment is not a group homomorphism")
         if sigmas[group.identity] != identity_automorphism(field):
             raise CharpkError("identity must act trivially")
         self.group = group
@@ -182,7 +177,7 @@ def galois_group(L: FieldDescriptor, F: FieldDescriptor):
     labels = ["id"] + [f"frob^{F.k * i}" for i in range(1, n)]
     if F.k == 1 and n > 1:
         labels[1] = "frob"
-    group = FiniteGroup(labels, FiniteGroup.cyclic(n).table, 0)
+    group = FiniteGroup.cyclic(n, labels)
     return group, autos, factor.gf_embedding(F, L)
 
 
@@ -231,7 +226,6 @@ def check_galois_data(act: FieldAction) -> GaloisDataReport:
     # (1) every element of L is separably algebraic over the fixed field:
     # for finite fields, x satisfies prod over the orbit of (T - sigma(x)),
     # which has fixed coefficients and distinct roots
-    alg = True
     gamma = L.generator()
     orbit = sorted({s(gamma).rep for s in act.sigmas})
     coeffs = factor.vanishing_poly([FieldScalar(L, rep) for rep in orbit], L)
@@ -241,13 +235,10 @@ def check_galois_data(act: FieldAction) -> GaloisDataReport:
     alg = fixed_ok and sqfree
     # (2) normality: each sigma_g restricts to the identity on the fixed
     # field and permutes L (so sigma(L) = L over the invariants)
-    normal = True
-    for s in act.sigmas:
-        if s(embed(F.generator())) != embed(F.generator()):
-            normal = False
-        if len({s(x).rep for x in (L.generator() ** i
-                                   for i in range(L.k))}) != L.k:
-            normal = False
+    fixed = embed(F.generator())
+    normal = all(s(fixed) == fixed
+                 and len({s(gamma ** i).rep for i in range(L.k)}) == L.k
+                 for s in act.sigmas)
     # (3) Aut(L/F) is isomorphic to G via g -> sigma_g
     group_auto, autos, _ = galois_group(L, F)
     auto_index = {a.exponent: i for i, a in enumerate(autos)}
@@ -259,14 +250,10 @@ def check_galois_data(act: FieldAction) -> GaloisDataReport:
                 iso_ok = False
                 break
             iso[g] = auto_index[s.exponent]
-        if iso_ok and len(set(iso.values())) != len(iso):
-            iso_ok = False
-        if iso_ok:
-            for i in range(len(act.group)):
-                for j in range(len(act.group)):
-                    gi = act.group.op(i, j)
-                    if group_auto.op(iso[i], iso[j]) != iso[gi]:
-                        iso_ok = False
+        r = range(len(act.group))
+        iso_ok = iso_ok and len(set(iso.values())) == len(iso) and all(
+            group_auto.op(iso[i], iso[j]) == iso[act.group.op(i, j)]
+            for i in r for j in r)
     return GaloisDataReport(alg, normal, iso_ok, F, iso)
 
 

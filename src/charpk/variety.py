@@ -564,10 +564,10 @@ def _linear_in_var_primitive(f: MultiPoly):
 
 def _factors(V: AffineVariety, f: MultiPoly):
     """The distinct irreducible factors of V's one generator f after
-    peeling, with multiplicities; the presented ideal is prime iff there
-    is one, of multiplicity 1 (recorded in V._flags)."""
+    peeling, with multiplicities, in no canonical order; the presented
+    ideal is prime iff there is one, of multiplicity 1 (in V._flags)."""
     from . import factor
-    facs = factor.factor_poly(f)[1]
+    facs = factor._factor_list(f)
     V._flags["prime"] = len(facs) == 1 and facs[0][1] == 1
     return facs
 

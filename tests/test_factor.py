@@ -110,35 +110,40 @@ def _counted_trial_divisors(monkeypatch):
 def test_recombination_stops_at_its_subset_cap(monkeypatch):
     """(y^2 - x^2 - 1)(y^2 - x^2 - 4) over GF(5), of degree 4 in both
     variables, is specialised at x = 0 and has four local factors there:
-    a pair divides at the seventh subset, and the two left are tried one
-    at a time, so the answer takes nine subsets.  A cap of nine keeps it,
-    a cap of eight raises on the ninth subset, before it is built."""
+    after the four singletons, the pairs holding the first factor are
+    tried, and the third divides at the seventh subset.  Of the two
+    factors left only the first is tried, since a half divides iff its
+    complement does, so the answer takes eight subsets.  A cap of eight
+    keeps it, a cap of seven raises on the eighth subset, before it is
+    built."""
     from charpk import polys
     F = PolyRing(make_field("GF(5,1)"), ("x", "y")).parse(
         "(y^2 - x^2 - 1)*(y^2 - x^2 - 4)")
     tried = _counted_trial_divisors(monkeypatch)
     want = [(g, 1) for g in (F.ring.parse("x^2 + 4*y^2 + 1"),
                              F.ring.parse("x^2 + 4*y^2 + 4"))]
-    monkeypatch.setattr(polys, "MAX_RECOMBINATION_SUBSETS", 9)
-    assert factor_poly(F)[1] == want
-    assert len(tried) == 9
-    tried.clear()
     monkeypatch.setattr(polys, "MAX_RECOMBINATION_SUBSETS", 8)
-    with pytest.raises(ResourceExhausted,
-                       match="factor recombination past 8 subsets"):
-        factor_poly(F)
+    assert factor_poly(F)[1] == want
     assert len(tried) == 8
+    tried.clear()
+    monkeypatch.setattr(polys, "MAX_RECOMBINATION_SUBSETS", 7)
+    with pytest.raises(ResourceExhausted,
+                       match="factor recombination past 7 subsets"):
+        factor_poly(F)
+    assert len(tried) == 7
 
 
 def test_recombination_tries_at_most_half_of_the_local_factors(monkeypatch):
     """y^4 + x^4 + x*y + 4 over GF(5) is irreducible with four linear local
-    factors at x = 0: the four singletons and six pairs decide it, in ten
-    trial divisions, where every nonempty subset would be fifteen."""
+    factors at x = 0: the four singletons and the three pairs holding the
+    first factor decide it, since a pair divides iff its complement does.
+    That is seven trial divisions, where every pair would be ten and every
+    nonempty subset fifteen."""
     F = PolyRing(make_field("GF(5,1)"), ("x", "y")).parse(
         "y^4 + x^4 + x*y + 4")
     tried = _counted_trial_divisors(monkeypatch)
     assert factor_poly(F)[1] == [(F, 1)]
-    assert len(tried) == 10
+    assert len(tried) == 7
 
 
 def test_artin_schreier_curve_is_specialised_in_its_variable_of_larger_degree(
@@ -471,13 +476,14 @@ GF4_EISENSTEIN = "y^3 + g*x*y + x^2 + x"
     ("GF(3,2)", "y^3 + g*x^2*y + x^3 + x")])
 def test_polygon_check_decides_eisenstein_without_factoring(monkeypatch,
                                                            spec, text):
-    """The certificate answers before any factoring over GF(q^s)."""
+    """The certificate answers before any bivariate factoring, over GF(q)
+    or GF(q^s): `_fb` is what `factor_poly` and the decisions share."""
     from charpk.variety import (AffineVariety, is_absolutely_irreducible,
                                 is_irreducible)
 
     def fallback(*args):
         raise AssertionError("reached the factoring fallback")
-    monkeypatch.setattr(factor, "factor_poly", fallback)
+    monkeypatch.setattr(factor, "_fb", fallback)
     monkeypatch.setattr(factor, "_stays_irreducible", fallback)
     K = make_field(spec)
     F = PolyRing(K, ("x", "y")).parse(text)
@@ -507,7 +513,7 @@ def test_polygon_check_leaves_the_rest_to_factoring(monkeypatch, spec, text):
     K = make_field(spec)
     F = PolyRing(K, ("x", "y")).parse(text)
     assert factor.is_absolutely_irreducible_poly(F) is False
-    monkeypatch.setattr(factor, "factor_poly", fallback)
+    monkeypatch.setattr(factor, "_fb", fallback)
     monkeypatch.setattr(factor, "_stays_irreducible", fallback)
     with pytest.raises(Fallback):
         factor.is_absolutely_irreducible_poly(F)
@@ -515,6 +521,71 @@ def test_polygon_check_leaves_the_rest_to_factoring(monkeypatch, spec, text):
         is_absolutely_irreducible(AffineVariety(K, ("x", "y"), [F]))
     with pytest.raises(Fallback):
         is_irreducible(AffineVariety(K, ("x", "y"), [F]))
+
+
+# -- decisions read the checked list, not its canonical order ----------------
+
+@pytest.mark.parametrize("spec, text", [
+    ("GF(2,2)", GF4_EISENSTEIN),
+    ("GF(5,1)", "y^3 + 2*x*y + x^3 + 3*x"),
+    ("GF(3,2)", "y^3 + g*x^2*y + x^3 + x")])
+def test_decisions_skip_the_canonical_order(monkeypatch, spec, text):
+    """With `_normalize_factor_list` refused, products, squares and norm
+    forms are still decided as constructed.  E is absolutely irreducible
+    by its polygon, the norm of a line or conic from GF(q^2) irreducible
+    with two conjugate absolute components."""
+    from charpk.polys import MultiPoly
+    from charpk.variety import (AffineVariety, is_absolutely_irreducible,
+                                is_irreducible)
+
+    def refuse(*args):
+        raise AssertionError("a decision put the factors in canonical order")
+    K = make_field(spec)
+    R = PolyRing(K, ("x", "y"))
+    E = R.parse(text)
+    # (F, irreducible, prime, absolutely irreducible)
+    cases = [(E * R.parse("x + y + 1"), False, False, False),
+             (E ** 2, True, False, True)]
+    for conic in (_line, lambda L, a: {(0, 2): L.one(), (1, 0): -a}):
+        cases.append((MultiPoly(*_norm_curve(K, 2, conic)),
+                      True, True, False))
+    monkeypatch.setattr(factor, "_normalize_factor_list", refuse)
+    for F, irreducible, prime, absolute in cases:
+        assert factor.is_absolutely_irreducible_poly(F) is absolute
+        V = AffineVariety(K, ("x", "y"), [F])
+        assert is_irreducible(V) is irreducible
+        assert V._flags["prime"] is prime
+        W = AffineVariety(K, ("x", "y"), [F])
+        assert is_absolutely_irreducible(W) is absolute
+        assert W._flags["prime"] is prime
+
+
+def test_the_self_check_guards_decisions_too(monkeypatch):
+    """A worker that loses a factor is caught on the decision path as on
+    `factor_poly`'s: the product check runs before the canonical order."""
+    from charpk.errors import CharpkError
+    from charpk.variety import AffineVariety, is_irreducible
+    worker = factor._fb
+
+    def dropping(F, xv, yv):
+        return worker(F, xv, yv)[1:]
+    K = make_field("GF(5,1)")
+    F = PolyRing(K, ("x", "y")).parse("(y^2 + x)*(y + x + 1)")
+    monkeypatch.setattr(factor, "_fb", dropping)
+    check = "bivariate factorization self-check failed"
+    with pytest.raises(CharpkError, match=check):
+        is_irreducible(AffineVariety(K, ("x", "y"), [F]))
+    with pytest.raises(CharpkError, match=check):
+        factor_poly(F)
+
+
+def test_a_shift_by_zero_is_the_polynomial_itself():
+    K = make_field("GF(3,2)")
+    F = PolyRing(K, ("x", "y")).parse("y^2 + g*x*y + x^3 + 1")
+    assert factor._shift(F, "x", 0) is F
+    G = factor._shift(F, "x", 1)
+    assert G != F
+    assert factor._shift(G, "x", K.kernel.neg(1)) == F
 
 
 # -- squarefree by specialization --------------------------------------------

@@ -28,6 +28,28 @@ def test_galois_group_orders():
     assert len(g3) == 3
 
 
+def test_galois_group_builds_and_verifies_its_table_once(monkeypatch):
+    built = []
+    init = FiniteGroup.__init__
+
+    def counted(self, *args):
+        built.append(args)
+        init(self, *args)
+    monkeypatch.setattr(FiniteGroup, "__init__", counted)
+    for big, small, labels in [
+            ("GF(2,4)", "GF(2,1)", ("id", "frob", "frob^2", "frob^3")),
+            ("GF(3,6)", "GF(3,2)", ("id", "frob^2", "frob^4")),
+            ("GF(2,3)", "GF(2,3)", ("id",))]:
+        built.clear()
+        group, _, _ = galois_group(make_field(big), make_field(small))
+        assert len(built) == 1
+        n = len(labels)
+        assert group.elements == labels
+        assert group.table == tuple(tuple((i + j) % n for j in range(n))
+                                    for i in range(n))
+        assert group.identity == 0
+
+
 def test_galois_group_automorphisms_fix_base():
     F4, F16 = make_field("GF(2,2)"), make_field("GF(2,4)")
     group, autos, embed = galois_group(F16, F4)
