@@ -9,8 +9,11 @@
   small to host a good specialization, ascend to the least GF(p^{k r}),
   r >= 2, that hosts one, factor there and descend by grouping
   Frobenius orbits of the factors;
-* univariate over F_p(t): clear the denominators of the (numer, denom)
-  coefficient pairs and reduce to the bivariate case (Gauss lemma).
+* univariate over F_p(t): cross F_p(t)[x] into GF(p)[t, x]
+  (`polys.joined_ring`, `join_coeffs`), factor there, drop the factors
+  free of x, which make up the content, a unit of F_p(t)[x], and cross
+  the others back (`split_coeffs`): they are irreducible over F_p(t) by
+  Gauss's lemma.
 
 Squarefree by specialization.  Let F be primitive in y with dF/dy != 0.
 A good specialization, an x0 in K with F(x0, y) squarefree of degree
@@ -39,8 +42,9 @@ take and return FieldScalar lists.  Factor lists are sorted by the
 coefficient tuples `FieldScalar.rep`, not by codes.
 
 Everything self-checks: the product of the returned factors is compared
-with the input.  Bivariate lists are checked in `_factor_list`, before
-the canonical order that the irreducibility decisions skip.
+with the input.  `_factor_list` is the one checked factor list for every
+supported input; `factor_poly` puts it in canonical order, which the
+irreducibility verdicts (`variety._hypersurface`) skip.
 """
 
 from __future__ import annotations
@@ -55,10 +59,10 @@ from .errors import (CharpkError, FieldError, ResourceExhausted,
                      UnsupportedInstance)
 from .fields import (FieldDescriptor, FieldScalar, _code_to_vec,
                      _prime_factors, _scalar, u_add, u_bezout, u_deg, u_deriv,
-                     u_divmod, u_gcd, u_monic, u_mul, u_powmod, u_scale,
-                     u_sub, u_trim)
-from .polys import (MultiPoly, PolyRing, _content, _mp, mp_divmod_single,
-                    mp_exact_div, mp_gcd, mp_pth_root, u_from_mp, u_to_mp)
+                     u_divmod, u_gcd, u_monic, u_mul, u_powmod, u_sub, u_trim)
+from .polys import (MultiPoly, PolyRing, _content, _mp, join_coeffs,
+                    joined_ring, mp_divmod_single, mp_exact_div, mp_gcd,
+                    mp_pth_root, split_coeffs, u_from_mp, u_to_mp)
 
 # ---------------------------------------------------------------------------
 # dense univariate helpers on raw lists
@@ -220,10 +224,14 @@ def uni_roots(f, field):
 
 
 def uni_is_irreducible(f, field):
-    """Over GF(p^k), or over F_p(t) by Gauss's lemma."""
+    """Over GF(p^k), or over F_p(t) by Gauss's lemma (`_factor_list`)."""
     f = _raw(f)
-    facs = (_uni_factor(f, field)[1] if field.kind == "gf"
-            else _ratfunc_factor(f, field))
+    if field.kind == "gf":
+        facs = _uni_factor(f, field)[1]
+    elif any(f):
+        facs = _factor_list(u_to_mp(f, PolyRing(field, ("x",)), "x"))
+    else:
+        raise CharpkError("factorization of zero")
     return len(facs) == 1 and facs[0][1] == 1
 
 
@@ -328,46 +336,58 @@ def factor_poly(F: MultiPoly):
 
     Complete for polynomials over GF(p^k) in at most two variables and for
     univariate polynomials over F_p(t) (one transcendental); raises
-    UnsupportedInstance otherwise.  In two variables: the checked
-    `_factor_list(F)` in the order of `_normalize_factor_list`.
+    UnsupportedInstance otherwise.  The checked `_factor_list(F)` in
+    canonical order: that of `_normalize_factor_list` in two variables,
+    by degree and coefficients (`_coeffs_key`) in one.
     """
-    field = F.ring.field
+    facs = _factor_list(F)
     used = sorted(F.variables_used())
-    if field.kind == "ratfunc":
-        if field.imperfection_exponent != 1 or len(used) > 1:
-            raise UnsupportedInstance(
-                "factorization over rational-function fields is supported "
-                "for one transcendental and one polynomial variable")
-        if not used:
-            return F.constant_value(), []
-        facs = _ratfunc_factor(u_from_mp(F, used[0]), field)
-        # the factors are monic, so the unit is F's leading coefficient
-        return F.leading()[1], [(u_to_mp(coeffs, F.ring, used[0]), m)
-                                for coeffs, m in facs]
-    if len(used) == 0:
-        return F.constant_value(), []
-    if len(used) == 1:
-        unit, facs = _uni_factor(u_from_mp(F, used[0]), field)
-        return (_scalar(field, unit),
-                [(u_to_mp(g, F.ring, used[0]), m) for g, m in facs])
     if len(used) == 2:
-        return _normalize_factor_list(F, _factor_list(F))
-    raise UnsupportedInstance(
-        "factorization with three or more variables is not supported")
+        return _normalize_factor_list(F, facs)
+    if not used:
+        return F.constant_value(), []
+    facs = [(g.monic(), m) for g, m in facs]
+    facs.sort(key=lambda gm: (gm[0].total_degree(), _coeffs_key(
+        u_from_mp(gm[0], used[0]), F.ring.field)))
+    return F.leading()[1], facs
 
 
 def _factor_list(F: MultiPoly):
-    """`factor_poly(F)[1]` up to the order and scaling of the factors: for
-    F over GF(q) in two variables, `_fb`'s list after the self-check, not
-    put in the canonical order (`_normalize_factor_list`)."""
+    """The irreducible factors of F with their multiplicities, checked
+    against F up to a unit, in no canonical order: over GF(q) by
+    `_uni_factor` in one variable and `_fb` in two; over F_p(t) in one
+    variable x by crossing into GF(p)[t, x] (`polys.join_coeffs`), where
+    the factors free of x make up the content, a unit of F_p(t)[x], and
+    the others are irreducible over F_p(t) (Gauss's lemma)."""
+    ring, field = F.ring, F.ring.field
     used = sorted(F.variables_used())
-    if F.ring.field.kind != "gf" or len(used) != 2:
-        return factor_poly(F)[1]
-    xv, yv = sorted(used, key=F.degree_in, reverse=True)
-    facs = _fb(F, xv, yv)
-    prod = math.prod((g ** m for g, m in facs), start=F.ring.one())
+    if field.kind == "ratfunc" and (field.imperfection_exponent != 1
+                                    or len(used) > 1):
+        raise UnsupportedInstance(
+            "factorization over rational-function fields is supported "
+            "for one transcendental and one polynomial variable")
+    if len(used) > 2:
+        raise UnsupportedInstance(
+            "factorization with three or more variables is not supported")
+    if not used:
+        return []
+    if field.kind == "ratfunc":
+        kind = "rational-function"
+        joined = joined_ring(ring)
+        facs = [(split_coeffs(g, joined.one(), ring), m)
+                for g, m in _factor_list(join_coeffs(F, joined)[0])
+                if g.degree_in(used[0])]
+    elif len(used) == 1:
+        kind = "univariate"
+        facs = [(u_to_mp(g, ring, used[0]), m)
+                for g, m in _uni_factor(u_from_mp(F, used[0]), field)[1]]
+    else:
+        kind = "bivariate"
+        xv, yv = sorted(used, key=F.degree_in, reverse=True)
+        facs = _fb(F, xv, yv)
+    prod = math.prod((g ** m for g, m in facs), start=ring.one())
     if prod.scale(F.leading()[1] / prod.leading()[1]) != F:
-        raise CharpkError("bivariate factorization self-check failed")
+        raise CharpkError(f"{kind} factorization self-check failed")
     return facs
 
 
@@ -688,56 +708,22 @@ def _b_mul_trunc(a, b, N, K):
 
 
 # ---------------------------------------------------------------------------
-# univariate over F_p(t) via Gauss's lemma
-# ---------------------------------------------------------------------------
-
-def _ratfunc_factor(coeffs, field):
-    """Factor a univariate polynomial over F_p(t), given as a raw list:
-    [(monic raw coefficient list, multiplicity)]."""
-    if field.kind != "ratfunc" or field.imperfection_exponent != 1:
-        raise UnsupportedInstance("need F_p(t) with one transcendental")
-    K = field.kernel
-    coeffs = u_trim(list(coeffs))
-    if not coeffs:
-        raise CharpkError("factorization of zero")
-    tname = field.tvars[0]
-    ring2 = PolyRing(field._ring.field, (tname, "_X"))
-    # clear denominators
-    den = math.prod((d for _, d in coeffs), start=field._ring.one())
-    terms = {}
-    for d, (num, cden) in enumerate(coeffs):
-        for (et,), c in (num * mp_exact_div(den, cden)).terms.items():
-            terms[(et, d)] = c
-    _, facs = factor_poly(_mp(ring2, terms))
-    out = []
-    for g, m in facs:
-        if g.degree_in("_X") == 0:
-            continue  # content in F_p[t]: a unit of F_p(t)[x]
-        # back to F_p(t)[x]
-        lifted = [K.zero] * (g.degree_in("_X") + 1)
-        for d, c in g.coeffs_in("_X").items():
-            lifted[d] = K.frac(c.rename(field._ring), field._ring.one())
-        out.append((u_monic(lifted, K), m))
-    out.sort(key=lambda gm: (len(gm[0]), _coeffs_key(gm[0], field)))
-    # self-check
-    prod = [K.one]
-    for g, m in out:
-        for _ in range(m):
-            prod = u_mul(prod, g, K)
-    if u_scale(prod, coeffs[-1], K) != coeffs:
-        raise CharpkError("rational-function factorization self-check failed")
-    return out
-
-
-# ---------------------------------------------------------------------------
 # absolute irreducibility of polynomials
 # ---------------------------------------------------------------------------
 
 def is_absolutely_irreducible_poly(F: MultiPoly) -> bool:
-    """Absolute irreducibility over K = GF(q): True at once for a curve
-    whose Newton polygon proves it (`_polygon_indecomposable`), else by
-    factoring over GF(q^s) for the primes s dividing d = deg G, G the one
-    distinct K-irreducible factor of F.
+    """Absolute irreducibility of F over K = GF(q): the verdict on the
+    hypersurface V(F) (`variety._hypersurface`)."""
+    if F.ring.field.kind != "gf":
+        raise UnsupportedInstance(
+            "extension-factoring absolute irreducibility needs a finite field")
+    from . import variety
+    return variety._hypersurface(F, absolute=True)[0]
+
+
+def _stays_irreducible(G: MultiPoly) -> bool:
+    """G irreducible over K = GF(q) stays irreducible over GF(q^s) for
+    every prime s dividing d = deg G, that is, G is absolutely irreducible.
 
     G is squarefree over the algebraic closure (K is perfect), and its
     absolute components are the r Frobenius conjugates of one of them, of
@@ -746,26 +732,6 @@ def is_absolutely_irreducible_poly(F: MultiPoly) -> bool:
     factors there, each of multiplicity 1.  Thus G is absolutely
     irreducible (r = 1) iff it stays irreducible over GF(q^s) for every
     prime s | d: when r > 1, a prime s | r divides d and splits G."""
-    field = F.ring.field
-    if field.kind != "gf":
-        raise UnsupportedInstance(
-            "extension-factoring absolute irreducibility needs a finite field")
-    used = sorted(F.variables_used())
-    if len(used) == 0:
-        return False
-    if len(used) == 1:
-        # an irreducible univariate of degree >= 2 splits over its root field
-        _, facs = _uni_factor(u_from_mp(F, used[0]), field)
-        return len(facs) == 1 and u_deg(facs[0][0]) == 1
-    if len(used) == 2 and _polygon_indecomposable(F):
-        return True
-    facs = _factor_list(F)
-    return len(facs) == 1 and _stays_irreducible(facs[0][0])
-
-
-def _stays_irreducible(G: MultiPoly) -> bool:
-    """G irreducible over GF(q) stays irreducible over GF(q^s) for every
-    prime s dividing deg G, that is, G is absolutely irreducible."""
     for s in _prime_factors(G.total_degree()):
         L, embed = extend_gf(G.ring.field, s)
         if len(_factor_list(_embed_raw(G, L, embed))) > 1:

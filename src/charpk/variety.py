@@ -18,11 +18,15 @@ differentials, polynomial rows over K[x..] modulo the Groebner basis of
 the presented ideal.  Every rank modulo an ideal is
 `linalg.rank_modulo`.
 
-A plane curve is first tried on its Newton polygon: with no monomial
-factor and an integrally indecomposable polygon it is absolutely
-irreducible over every K (Ostrowski; Gao, J. Algebra 237, 2001).  The
-check only ever proves irreducibility; when it fails over GF(q),
-factoring over GF(q) and GF(q^s) decides.
+`_hypersurface` is the one verdict on V(f), f the generator left after
+peeling, and says whether (f) is prime; `is_irreducible`,
+`is_absolutely_irreducible` and `factor.is_absolutely_irreducible_poly`
+read it.  A primitive linear f needs no factoring.  A plane curve with
+no monomial factor and an integrally indecomposable Newton polygon is
+absolutely irreducible over every K (Ostrowski; Gao, J. Algebra 237,
+2001).  Otherwise the checked `factor._factor_list` decides, over K and,
+for the absolute verdict, over GF(q^s).  Only `_decide_irreducible`,
+from that verdict, and `_eliminate_locus` write V._flags["prime"].
 """
 
 from __future__ import annotations
@@ -562,16 +566,6 @@ def _linear_in_var_primitive(f: MultiPoly):
     return False
 
 
-def _factors(V: AffineVariety, f: MultiPoly):
-    """The distinct irreducible factors of V's one generator f after
-    peeling, with multiplicities, in no canonical order; the presented
-    ideal is prime iff there is one, of multiplicity 1 (in V._flags)."""
-    from . import factor
-    facs = factor._factor_list(f)
-    V._flags["prime"] = len(facs) == 1 and facs[0][1] == 1
-    return facs
-
-
 def _single_geometric_root(h: MultiPoly, var: str) -> bool:
     """h irreducible univariate: exactly one root over the closure iff h is
     x - c or an iterated p-th power of such (h(x) = g(x^p) descends on
@@ -609,65 +603,50 @@ def is_absolutely_irreducible(V: AffineVariety) -> bool:
 
 def _decide_irreducible(V: AffineVariety, absolute: bool) -> bool:
     """The verdict on V; whether its presented ideal is prime goes into
-    V._flags: it is with no generator left after peeling, with one that is
-    primitive linear or certified by its polygon, or `_factors` says."""
+    V._flags: it is with no generator left after peeling, and with one,
+    f, `_hypersurface(f)` says."""
     gens = peel_graph(V).gens
-    if not gens:
-        V._flags["prime"] = True
-        return True  # open in an affine space
-    if len(gens) == 1:
-        return _poly_irreducible(V, gens[0], absolute)
-    raise UnsupportedInstance(
-        "irreducibility is decided only where V peels to at most one "
-        f"generator or is built as a locus; {len(gens)} generators remain "
-        "after peeling")
+    if len(gens) > 1:
+        raise UnsupportedInstance(
+            "irreducibility is decided only where V peels to at most one "
+            f"generator or is built as a locus; {len(gens)} generators "
+            "remain after peeling")
+    # no generator: V is open in an affine space
+    verdict, V._flags["prime"] = (_hypersurface(gens[0], absolute) if gens
+                                  else (True, True))
+    return verdict
 
 
-def _poly_irreducible(V: AffineVariety, f: MultiPoly, absolute: bool) -> bool:
+def _hypersurface(f: MultiPoly, absolute: bool):
+    """(verdict, prime) for V(f): whether V(f) is K-irreducible, or
+    absolutely irreducible, and whether (f) is prime.  A primitive linear
+    f, or one certified by its Newton polygon, is absolutely irreducible
+    with (f) prime; otherwise the checked `factor._factor_list(f)` decides,
+    with `_single_geometric_root` in one variable and
+    `factor._stays_irreducible` in two for the absolute verdict."""
     used = sorted(f.variables_used())
-    if not used:
-        return False  # constant: empty or whole space, both rejected above
-    if len(used) == 1:
-        return _poly_irreducible_zero_dim(V, f, used[0], absolute)
     if _linear_in_var_primitive(f):
-        V._flags["prime"] = True
-        return True
-    # factor loads on first use, so a process that never factors (point
-    # listing, p-independence) does not compile it
+        return True, True
+    # factor loads only here, so a process that never factors (point
+    # listing, p-independence, linear hypersurfaces) does not compile it
     from . import factor
     if len(used) == 2 and factor._polygon_indecomposable(f):
-        # absolutely irreducible over every K, so irreducible of
-        # multiplicity 1
-        V._flags["prime"] = True
-        return True
-    if f.ring.field.kind == "gf":
-        if absolute:
-            if len(used) == 2:
-                facs = _factors(V, f)
-                return len(facs) == 1 and factor._stays_irreducible(
-                    facs[0][0])
-            raise UnsupportedInstance(
-                "absolute irreducibility beyond two variables")
-        try:
-            return len(_factors(V, f)) == 1
-        except UnsupportedInstance:
-            raise UnsupportedInstance(
-                "irreducibility for this variable count is unsupported")
-    # rational-function coefficients
-    raise UnsupportedInstance(
-        "hypersurface irreducibility over F_p(t..) beyond the linear-in-a-"
-        "variable and Newton-polygon classes is unsupported")
-
-
-def _poly_irreducible_zero_dim(V: AffineVariety, f: MultiPoly, var: str,
-                               absolute: bool) -> bool:
-    """V(f) in the affine line of var, possibly with graph coordinates."""
-    facs = _factors(V, f)
-    if len(facs) != 1:
-        return False
-    if not absolute:
-        return True
-    return _single_geometric_root(facs[0][0], var)
+        return True, True
+    if len(used) > 1 and f.ring.field.kind != "gf":
+        raise UnsupportedInstance(
+            "hypersurface irreducibility over F_p(t..) beyond the linear-in-a-"
+            "variable and Newton-polygon classes is unsupported")
+    if len(used) > 2:
+        raise UnsupportedInstance(
+            "absolute irreducibility beyond two variables" if absolute else
+            "irreducibility for this variable count is unsupported")
+    facs = factor._factor_list(f)
+    prime = len(facs) == 1 and facs[0][1] == 1
+    if len(facs) != 1 or not absolute:
+        return len(facs) == 1, prime
+    if len(used) == 1:
+        return _single_geometric_root(facs[0][0], used[0]), prime
+    return factor._stays_irreducible(facs[0][0]), prime
 
 
 # ---------------------------------------------------------------------------

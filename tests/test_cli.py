@@ -540,6 +540,10 @@ def test_cli_jobs_import_only_the_layers_they_use(tmp_path):
 ideal { vars: [x, y, z]; over: "GF(7,1)"; gens: ["x - y^2", "z - y^3"] }
 """)
     circle = _write(tmp_path, "circle.inst", CIRCLE7)
+    # linear in x with coprime parts: decided before any factoring
+    linear = _write(tmp_path, "linear.inst", """
+variety { vars: [x, y, z, w]; over: "GF(3,1)"; gens: ["x*z + y*w"] }
+""")
     dpac = _write(tmp_path, "dpac.inst", DPAC3)
     gbdcf = _write(tmp_path, "gbdcf.inst", GBDCF_FROB)
     galois = _write(tmp_path, "galois.inst", """
@@ -583,6 +587,9 @@ assert not loaded() & heavy, ('poly', loaded())
 assert main(['variety', 'points', {circle!r}]) == 0
 assert not loaded() & {{'formula', 'axioms', 'groups', 'factor'}}, \
     ('points', loaded())
+for action in ('irr', 'absirr'):
+    assert main(['variety', action, {linear!r}]) == 0
+assert 'factor' not in loaded(), ('linear hypersurface', loaded())
 for action in ('validate-dpac', 'search-dpac'):
     assert main(['axiom', action, {dpac!r}]) == 0
 assert not loaded() & {{'groups', 'factor', 'formula'}}, ('dpac', loaded())
@@ -602,6 +609,20 @@ assert 'formula' in loaded(), 'scf-reduce'
         proc = subprocess.run([sys.executable, "-c", code], env=env,
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("action, code, line", [
+    ("irr", 0, "irreducible: True"),
+    ("absirr", 1, "absolutely irreducible: False")])
+def test_cli_transcendental_named_like_the_crossing_variable(
+        tmp_path, capsys, action, code, line):
+    """x^2 - _X over F_3(_X) is irreducible, with two geometric roots."""
+    path = _write(tmp_path, "x.inst", """
+variety { vars: [x]; over: "Fp(3;_X)"; gens: ["x^2 - _X"] }
+""")
+    assert main(["variety", action, path]) == code
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (line + "\n", "")
 
 
 def test_cli_integer_generator_image_exits_2(tmp_path, capsys):

@@ -257,6 +257,109 @@ def test_ratfunc_univariate_factor():
         factor_poly(R3.parse("x*y*z + x + y + z"))
 
 
+@pytest.mark.parametrize("name", ["_X", "x"])
+def test_a_transcendental_named_like_a_ring_variable(name):
+    """F_3(T)[x] for T named like the variable of the crossing into
+    GF(3)[T, x], or like the ring variable x itself."""
+    from charpk.variety import (AffineVariety, is_absolutely_irreducible,
+                                is_irreducible)
+    K = make_field(f"Fp(3;{name})")
+    R = PolyRing(K, ("x",))
+    T = K.gen(name)
+    t, x = R.from_scalar(T), R.var("x")
+    assert factor_poly(x ** 2 - t ** 2)[1] == [(x - t, 1), (x + t, 1)]
+    assert factor_poly(x ** 2 - t)[1] == [(x ** 2 - t, 1)]
+    assert uni_is_irreducible([-T, K.zero(), K.one()], K)
+    V = AffineVariety(K, ("x",), [x ** 2 - t])
+    assert is_irreducible(V) is True and V._flags["prime"] is True
+    assert is_absolutely_irreducible(AffineVariety(K, ("x",),
+                                                   [x ** 2 - t])) is False
+
+
+def _random_t_poly(rng, K, T, degree):
+    return sum((K.from_int(rng.randrange(K.p)) * T ** i
+                for i in range(degree + 1)), K.zero())
+
+
+def _random_t_unit(rng, K, T):
+    """A nonzero a(t) / b(t)."""
+    while True:
+        a, b = (_random_t_poly(rng, K, T, 2) for _ in range(2))
+        if not a.is_zero() and not b.is_zero():
+            return a / b
+
+
+def _constructed_ratfunc_factor(rng, K, R, T):
+    """(monic irreducible factor over F_p(t), absolutely irreducible):
+    x - a(t)/b(t); an Eisenstein-at-t factor of degree 2 or 3 with a
+    nonzero x-coefficient, so separable; or x^p - t, inseparable."""
+    x, t = R.var("x"), R.from_scalar(T)
+    kind = rng.randrange(3)
+    if kind == 0:
+        return x - R.from_scalar(_random_t_unit(rng, K, T)), True
+    if kind == 1:
+        n = rng.choice([2, 3])
+        lower = [_random_t_poly(rng, K, T, 1) for _ in range(n)]
+        lower[0] = lower[0] * T + K.one()   # t * unit at t = 0
+        if lower[1].is_zero():
+            lower[1] = K.one()
+        return x ** n + sum((t * R.from_scalar(c) * x ** i
+                             for i, c in enumerate(lower)), R.zero()), False
+    return x ** K.p - t, True
+
+
+@pytest.mark.parametrize("spec", ["Fp(2;t)", "Fp(3;t)", "Fp(5;t)"])
+def test_ratfunc_factoring_matches_its_construction(spec):
+    """Products of linear factors with rational roots, Eisenstein-at-t
+    factors and x^p - t, some repeated, times a scalar unit with a
+    denominator: `factor_poly` returns the constructed multiset, and every
+    verdict and the prime flag follow from it."""
+    from charpk.variety import (AffineVariety, is_absolutely_irreducible,
+                                is_irreducible)
+    rng = random.Random(f"ratfunc {spec}")
+    K = make_field(spec)
+    R = PolyRing(K, ("x",))
+    T = K.gen("t")
+    for _ in range(10):
+        want = {}
+        F = R.from_scalar(_random_t_unit(rng, K, T))
+        for _ in range(rng.choice([1, 1, 2, 3])):
+            g, absolute = _constructed_ratfunc_factor(rng, K, R, T)
+            m = rng.choice([1, 1, 2])
+            F = F * g ** m
+            old = want.get(str(g), (g, 0, absolute))
+            want[str(g)] = (g, old[1] + m, absolute)
+        unit, facs = factor_poly(F)
+        assert unit == F.leading()[1]
+        assert sorted((str(g), m) for g, m in facs) == sorted(
+            (k, m) for k, (_, m, _) in want.items())
+        single = len(want) == 1
+        _, m, absolute = next(iter(want.values()))
+        parts = F.coeffs_in("x")
+        coeffs = [parts[d].constant_value() if d in parts else K.zero()
+                  for d in range(max(parts) + 1)]
+        assert uni_is_irreducible(coeffs, K) is (single and m == 1)
+        V = AffineVariety(K, ("x",), [F])
+        assert is_irreducible(V) is single
+        assert V._flags["prime"] is (single and m == 1)
+        W = AffineVariety(K, ("x",), [F])
+        assert is_absolutely_irreducible(W) is (single and absolute)
+
+
+def test_linear_hypersurfaces_are_decided_in_every_variable_count():
+    """A polynomial linear in a variable with coprime parts is absolutely
+    irreducible, in three or more variables too; elsewhere three
+    variables stay refused."""
+    from charpk.factor import is_absolutely_irreducible_poly
+    R = PolyRing(make_field("GF(3,1)"), ("x", "y", "z", "w"))
+    for text in ("x*z + y*w", "x*y*z + x + 1"):
+        assert is_absolutely_irreducible_poly(R.parse(text)) is True
+    with pytest.raises(UnsupportedInstance):
+        factor_poly(R.parse("x*y*z + x + 1"))
+    with pytest.raises(UnsupportedInstance):
+        is_absolutely_irreducible_poly(R.parse("x^2*y^2 + z^2 + 1"))
+
+
 def test_mp_gcd_of_constructed_common_factor():
     K = make_field("GF(5,1)")
     R = PolyRing(K, ("x", "y"))
